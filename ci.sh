@@ -123,6 +123,13 @@ echo "==> exec bench (planned vs legacy, parallel vs serial, columnar vs row, ba
 # script.
 cargo run --release -p bp-bench --bin exec_bench
 
+echo "==> pipeline benchmark self-test (every workload tiny, traced and untraced)"
+# pipebench/ builds against the library crates' public API, so an API change
+# that breaks the benchmark's build fails here rather than at the next
+# benchmark run. The self-test also checks every BENCHMARK.json metric is
+# printed with its unit.
+python3 pipebench/run.py --self-test
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

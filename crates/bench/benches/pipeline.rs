@@ -44,9 +44,6 @@ fn bench_retrieval(c: &mut Criterion) {
     c.bench_function("embed/top-3 retrieval over 60 annotations", |b| {
         b.iter(|| store.search(ENTERPRISE_SQL, 3, Some(DocumentKind::Annotation)))
     });
-    c.bench_function("embed/pruned top-3 retrieval over 60 annotations", |b| {
-        b.iter(|| store.search_pruned(ENTERPRISE_SQL, 3, Some(DocumentKind::Annotation)))
-    });
 }
 
 fn bench_candidate_generation(c: &mut Criterion) {

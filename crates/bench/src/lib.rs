@@ -1,7 +1,8 @@
 //! # bp-bench — experiment harnesses for the BenchPress reproduction
 //!
-//! One runnable binary per table/figure of the paper's evaluation (see
-//! DESIGN.md for the experiment index) plus Criterion micro-benchmarks of
+//! One runnable binary per table/figure of the paper's evaluation (see the
+//! README's "Reproducing the paper's tables and figures" for the experiment
+//! index) plus Criterion micro-benchmarks of
 //! the pipeline's hot paths. The library part holds the shared formatting
 //! and workload-construction helpers the binaries use.
 

@@ -4,8 +4,9 @@
 //! annotations, and relevant schema tables with Sentence-BERT dense vectors
 //! (paper §4.2, "Retrieval-Augmented Generation"). This crate substitutes a
 //! deterministic hashed n-gram embedder plus an in-memory vector store with
-//! exact and token-pruned kNN search. See DESIGN.md for why the substitution
-//! preserves the behaviour the evaluation depends on.
+//! exact kNN search. See the README ("Retrieval kernel") for why the
+//! substitution preserves the behaviour the evaluation depends on, and for
+//! the store's lane layout and bit-identity contract.
 //!
 //! ## Quick example
 //!
