@@ -97,14 +97,10 @@ while :; do
 done
 echo "indexed-vs-scanned stress loop: ${INDEX_STRESS_PASSES} pass(es) green"
 
-echo "==> cargo bench --no-run --workspace"
-cargo bench --no-run --workspace
-
-echo "==> exec bench (planned vs legacy, parallel vs serial, columnar vs row, batch vs serial grading, grading under a streaming writer, indexed vs full-scan point lookups; emits BENCH_exec.json)"
+echo "==> exec bench (planned vs legacy, parallel vs serial, batch vs serial grading, grading under a streaming writer, indexed vs full-scan point lookups, cost-based vs syntactic join order; emits BENCH_exec.json)"
 # Gates: hash join >= 5x over the nested loop, and — on machines with >= 4
 # cores — parallel planned >= 1.5x over serial planned on the Large-scale
-# equi-join workload, columnar >= 2x over row planned on the Large-scale
-# scan/filter/join workload, batch grading >= 2x over serial grading
+# equi-join workload, batch grading >= 2x over serial grading
 # through the prepared-query pipeline (pipeline_throughput), plus
 # concurrent_read_write: session-based grading through the
 # AnnotationService must sustain >= 0.5x of its uncontended throughput

@@ -1,9 +1,8 @@
 //! `exec_bench` — wall-clock comparison of the planned query engine vs the
-//! legacy tree-walking interpreter, of parallel vs serial planned
-//! execution, and of columnar vs row-planned execution, recorded as
-//! `BENCH_exec.json`.
+//! legacy tree-walking interpreter and of parallel vs serial planned
+//! execution, recorded as `BENCH_exec.json`.
 //!
-//! Seven headline measurements:
+//! Six headline measurements:
 //!
 //! 1. **Planned vs legacy**: a two-table foreign-key equi-join over a
 //!    corpus generated at the `CorpusScale::Large` setting (32× rows),
@@ -22,15 +21,7 @@
 //!    skipped (there is no parallelism to win) and `meets_target` is
 //!    recorded as `null` — an unenforced gate is "not measured", never a
 //!    regression.
-//! 3. **Columnar vs row-planned** (`columnar_workload`): the Large-scale
-//!    scan/filter/join workload (narrow + wide foreign-key equi-joins plus
-//!    integer filter scans) run by the columnar batch engine and by the
-//!    row-at-a-time planned engine, both at full parallelism. On ≥4 cores
-//!    the acceptance target is a ≥2× speedup (best-of-3 rounds, like the
-//!    parallel gate); below 4 cores the comparison is recorded with the
-//!    gate skipped. The Medium-scale Spider mixed workload is recorded as
-//!    an ungated secondary signal.
-//! 4. **Batch vs serial grading** (`pipeline_throughput`): execution-
+//! 3. **Batch vs serial grading** (`pipeline_throughput`): execution-
 //!    accuracy grading of a Large-scale item set through `bp_llm`'s
 //!    inter-query batch pipeline (prepared-plan LRU cache + deterministic
 //!    work-stealing fan-out over items) at full parallelism vs the same
@@ -39,7 +30,7 @@
 //!    target is a ≥2× speedup (best-of-3 rounds); below 4 cores the
 //!    comparison is recorded with the gate skipped and `meets_target:
 //!    null`.
-//! 5. **Grading under a streaming writer** (`concurrent_read_write`): the
+//! 4. **Grading under a streaming writer** (`concurrent_read_write`): the
 //!    same session-based grading pass through the `AnnotationService` —
 //!    snapshot-pinned reads via the shared version-invalidating plan cache
 //!    — timed alone (baseline) and with a writer streaming single-row
@@ -55,7 +46,7 @@
 //!    snapshot. The service's access-path counters (index-answered vs
 //!    full-scan table accesses across every graded statement) are recorded
 //!    alongside the plan-cache counters.
-//! 6. **Index point lookups vs forced full scans**
+//! 5. **Index point lookups vs forced full scans**
 //!    (`index_point_lookup`): primary-key point lookups over every corpus
 //!    table at Large scale, each query compiled twice against the same
 //!    snapshot — once with plan-time fast paths (hash-index probe) and
@@ -64,7 +55,7 @@
 //!    acceptance target is a ≥10× speedup for the indexed side. The gate
 //!    is core-count independent (the probes run single-threaded), so it is
 //!    always enforced — `meets_target` is never `null` here.
-//! 7. **Cost-based vs syntactic join order** (`join_order_workload`): a
+//! 6. **Cost-based vs syntactic join order** (`join_order_workload`): a
 //!    three-table equi-join chain written in a pathological syntactic
 //!    order — the first two tables join on a low-cardinality key (a 64-way
 //!    fan-out producing a ~262k-row intermediate) while the third table is
@@ -136,33 +127,6 @@ struct ParallelMeasurement {
     /// Gate outcome; `null` whenever `gate_applied` is false (the skip is
     /// "not measured", not a miss, so BENCH trajectories on small runners
     /// never read as regressions).
-    meets_target: Option<bool>,
-}
-
-/// One engine-vs-engine timing over a query set.
-#[derive(Serialize)]
-struct EngineComparison {
-    queries: usize,
-    row_ms: f64,
-    columnar_ms: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct ColumnarMeasurement {
-    scale: String,
-    threads: usize,
-    cores: usize,
-    /// The gated comparison: Large-scale scan/filter/join workload.
-    large_scan_filter_join: EngineComparison,
-    /// Ungated secondary signal: Medium-scale Spider mixed workload.
-    spider_workload: EngineComparison,
-    speedup_target: f64,
-    /// Whether the ≥4-core gate was enforced on this machine.
-    gate_applied: bool,
-    /// Measurement rounds taken for the gated comparison (best-of-N).
-    measure_rounds: usize,
-    /// Gate outcome; `null` whenever `gate_applied` is false.
     meets_target: Option<bool>,
 }
 
@@ -346,7 +310,6 @@ struct ExecBenchReport {
     two_table_equi_join: JoinMeasurement,
     workload: WorkloadMeasurement,
     parallel_equi_join_workload: ParallelMeasurement,
-    columnar_workload: ColumnarMeasurement,
     pipeline_throughput: PipelineMeasurement,
     concurrent_read_write: ConcurrentMeasurement,
     index_point_lookup: IndexMeasurement,
@@ -530,41 +493,9 @@ fn equi_join_workload(db: &Database) -> Vec<Query> {
     queries
 }
 
-/// The columnar gate's workload: for every foreign key a narrow equi-join,
-/// a wide (`c.*, p.*`) equi-join, and an integer filter scan — the
-/// scan/filter/join shapes where the columnar representation (cached
-/// decode, selection vectors, vectorized comparisons, column-slice join
-/// keys) does its work.
-fn scan_filter_join_workload(db: &Database) -> Vec<Query> {
-    let mut queries = Vec::new();
-    for table in db.tables() {
-        for column in &table.schema.columns {
-            if let Some((parent, pk)) = &column.references {
-                let child = &table.schema.name;
-                let fk = &column.name;
-                for sql in [
-                    format!(
-                        "SELECT c.{fk}, p.{pk} FROM {child} c JOIN {parent} p ON c.{fk} = p.{pk}"
-                    ),
-                    format!("SELECT c.*, p.* FROM {child} c JOIN {parent} p ON c.{fk} = p.{pk}"),
-                    format!("SELECT {fk} FROM {child} WHERE {fk} > 100 AND {fk} < 10000"),
-                ] {
-                    queries.push(bp_sql::parse_query(&sql).expect("generated SQL parses"));
-                }
-            }
-        }
-    }
-    assert!(
-        !queries.is_empty(),
-        "generated corpus always has foreign keys"
-    );
-    queries
-}
-
 fn main() {
     const TARGET: f64 = 5.0;
     const PARALLEL_TARGET: f64 = 1.5;
-    const COLUMNAR_TARGET: f64 = 2.0;
     const PARALLEL_GATE_MIN_CORES: usize = 4;
     const PARALLEL_GATE_ROUNDS: usize = 3;
 
@@ -667,57 +598,7 @@ fn main() {
         }
     );
 
-    // --- Headline 3: columnar vs row-planned -----------------------------
-    let sfj_queries = scan_filter_join_workload(&large.database);
-    let columnar_opts = ExecOptions::new(ExecStrategy::Planned).with_threads(threads);
-    let row_opts = ExecOptions::new(ExecStrategy::RowPlanned).with_threads(threads);
-    for query in &sfj_queries {
-        let columnar = large
-            .database
-            .execute_opts(query, columnar_opts)
-            .expect("columnar executes scan/filter/join query");
-        let row = large
-            .database
-            .execute_opts(query, row_opts)
-            .expect("row planned executes scan/filter/join query");
-        assert_eq!(
-            columnar, row,
-            "columnar output must be byte-identical to row"
-        );
-    }
-    let columnar_gate = measure_gated(
-        "columnar",
-        COLUMNAR_TARGET,
-        PARALLEL_GATE_ROUNDS,
-        gate_applied,
-        || {
-            let row = time_ms(5, || {
-                for query in &sfj_queries {
-                    large.database.execute_opts(query, row_opts).unwrap();
-                }
-            });
-            let columnar = time_ms(5, || {
-                for query in &sfj_queries {
-                    large.database.execute_opts(query, columnar_opts).unwrap();
-                }
-            });
-            (row, columnar)
-        },
-    );
-    let (sfj_row_ms, sfj_columnar_ms) = (columnar_gate.baseline_ms, columnar_gate.contender_ms);
-    let columnar_speedup = columnar_gate.speedup;
-    let columnar_meets = columnar_gate.meets_target;
-    println!(
-        "Large scan/filter/join workload ({} queries): row {sfj_row_ms:.1} ms, columnar {sfj_columnar_ms:.1} ms -> {columnar_speedup:.2}x{}",
-        sfj_queries.len(),
-        if gate_applied {
-            ""
-        } else {
-            " (gate skipped: <4 cores)"
-        }
-    );
-
-    // --- Headline 4: batch vs serial grading (pipeline throughput) ------
+    // --- Headline 3: batch vs serial grading (pipeline throughput) ------
     const PIPELINE_TARGET: f64 = 2.0;
     const PIPELINE_ITEMS: usize = 48;
     const PIPELINE_SEED: u64 = 2026;
@@ -779,7 +660,7 @@ fn main() {
         }
     );
 
-    // --- Headline 5: grading under a streaming writer --------------------
+    // --- Headline 4: grading under a streaming writer --------------------
     const CONCURRENT_TARGET: f64 = 0.5;
     const CONCURRENT_STATEMENTS: usize = 32;
     let service = AnnotationService::new(large.database.clone());
@@ -931,7 +812,7 @@ fn main() {
         }
     );
 
-    // --- Headline 6: index point lookups vs forced full scans ------------
+    // --- Headline 5: index point lookups vs forced full scans ------------
     const INDEX_TARGET: f64 = 10.0;
     const INDEX_LOOKUPS: usize = 48;
     // One snapshot for the whole comparison: both compilations pin the
@@ -1028,7 +909,7 @@ fn main() {
         rows_per_table
     );
 
-    // --- Headline 7: cost-based vs syntactic join order -------------------
+    // --- Headline 6: cost-based vs syntactic join order -------------------
     const JOIN_ORDER_TARGET: f64 = 3.0;
     const JOIN_ORDER_ROWS: usize = 4096;
     const JOIN_ORDER_TINY_ROWS: usize = 8;
@@ -1196,24 +1077,6 @@ fn main() {
         workload_scale.name()
     );
 
-    // Columnar vs row on the same mixed workload (ungated secondary
-    // signal: aggregates/sorts/subqueries dilute the columnar win here).
-    let spider_row_ms = time_ms(3, || {
-        for query in &queries {
-            medium.database.execute_opts(query, row_opts).unwrap();
-        }
-    });
-    let spider_columnar_ms = time_ms(3, || {
-        for query in &queries {
-            medium.database.execute_opts(query, columnar_opts).unwrap();
-        }
-    });
-    let spider_columnar_speedup = spider_row_ms / spider_columnar_ms.max(1e-6);
-    println!(
-        "Spider mixed workload @ {}: row {spider_row_ms:.1} ms, columnar {spider_columnar_ms:.1} ms -> {spider_columnar_speedup:.2}x",
-        workload_scale.name()
-    );
-
     // --- Informational: per-plan verification overhead -------------------
     // Every compile in the prepared-query path runs `verify_plan` before
     // the plan may execute; this measures what that costs per plan, over
@@ -1303,27 +1166,6 @@ fn main() {
             measure_rounds: parallel_gate.rounds,
             meets_target: parallel_meets,
         },
-        columnar_workload: ColumnarMeasurement {
-            scale: join_scale.name().into(),
-            threads,
-            cores,
-            large_scan_filter_join: EngineComparison {
-                queries: sfj_queries.len(),
-                row_ms: sfj_row_ms,
-                columnar_ms: sfj_columnar_ms,
-                speedup: columnar_speedup,
-            },
-            spider_workload: EngineComparison {
-                queries: queries.len(),
-                row_ms: spider_row_ms,
-                columnar_ms: spider_columnar_ms,
-                speedup: spider_columnar_speedup,
-            },
-            speedup_target: COLUMNAR_TARGET,
-            gate_applied,
-            measure_rounds: columnar_gate.rounds,
-            meets_target: columnar_meets,
-        },
         pipeline_throughput: PipelineMeasurement {
             scale: join_scale.name().into(),
             items: pipeline_items.len(),
@@ -1409,10 +1251,6 @@ fn main() {
             if parallel_meets == Some(true) { "MEETS" } else { "MISSES" }
         );
         println!(
-            "columnar gate: columnar {} the >= {COLUMNAR_TARGET}x target over row planned ({columnar_speedup:.2}x on {cores} cores)",
-            if columnar_meets == Some(true) { "MEETS" } else { "MISSES" }
-        );
-        println!(
             "pipeline gate: batch grading {} the >= {PIPELINE_TARGET}x target over serial grading ({pipeline_speedup:.2}x on {cores} cores)",
             if pipeline_meets == Some(true) { "MEETS" } else { "MISSES" }
         );
@@ -1422,7 +1260,7 @@ fn main() {
         );
     } else {
         println!(
-            "parallel + columnar + pipeline + concurrent gates: skipped ({cores} core(s) < {PARALLEL_GATE_MIN_CORES}); comparisons recorded anyway"
+            "parallel + pipeline + concurrent gates: skipped ({cores} core(s) < {PARALLEL_GATE_MIN_CORES}); comparisons recorded anyway"
         );
     }
     // The index and join-order gates never skip: they have no core-count
@@ -1437,7 +1275,6 @@ fn main() {
     );
     if !meets_target
         || parallel_meets == Some(false)
-        || columnar_meets == Some(false)
         || pipeline_meets == Some(false)
         || concurrent_meets == Some(false)
         || index_meets == Some(false)

@@ -1,10 +1,11 @@
 //! Table 2 — data-level complexity metrics across benchmarks
 //! (columns/table, rows/table, tables/DB, uniqueness, sparsity, data types).
 //!
-//! Generated databases are scaled down in absolute row count (see
-//! EXPERIMENTS.md); the harness therefore reports measured values alongside
-//! the paper's absolute numbers and compares the *relative* shape (which
-//! benchmark is wider, sparser, more repetitive).
+//! Generated databases are scaled down in absolute row count (see the
+//! README section "Reproducing the paper's tables and figures"); the
+//! harness therefore reports measured values alongside the paper's absolute
+//! numbers and compares the *relative* shape (which benchmark is wider,
+//! sparser, more repetitive).
 
 use bp_bench::{f1, generate_all_benchmarks, print_header, HARNESS_SEED, QUERIES_PER_BENCHMARK};
 use bp_datasets::BenchmarkKind;

@@ -1,6 +1,7 @@
 //! Combined user-study report: runs the simulated study once and prints
 //! Table 3, Table 4, and Figure 4 from the same run (convenient for
-//! capturing EXPERIMENTS.md in a single pass).
+//! reproducing the README section "Reproducing the paper's tables and
+//! figures" in a single pass).
 
 use bp_bench::{print_header, HARNESS_SEED};
 use bp_llm::ModelKind;

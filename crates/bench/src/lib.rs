@@ -2,9 +2,8 @@
 //!
 //! One runnable binary per table/figure of the paper's evaluation (see the
 //! README's "Reproducing the paper's tables and figures" for the experiment
-//! index) plus Criterion micro-benchmarks of
-//! the pipeline's hot paths. The library part holds the shared formatting
-//! and workload-construction helpers the binaries use.
+//! index). The library part holds the shared formatting and
+//! workload-construction helpers the binaries use.
 
 #![warn(missing_docs)]
 
@@ -15,8 +14,9 @@ use bp_llm::ModelKind;
 /// execution-accuracy and complexity harnesses.
 pub const QUERIES_PER_BENCHMARK: usize = 40;
 
-/// Default seed shared by all harnesses so the printed numbers in
-/// EXPERIMENTS.md are reproducible with a plain `cargo run`.
+/// Default seed shared by all harnesses so the numbers the README's
+/// "Reproducing the paper's tables and figures" section describes are
+/// reproducible with a plain `cargo run`.
 pub const HARNESS_SEED: u64 = 2026;
 
 /// The models plotted in Figure 1.

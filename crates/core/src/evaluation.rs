@@ -93,8 +93,7 @@ pub fn execution_accuracy(
 
 /// [`execution_accuracy`] with an explicit execution engine at full
 /// parallelism. Large logs grade with [`ExecStrategy::Planned`] (the
-/// columnar batch engine); [`ExecStrategy::RowPlanned`] pins the row-at-a-
-/// time representation oracle and [`ExecStrategy::Legacy`] the interpreter
+/// columnar batch engine); [`ExecStrategy::Legacy`] pins the interpreter
 /// oracle for differential checks of the grader.
 pub fn execution_accuracy_with(
     project: &Project,

@@ -7,7 +7,8 @@
 //! template mix) that make the generated corpus land near those targets. The
 //! absolute row counts are scaled down by a configurable factor so that
 //! benchmarks run at laptop scale; the scaling preserves all cross-benchmark
-//! ratios (see EXPERIMENTS.md).
+//! ratios (see the README section "Reproducing the paper's tables and
+//! figures").
 
 use serde::{Deserialize, Serialize};
 

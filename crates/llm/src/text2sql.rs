@@ -193,8 +193,7 @@ pub fn evaluate_execution_accuracy(
 /// [`evaluate_execution_accuracy`] with an explicit engine choice at full
 /// parallelism — grading million-entry logs wants [`ExecStrategy::Planned`]
 /// (the columnar batch engine); differential checks of the grader itself can
-/// pin [`ExecStrategy::RowPlanned`] (the row-at-a-time representation
-/// oracle) or [`ExecStrategy::Legacy`] (the interpreter oracle).
+/// pin [`ExecStrategy::Legacy`] (the interpreter oracle).
 pub fn evaluate_execution_accuracy_with(
     profile: &ModelProfile,
     items: &[EvalItem],

@@ -314,11 +314,7 @@ mod tests {
         let db = sample_db();
         let snap = db.snapshot();
         let sql = "SELECT dept, COUNT(*) FROM students GROUP BY dept ORDER BY dept";
-        for strategy in [
-            ExecStrategy::Planned,
-            ExecStrategy::RowPlanned,
-            ExecStrategy::Legacy,
-        ] {
+        for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
             for threads in [1usize, 2, 8] {
                 let options = ExecOptions::new(strategy).with_threads(threads);
                 let direct = db.execute_sql_opts(sql, options).unwrap();

@@ -15,7 +15,7 @@
 //! [`Value::group_key`] string equality (integers, dates, timestamps and
 //! booleans fold to exact `i64`, integral floats fold with them, `-0.0`
 //! folds into `0`, NaNs are canonicalized) — so grouping and joining on
-//! column slices is byte-compatible with the row engine's string keys
+//! column slices is byte-compatible with the interpreter's string keys
 //! without allocating a `String` per row.
 
 use crate::sync::Arc;
@@ -212,8 +212,8 @@ impl ColumnVec {
     }
 
     /// A column of `n` copies of `value` (literal broadcast). Text
-    /// literals clone per row — the same cost the row engine pays per
-    /// `Literal.eval` — until kernels grow a constant-column operand form.
+    /// literals clone per row — the same cost a per-row `Literal.eval`
+    /// pays — until kernels grow a constant-column operand form.
     pub(crate) fn broadcast(value: &Value, n: usize) -> ColumnVec {
         let mut b = ColumnBuilder::with_capacity(n);
         for _ in 0..n {
@@ -731,7 +731,7 @@ impl Batch {
 
     /// The dense column `c` restricted to live rows (a refcount bump when
     /// the batch is unselected; NULL column if `c` is out of range,
-    /// mirroring the row engine's `row.get(idx)` robustness).
+    /// mirroring the per-row evaluator's `row.get(idx)` robustness).
     pub(crate) fn column_live(&self, c: usize) -> Arc<ColumnVec> {
         match self.columns.get(c) {
             None => Arc::new(ColumnVec::Any(vec![Value::Null; self.live()])),

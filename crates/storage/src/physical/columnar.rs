@@ -16,26 +16,27 @@
 //! (sort, set operations, non-equi joins, derived tables) convert batches
 //! to rows, reuse the row operators, and convert back.
 //!
-//! Output is byte-identical to the row engine ([`ExecStrategy::RowPlanned`])
-//! at every thread count: batch boundaries are fixed, per-batch results are
-//! reassembled in batch order, join candidates are emitted in build order,
-//! and aggregate groups merge in first-seen order over batches — the same
-//! determinism argument as the row engine's morsel scheduler. The row path
-//! remains available as a differential oracle for this representation.
+//! Output is byte-identical at every thread count: batch boundaries are
+//! fixed, per-batch results are reassembled in batch order, join candidates
+//! are emitted in build order, and aggregate groups merge in first-seen
+//! order over batches. The legacy interpreter (`ExecStrategy::Legacy`)
+//! is the differential oracle for this engine.
 //!
-//! One documented divergence (analogous to the hash join's NaN caveat):
-//! **error identity under multiple failures**. A query errors on exactly
-//! the same inputs in both engines, and each engine's reported error is
-//! deterministic at every thread count — but when *several* rows or
-//! operands can fail, the columnar engine evaluates operand-major (whole
-//! left column, then whole right column) while the row engine evaluates
-//! row-major, so the two may surface different members of the same error
-//! set (e.g. the left operand's overflow on a later row vs the right
-//! operand's division-by-zero on an earlier row). Matching row-major error
-//! selection would require error-deferring kernels; the differential suite
-//! therefore requires Ok-results to be byte-identical and Err-results to
-//! agree in kind per engine pair, and exact error equality only within an
-//! engine across thread counts.
+//! Two documented divergences from the interpreter. **NaN join keys**: the
+//! interpreter's total ordering treats NaN as equal to every number, the
+//! hash join as equal only to NaN — NaN cannot be produced by the supported
+//! expression surface. **Error identity under multiple failures**: a query
+//! errors on exactly the same inputs in both engines, and each engine's
+//! reported error is deterministic at every thread count — but when
+//! *several* rows or operands can fail, the columnar engine evaluates
+//! operand-major (whole left column, then whole right column) while the
+//! interpreter evaluates row-major, so the two may surface different
+//! members of the same error set (e.g. the left operand's overflow on a
+//! later row vs the right operand's division-by-zero on an earlier row).
+//! Matching row-major error selection would require error-deferring
+//! kernels; the differential suite therefore requires Ok-results to be
+//! byte-identical and both engines to fail on the same queries, and exact
+//! error equality only within an engine across thread counts.
 
 use crate::sync::{Arc, Mutex};
 use std::collections::HashMap;
@@ -291,8 +292,8 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             let left_rows = exec_node_rows(left, ctx)?;
             let right_rows = exec_node_rows(right, ctx)?;
             let rows = join::nested_loop_join(
-                left_rows,
-                right_rows,
+                &left_rows,
+                &right_rows,
                 *operator,
                 on.as_ref(),
                 bindings,
@@ -393,7 +394,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
 
 /// DISTINCT over the visible prefix of the projected batches: one
 /// sequential pass (batch order = row order) keying on column slices, no
-/// string materialization. Keeps first occurrences, like the row engine.
+/// string materialization. Keeps first occurrences, like [`dedup_rows`].
 fn dedup_batches(batches: &mut [Batch], visible: usize) {
     // Per-batch key-column refs, computed once (not per row/comparison).
     let key_cols: Vec<Vec<&ColumnVec>> = batches
@@ -433,7 +434,7 @@ fn dedup_batches(batches: &mut [Batch], visible: usize) {
 /// keyed on column slices, probe left batches in parallel, and emit output
 /// batches by gathering columns — no composite key strings, no per-pair row
 /// concatenation. Candidate pairs are enumerated left-row-major with
-/// right candidates in build order, exactly like the row engine.
+/// right candidates in build order.
 ///
 /// With `build_left` the bucket table is built over the left batches instead
 /// and the right rows probe it in right-row order, appending each right index
@@ -472,8 +473,8 @@ fn columnar_hash_join(
     // Build-left: per-left-row candidate lists filled by probing with the
     // right side; build-right (default): bucket table hash → right row
     // indices in right-row order. Hash collisions are resolved by key
-    // equality, so candidate sequences equal the row engine's exact-key
-    // candidate lists either way.
+    // equality, so candidate sequences are exact-key candidate lists either
+    // way.
     let left_matches: Option<Vec<Vec<u32>>> = if build_left {
         Some(build_left_matches(
             &left_batches,
@@ -708,8 +709,8 @@ fn build_left_matches(
 /// Columnar hash aggregation: group keys are evaluated as whole columns per
 /// batch and grouped on column-slice hashes (no composite key strings);
 /// per-batch partial groupings merge in batch order so global group order
-/// is first-seen over the input, exactly like the row engine. Group rows
-/// are then gathered and finalized with the shared HAVING/projection phase.
+/// is first-seen over the input. Group rows are then gathered and
+/// finalized with the shared HAVING/projection phase.
 fn columnar_hash_aggregate(
     batches: &[Batch],
     group_by: &[PhysExpr],

@@ -386,7 +386,7 @@ impl<'a> Compiler<'a> {
     ) -> StorageResult<Option<PhysNode>> {
         let conjuncts = split_conjuncts(predicate);
         // An `IN (subquery)` probe only applies when it is the *entire*
-        // predicate: with residual conjuncts the row engine may skip the
+        // predicate: with residual conjuncts per-row evaluation may skip the
         // subquery for every row (short-circuiting on an earlier false
         // conjunct), while the probe would run it eagerly — the two
         // would disagree on which error, if any, surfaces.

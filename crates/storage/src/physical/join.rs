@@ -1,64 +1,23 @@
-//! Physical join operators.
+//! The nested-loop join for non-equi constraints and cross joins.
 //!
-//! Equi-joins (the overwhelmingly common case in generated and real
-//! text-to-SQL workloads) run as a build/probe **hash join**: O(|L| + |R| +
-//! |output|) instead of the interpreter's O(|L| × |R|) nested loop. Join
-//! types (inner / left / right / full outer) and residual `ON` conjuncts
-//! are handled on the key-matched candidates, so the hash join produces
-//! exactly the interpreter's output — including row order, because
-//! candidates are probed in build-side row order.
-//!
-//! With `threads > 1` the hash join is **partition-parallel**: build-side
-//! keys are hashed in parallel morsels, the hash table is split into
-//! per-partition maps (partition = key hash mod partition count) built
-//! concurrently, and probe-side morsels run on the worker pool, each
-//! touching only the partition its key hashes to. Probe outputs are
-//! reassembled in left-row morsel order and unmatched build rows appended
-//! in build order, so the parallel join's output is byte-identical to the
-//! serial one at every thread count.
-//!
-//! NULL join keys never match (SQL equality semantics); integer keys are
-//! encoded exactly and `-0.0`/`0.0` hash identically (see
-//! [`crate::scalar::join_key_part`]). NaN keys are the one documented
-//! divergence: the interpreter's total ordering treats NaN as equal to
-//! every number, the hash join as equal only to NaN — NaN cannot be
-//! produced by the supported expression surface.
-
-use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+//! Equi-joins run as the columnar engine's hash join
+//! (`columnar::columnar_hash_join`); every other join converts its inputs
+//! to rows and pairs them here. The quadratic pair loop fans out over
+//! left-row morsels; per-morsel outputs and right-matched sets are merged
+//! in morsel order, so the output — including the padded unmatched rows of
+//! LEFT/RIGHT/FULL joins — is byte-identical to the serial pair order at
+//! every thread count.
 
 use bp_sql::JoinOperator;
 
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::plan::ColumnBinding;
-use crate::scalar::{join_key_part, push_len_prefixed};
 use crate::table::Row;
 use crate::value::Value;
 
 use super::expr::{EvalEnv, PhysExpr};
-use super::parallel::{run_morsels, run_tasks};
+use super::parallel::run_morsels;
 use super::RunCtx;
-
-/// Composite hash key over the given ordinals; `None` if any part is NULL.
-/// Parts use the same length-prefixed encoding as
-/// [`crate::scalar::composite_key`], so join equality coincides with
-/// grouping equality and separator-bearing text cannot collide.
-fn join_key(row: &Row, ordinals: &[usize]) -> Option<String> {
-    let mut key = String::new();
-    for &o in ordinals {
-        let part = join_key_part(row.get(o).unwrap_or(&Value::Null))?;
-        push_len_prefixed(&mut key, &part);
-    }
-    Some(key)
-}
-
-/// Deterministic partition hash of a key string (`DefaultHasher` with the
-/// fixed default keys — not the per-process-randomized `RandomState`).
-fn key_hash(key: &str) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
 
 fn pad_left(width: usize, rrow: &Row) -> Row {
     let mut combined: Row = std::iter::repeat_n(Value::Null, width).collect();
@@ -72,34 +31,19 @@ fn pad_right(lrow: &Row, width: usize) -> Row {
     combined
 }
 
-/// Rows below which partitioning the build side is pure overhead.
-const MIN_PARTITIONED_BUILD: usize = 512;
-
-/// Probe/merge scaffold shared by [`hash_join`] and [`nested_loop_join`] —
-/// the two algorithms differ only in which right-row indices pair with a
-/// given left row, so everything else (the parallel left-morsel fan-out,
-/// residual predicate evaluation, LEFT/FULL padding of unmatched left
-/// rows, the transient per-morsel dedup bitmap for RIGHT/FULL tracking,
-/// morsel-order reassembly, and the unmatched-right append) lives here
-/// once and cannot drift between them.
-///
-/// `for_each_candidate(li, lrow, emit)` must call `emit(ri)` for every
-/// candidate right-row index in right-row order; `li` is the left row's
-/// global index (so precomputed per-left-row candidate lists can be read).
-#[allow(clippy::too_many_arguments)]
-fn probe_join<F>(
+/// Nested-loop join: every (left, right) pair in left-row-major order is
+/// kept when `on` holds (or unconditionally when `on` is `None`); LEFT/FULL
+/// pad unmatched left rows in place, and RIGHT/FULL append the unmatched
+/// right rows, in right-row order, after all pairs.
+pub(super) fn nested_loop_join(
     left_rows: &[Row],
     right_rows: &[Row],
     operator: JoinOperator,
-    predicate: Option<&PhysExpr>,
+    on: Option<&PhysExpr>,
     bindings: &[ColumnBinding],
     right_width: usize,
     ctx: &RunCtx<'_>,
-    for_each_candidate: F,
-) -> StorageResult<Vec<Row>>
-where
-    F: Fn(usize, &Row, &mut dyn FnMut(usize) -> StorageResult<()>) -> StorageResult<()> + Sync,
-{
+) -> StorageResult<Vec<Row>> {
     let track_right = matches!(operator, JoinOperator::RightOuter | JoinOperator::FullOuter);
     let probe_chunks = run_morsels(ctx.threads, left_rows.len(), |range| {
         let wctx = ctx.serial();
@@ -109,22 +53,21 @@ where
         // stored): keeps matched_right at O(distinct right rows) instead
         // of O(output rows) on skewed RIGHT/FULL joins.
         let mut seen = vec![false; if track_right { right_rows.len() } else { 0 }];
-        for li in range {
-            let lrow = &left_rows[li];
+        for lrow in &left_rows[range] {
             let mut matched = false;
-            for_each_candidate(li, lrow, &mut |ri| {
+            for (ri, rrow) in right_rows.iter().enumerate() {
                 let mut combined = lrow.clone();
-                combined.extend(right_rows[ri].iter().cloned());
-                let keep = match predicate {
+                combined.extend(rrow.iter().cloned());
+                let keep = match on {
                     None => true,
-                    Some(predicate) => {
+                    Some(on) => {
                         let env = EvalEnv {
                             ctx: &wctx,
                             bindings,
                             row: &combined,
                             group: None,
                         };
-                        predicate.eval_truthy(&env)?
+                        on.eval_truthy(&env)?
                     }
                 };
                 if keep {
@@ -135,13 +78,12 @@ where
                     }
                     out.push(combined);
                 }
-                Ok(())
-            })?;
+            }
             if !matched && matches!(operator, JoinOperator::LeftOuter | JoinOperator::FullOuter) {
                 out.push(pad_right(lrow, right_width));
             }
         }
-        Ok::<_, crate::error::StorageError>((out, matched_right))
+        Ok::<_, StorageError>((out, matched_right))
     })?;
 
     let mut rows = Vec::new();
@@ -161,201 +103,4 @@ where
         }
     }
     Ok(rows)
-}
-
-/// Hash join on pre-resolved key ordinals, with an optional residual
-/// predicate evaluated on each key-matched pair.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn hash_join(
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
-    operator: JoinOperator,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    residual: Option<&PhysExpr>,
-    bindings: &[ColumnBinding],
-    right_width: usize,
-    build_left: bool,
-    ctx: &RunCtx<'_>,
-) -> StorageResult<Vec<Row>> {
-    if build_left {
-        return hash_join_build_left(
-            left_rows,
-            right_rows,
-            operator,
-            left_keys,
-            right_keys,
-            residual,
-            bindings,
-            right_width,
-            ctx,
-        );
-    }
-    let partitions = if ctx.threads > 1 && right_rows.len() >= MIN_PARTITIONED_BUILD {
-        ctx.threads
-    } else {
-        1
-    };
-
-    // Build side (right): key — and, when partitioned, partition hash —
-    // per row, computed in parallel morsels. With a single partition every
-    // row lands in map 0, so the hash is dead work and skipped.
-    let keyed_chunks = run_morsels(ctx.threads, right_rows.len(), |range| {
-        Ok::<_, crate::error::StorageError>(
-            right_rows[range]
-                .iter()
-                .map(|rrow| {
-                    join_key(rrow, right_keys)
-                        .map(|k| (if partitions > 1 { key_hash(&k) } else { 0 }, k))
-                })
-                .collect::<Vec<_>>(),
-        )
-    })?;
-    let right_keyed: Vec<Option<(u64, String)>> = keyed_chunks.into_iter().flatten().collect();
-
-    // Partitioned build: partition = hash mod P, one map per partition,
-    // built concurrently. A single O(N) pass buckets row indices per
-    // partition (the hash is already computed), then each partition task
-    // builds its map from its own bucket only; buckets hold indices in
-    // right-row order, so candidate lists match the single-table build
-    // exactly.
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); partitions];
-    for (ri, keyed) in right_keyed.iter().enumerate() {
-        if let Some((hash, _)) = keyed {
-            buckets[(*hash as usize) % partitions].push(ri);
-        }
-    }
-    let tables: Vec<HashMap<&str, Vec<usize>>> = run_tasks(ctx.threads, partitions, |w| {
-        let mut table: HashMap<&str, Vec<usize>> = HashMap::with_capacity(buckets[w].len());
-        for &ri in &buckets[w] {
-            let (_, key) = right_keyed[ri].as_ref().expect("bucketed rows have keys");
-            table.entry(key.as_str()).or_default().push(ri);
-        }
-        Ok::<_, crate::error::StorageError>(table)
-    })?;
-
-    // Probe side (left): each left row pairs with its key partition's
-    // candidate list, in build order.
-    probe_join(
-        &left_rows,
-        &right_rows,
-        operator,
-        residual,
-        bindings,
-        right_width,
-        ctx,
-        |_li, lrow, emit| {
-            if let Some(key) = join_key(lrow, left_keys) {
-                let partition = if partitions > 1 {
-                    (key_hash(&key) as usize) % partitions
-                } else {
-                    0
-                };
-                if let Some(candidates) = tables[partition].get(key.as_str()) {
-                    for &ri in candidates {
-                        emit(ri)?;
-                    }
-                }
-            }
-            Ok(())
-        },
-    )
-}
-
-/// Nested-loop join for non-equi constraints (and cross joins, where
-/// `on` is `None` and every pair matches). The quadratic pair loop fans
-/// out over left-row morsels; per-morsel outputs and right-matched sets
-/// are merged in morsel order, matching the serial pair order exactly.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn nested_loop_join(
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
-    operator: JoinOperator,
-    on: Option<&PhysExpr>,
-    bindings: &[ColumnBinding],
-    right_width: usize,
-    ctx: &RunCtx<'_>,
-) -> StorageResult<Vec<Row>> {
-    probe_join(
-        &left_rows,
-        &right_rows,
-        operator,
-        on,
-        bindings,
-        right_width,
-        ctx,
-        |_li, _lrow, emit| {
-            for ri in 0..right_rows.len() {
-                emit(ri)?;
-            }
-            Ok(())
-        },
-    )
-}
-
-/// [`hash_join`] with the build/probe roles swapped: the hash table is
-/// built over the **left** (estimated-smaller) input, and the right rows
-/// probe it — in right-row order, each appending its index to every
-/// key-matched left row's candidate list. Reading a left row's list back
-/// therefore yields its matches in right-row order, which is exactly the
-/// candidate sequence the build-right probe emits — so the output (and
-/// every downstream byte) is identical; only the table size changes.
-#[allow(clippy::too_many_arguments)]
-fn hash_join_build_left(
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
-    operator: JoinOperator,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    residual: Option<&PhysExpr>,
-    bindings: &[ColumnBinding],
-    right_width: usize,
-    ctx: &RunCtx<'_>,
-) -> StorageResult<Vec<Row>> {
-    // Build side (left): key → left-row indices in left-row order.
-    let mut table: HashMap<String, Vec<usize>> = HashMap::with_capacity(left_rows.len());
-    for (li, lrow) in left_rows.iter().enumerate() {
-        if let Some(key) = join_key(lrow, left_keys) {
-            table.entry(key).or_default().push(li);
-        }
-    }
-
-    // Probe side (right): morsels of right rows look up their key's left
-    // candidates; merging the per-morsel pair lists in morsel order keeps
-    // each left row's matches ascending by right-row index.
-    let pair_chunks = run_morsels(ctx.threads, right_rows.len(), |range| {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for ri in range {
-            if let Some(key) = join_key(&right_rows[ri], right_keys) {
-                if let Some(candidates) = table.get(&key) {
-                    for &li in candidates {
-                        pairs.push((li, ri));
-                    }
-                }
-            }
-        }
-        Ok::<_, crate::error::StorageError>(pairs)
-    })?;
-    let mut matches: Vec<Vec<usize>> = vec![Vec::new(); left_rows.len()];
-    for chunk in pair_chunks {
-        for (li, ri) in chunk {
-            matches[li].push(ri);
-        }
-    }
-
-    probe_join(
-        &left_rows,
-        &right_rows,
-        operator,
-        residual,
-        bindings,
-        right_width,
-        ctx,
-        |li, _lrow, emit| {
-            for &ri in &matches[li] {
-                emit(ri)?;
-            }
-            Ok(())
-        },
-    )
 }

@@ -15,15 +15,14 @@
 //!   per row;
 //! * evaluates pushed-down filters before joins instead of after.
 //!
-//! The default strategy executes the compiled plan over **columnar
-//! batches** (see the `batch` and `columnar` submodules): typed column
-//! vectors with null bitmaps, selection-vector filters, vectorized
-//! expression kernels, and column-slice join/group keys. The row-at-a-time
-//! executor in this module remains available behind
-//! [`ExecStrategy::RowPlanned`] as the representation oracle, and the
-//! legacy interpreter behind [`ExecStrategy::Legacy`] as the planning
-//! oracle: all engines must produce identical [`QueryResult`]s (see the
-//! workspace `differential` proptest suite).
+//! The compiled plan executes over **columnar batches** (see the `batch`
+//! and `columnar` submodules): typed column vectors with null bitmaps,
+//! selection-vector filters, vectorized expression kernels, and
+//! column-slice join/group keys. Blocking and rare operators (sort, set
+//! operations, nested-loop joins, derived tables) reuse the row helpers in
+//! this module. The legacy interpreter behind [`ExecStrategy::Legacy`] is
+//! the independent oracle: both engines must produce identical
+//! [`QueryResult`]s (see the workspace `differential` proptest suite).
 
 pub(crate) mod batch;
 mod columnar;
@@ -44,7 +43,7 @@ use crate::database::Database;
 use crate::error::{StorageError, StorageResult};
 use crate::plan::{ColumnBinding, Planner, SortKey};
 use crate::result::QueryResult;
-use crate::scalar::{combine_set_operation, composite_key, eval_binary, finish_aggregate};
+use crate::scalar::{composite_key, eval_binary, finish_aggregate};
 use crate::snapshot::Snapshot;
 use crate::table::{Row, Table};
 use crate::value::Value;
@@ -65,12 +64,8 @@ pub enum ExecStrategy {
     /// join/aggregate key on column slices. The default.
     #[default]
     Planned,
-    /// The planned engine executing row-at-a-time (`Vec<Row>` between
-    /// operators) — the pre-columnar behavior, retained as a differential
-    /// oracle for the columnar representation.
-    RowPlanned,
-    /// The legacy tree-walking interpreter, retained as the
-    /// differential-testing oracle for planning and compilation.
+    /// The legacy tree-walking interpreter, retained as the planned
+    /// engine's differential-testing oracle.
     Legacy,
 }
 
@@ -79,7 +74,7 @@ pub enum ExecStrategy {
 ///
 /// `threads = 1` reproduces the original single-threaded executor;
 /// larger counts run the planned engine's morsel-driven parallel operators
-/// (partitioned hash join, parallel hash aggregation, chunked
+/// (parallel hash-join probes, parallel hash aggregation, batch-parallel
 /// scan/filter/project). Output is **byte-identical at every thread count**
 /// — parallel results are reassembled in deterministic morsel order — so
 /// the differential oracle keeps working. The legacy interpreter ignores
@@ -259,7 +254,6 @@ pub fn exec_compiled(
         frame: None,
         outer: None,
         threads: options.threads.max(1),
-        columnar: !matches!(options.strategy, ExecStrategy::RowPlanned),
     };
     exec_query_plan(plan, &ctx)
 }
@@ -340,7 +334,7 @@ pub(crate) enum IndexAccess {
     InList { col: usize, keys: Vec<Value> },
     /// `col IN (uncorrelated subquery)`: run the subquery (at most) once
     /// and hash-probe its first column. Executed lazily — only when the
-    /// column has a non-NULL value — because the row engine evaluates the
+    /// column has a non-NULL value — because the per-row evaluator runs the
     /// subquery only upon reaching a non-NULL needle, and a query whose
     /// needles are all NULL must never surface the subquery's errors.
     InSubquery { col: usize, plan: Box<SubPlan> },
@@ -372,7 +366,6 @@ pub(crate) enum PhysNode {
         /// Projection-pruned column mask (sorted ordinals), set by the
         /// compiler when everything evaluated over this scan's batches is
         /// vectorizable: the columnar engine decodes only these columns.
-        /// The row engine ignores the mask (it materializes whole rows).
         cols: Option<Vec<usize>>,
     },
     /// An index-backed table scan: the access path resolves the matching
@@ -514,9 +507,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) outer: Option<&'a OuterEnv<'a>>,
     /// Worker-thread budget for parallel operators (≥ 1; 1 = serial).
     pub(crate) threads: usize,
-    /// Execute operators over columnar batches (`true`, the default
-    /// strategy) or row-at-a-time (`false`, the row oracle).
-    pub(crate) columnar: bool,
 }
 
 impl<'a> RunCtx<'a> {
@@ -560,11 +550,7 @@ pub(crate) fn exec_query_plan(
         frame: Some(&frame),
         ..*ctx
     };
-    let mut rows = if ctx.columnar {
-        columnar::exec_node_rows(&plan.root, &sub_ctx)?
-    } else {
-        exec_node(&plan.root, &sub_ctx)?
-    };
+    let mut rows = columnar::exec_node_rows(&plan.root, &sub_ctx)?;
     // Strip hidden sort-key columns.
     let visible = plan.columns.len();
     for row in &mut rows {
@@ -577,304 +563,8 @@ pub(crate) fn exec_query_plan(
     })
 }
 
-fn exec_node(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<Vec<Row>> {
-    match node {
-        PhysNode::ScanTable { name, .. } => {
-            let table = ctx
-                .db
-                .table(name)
-                .ok_or_else(|| StorageError::UnknownTable(name.clone()))?;
-            let rows = table.rows();
-            // Chunked parallel materialization: row clones (deep, per-cell
-            // for text) dominate scan cost on wide tables.
-            let chunks = run_morsels(ctx.threads, rows.len(), |range| {
-                Ok::<_, StorageError>(rows[range].to_vec())
-            })?;
-            Ok(concat_rows(chunks, rows.len()))
-        }
-        PhysNode::IndexScan { name, access, .. } => {
-            let table = ctx
-                .db
-                .table(name)
-                .ok_or_else(|| StorageError::UnknownTable(name.clone()))?;
-            let ids = index_scan_ids(table, access, ctx)?;
-            let rows = table.rows();
-            let chunks = run_morsels(ctx.threads, ids.len(), |range| {
-                Ok::<_, StorageError>(
-                    ids[range]
-                        .iter()
-                        .map(|&i| rows[i as usize].clone())
-                        .collect::<Vec<Row>>(),
-                )
-            })?;
-            Ok(concat_rows(chunks, ids.len()))
-        }
-        PhysNode::IndexAgg { name, specs } => exec_index_agg(name, specs, ctx),
-        PhysNode::IndexTopK {
-            name,
-            key_ordinal,
-            output,
-            limit,
-            offset,
-        } => exec_index_top_k(name, *key_ordinal, output, limit, offset.as_ref(), ctx),
-        PhysNode::ScanCte { name } => {
-            let result = ctx
-                .frame
-                .and_then(|f| f.get(name))
-                .ok_or_else(|| StorageError::UnknownTable(name.clone()))?;
-            Ok(result.rows.clone())
-        }
-        PhysNode::ScanDerived { plan } => Ok(exec_query_plan(plan, ctx)?.rows),
-        PhysNode::ScanEmpty => Ok(vec![Vec::new()]),
-        PhysNode::Filter {
-            input,
-            predicate,
-            bindings,
-        } => {
-            let mut input_rows = exec_node(input, ctx)?;
-            // Predicate evaluation fans out over morsels; rows are then
-            // moved (not cloned) into place by a serial retain in input
-            // order, so the output matches serial execution exactly.
-            let keep_chunks = run_morsels(ctx.threads, input_rows.len(), |range| {
-                let wctx = ctx.serial();
-                let mut keep = Vec::with_capacity(range.len());
-                for row in &input_rows[range] {
-                    let env = EvalEnv {
-                        ctx: &wctx,
-                        bindings,
-                        row,
-                        group: None,
-                    };
-                    keep.push(predicate.eval_truthy(&env)?);
-                }
-                Ok::<_, StorageError>(keep)
-            })?;
-            let mut keep = keep_chunks.into_iter().flatten();
-            input_rows.retain(|_| keep.next().expect("one flag per row"));
-            Ok(input_rows)
-        }
-        PhysNode::NestedLoopJoin {
-            left,
-            right,
-            operator,
-            on,
-            bindings,
-            right_width,
-        } => {
-            let left_rows = exec_node(left, ctx)?;
-            let right_rows = exec_node(right, ctx)?;
-            join::nested_loop_join(
-                left_rows,
-                right_rows,
-                *operator,
-                on.as_ref(),
-                bindings,
-                *right_width,
-                ctx,
-            )
-        }
-        PhysNode::HashJoin {
-            left,
-            right,
-            operator,
-            left_keys,
-            right_keys,
-            residual,
-            bindings,
-            right_width,
-            build_left,
-        } => {
-            let left_rows = exec_node(left, ctx)?;
-            let right_rows = exec_node(right, ctx)?;
-            join::hash_join(
-                left_rows,
-                right_rows,
-                *operator,
-                left_keys,
-                right_keys,
-                residual.as_ref(),
-                bindings,
-                *right_width,
-                *build_left,
-                ctx,
-            )
-        }
-        PhysNode::Project {
-            input,
-            items,
-            visible,
-            distinct,
-            bindings,
-        } => {
-            let input_rows = exec_node(input, ctx)?;
-            let chunks = run_morsels(ctx.threads, input_rows.len(), |range| {
-                let wctx = ctx.serial();
-                let mut out = Vec::with_capacity(range.len());
-                for row in &input_rows[range] {
-                    let env = EvalEnv {
-                        ctx: &wctx,
-                        bindings,
-                        row,
-                        group: None,
-                    };
-                    let values = items
-                        .iter()
-                        .map(|item| item.eval(&env))
-                        .collect::<StorageResult<Row>>()?;
-                    out.push(values);
-                }
-                Ok::<_, StorageError>(out)
-            })?;
-            let mut rows = concat_rows(chunks, input_rows.len());
-            if *distinct {
-                dedup_rows(&mut rows, *visible);
-            }
-            Ok(rows)
-        }
-        PhysNode::HashAggregate {
-            input,
-            group_by,
-            having,
-            items,
-            visible,
-            distinct,
-            bindings,
-        } => {
-            let input_rows = exec_node(input, ctx)?;
-
-            // Phase 1 — parallel partial aggregation: each morsel worker
-            // groups its rows locally (key → row indices, groups in
-            // first-seen order within the morsel).
-            let partials = run_morsels(ctx.threads, input_rows.len(), |range| {
-                let wctx = ctx.serial();
-                let mut local_groups: Vec<(String, Vec<usize>)> = Vec::new();
-                let mut local_index: HashMap<String, usize> = HashMap::new();
-                for ri in range {
-                    let env = EvalEnv {
-                        ctx: &wctx,
-                        bindings,
-                        row: &input_rows[ri],
-                        group: None,
-                    };
-                    let key_values = group_by
-                        .iter()
-                        .map(|e| e.eval(&env))
-                        .collect::<StorageResult<Vec<Value>>>()?;
-                    let key = composite_key(&key_values);
-                    match local_index.get(&key) {
-                        Some(&g) => local_groups[g].1.push(ri),
-                        None => {
-                            local_index.insert(key.clone(), local_groups.len());
-                            local_groups.push((key, vec![ri]));
-                        }
-                    }
-                }
-                Ok::<_, StorageError>(local_groups)
-            })?;
-
-            // Phase 2 — deterministic merge: morsels are folded in input
-            // order, so global group order is first-seen order over the
-            // whole input and rows within a group stay in input order —
-            // byte-identical to the serial engine.
-            let mut group_indices: Vec<Vec<usize>> = Vec::new();
-            let mut index: HashMap<String, usize> = HashMap::new();
-            for local_groups in partials {
-                for (key, indices) in local_groups {
-                    match index.get(&key) {
-                        Some(&g) => group_indices[g].extend(indices),
-                        None => {
-                            index.insert(key, group_indices.len());
-                            group_indices.push(indices);
-                        }
-                    }
-                }
-            }
-            // Materialize groups by moving rows out of the input.
-            let mut slots: Vec<Option<Row>> = input_rows.into_iter().map(Some).collect();
-            let mut groups: Vec<Vec<Row>> = group_indices
-                .into_iter()
-                .map(|indices| {
-                    indices
-                        .into_iter()
-                        .map(|i| slots[i].take().expect("each row grouped once"))
-                        .collect()
-                })
-                .collect();
-            if groups.is_empty() && group_by.is_empty() {
-                // Aggregates over an empty input still produce one row.
-                groups.push(Vec::new());
-            }
-
-            let mut rows = finalize_agg_groups(&groups, having.as_ref(), items, bindings, ctx)?;
-            if *distinct {
-                dedup_rows(&mut rows, *visible);
-            }
-            Ok(rows)
-        }
-        PhysNode::Sort { input, keys } => {
-            let mut rows = exec_node(input, ctx)?;
-            rows.sort_by(|a, b| compare_rows(a, b, keys));
-            Ok(rows)
-        }
-        PhysNode::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-        } => {
-            let rows = exec_node(input, ctx)?;
-            let skip = match offset {
-                Some(offset) => eval_count(offset, ctx)?,
-                None => 0,
-            };
-            let take = eval_count(limit, ctx)?;
-            Ok(top_k_rows(rows, keys, skip, take))
-        }
-        PhysNode::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let mut rows = exec_node(input, ctx)?;
-            if let Some(offset) = offset {
-                let n = eval_count(offset, ctx)?;
-                if n < rows.len() {
-                    rows.drain(..n);
-                } else {
-                    rows.clear();
-                }
-            }
-            if let Some(limit) = limit {
-                let n = eval_count(limit, ctx)?;
-                rows.truncate(n);
-            }
-            Ok(rows)
-        }
-        PhysNode::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => {
-            let l = exec_query_plan(left, ctx)?;
-            let r = exec_query_plan(right, ctx)?;
-            Ok(combine_set_operation(*op, *all, l, r)?.rows)
-        }
-        PhysNode::Nested(sub) => Ok(exec_query_plan(sub, ctx)?.rows),
-    }
-}
-
-/// Flatten per-morsel row chunks (already in morsel order) into one vector.
-fn concat_rows(chunks: Vec<Vec<Row>>, capacity: usize) -> Vec<Row> {
-    let mut rows = Vec::with_capacity(capacity);
-    for chunk in chunks {
-        rows.extend(chunk);
-    }
-    rows
-}
-
 // ---------------------------------------------------------------------
-// Index-backed access paths (shared by the row and columnar engines)
+// Index-backed access paths
 // ---------------------------------------------------------------------
 
 /// Linear fallback scanner: row ids whose cell in `col` satisfies `truth`,
@@ -1199,8 +889,7 @@ pub(crate) fn top_k_rows(rows: Vec<Row>, keys: &[SortKey], skip: usize, take: us
     kept.into_iter().map(|e| e.row).collect()
 }
 
-/// Phase 3 of hash aggregation, shared by the row and columnar engines:
-/// evaluate HAVING and the output expressions per group, in (already
+/// Phase 3 of hash aggregation: evaluate HAVING and the output expressions per group, in (already
 /// deterministic) group order, fanning out over morsels.
 pub(crate) fn finalize_agg_groups(
     groups: &[Vec<Row>],
@@ -1314,16 +1003,14 @@ mod tests {
         .expect("schema");
         db.insert_into("t", (0..10i64).map(|i| vec![Value::Int(9 - i)]))
             .expect("rows");
-        for strategy in [ExecStrategy::Planned, ExecStrategy::RowPlanned] {
-            let result = db
-                .execute_sql_opts(
-                    "SELECT v FROM t ORDER BY v LIMIT 9223372036854775807",
-                    ExecOptions::new(strategy).with_threads(2),
-                )
-                .expect("enormous LIMIT must not panic or abort");
-            assert_eq!(result.rows.len(), 10);
-            assert_eq!(result.rows[0], vec![Value::Int(0)]);
-        }
+        let result = db
+            .execute_sql_opts(
+                "SELECT v FROM t ORDER BY v LIMIT 9223372036854775807",
+                ExecOptions::default().with_threads(2),
+            )
+            .expect("enormous LIMIT must not panic or abort");
+        assert_eq!(result.rows.len(), 10);
+        assert_eq!(result.rows[0], vec![Value::Int(0)]);
     }
 
     #[test]
@@ -1408,10 +1095,9 @@ mod tests {
 
     /// The in-crate indexed ≡ scanned oracle: every fast-path shape,
     /// compiled with and without index lowering, must produce byte-identical
-    /// results (errors included) on both planned engines at both thread
-    /// counts — over data stocked with NULLs, duplicate keys, NaN (which
-    /// poisons the index and forces the exact fallbacks), and `-0.0`
-    /// (which must probe equal to `0`).
+    /// results (errors included) at both thread counts — over data stocked
+    /// with NULLs, duplicate keys, NaN (which poisons the index and forces
+    /// the exact fallbacks), and `-0.0` (which must probe equal to `0`).
     #[test]
     fn fast_paths_match_forced_full_scans() {
         let mut db = Database::new("fastslow");
@@ -1495,16 +1181,14 @@ mod tests {
                 0,
                 "forced-full-scan compile must not touch an index for {sql}"
             );
-            for strategy in [ExecStrategy::Planned, ExecStrategy::RowPlanned] {
-                for threads in [1usize, 4] {
-                    let options = ExecOptions::new(strategy).with_threads(threads);
-                    let indexed = exec_compiled(&snapshot, &fast, options);
-                    let scanned = exec_compiled(&snapshot, &slow, options);
-                    assert_eq!(
-                        indexed, scanned,
-                        "indexed vs scanned diverge on {sql} ({strategy:?}, {threads} threads)"
-                    );
-                }
+            for threads in [1usize, 4] {
+                let options = ExecOptions::default().with_threads(threads);
+                let indexed = exec_compiled(&snapshot, &fast, options);
+                let scanned = exec_compiled(&snapshot, &slow, options);
+                assert_eq!(
+                    indexed, scanned,
+                    "indexed vs scanned diverge on {sql} ({threads} threads)"
+                );
             }
         }
     }

@@ -1708,7 +1708,7 @@ mod tests {
     fn rejects_out_of_bounds_column_ordinal() {
         let db = db();
         // A projection reading column 7 of a 3-column scan: the classic
-        // miscompile a corpus only catches if the row engine panics.
+        // miscompile a corpus only catches if an engine panics.
         let corrupt = plan_of(
             PhysNode::Project {
                 input: Box::new(scan_t()),

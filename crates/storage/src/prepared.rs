@@ -241,17 +241,14 @@ impl PreparedQuery {
     }
 
     /// Execute the prepared query against its pinned snapshot.
-    /// [`ExecStrategy::Planned`] and [`ExecStrategy::RowPlanned`] run the
-    /// (lazily) compiled physical plan (columnar or row-at-a-time);
+    /// [`ExecStrategy::Planned`] runs the (lazily) compiled physical plan;
     /// [`ExecStrategy::Legacy`] re-interprets the stored AST with the
     /// tree-walking oracle (which has no compiled form), so differential
-    /// checks of a batch pipeline can still pin the oracle. All three read
-    /// the same snapshot.
+    /// checks of a batch pipeline can still pin the oracle. Both read the
+    /// same snapshot.
     pub fn execute(&self, options: ExecOptions) -> StorageResult<QueryResult> {
         match options.strategy {
-            ExecStrategy::Planned | ExecStrategy::RowPlanned => {
-                exec_compiled(&self.snapshot, self.compiled()?, options)
-            }
+            ExecStrategy::Planned => exec_compiled(&self.snapshot, self.compiled()?, options),
             ExecStrategy::Legacy => Executor::new(&self.snapshot).execute(&self.query),
         }
     }
@@ -612,11 +609,7 @@ mod tests {
         let prepared = db.prepare(sql).expect("prepares");
         assert_eq!(prepared.sql(), sql);
         assert_eq!(prepared.referenced_tables(), ["T"]);
-        for strategy in [
-            ExecStrategy::Planned,
-            ExecStrategy::RowPlanned,
-            ExecStrategy::Legacy,
-        ] {
+        for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
             let options = ExecOptions::new(strategy).with_threads(2);
             let direct = db.execute_sql_opts(sql, options).expect("direct executes");
             // Execute twice: the second run exercises the warmed subquery
@@ -636,25 +629,17 @@ mod tests {
         let mut db = db();
         let sql = "SELECT COUNT(*), MAX(v) FROM t";
         let prepared = db.prepare(sql).expect("prepares");
-        let before: Vec<_> = [
-            ExecStrategy::Planned,
-            ExecStrategy::RowPlanned,
-            ExecStrategy::Legacy,
-        ]
-        .iter()
-        .map(|s| prepared.execute(ExecOptions::new(*s)).expect("executes"))
-        .collect();
+        let before: Vec<_> = [ExecStrategy::Planned, ExecStrategy::Legacy]
+            .iter()
+            .map(|s| prepared.execute(ExecOptions::new(*s)).expect("executes"))
+            .collect();
         // The classic staleness hazard: a write while the prepared query is
         // alive. The snapshot pins the old version, so nothing changes.
         db.insert_into("t", vec![vec![100.into(), 999.into()]])
             .unwrap();
-        for (i, strategy) in [
-            ExecStrategy::Planned,
-            ExecStrategy::RowPlanned,
-            ExecStrategy::Legacy,
-        ]
-        .iter()
-        .enumerate()
+        for (i, strategy) in [ExecStrategy::Planned, ExecStrategy::Legacy]
+            .iter()
+            .enumerate()
         {
             let after = prepared
                 .execute(ExecOptions::new(*strategy))

@@ -332,11 +332,9 @@ pub(crate) fn missing_arg_error(name: &str, index: usize) -> StorageError {
 // Row keys
 // ---------------------------------------------------------------------
 
-/// Append one part to a composite key as `"<len>:<part>"`. This is the
-/// single encoding shared by [`composite_key`] (grouping / DISTINCT / set
-/// ops) and the hash-join key: the two must stay byte-identical so
-/// equi-join equality coincides with grouping equality across engines.
-pub(crate) fn push_len_prefixed(key: &mut String, part: &str) {
+/// Append one part to a composite key as `"<len>:<part>"`, the encoding of
+/// [`composite_key`].
+fn push_len_prefixed(key: &mut String, part: &str) {
     use std::fmt::Write;
     let _ = write!(key, "{}:", part.len());
     key.push_str(part);
@@ -351,19 +349,6 @@ pub(crate) fn composite_key(values: &[Value]) -> String {
         push_len_prefixed(&mut key, &v.group_key());
     }
     key
-}
-
-/// One component of a hash-join key: `None` for NULL (NULL never joins),
-/// otherwise the canonical [`Value::group_key`], whose equality coincides
-/// with `total_cmp == Equal` for non-NaN values (integers exactly, `-0.0`
-/// folded into `0.0`, Int↔Float equal whenever both representations hold
-/// the value exactly).
-pub(crate) fn join_key_part(v: &Value) -> Option<String> {
-    if v.is_null() {
-        None
-    } else {
-        Some(v.group_key())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -457,11 +442,11 @@ pub(crate) fn combine_set_operation(
 // cell-for-cell with the scalar functions above: the fast paths below cover
 // the hot type combinations with tight loops, and *every* other combination
 // falls through to a per-element loop over [`eval_binary`] itself, so the
-// kernels' *values* cannot drift from the row engines. Kernels stop at the
-// first erroring element in row order; because batch boundaries are fixed
-// (never derived from the thread budget), the reported error is identical
-// at every thread count. Error *identity* may still differ from the
-// row-at-a-time engine when several operands can fail (operand-major vs
+// kernels' *values* cannot drift from the per-row evaluators. Kernels stop
+// at the first erroring element in row order; because batch boundaries are
+// fixed (never derived from the thread budget), the reported error is
+// identical at every thread count. Error *identity* may still differ from
+// the legacy interpreter when several operands can fail (operand-major vs
 // row-major evaluation) — see the documented divergence in
 // `crate::physical::columnar`.
 
@@ -658,7 +643,7 @@ pub(crate) fn eval_binary_cols(
                     Some(v) => vals.push(v),
                     None => {
                         // Delegate to the scalar kernel so the error text is
-                        // identical to the row engines'.
+                        // identical to the per-row evaluators'.
                         eval_binary(&Value::Int(x), op, &Value::Int(y))?;
                         unreachable!("scalar kernel errors on the same inputs");
                     }
@@ -728,7 +713,7 @@ pub(crate) fn eval_binary_cols(
 
     // Universal fallback: the scalar kernel per element. Covers Concat,
     // Bool/Any operands, mixed-family comparisons, and type errors, so the
-    // kernels can never disagree with the row engines.
+    // kernels can never disagree with the per-row evaluators.
     let mut out = ColumnBuilder::with_capacity(n);
     for i in 0..n {
         out.push(eval_binary(&left.value(i), op, &right.value(i))?);
@@ -910,7 +895,6 @@ mod tests {
         let a = Value::Int(1i64 << 53);
         let b = Value::Int((1i64 << 53) + 1);
         assert_ne!(a.group_key(), b.group_key());
-        assert_ne!(join_key_part(&a), join_key_part(&b));
         assert_ne!(
             Value::Int(i64::MAX).group_key(),
             Value::Int(i64::MAX - 1).group_key()
@@ -942,23 +926,6 @@ mod tests {
         assert_eq!(
             composite_key(&[Value::Int(1), Value::Text("a".into())]),
             composite_key(&[Value::Float(1.0), Value::Text("a".into())])
-        );
-    }
-
-    #[test]
-    fn join_key_folds_negative_zero_and_rejects_null() {
-        assert_eq!(join_key_part(&Value::Null), None);
-        assert_eq!(
-            join_key_part(&Value::Float(-0.0)),
-            join_key_part(&Value::Int(0))
-        );
-        assert_eq!(
-            join_key_part(&Value::Int(3)),
-            join_key_part(&Value::Float(3.0))
-        );
-        assert_ne!(
-            join_key_part(&Value::Text("3".into())),
-            join_key_part(&Value::Int(3))
         );
     }
 

@@ -24,10 +24,10 @@ use crate::table::Table;
 
 /// An immutable, cheaply clonable view of a [`Database`] at one instant.
 ///
-/// All execution engines ([`ExecStrategy::Planned`],
-/// [`ExecStrategy::RowPlanned`], [`ExecStrategy::Legacy`]) read the same
-/// snapshot, and [`crate::prepared::PreparedQuery`] owns one — which is
-/// what makes compile-once/execute-many safe under concurrent writers.
+/// Both execution engines ([`ExecStrategy::Planned`] and
+/// [`ExecStrategy::Legacy`]) read the same snapshot, and
+/// [`crate::prepared::PreparedQuery`] owns one — which is what makes
+/// compile-once/execute-many safe under concurrent writers.
 ///
 /// [`Database`]: crate::database::Database
 #[derive(Debug, Clone)]
@@ -109,7 +109,7 @@ impl Snapshot {
         options: ExecOptions,
     ) -> StorageResult<QueryResult> {
         match options.strategy {
-            ExecStrategy::Planned | ExecStrategy::RowPlanned => {
+            ExecStrategy::Planned => {
                 let physical = crate::physical::compile_query(self, query)?;
                 crate::physical::exec_compiled(self, &physical, options)
             }

@@ -274,8 +274,9 @@ impl From<bool> for Value {
 /// retrying the later `%` — so the worst case is O(text × pattern) instead
 /// of the exponential blowup (and recursion-depth stack risk) of the old
 /// recursive backtracker on `%a%a%a…`-style patterns. Shared by the legacy
-/// interpreter, the row-planned engine and the columnar LIKE kernel
-/// (`PhysExpr::{eval, eval_batch}` and `Executor` all call this function).
+/// interpreter, the planned engine's per-row evaluator and its columnar
+/// LIKE kernel (`PhysExpr::{eval, eval_batch}` and `Executor` all call this
+/// function).
 pub fn like_match(text: &str, pattern: &str) -> bool {
     let (t, p) = (text, pattern);
     // Byte cursors into `t` and `p`, always on character boundaries.

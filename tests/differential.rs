@@ -1,70 +1,50 @@
 //! Differential test suite for the planned query engine.
 //!
 //! Every query of a generated workload — across all four benchmark corpora
-//! (Spider, Bird, Fiben, Beaver) — is executed **three ways**:
-//! `ExecStrategy::Planned` (the columnar batch engine, the default),
-//! `ExecStrategy::RowPlanned` (the row-at-a-time planned engine, the
-//! representation oracle), and `ExecStrategy::Legacy` (the tree-walking
-//! interpreter, the planning oracle). Successful results must be
-//! *identical* across all three: same columns, same rows in the same order,
-//! same ordered flag — or every engine must fail.
+//! (Spider, Bird, Fiben, Beaver) — is executed **two ways**:
+//! `ExecStrategy::Planned` (the columnar batch engine, the default) and
+//! `ExecStrategy::Legacy` (the tree-walking interpreter, the oracle).
+//! Successful results must be *identical*: same columns, same rows in the
+//! same order, same ordered flag — or both engines must fail.
 //!
-//! Both planned engines run at thread budgets 1 **and** 4 (parallel
+//! The planned engine runs at thread budgets 1 **and** 4 (parallel
 //! operators run even on single-core CI; determinism makes extra workers
-//! harmless), and each engine must be byte-identical to itself across
-//! thread counts — including on error paths. Seed-driven generators target
-//! what the corpus generator never emits: NULL-heavy boolean predicates
-//! (three-valued logic), large-magnitude integers (±2^53 neighborhood,
-//! `i64::MIN`/`MAX`), text containing the historical `"\u{1}"` key
-//! separator, and ORDER BY/LIMIT/OFFSET/DISTINCT combinations that exercise
-//! the fused Top-K and the dedup paths.
+//! harmless) and must be byte-identical to itself across thread counts —
+//! including on error paths. Seed-driven generators target what the corpus
+//! generator never emits: NULL-heavy boolean predicates (three-valued
+//! logic), large-magnitude integers (±2^53 neighborhood, `i64::MIN`/`MAX`),
+//! text containing the historical `"\u{1}"` key separator, and ORDER
+//! BY/LIMIT/OFFSET/DISTINCT combinations that exercise the fused Top-K and
+//! the dedup paths.
 
 use benchpress_suite::datasets::{BenchmarkKind, CorpusScale, GeneratedBenchmark};
 use benchpress_suite::sql::DataType;
 use benchpress_suite::storage::{Column, Database, ExecOptions, ExecStrategy, TableSchema, Value};
 use proptest::prelude::*;
 
-/// Parallel thread budget for the planned engines in this suite.
+/// Parallel thread budget for the planned engine in this suite.
 const TEST_THREADS: usize = 4;
 
-/// Execute with the columnar engine, the row-planned engine (each at
-/// threads 1 and 4) and the legacy interpreter. Successful results must be
-/// byte-identical across all engines and thread counts; when a query
-/// errors, every engine must error, and each planned engine's error must be
-/// identical across thread counts.
+/// Execute with the columnar engine (at threads 1 and 4) and the legacy
+/// interpreter. Successful results must be byte-identical across both
+/// engines and thread counts; when a query errors, both engines must error,
+/// and the columnar engine's error must be identical across thread counts.
 fn assert_engines_agree(db: &Database, sql: &str, label: &str) {
     let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy);
     let columnar = db.execute_sql_opts(
         sql,
         ExecOptions::new(ExecStrategy::Planned).with_threads(TEST_THREADS),
     );
-    let row = db.execute_sql_opts(
-        sql,
-        ExecOptions::new(ExecStrategy::RowPlanned).with_threads(TEST_THREADS),
-    );
-    match (&legacy, &columnar, &row) {
-        (Ok(l), Ok(c), Ok(r)) => {
-            assert_eq!(c, r, "columnar vs row-planned disagree on {label}: {sql}");
-            assert_eq!(l, c, "legacy vs columnar disagree on {label}: {sql}");
-        }
-        (Err(_), Err(_), Err(_)) => {}
-        (l, c, r) => panic!(
-            "ok/err divergence on {label} query {sql}: legacy={l:?} columnar={c:?} row={r:?}"
-        ),
+    match (&legacy, &columnar) {
+        (Ok(l), Ok(c)) => assert_eq!(l, c, "legacy vs columnar disagree on {label}: {sql}"),
+        (Err(_), Err(_)) => {}
+        (l, c) => panic!("ok/err divergence on {label} query {sql}: legacy={l:?} columnar={c:?}"),
     }
-    // Thread-count determinism per engine, including error identity.
+    // Thread-count determinism, including error identity.
     let columnar_serial = db.execute_sql_opts(sql, ExecOptions::serial());
     assert_eq!(
         columnar_serial, columnar,
         "parallel columnar diverges from serial columnar on {label}: {sql}"
-    );
-    let row_serial = db.execute_sql_opts(
-        sql,
-        ExecOptions::new(ExecStrategy::RowPlanned).with_threads(1),
-    );
-    assert_eq!(
-        row_serial, row,
-        "parallel row-planned diverges from serial row-planned on {label}: {sql}"
     );
 }
 
@@ -469,7 +449,7 @@ proptest! {
     /// indexes — point equality, one-sided ranges, BETWEEN, IN-lists, IN
     /// (subquery), index-served aggregates, and ordered-index Top-K
     /// prefixes — with and without residual conjuncts. The legacy
-    /// interpreter never uses an index, so three-way agreement *is* the
+    /// interpreter never uses an index, so agreement with it *is* the
     /// indexed ≡ scanned proof; the NaN-poisoned corpus additionally
     /// forces every fast path through its exact-fallback branch.
     #[test]
@@ -535,7 +515,7 @@ proptest! {
     /// ORDER BY / LIMIT / OFFSET / DISTINCT combinations: the fused Top-K
     /// operator (bounded heap) must be byte-identical to the oracles' full
     /// sort + truncate, including stability on duplicate keys, and DISTINCT
-    /// must dedup identically across all three engines.
+    /// must dedup identically in both engines.
     #[test]
     fn order_by_limit_distinct_agree(seed in 0u64..1_000_000) {
         let db = edge_db();
@@ -601,7 +581,7 @@ fn corner_corpus_agrees_through_multi_morsel_operators() {
         "SELECT SUM(BIG) FROM EDGE_A WHERE BIG > 0".to_string(),
         // DISTINCT-heavy micro-asserts: 640 rows collapse to a handful of
         // duplicate-laden key combinations, so the dedup path (columnar
-        // column-slice keys vs the row engine's composite-string set) does
+        // column-slice keys vs the interpreter's composite-string set) does
         // real work, including separator-bearing text and exact integers.
         "SELECT DISTINCT GRP FROM EDGE_A".to_string(),
         "SELECT DISTINCT TXT, GRP FROM EDGE_A ORDER BY TXT, GRP".to_string(),
@@ -612,6 +592,40 @@ fn corner_corpus_agrees_through_multi_morsel_operators() {
     ];
     for sql in &queries {
         assert_engines_agree(&db, sql, "scaled-edge");
+    }
+    // Outer joins whose unmatched-right tracking spans several left-row
+    // morsels: non-equi ON clauses run as nested loops, equi keys as hash
+    // joins. `a.ID = b.BIG` matches only a handful of rows, so both sides
+    // keep hundreds of unmatched rows while the output stays small.
+    let outer_joins = [
+        (
+            "SELECT a.ID, b.ID FROM EDGE_A a RIGHT JOIN EDGE_B b ON a.ID < b.ID - 600 ORDER BY a.ID, b.ID",
+            "NestedLoopJoin",
+        ),
+        (
+            "SELECT a.ID, b.ID FROM EDGE_A a FULL JOIN EDGE_B b ON a.ID < b.ID - 600 ORDER BY a.ID, b.ID",
+            "NestedLoopJoin",
+        ),
+        (
+            "SELECT a.ID, b.ID FROM EDGE_A a RIGHT JOIN EDGE_B b ON a.ID = b.BIG ORDER BY a.ID, b.ID",
+            "HashJoin",
+        ),
+        (
+            "SELECT a.ID, b.ID FROM EDGE_A a FULL JOIN EDGE_B b ON a.ID = b.BIG ORDER BY a.ID, b.ID",
+            "HashJoin",
+        ),
+    ];
+    let snapshot = db.snapshot();
+    for (sql, operator) in outer_joins {
+        let query = benchpress_suite::sql::parse_query(sql).expect("outer join parses");
+        let plan = benchpress_suite::storage::compile_query_with(&snapshot, &query, true)
+            .expect("outer join compiles");
+        let rendered = plan.explain(&snapshot);
+        assert!(
+            rendered.contains(operator),
+            "expected a {operator} for {sql}; plan:\n{rendered}"
+        );
+        assert_engines_agree(&db, sql, "scaled-edge-outer");
     }
 }
 
@@ -646,19 +660,17 @@ fn parallel_query_errors_match_serial_cleanly() {
         .collect();
     db.insert_into("WIDE", rows).expect("rows");
     let sql = "SELECT ID, BIG + 1 FROM WIDE";
-    for strategy in [ExecStrategy::Planned, ExecStrategy::RowPlanned] {
-        let serial = db
-            .execute_sql_opts(sql, ExecOptions::new(strategy).with_threads(1))
-            .expect_err("serial planned must report the overflow");
-        for round in 0..25 {
-            let parallel = db
-                .execute_sql_opts(sql, ExecOptions::new(strategy).with_threads(8))
-                .expect_err("parallel planned must report the overflow, not panic");
-            assert_eq!(
-                parallel, serial,
-                "round {round}: {strategy:?} error must be deterministic"
-            );
-        }
+    let serial = db
+        .execute_sql_opts(sql, ExecOptions::serial())
+        .expect_err("serial planned must report the overflow");
+    for round in 0..25 {
+        let parallel = db
+            .execute_sql_opts(sql, ExecOptions::default().with_threads(8))
+            .expect_err("parallel planned must report the overflow, not panic");
+        assert_eq!(
+            parallel, serial,
+            "round {round}: planned error must be deterministic"
+        );
     }
 }
 
@@ -916,22 +928,18 @@ fn pathological_chain_is_cost_based_reordered() {
 
 /// Snapshot reads must be byte-identical to reads through the `Database`
 /// borrow, for every corpus query, every engine, and every thread count —
-/// including error identity. The three-way oracle set applies unchanged to
-/// the snapshot path.
+/// including error identity. The columnar ≡ legacy oracle applies
+/// unchanged to the snapshot path.
 #[test]
 fn snapshot_reads_match_borrowed_reads_on_every_engine() {
     let corpus = GeneratedBenchmark::generate(BenchmarkKind::Beaver, 8, 20_260_808);
     let db = &corpus.database;
     let snapshot = db.snapshot();
     for entry in &corpus.log {
-        // The snapshot path must satisfy the full three-way differential...
+        // The snapshot path must satisfy the full differential...
         assert_engines_agree(db, &entry.sql, "snapshot-corpus");
         // ...and mirror the borrow path result-for-result.
-        for strategy in [
-            ExecStrategy::Planned,
-            ExecStrategy::RowPlanned,
-            ExecStrategy::Legacy,
-        ] {
+        for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
             for threads in [1usize, TEST_THREADS] {
                 let options = ExecOptions::new(strategy).with_threads(threads);
                 let borrowed = db.execute_sql_opts(&entry.sql, options);

@@ -7,10 +7,10 @@
 //! reimplementation of the old recursive algorithm as an **oracle on ASCII
 //! inputs** (where the byte-wise semantics were correct), bounded small
 //! enough that the oracle's exponential worst case stays harmless, plus
-//! targeted UTF-8 and engine-level regressions. All three engines (legacy
-//! interpreter, row-planned, columnar) call the same `like_match`, so one
-//! oracle covers the whole system; the engine-level check below confirms
-//! the sharing end to end.
+//! targeted UTF-8 and engine-level regressions. Both engines (the legacy
+//! interpreter and the columnar planned engine) call the same
+//! `like_match`, so one oracle covers the whole system; the engine-level
+//! check below confirms the sharing end to end.
 
 use benchpress_suite::storage::like_match;
 use benchpress_suite::storage::{Database, ExecStrategy};
@@ -126,9 +126,9 @@ fn pathological_patterns_terminate() {
     assert!(like_match(&text, &"%".repeat(500)));
 }
 
-/// All three engines share the fixed matcher: a LIKE predicate over text
-/// with multi-byte characters grades identically under the legacy
-/// interpreter, the row-planned engine and the columnar kernel.
+/// Both engines share the fixed matcher: a LIKE predicate over text with
+/// multi-byte characters grades identically under the legacy interpreter
+/// and the columnar kernel.
 #[test]
 fn engines_share_the_fixed_matcher() {
     let mut db = Database::new("likes");
@@ -154,9 +154,7 @@ fn engines_share_the_fixed_matcher() {
         ("SELECT id FROM names WHERE name LIKE '%é'", 1),
     ] {
         let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy).unwrap();
-        let row = db.execute_sql_with(sql, ExecStrategy::RowPlanned).unwrap();
         let columnar = db.execute_sql_with(sql, ExecStrategy::Planned).unwrap();
-        assert_eq!(legacy, row, "legacy vs row-planned diverge on {sql}");
         assert_eq!(legacy, columnar, "legacy vs columnar diverge on {sql}");
         assert_eq!(
             legacy.row_count(),
