@@ -21,9 +21,14 @@ echo "==> bp-lint (determinism lint, ratcheted against lint-baseline.txt)"
 # lock the lower count in.
 cargo run --release -q -p bp-lint
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# Intra-doc links are checked, so a doc that still names a deleted or
+# private item fails here instead of rendering a dead link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test -q --workspace (includes the umbrella tier-1 suite)"
 # Gate note: this debug-profile run IS the debug-assertions differential
-# pass for the plan verifier — compile_query_with() re-verifies every
+# pass for the plan verifier — compile_query() re-verifies every
 # compiled plan under debug_assert hooks, and the differential/property
 # suites compile thousands of corpus plans, so a verifier-visible miscompile
 # fails here before any release gate runs. (The release path stays covered

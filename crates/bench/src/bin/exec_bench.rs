@@ -30,9 +30,9 @@ use bp_datasets::{BenchmarkKind, CorpusScale, GeneratedBenchmark};
 use bp_llm::{evaluate_execution_accuracy_cached as grade_cached, EvalItem, ModelKind};
 use bp_sql::DataType;
 use bp_storage::{
-    available_threads, batch_map, compile_query_opts, compile_query_with, exec_compiled,
-    verify_plan, AnnotationService, CompileOptions, Database, ExecOptions, ExecStrategy,
-    PhysQueryPlan, PlanCache, Snapshot, TableSchema, Value,
+    available_threads, batch_map, compile_query, exec_compiled, verify_plan, AnnotationService,
+    CompileOptions, Database, ExecOptions, ExecStrategy, PhysQueryPlan, PlanCache, Snapshot,
+    TableSchema, Value,
 };
 use serde::{Serialize, Value as Json};
 
@@ -212,6 +212,14 @@ fn parse(sql: &str) -> bp_sql::Query {
     bp_sql::parse_query(sql).expect("generated SQL parses")
 }
 
+/// Default compile options with index fast paths on or off.
+fn fast_paths(fast_paths: bool) -> CompileOptions {
+    CompileOptions {
+        fast_paths,
+        ..CompileOptions::default()
+    }
+}
+
 /// Every foreign-key equi-join of the corpus schema, projecting the key
 /// pair, or every column of both tables when `wide`.
 fn fk_joins(db: &Database, wide: bool) -> Vec<String> {
@@ -244,14 +252,14 @@ fn query_sides<'a>(
     let queries: Vec<_> = sqls.iter().map(|sql| parse(sql)).collect();
     for query in &queries {
         let options = [sides[0].2, sides[1].2, also];
-        let [a, b, c] = options.map(|opts| db.execute_opts(query, opts));
+        let [a, b, c] = options.map(|opts| db.snapshot().execute(query, opts));
         assert!(a == b && b == c, "engines or thread counts disagree");
     }
     let timed = |(key, runs, opts): (&'static str, usize, ExecOptions)| {
         let queries = queries.clone();
         side(key, runs, move || {
             for query in &queries {
-                black_box(db.execute_opts(query, opts).expect("executes"));
+                black_box(db.snapshot().execute(query, opts).expect("executes"));
             }
         })
     };
@@ -373,7 +381,7 @@ fn concurrent_read_write(
         let session = service.open_session();
         let pinned = sqls
             .iter()
-            .map(|sql| session.snapshot().execute_sql_opts(sql, serial));
+            .map(|sql| session.snapshot().execute(&parse(sql), serial));
         let pinned: Result<Vec<_>, _> = pinned.collect();
         (session.batch_execute(&sqls, threads), pinned)
     });
@@ -383,7 +391,7 @@ fn concurrent_read_write(
         let session = service.open_session();
         let latencies = batch_map(threads, sqls.len(), |i| {
             let start = Instant::now();
-            session.execute_sql_opts(&sqls[i], serial).expect("grades");
+            session.execute_sql(&sqls[i], serial).expect("grades");
             Ok::<_, Infallible>(start.elapsed().as_secs_f64() * 1e3)
         });
         latencies.expect("latency collection is infallible")
@@ -396,7 +404,8 @@ fn concurrent_read_write(
     // The service's counters cover the whole entry; invalidations are the
     // recompiles the writer forced.
     let derived = move |best: &Best| {
-        let (cache, access) = (service.cache_stats(), service.access_path_stats());
+        let cache = service.plan_cache();
+        let (cache, access) = (cache.stats(), cache.access_stats());
         let latencies = &best.observed.0;
         let qps = STATEMENTS as f64 / (best.ms[1] / 1e3).max(1e-9);
         let p99 = bp_metrics::percentile(latencies, 99.0);
@@ -449,7 +458,7 @@ fn point_lookups(large: &GeneratedBenchmark, threads: usize) -> Lookups {
         let (table, pk) = &keys[i % keys.len()];
         let key = (i * rows / LOOKUPS).min(rows - 1);
         let sql = format!("SELECT * FROM {table} WHERE {pk} = {key}");
-        let compile = |fast| compile_query_with(&snapshot, &parse(&sql), fast);
+        let compile = |fast| compile_query(&snapshot, &parse(&sql), fast_paths(fast));
         let [fast, scan] = [true, false].map(|fast| compile(fast).expect("compiles"));
         let paths = [&fast, &scan].map(|plan| plan.access_paths().index_scan);
         assert_eq!(paths, [1, 0], "{sql}: wrong access paths");
@@ -500,7 +509,7 @@ fn join_order() -> (Snapshot, [PhysQueryPlan; 2], usize) {
             cost_based,
             ..CompileOptions::default()
         };
-        compile_query_opts(&snapshot, &query, options).expect("compiles")
+        compile_query(&snapshot, &query, options).expect("compiles")
     });
     let explain = plans.each_ref().map(|plan| plan.explain(&snapshot));
     // The reorderer must fire, or the comparison times a plan against itself.
@@ -511,7 +520,7 @@ fn join_order() -> (Snapshot, [PhysQueryPlan; 2], usize) {
     let [syntactic, cost_based] = plans
         .each_ref()
         .map(|p| exec_compiled(&snapshot, p, serial));
-    let legacy = db.execute_with(&query, ExecStrategy::Legacy);
+    let legacy = snapshot.execute(&query, ExecOptions::new(ExecStrategy::Legacy));
     let agree = syntactic == cost_based && cost_based == legacy;
     assert!(agree, "join orders differ:\n{}\n{}", explain[0], explain[1]);
     let output_rows = cost_based.expect("executes").row_count();
@@ -528,7 +537,8 @@ fn plan_verification<'a>(medium: &GeneratedBenchmark, lookups: &'a Lookups) -> E
     for entry in &medium.log {
         let query = parse(&entry.sql);
         for fast in [true, false] {
-            workload.push(compile_query_with(&snapshot, &query, fast).expect("compiles"));
+            let plan = compile_query(&snapshot, &query, fast_paths(fast));
+            workload.push(plan.expect("compiles"));
         }
     }
     let plans = workload.len() + lookups.fast.len() + lookups.scan.len();
@@ -610,7 +620,7 @@ fn main() {
     let legacy = ExecOptions::new(ExecStrategy::Legacy);
     let parallel = ExecOptions::default().with_threads(threads);
     let join = [fk_joins(db, false).swap_remove(0)];
-    let join_result = db.execute_sql_opts(&join[0], serial);
+    let join_result = db.execute_sql(&join[0], serial);
     let workload: Vec<String> = medium.log.iter().map(|entry| entry.sql.clone()).collect();
     let wide_joins = fk_joins(db, true);
     let headline_sides = [("legacy_ms", 1, legacy), ("planned_ms", 9, serial)];

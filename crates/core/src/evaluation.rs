@@ -2,9 +2,7 @@
 //! (paper §5.2 / Figure 4) and text-to-SQL execution accuracy (Figure 1).
 
 use crate::project::Project;
-use bp_llm::{
-    Backtranslator, EvalItem, ExecOptions, ExecStrategy, ExecutionAccuracyReport, ModelKind,
-};
+use bp_llm::{Backtranslator, EvalItem, ExecOptions, ExecutionAccuracyReport, ModelKind};
 use bp_metrics::{grade, ClarityHistogram, ClarityLevel, RubricOutcome};
 use serde::{Deserialize, Serialize};
 
@@ -74,67 +72,32 @@ pub fn backtranslation_study(project: &Project, model: ModelKind) -> Backtransla
 
 /// Evaluate a text-to-SQL model's execution accuracy on a project's log,
 /// using the gold questions ingested with the log. This is the per-project
-/// form of the Figure 1 experiment; grading runs on the default execution
-/// strategy (the planned engine).
+/// form of the Figure 1 experiment; grading runs with the default options
+/// (the planned engine across all hardware threads) through a fresh plan
+/// cache.
 pub fn execution_accuracy(
     project: &Project,
     model: ModelKind,
     schema_ambiguity: f64,
     seed: u64,
 ) -> ExecutionAccuracyReport {
-    execution_accuracy_opts(
-        project,
-        model,
-        schema_ambiguity,
-        seed,
-        ExecOptions::default(),
-    )
-}
-
-/// [`execution_accuracy`] with an explicit execution engine at full
-/// parallelism. Large logs grade with [`ExecStrategy::Planned`] (the
-/// columnar batch engine); [`ExecStrategy::Legacy`] pins the interpreter
-/// oracle for differential checks of the grader.
-pub fn execution_accuracy_with(
-    project: &Project,
-    model: ModelKind,
-    schema_ambiguity: f64,
-    seed: u64,
-    strategy: ExecStrategy,
-) -> ExecutionAccuracyReport {
-    execution_accuracy_opts(
-        project,
-        model,
-        schema_ambiguity,
-        seed,
-        ExecOptions::new(strategy),
-    )
-}
-
-/// [`execution_accuracy`] with full [`ExecOptions`] control (engine choice
-/// plus worker-thread budget). `options.threads` sizes the inter-query
-/// batch pipeline's worker pool (see
-/// [`bp_llm::evaluate_execution_accuracy_opts`]): items fan out across
-/// workers sharing one LRU plan cache while each item executes serially.
-/// Grading is deterministic — byte-identical reports — at every thread
-/// count.
-pub fn execution_accuracy_opts(
-    project: &Project,
-    model: ModelKind,
-    schema_ambiguity: f64,
-    seed: u64,
-    options: ExecOptions,
-) -> ExecutionAccuracyReport {
     let cache = bp_storage::PlanCache::with_default_capacity();
+    let options = ExecOptions::default();
     execution_accuracy_cached(project, model, schema_ambiguity, seed, options, &cache)
 }
 
-/// [`execution_accuracy_opts`] grading through a caller-supplied
-/// [`bp_storage::PlanCache`]. Repeated evaluations of a growing project —
-/// the annotation service's steady state — reuse compiled plans for every
-/// query whose tables have not changed since the last run; writes in
-/// between invalidate exactly the affected entries (per table version, not
-/// the whole cache). The report itself is identical to the uncached path.
+/// [`execution_accuracy`] with full [`ExecOptions`] control (engine choice
+/// plus worker-thread budget), grading through a caller-supplied
+/// [`bp_storage::PlanCache`]. `options.threads` sizes the inter-query batch
+/// pipeline's worker pool (see
+/// [`bp_llm::evaluate_execution_accuracy_cached`]): items fan out across
+/// workers sharing the cache while each item executes serially, and
+/// grading is deterministic — byte-identical reports — at every thread
+/// count. Repeated evaluations of a growing project — the annotation
+/// service's steady state — reuse compiled plans for every query whose
+/// tables have not changed since the last run; writes in between
+/// invalidate exactly the affected entries (per table version, not the
+/// whole cache). The report itself is identical to the uncached path.
 pub fn execution_accuracy_cached(
     project: &Project,
     model: ModelKind,
@@ -172,6 +135,7 @@ mod tests {
     use crate::annotation::FeedbackAction;
     use crate::config::TaskConfig;
     use bp_datasets::{BenchmarkKind, GeneratedBenchmark};
+    use bp_llm::ExecStrategy;
 
     fn finalized_project(accept_best: bool) -> Project {
         let corpus = GeneratedBenchmark::generate(BenchmarkKind::Spider, 6, 31);
@@ -235,16 +199,9 @@ mod tests {
     #[test]
     fn execution_accuracy_batch_pipeline_is_thread_count_independent() {
         let project = finalized_project(true);
-        let serial =
-            execution_accuracy_opts(&project, ModelKind::Gpt4o, 0.1, 3, ExecOptions::serial());
+        let serial = grade(&project, ExecOptions::serial());
         for threads in [2usize, 4] {
-            let batched = execution_accuracy_opts(
-                &project,
-                ModelKind::Gpt4o,
-                0.1,
-                3,
-                ExecOptions::default().with_threads(threads),
-            );
+            let batched = grade(&project, ExecOptions::default().with_threads(threads));
             assert_eq!(serial, batched, "report diverges at threads={threads}");
         }
     }
@@ -252,10 +209,14 @@ mod tests {
     #[test]
     fn execution_accuracy_is_engine_independent() {
         let project = finalized_project(true);
-        let planned =
-            execution_accuracy_with(&project, ModelKind::Gpt4o, 0.1, 3, ExecStrategy::Planned);
-        let legacy =
-            execution_accuracy_with(&project, ModelKind::Gpt4o, 0.1, 3, ExecStrategy::Legacy);
+        let planned = grade(&project, ExecOptions::new(ExecStrategy::Planned));
+        let legacy = grade(&project, ExecOptions::new(ExecStrategy::Legacy));
         assert_eq!(planned, legacy);
+    }
+
+    /// GPT-4o accuracy on `project` through a fresh plan cache.
+    fn grade(project: &Project, options: ExecOptions) -> ExecutionAccuracyReport {
+        let cache = bp_storage::PlanCache::with_default_capacity();
+        execution_accuracy_cached(project, ModelKind::Gpt4o, 0.1, 3, options, &cache)
     }
 }

@@ -55,8 +55,8 @@ pub use annotation::{
 pub use config::{AnnotationDirection, Credential, TaskConfig};
 pub use error::{CoreError, CoreResult};
 pub use evaluation::{
-    backtranslation_study, execution_accuracy, execution_accuracy_cached, execution_accuracy_opts,
-    execution_accuracy_with, BacktranslationResult, BacktranslationStudy,
+    backtranslation_study, execution_accuracy, execution_accuracy_cached, BacktranslationResult,
+    BacktranslationStudy,
 };
 pub use export::{
     export_json, export_records, import_json, review_metrics, ExportedAnnotation, ReviewMetrics,

@@ -84,6 +84,7 @@ impl GeneratedBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_storage::ExecOptions;
 
     #[test]
     fn generate_produces_consistent_corpus() {
@@ -125,7 +126,10 @@ mod tests {
             base.database.total_rows()
         );
         for entry in &medium.log {
-            medium.database.execute_sql(&entry.sql).unwrap();
+            medium
+                .database
+                .execute_sql(&entry.sql, ExecOptions::default())
+                .unwrap();
         }
     }
 

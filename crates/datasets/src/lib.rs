@@ -12,12 +12,13 @@
 //!
 //! ```
 //! use bp_datasets::{BenchmarkKind, GeneratedBenchmark};
+//! use bp_storage::ExecOptions;
 //!
 //! let corpus = GeneratedBenchmark::generate(BenchmarkKind::Spider, 10, 42);
 //! assert_eq!(corpus.log.len(), 10);
 //! // Every generated query executes against the generated database.
 //! for entry in &corpus.log {
-//!     corpus.database.execute_sql(&entry.sql).unwrap();
+//!     corpus.database.execute_sql(&entry.sql, ExecOptions::default()).unwrap();
 //! }
 //! ```
 

@@ -303,7 +303,7 @@ pub fn lexicon_for(kind: BenchmarkKind) -> DomainLexicon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_storage::profile_database;
+    use bp_storage::{profile_database, ExecOptions};
 
     #[test]
     fn generation_is_deterministic() {
@@ -372,7 +372,10 @@ mod tests {
         let db = generate_database(&profile, 21);
         let first_table = db.tables().next().unwrap().schema.name.clone();
         let result = db
-            .execute_sql(&format!("SELECT COUNT(*) FROM {first_table}"))
+            .execute_sql(
+                &format!("SELECT COUNT(*) FROM {first_table}"),
+                ExecOptions::default(),
+            )
             .unwrap();
         assert_eq!(
             result.scalar().and_then(|v| v.as_i64()),

@@ -36,8 +36,7 @@ pub use sql2nl::{
     NlCandidate, CANDIDATES_PER_QUERY,
 };
 pub use text2sql::{
-    evaluate_execution_accuracy, evaluate_execution_accuracy_cached,
-    evaluate_execution_accuracy_opts, evaluate_execution_accuracy_with, predict_sql, EvalItem,
+    evaluate_execution_accuracy, evaluate_execution_accuracy_cached, predict_sql, EvalItem,
     ExecutionAccuracyReport, Text2SqlPrediction, WorkloadDifficulty,
 };
 

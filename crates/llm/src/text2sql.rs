@@ -12,9 +12,7 @@ use crate::corrupt::{apply, Corruption};
 use crate::model::ModelProfile;
 use crate::sql2nl::stable_hash;
 use bp_sql::{analyze, Query};
-use bp_storage::{
-    batch_map, results_match, Catalog, Database, ExecOptions, ExecStrategy, PlanCache, Snapshot,
-};
+use bp_storage::{batch_map, results_match, Catalog, Database, ExecOptions, PlanCache, Snapshot};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -173,72 +171,50 @@ enum ItemOutcome {
 }
 
 /// Evaluate a model's execution accuracy over a workload against a database
-/// with the default execution strategy (the planned engine).
+/// with the default options: the planned engine, across all available
+/// hardware threads, through a fresh [`PlanCache`].
 ///
 /// Every prediction is executed on `db` and compared to the gold result with
 /// the Spider/Bird execution-accuracy convention (see
 /// [`bp_storage::results_match`]). Grading runs the inter-query batch
-/// pipeline (see [`evaluate_execution_accuracy_opts`]) across all available
-/// hardware threads; the whole run is deterministic for a given `seed`
-/// regardless of thread count.
+/// pipeline (see [`evaluate_execution_accuracy_cached`]); the whole run is
+/// deterministic for a given `seed` regardless of thread count.
 pub fn evaluate_execution_accuracy(
     profile: &ModelProfile,
     items: &[EvalItem],
     db: &Database,
     seed: u64,
 ) -> ExecutionAccuracyReport {
-    evaluate_execution_accuracy_opts(profile, items, db, seed, ExecOptions::default())
+    let cache = PlanCache::with_default_capacity();
+    evaluate_execution_accuracy_cached(profile, items, db, seed, ExecOptions::default(), &cache)
 }
 
-/// [`evaluate_execution_accuracy`] with an explicit engine choice at full
-/// parallelism — grading million-entry logs wants [`ExecStrategy::Planned`]
-/// (the columnar batch engine); differential checks of the grader itself can
-/// pin [`ExecStrategy::Legacy`] (the interpreter oracle).
-pub fn evaluate_execution_accuracy_with(
-    profile: &ModelProfile,
-    items: &[EvalItem],
-    db: &Database,
-    seed: u64,
-    strategy: ExecStrategy,
-) -> ExecutionAccuracyReport {
-    evaluate_execution_accuracy_opts(profile, items, db, seed, ExecOptions::new(strategy))
-}
-
-/// [`evaluate_execution_accuracy`] with full [`ExecOptions`] control.
+/// [`evaluate_execution_accuracy`] with full [`ExecOptions`] control,
+/// grading through a caller-supplied [`PlanCache`].
 ///
 /// This is the **inter-query batch pipeline**: `options.threads` sizes a
 /// deterministic work-stealing worker pool ([`bp_storage::batch_map`]) that
 /// fans the *items* out, while each item executes its two queries
-/// single-threaded — for corpus grading, parallelism across thousands of
-/// independent items beats parallelism inside one small query, and the two
-/// never compose well (nested pools just contend). All workers share one
-/// LRU [`PlanCache`], so each distinct SQL text (every gold query, and
-/// every prediction that reproduces one) is parsed, planned and compiled
-/// exactly once per run.
+/// single-threaded on `options.strategy` — for corpus grading, parallelism
+/// across thousands of independent items beats parallelism inside one
+/// small query, and the two never compose well (nested pools just contend).
+/// Grading million-entry logs wants the planned engine (the columnar batch
+/// engine, the default); differential checks of the grader itself can pin
+/// [`bp_storage::ExecStrategy::Legacy`] (the interpreter oracle). All workers share
+/// `cache`, so each distinct SQL text (every gold query, and every
+/// prediction that reproduces one) is parsed, planned and compiled once,
+/// and long-lived services (and repeated study runs over the same corpus)
+/// reuse compiled plans across calls.
 ///
-/// The report is **byte-identical at every thread count** and equal to a
-/// serial loop over the items, by construction: each item's RNG is
-/// independently seeded from `(seed, gold SQL, index)`, query execution is
-/// deterministic, and per-item outcomes are merged in input order.
-pub fn evaluate_execution_accuracy_opts(
-    profile: &ModelProfile,
-    items: &[EvalItem],
-    db: &Database,
-    seed: u64,
-    options: ExecOptions,
-) -> ExecutionAccuracyReport {
-    let cache = PlanCache::with_default_capacity();
-    evaluate_execution_accuracy_cached(profile, items, db, seed, options, &cache)
-}
-
-/// [`evaluate_execution_accuracy_opts`] grading through a caller-supplied
-/// [`PlanCache`], so long-lived services (and repeated study runs over the
-/// same corpus) reuse compiled plans across calls. The whole run grades one
-/// [`Snapshot`] taken up front: a writer streaming inserts concurrently
-/// never perturbs in-flight grading, and the cache's per-table-version
-/// invalidation recompiles stale entries automatically on the first call
-/// after a write. Cache sharing never changes the report — only how often
-/// compilation happens.
+/// The whole run grades one [`Snapshot`] taken up front: a writer streaming
+/// inserts concurrently never perturbs in-flight grading, and the cache's
+/// per-table-version invalidation recompiles stale entries automatically on
+/// the first call after a write. The report is **byte-identical at every
+/// thread count** and equal to a serial loop over the items, by
+/// construction: each item's RNG is independently seeded from `(seed, gold
+/// SQL, index)`, query execution is deterministic, and per-item outcomes
+/// are merged in input order. Cache sharing never changes the report —
+/// only how often compilation happens.
 pub fn evaluate_execution_accuracy_cached(
     profile: &ModelProfile,
     items: &[EvalItem],
@@ -332,6 +308,7 @@ mod tests {
     use super::*;
     use crate::model::ModelKind;
     use bp_sql::parse_query;
+    use bp_storage::ExecStrategy;
 
     fn campus_db() -> Database {
         let mut db = Database::new("campus");
@@ -472,10 +449,11 @@ mod tests {
         let db = campus_db();
         let profile = ModelKind::Gpt4o.profile();
         for items in [easy_items(), hard_items()] {
-            let planned =
-                evaluate_execution_accuracy_with(&profile, &items, &db, 11, ExecStrategy::Planned);
-            let legacy =
-                evaluate_execution_accuracy_with(&profile, &items, &db, 11, ExecStrategy::Legacy);
+            let [planned, legacy] = [ExecStrategy::Planned, ExecStrategy::Legacy].map(|strategy| {
+                let cache = PlanCache::with_default_capacity();
+                let options = ExecOptions::new(strategy);
+                evaluate_execution_accuracy_cached(&profile, &items, &db, 11, options, &cache)
+            });
             assert_eq!(planned, legacy);
         }
     }
@@ -557,16 +535,13 @@ mod tests {
             gold_sql: "NOT REAL SQL".into(),
             difficulty: WorkloadDifficulty::default(),
         });
-        let serial =
-            evaluate_execution_accuracy_opts(&profile, &items, &db, 41, ExecOptions::serial());
+        let grade = |options| {
+            let cache = PlanCache::with_default_capacity();
+            evaluate_execution_accuracy_cached(&profile, &items, &db, 41, options, &cache)
+        };
+        let serial = grade(ExecOptions::serial());
         for threads in [1usize, 4, 16] {
-            let batched = evaluate_execution_accuracy_opts(
-                &profile,
-                &items,
-                &db,
-                41,
-                ExecOptions::default().with_threads(threads),
-            );
+            let batched = grade(ExecOptions::default().with_threads(threads));
             assert_eq!(
                 serial, batched,
                 "batch report diverges at threads={threads}"
@@ -574,13 +549,7 @@ mod tests {
         }
         // The legacy-interpreter strategy bypasses the compiled-plan path
         // entirely; the batch pipeline must still agree with it.
-        let legacy = evaluate_execution_accuracy_opts(
-            &profile,
-            &items,
-            &db,
-            41,
-            ExecOptions::new(ExecStrategy::Legacy).with_threads(4),
-        );
+        let legacy = grade(ExecOptions::new(ExecStrategy::Legacy).with_threads(4));
         assert_eq!(serial, legacy);
     }
 

@@ -3,7 +3,7 @@
 //! The metrics used throughout the paper's evaluation:
 //!
 //! * [`textsim`] — exact match, BLEU, ROUGE, Jaccard (review/export step).
-//! * [`coverage`] — annotation accuracy via SQL-component coverage (Table 3).
+//! * [`coverage`](mod@coverage) — annotation accuracy via SQL-component coverage (Table 3).
 //! * [`rubric`] — the 5-level backtranslation clarity rubric (Figure 4).
 //! * [`complexity`] — query- and data-level complexity aggregation with the
 //!   relative-delta presentation of Tables 1 and 2.

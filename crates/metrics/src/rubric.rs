@@ -224,23 +224,10 @@ pub fn grade_cached(
         }
     };
     // Level 1 (continued): must execute. Each side runs single-threaded —
-    // sweeps parallelize across comparisons, not inside one query. Each
-    // execution folds its access-path tally into the cache's counters
-    // (after running, so lazily-compiled plans report) — that is where the
-    // study report's index-scan vs full-scan split comes from.
-    let run = |sql: &str| {
-        let prepared = cache.get(snapshot, sql)?;
-        let result = prepared.execute(ExecOptions::serial());
-        cache.record_access(prepared.access_paths());
-        // Per-compile (take-once): re-executions of a cached plan fold
-        // nothing, so `plans_verified` counts distinct compiles.
-        cache.record_verification(prepared.take_verification());
-        cache.record_optimizer(prepared.take_optimizer());
-        if let Ok(result) = &result {
-            cache.record_cardinality(prepared.estimated_rows(), result.row_count() as u64);
-        }
-        result
-    };
+    // sweeps parallelize across comparisons, not inside one query — and
+    // folds its counters into the cache; that is where the study report's
+    // index-scan vs full-scan split comes from.
+    let run = |sql: &str| cache.execute(snapshot, sql, ExecOptions::serial());
     let mut execution_matches = None;
     match run(regenerated_sql) {
         Err(e) => {

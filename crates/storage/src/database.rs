@@ -12,7 +12,7 @@ use crate::sync::Arc;
 use std::collections::BTreeMap;
 
 use crate::error::{StorageError, StorageResult};
-use crate::physical::{ExecOptions, ExecStrategy};
+use crate::physical::ExecOptions;
 use crate::result::QueryResult;
 use crate::schema::{Catalog, TableSchema};
 use crate::snapshot::Snapshot;
@@ -120,55 +120,22 @@ impl Database {
         self.tables.values().map(|t| t.row_count()).sum()
     }
 
-    /// Execute a parsed query against this database with the default
-    /// options: the planned engine, parallel across all available
-    /// hardware threads.
+    /// Execute a parsed query against a fresh [`Snapshot`] with the default
+    /// options: the planned engine, parallel across all available hardware
+    /// threads. Explicit options go through
+    /// `self.snapshot().execute(query, options)`.
     pub fn execute(&self, query: &bp_sql::Query) -> StorageResult<QueryResult> {
-        self.execute_opts(query, ExecOptions::default())
+        self.snapshot().execute(query, ExecOptions::default())
     }
 
-    /// Execute SQL text against this database with the default options.
-    pub fn execute_sql(&self, sql: &str) -> StorageResult<QueryResult> {
-        self.execute_sql_opts(sql, ExecOptions::default())
-    }
-
-    /// Execute a parsed query with an explicit engine choice at default
-    /// (full) parallelism.
-    pub fn execute_with(
-        &self,
-        query: &bp_sql::Query,
-        strategy: ExecStrategy,
-    ) -> StorageResult<QueryResult> {
-        self.execute_opts(query, ExecOptions::new(strategy))
-    }
-
-    /// Execute SQL text with an explicit engine choice at default (full)
-    /// parallelism.
-    pub fn execute_sql_with(
-        &self,
-        sql: &str,
-        strategy: ExecStrategy,
-    ) -> StorageResult<QueryResult> {
-        self.execute_sql_opts(sql, ExecOptions::new(strategy))
-    }
-
-    /// Execute a parsed query with full [`ExecOptions`] control (engine
-    /// choice plus the planned engine's worker-thread budget). The result
-    /// is byte-identical at every thread count. Internally this executes
-    /// against a fresh [`Snapshot`], which is also what makes `&self`
+    /// Parse and execute SQL text against a fresh [`Snapshot`] — the one
+    /// text convenience. `options` picks the engine and the planned
+    /// engine's worker-thread budget; the result is byte-identical at every
+    /// thread count. Executing against a snapshot is also what makes `&self`
     /// execution safe alongside other threads holding older snapshots.
-    pub fn execute_opts(
-        &self,
-        query: &bp_sql::Query,
-        options: ExecOptions,
-    ) -> StorageResult<QueryResult> {
-        self.snapshot().execute_opts(query, options)
-    }
-
-    /// Execute SQL text with full [`ExecOptions`] control.
-    pub fn execute_sql_opts(&self, sql: &str, options: ExecOptions) -> StorageResult<QueryResult> {
+    pub fn execute_sql(&self, sql: &str, options: ExecOptions) -> StorageResult<QueryResult> {
         let query = bp_sql::parse_query(sql)?;
-        self.execute_opts(&query, options)
+        self.snapshot().execute(&query, options)
     }
 
     /// Build (without executing) the logical plan for a query, for
@@ -203,6 +170,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::ExecStrategy;
     use crate::schema::Column;
     use crate::value::Value;
     use bp_sql::DataType;
@@ -253,7 +221,10 @@ mod tests {
     fn execute_sql_end_to_end() {
         let db = sample_db();
         let result = db
-            .execute_sql("SELECT name FROM students WHERE gpa > 3.5 ORDER BY name")
+            .execute_sql(
+                "SELECT name FROM students WHERE gpa > 3.5 ORDER BY name",
+                ExecOptions::default(),
+            )
             .unwrap();
         assert_eq!(result.columns, vec!["name"]);
         assert_eq!(
@@ -303,9 +274,12 @@ mod tests {
         // ...and the live database sees everything.
         assert_eq!(db.total_rows(), 5);
         assert_eq!(db.table_count(), 2);
-        let count = snap.execute_sql("SELECT COUNT(*) FROM students").unwrap();
+        let count_sql = bp_sql::parse_query("SELECT COUNT(*) FROM students").unwrap();
+        let count = snap.execute(&count_sql, ExecOptions::default()).unwrap();
         assert_eq!(count.scalar(), Some(&Value::Int(4)));
-        let live = db.execute_sql("SELECT COUNT(*) FROM students").unwrap();
+        let live = db
+            .execute_sql("SELECT COUNT(*) FROM students", ExecOptions::default())
+            .unwrap();
         assert_eq!(live.scalar(), Some(&Value::Int(5)));
     }
 
@@ -314,11 +288,12 @@ mod tests {
         let db = sample_db();
         let snap = db.snapshot();
         let sql = "SELECT dept, COUNT(*) FROM students GROUP BY dept ORDER BY dept";
+        let query = bp_sql::parse_query(sql).unwrap();
         for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
             for threads in [1usize, 2, 8] {
                 let options = ExecOptions::new(strategy).with_threads(threads);
-                let direct = db.execute_sql_opts(sql, options).unwrap();
-                let via_snapshot = snap.execute_sql_opts(sql, options).unwrap();
+                let direct = db.execute_sql(sql, options).unwrap();
+                let via_snapshot = snap.execute(&query, options).unwrap();
                 assert_eq!(
                     direct, via_snapshot,
                     "snapshot diverges under {strategy:?} at threads={threads}"

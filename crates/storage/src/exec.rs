@@ -115,26 +115,20 @@ impl<'a> EvalCtx<'a> {
 
 /// Executes queries against a storage snapshot (the legacy tree-walking
 /// interpreter, kept as the differential oracle).
-pub struct Executor<'a> {
+pub(crate) struct Executor<'a> {
     db: &'a Snapshot,
 }
 
 impl<'a> Executor<'a> {
     /// Create an executor over a snapshot.
-    pub fn new(db: &'a Snapshot) -> Self {
+    pub(crate) fn new(db: &'a Snapshot) -> Self {
         Executor { db }
     }
 
     /// Execute a parsed query.
-    pub fn execute(&self, query: &Query) -> StorageResult<QueryResult> {
+    pub(crate) fn execute(&self, query: &Query) -> StorageResult<QueryResult> {
         let ctes = CteScope::root();
         self.execute_query(query, &ctes, None)
-    }
-
-    /// Execute SQL text (parses then executes).
-    pub fn execute_sql(&self, sql: &str) -> StorageResult<QueryResult> {
-        let query = bp_sql::parse_query(sql)?;
-        self.execute(&query)
     }
 
     fn execute_query(

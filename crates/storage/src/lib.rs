@@ -9,7 +9,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use bp_storage::{Database, TableSchema, Column, Value};
+//! use bp_storage::{Column, Database, ExecOptions, TableSchema, Value};
 //! use bp_sql::DataType;
 //!
 //! let mut db = Database::new("demo");
@@ -22,7 +22,7 @@
 //! )).unwrap();
 //! db.insert_into("students", vec![vec![1.into(), "alice".into()]]).unwrap();
 //!
-//! let result = db.execute_sql("SELECT COUNT(*) FROM students").unwrap();
+//! let result = db.execute_sql("SELECT COUNT(*) FROM students", ExecOptions::default()).unwrap();
 //! assert_eq!(result.scalar(), Some(&Value::Int(1)));
 //! ```
 
@@ -31,7 +31,7 @@
 pub(crate) mod cost;
 pub mod database;
 pub mod error;
-pub mod exec;
+pub(crate) mod exec;
 pub mod physical;
 pub mod plan;
 pub mod prepared;
@@ -49,11 +49,10 @@ pub mod value;
 pub use cost::OptimizerStats;
 pub use database::Database;
 pub use error::{StorageError, StorageResult};
-pub use exec::Executor;
 pub use physical::{
-    available_threads, batch_map, compile_query_opts, compile_query_with, exec_compiled,
-    execute_planned_opts, verify_logical, verify_plan, AccessPathStats, CompileOptions,
-    ExecOptions, ExecStrategy, PhysQueryPlan, PlanViolation, VerifierStats,
+    available_threads, batch_map, compile_query, exec_compiled, verify_logical, verify_plan,
+    AccessPathStats, CompileOptions, ExecOptions, ExecStrategy, PhysQueryPlan, PlanViolation,
+    VerifierStats,
 };
 pub use plan::{LogicalPlan, Planner, QueryPlan};
 pub use prepared::{
@@ -70,6 +69,11 @@ pub use value::{like_match, Value};
 #[cfg(test)]
 mod executor_tests {
     use super::*;
+
+    /// Run `sql` on `db` with the default options.
+    fn run(db: &Database, sql: &str) -> StorageResult<QueryResult> {
+        db.execute_sql(sql, ExecOptions::default())
+    }
 
     /// A small campus database exercising joins, grouping, subqueries and
     /// enterprise-style naming (Moira lists from the paper's running example).
@@ -130,9 +134,11 @@ mod executor_tests {
     #[test]
     fn projection_and_filter() {
         let db = campus_db();
-        let r = db
-            .execute_sql("SELECT name, gpa FROM students WHERE dept = 'EECS' AND gpa >= 3.5")
-            .unwrap();
+        let r = run(
+            &db,
+            "SELECT name, gpa FROM students WHERE dept = 'EECS' AND gpa >= 3.5",
+        )
+        .unwrap();
         assert_eq!(r.row_count(), 1);
         assert_eq!(r.rows[0][0], Value::Text("alice".into()));
     }
@@ -140,12 +146,10 @@ mod executor_tests {
     #[test]
     fn select_star_and_qualified_star() {
         let db = campus_db();
-        let r = db.execute_sql("SELECT * FROM students").unwrap();
+        let r = run(&db, "SELECT * FROM students").unwrap();
         assert_eq!(r.column_count(), 4);
         assert_eq!(r.row_count(), 4);
-        let r2 = db
-            .execute_sql("SELECT s.* FROM students AS s WHERE s.id = 1")
-            .unwrap();
+        let r2 = run(&db, "SELECT s.* FROM students AS s WHERE s.id = 1").unwrap();
         assert_eq!(r2.column_count(), 4);
         assert_eq!(r2.row_count(), 1);
     }
@@ -153,10 +157,7 @@ mod executor_tests {
     #[test]
     fn inner_join() {
         let db = campus_db();
-        let r = db
-            .execute_sql(
-                "SELECT s.name, e.course FROM students s JOIN enrollments e ON s.id = e.student_id ORDER BY s.name, e.course",
-            )
+        let r = run(&db, "SELECT s.name, e.course FROM students s JOIN enrollments e ON s.id = e.student_id ORDER BY s.name, e.course")
             .unwrap();
         assert_eq!(r.row_count(), 4);
         assert_eq!(r.rows[0][0], Value::Text("alice".into()));
@@ -165,10 +166,7 @@ mod executor_tests {
     #[test]
     fn left_join_pads_nulls() {
         let db = campus_db();
-        let r = db
-            .execute_sql(
-                "SELECT s.name, e.course FROM students s LEFT JOIN enrollments e ON s.id = e.student_id WHERE e.course IS NULL",
-            )
+        let r = run(&db, "SELECT s.name, e.course FROM students s LEFT JOIN enrollments e ON s.id = e.student_id WHERE e.course IS NULL")
             .unwrap();
         assert_eq!(r.row_count(), 1);
         assert_eq!(r.rows[0][0], Value::Text("dave".into()));
@@ -177,10 +175,7 @@ mod executor_tests {
     #[test]
     fn group_by_with_aggregates_and_having() {
         let db = campus_db();
-        let r = db
-            .execute_sql(
-                "SELECT dept, COUNT(*) AS n, AVG(gpa) AS avg_gpa FROM students GROUP BY dept HAVING COUNT(*) >= 2 ORDER BY dept",
-            )
+        let r = run(&db, "SELECT dept, COUNT(*) AS n, AVG(gpa) AS avg_gpa FROM students GROUP BY dept HAVING COUNT(*) >= 2 ORDER BY dept")
             .unwrap();
         assert_eq!(r.row_count(), 2);
         assert_eq!(r.columns, vec!["dept", "n", "avg_gpa"]);
@@ -191,18 +186,18 @@ mod executor_tests {
     #[test]
     fn count_distinct() {
         let db = campus_db();
-        let r = db
-            .execute_sql("SELECT COUNT(DISTINCT dept) FROM students")
-            .unwrap();
+        let r = run(&db, "SELECT COUNT(DISTINCT dept) FROM students").unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(2)));
     }
 
     #[test]
     fn aggregate_over_empty_input() {
         let db = campus_db();
-        let r = db
-            .execute_sql("SELECT COUNT(*), MAX(gpa) FROM students WHERE dept = 'PHYSICS'")
-            .unwrap();
+        let r = run(
+            &db,
+            "SELECT COUNT(*), MAX(gpa) FROM students WHERE dept = 'PHYSICS'",
+        )
+        .unwrap();
         assert_eq!(r.rows[0][0], Value::Int(0));
         assert_eq!(r.rows[0][1], Value::Null);
     }
@@ -210,28 +205,30 @@ mod executor_tests {
     #[test]
     fn order_by_ordinal_alias_and_expression() {
         let db = campus_db();
-        let by_ordinal = db
-            .execute_sql("SELECT name, gpa FROM students ORDER BY 2 DESC LIMIT 1")
-            .unwrap();
+        let by_ordinal = run(
+            &db,
+            "SELECT name, gpa FROM students ORDER BY 2 DESC LIMIT 1",
+        )
+        .unwrap();
         assert_eq!(by_ordinal.rows[0][0], Value::Text("alice".into()));
-        let by_alias = db
-            .execute_sql(
-                "SELECT name, gpa AS grade_point FROM students ORDER BY grade_point LIMIT 1",
-            )
-            .unwrap();
+        let by_alias = run(
+            &db,
+            "SELECT name, gpa AS grade_point FROM students ORDER BY grade_point LIMIT 1",
+        )
+        .unwrap();
         assert_eq!(by_alias.rows[0][0], Value::Text("dave".into()));
-        let by_expr = db
-            .execute_sql("SELECT name FROM students ORDER BY gpa * -1 LIMIT 1")
-            .unwrap();
+        let by_expr = run(&db, "SELECT name FROM students ORDER BY gpa * -1 LIMIT 1").unwrap();
         assert_eq!(by_expr.rows[0][0], Value::Text("alice".into()));
     }
 
     #[test]
     fn limit_and_offset() {
         let db = campus_db();
-        let r = db
-            .execute_sql("SELECT name FROM students ORDER BY name LIMIT 2 OFFSET 1")
-            .unwrap();
+        let r = run(
+            &db,
+            "SELECT name FROM students ORDER BY name LIMIT 2 OFFSET 1",
+        )
+        .unwrap();
         assert_eq!(
             r.rows,
             vec![
@@ -244,25 +241,20 @@ mod executor_tests {
     #[test]
     fn distinct_rows() {
         let db = campus_db();
-        let r = db
-            .execute_sql("SELECT DISTINCT dept FROM students")
-            .unwrap();
+        let r = run(&db, "SELECT DISTINCT dept FROM students").unwrap();
         assert_eq!(r.row_count(), 2);
     }
 
     #[test]
     fn uncorrelated_scalar_and_in_subqueries() {
         let db = campus_db();
-        let r = db
-            .execute_sql(
-                "SELECT name FROM students WHERE gpa > (SELECT AVG(gpa) FROM students) ORDER BY name",
-            )
-            .unwrap();
+        let r = run(
+            &db,
+            "SELECT name FROM students WHERE gpa > (SELECT AVG(gpa) FROM students) ORDER BY name",
+        )
+        .unwrap();
         assert_eq!(r.row_count(), 2);
-        let r2 = db
-            .execute_sql(
-                "SELECT name FROM students WHERE id IN (SELECT student_id FROM enrollments WHERE term = 'J-term') ORDER BY name",
-            )
+        let r2 = run(&db, "SELECT name FROM students WHERE id IN (SELECT student_id FROM enrollments WHERE term = 'J-term') ORDER BY name")
             .unwrap();
         assert_eq!(
             r2.rows,
@@ -277,10 +269,7 @@ mod executor_tests {
     fn correlated_subquery() {
         let db = campus_db();
         // Students with the best gpa within their department.
-        let r = db
-            .execute_sql(
-                "SELECT name FROM students s WHERE gpa = (SELECT MAX(gpa) FROM students x WHERE x.dept = s.dept) ORDER BY name",
-            )
+        let r = run(&db, "SELECT name FROM students s WHERE gpa = (SELECT MAX(gpa) FROM students x WHERE x.dept = s.dept) ORDER BY name")
             .unwrap();
         assert_eq!(
             r.rows,
@@ -294,10 +283,7 @@ mod executor_tests {
     #[test]
     fn exists_and_not_exists() {
         let db = campus_db();
-        let r = db
-            .execute_sql(
-                "SELECT name FROM students s WHERE NOT EXISTS (SELECT 1 FROM enrollments e WHERE e.student_id = s.id)",
-            )
+        let r = run(&db, "SELECT name FROM students s WHERE NOT EXISTS (SELECT 1 FROM enrollments e WHERE e.student_id = s.id)")
             .unwrap();
         assert_eq!(r.rows, vec![vec![Value::Text("dave".into())]]);
     }
@@ -307,9 +293,7 @@ mod executor_tests {
         let db = campus_db();
         // The paper's Figure 3 query shape: per-list distinct member counts,
         // then the list with the most members.
-        let r = db
-            .execute_sql(
-                "WITH DistinctLists AS (
+        let r = run(&db, "WITH DistinctLists AS (
                      SELECT l.MOIRA_LIST_NAME AS name, COUNT(DISTINCT m.MIT_ID) AS member_count
                      FROM MOIRA_LIST l JOIN MOIRA_MEMBER m ON l.MOIRA_LIST_KEY = m.MOIRA_LIST_KEY
                      WHERE l.MOIRA_LIST_NAME LIKE 'B%' AND l.DEPT = 'EECS'
@@ -317,8 +301,7 @@ mod executor_tests {
                  ),
                  Top AS (SELECT * FROM DistinctLists ORDER BY member_count DESC LIMIT 1)
                  SELECT COUNT(DISTINCT dl.name), (SELECT name FROM Top), (SELECT member_count FROM Top)
-                 FROM DistinctLists dl",
-            )
+                 FROM DistinctLists dl")
             .unwrap();
         assert_eq!(r.row_count(), 1);
         assert_eq!(r.rows[0][0], Value::Int(2)); // BITS and BUILDERS
@@ -329,10 +312,7 @@ mod executor_tests {
     #[test]
     fn derived_table() {
         let db = campus_db();
-        let r = db
-            .execute_sql(
-                "SELECT dept, n FROM (SELECT dept, COUNT(*) AS n FROM students GROUP BY dept) AS d WHERE n > 1 ORDER BY dept",
-            )
+        let r = run(&db, "SELECT dept, n FROM (SELECT dept, COUNT(*) AS n FROM students GROUP BY dept) AS d WHERE n > 1 ORDER BY dept")
             .unwrap();
         assert_eq!(r.row_count(), 2);
     }
@@ -340,31 +320,36 @@ mod executor_tests {
     #[test]
     fn set_operations() {
         let db = campus_db();
-        let union = db
-            .execute_sql("SELECT dept FROM students UNION SELECT DEPT FROM MOIRA_LIST")
-            .unwrap();
+        let union = run(
+            &db,
+            "SELECT dept FROM students UNION SELECT DEPT FROM MOIRA_LIST",
+        )
+        .unwrap();
         assert_eq!(union.row_count(), 3); // EECS, MATH, BIO
-        let union_all = db
-            .execute_sql("SELECT dept FROM students UNION ALL SELECT DEPT FROM MOIRA_LIST")
-            .unwrap();
+        let union_all = run(
+            &db,
+            "SELECT dept FROM students UNION ALL SELECT DEPT FROM MOIRA_LIST",
+        )
+        .unwrap();
         assert_eq!(union_all.row_count(), 8);
-        let intersect = db
-            .execute_sql("SELECT dept FROM students INTERSECT SELECT DEPT FROM MOIRA_LIST")
-            .unwrap();
+        let intersect = run(
+            &db,
+            "SELECT dept FROM students INTERSECT SELECT DEPT FROM MOIRA_LIST",
+        )
+        .unwrap();
         assert_eq!(intersect.row_count(), 1);
-        let except = db
-            .execute_sql("SELECT DEPT FROM MOIRA_LIST EXCEPT SELECT dept FROM students")
-            .unwrap();
+        let except = run(
+            &db,
+            "SELECT DEPT FROM MOIRA_LIST EXCEPT SELECT dept FROM students",
+        )
+        .unwrap();
         assert_eq!(except.rows, vec![vec![Value::Text("BIO".into())]]);
     }
 
     #[test]
     fn case_expression_and_functions() {
         let db = campus_db();
-        let r = db
-            .execute_sql(
-                "SELECT name, CASE WHEN gpa >= 3.5 THEN 'high' ELSE 'normal' END AS band, UPPER(dept), LENGTH(name) FROM students WHERE id = 1",
-            )
+        let r = run(&db, "SELECT name, CASE WHEN gpa >= 3.5 THEN 'high' ELSE 'normal' END AS band, UPPER(dept), LENGTH(name) FROM students WHERE id = 1")
             .unwrap();
         assert_eq!(r.rows[0][1], Value::Text("high".into()));
         assert_eq!(r.rows[0][2], Value::Text("EECS".into()));
@@ -374,10 +359,7 @@ mod executor_tests {
     #[test]
     fn between_like_in_list() {
         let db = campus_db();
-        let r = db
-            .execute_sql(
-                "SELECT name FROM students WHERE gpa BETWEEN 3.0 AND 3.8 AND name LIKE '%o%' AND dept IN ('EECS', 'MATH') ORDER BY name",
-            )
+        let r = run(&db, "SELECT name FROM students WHERE gpa BETWEEN 3.0 AND 3.8 AND name LIKE '%o%' AND dept IN ('EECS', 'MATH') ORDER BY name")
             .unwrap();
         assert_eq!(
             r.rows,
@@ -391,21 +373,21 @@ mod executor_tests {
     #[test]
     fn arithmetic_and_division_by_zero() {
         let db = campus_db();
-        let r = db.execute_sql("SELECT 3 + 4 * 2, 10 / 4").unwrap();
+        let r = run(&db, "SELECT 3 + 4 * 2, 10 / 4").unwrap();
         assert_eq!(r.rows[0][0], Value::Int(11));
         assert_eq!(r.rows[0][1], Value::Float(2.5));
-        assert!(db.execute_sql("SELECT 1 / 0").is_err());
+        assert!(run(&db, "SELECT 1 / 0").is_err());
     }
 
     #[test]
     fn error_on_unknown_table_and_column() {
         let db = campus_db();
         assert!(matches!(
-            db.execute_sql("SELECT * FROM missing"),
+            run(&db, "SELECT * FROM missing"),
             Err(StorageError::UnknownTable(_))
         ));
         assert!(matches!(
-            db.execute_sql("SELECT nonexistent FROM students"),
+            run(&db, "SELECT nonexistent FROM students"),
             Err(StorageError::UnknownColumn(_))
         ));
     }
@@ -413,18 +395,18 @@ mod executor_tests {
     #[test]
     fn execution_accuracy_comparison_between_semantically_equal_queries() {
         let db = campus_db();
-        let gold = db
-            .execute_sql("SELECT dept, COUNT(*) FROM students GROUP BY dept")
-            .unwrap();
-        let predicted = db
-            .execute_sql(
-                "SELECT dept, COUNT(id) AS how_many FROM students GROUP BY dept ORDER BY dept",
-            )
-            .unwrap();
+        let gold = run(&db, "SELECT dept, COUNT(*) FROM students GROUP BY dept").unwrap();
+        let predicted = run(
+            &db,
+            "SELECT dept, COUNT(id) AS how_many FROM students GROUP BY dept ORDER BY dept",
+        )
+        .unwrap();
         assert!(results_match(&gold, &predicted));
-        let wrong = db
-            .execute_sql("SELECT dept, COUNT(*) FROM students WHERE gpa > 3.0 GROUP BY dept")
-            .unwrap();
+        let wrong = run(
+            &db,
+            "SELECT dept, COUNT(*) FROM students WHERE gpa > 3.0 GROUP BY dept",
+        )
+        .unwrap();
         assert!(!results_match(&gold, &wrong));
     }
 
@@ -438,8 +420,8 @@ mod executor_tests {
 
         fn assert_engines_agree(sql: &str) {
             let db = campus_db();
-            let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy);
-            let planned = db.execute_sql_with(sql, ExecStrategy::Planned);
+            let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
+            let planned = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Planned));
             match (legacy, planned) {
                 (Ok(l), Ok(p)) => assert_eq!(l, p, "engines disagree on: {sql}"),
                 (Err(_), Err(_)) => {}
@@ -585,8 +567,12 @@ mod executor_tests {
                 "SELECT CASE WHEN 1 = 0 THEN (SELECT x FROM missing) ELSE 2 END FROM students",
                 "SELECT SUBSTR(name) FROM students WHERE 1 = 0",
             ] {
-                let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy).unwrap();
-                let planned = db.execute_sql_with(sql, ExecStrategy::Planned).unwrap();
+                let legacy = db
+                    .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
+                    .unwrap();
+                let planned = db
+                    .execute_sql(sql, ExecOptions::new(ExecStrategy::Planned))
+                    .unwrap();
                 assert_eq!(legacy, planned, "engines disagree on: {sql}");
             }
             // Pushdown must not suppress errors the oracle raises: the
@@ -626,15 +612,17 @@ mod executor_tests {
             ];
             for sql in queries {
                 let serial = db
-                    .execute_sql_opts(sql, ExecOptions::serial())
+                    .execute_sql(sql, ExecOptions::serial())
                     .unwrap_or_else(|e| panic!("serial fails on {sql}: {e}"));
                 for threads in [2, 3, 8, 64] {
                     let parallel = db
-                        .execute_sql_opts(sql, ExecOptions::default().with_threads(threads))
+                        .execute_sql(sql, ExecOptions::default().with_threads(threads))
                         .unwrap_or_else(|e| panic!("parallel({threads}) fails on {sql}: {e}"));
                     assert_eq!(serial, parallel, "threads={threads} diverges on: {sql}");
                 }
-                let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy).unwrap();
+                let legacy = db
+                    .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
+                    .unwrap();
                 assert_eq!(serial, legacy, "planned diverges from oracle on: {sql}");
             }
         }
@@ -690,21 +678,23 @@ mod executor_tests {
             ];
             for sql in queries {
                 let serial = db
-                    .execute_sql_opts(sql, ExecOptions::serial())
+                    .execute_sql(sql, ExecOptions::serial())
                     .unwrap_or_else(|e| panic!("serial fails on {sql}: {e}"));
-                let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy).unwrap();
+                let legacy = db
+                    .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
+                    .unwrap();
                 assert_eq!(serial, legacy, "planned diverges from oracle on: {sql}");
                 for threads in [2, 4] {
                     let parallel = db
-                        .execute_sql_opts(sql, ExecOptions::default().with_threads(threads))
+                        .execute_sql(sql, ExecOptions::default().with_threads(threads))
                         .unwrap_or_else(|e| panic!("parallel({threads}) fails on {sql}: {e}"));
                     assert_eq!(serial, parallel, "threads={threads} diverges on: {sql}");
                 }
             }
             // Error paths are deterministic too: first-row-in-order error.
             let err_sql = "SELECT 1 / (id - 700) FROM orders";
-            let serial_err = db.execute_sql_opts(err_sql, ExecOptions::serial());
-            let parallel_err = db.execute_sql_opts(err_sql, ExecOptions::default().with_threads(8));
+            let serial_err = db.execute_sql(err_sql, ExecOptions::serial());
+            let parallel_err = db.execute_sql(err_sql, ExecOptions::default().with_threads(8));
             assert_eq!(serial_err, parallel_err);
             assert!(serial_err.is_err());
         }
@@ -714,8 +704,12 @@ mod executor_tests {
             let db = campus_db();
             let sql = "SELECT name FROM students WHERE gpa > (SELECT AVG(gpa) FROM students) \
                        AND id IN (SELECT student_id FROM enrollments) ORDER BY name";
-            let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy).unwrap();
-            let planned = db.execute_sql_with(sql, ExecStrategy::Planned).unwrap();
+            let legacy = db
+                .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
+                .unwrap();
+            let planned = db
+                .execute_sql(sql, ExecOptions::new(ExecStrategy::Planned))
+                .unwrap();
             assert_eq!(legacy, planned);
         }
     }

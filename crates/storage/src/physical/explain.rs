@@ -297,7 +297,7 @@ fn node_est(node: &PhysNode, db: &Snapshot) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use crate::database::Database;
-    use crate::physical::{compile_query_opts, CompileOptions};
+    use crate::physical::{compile_query, CompileOptions};
     use crate::schema::{Column, TableSchema};
     use crate::value::Value;
     use bp_sql::{parse_query, DataType};
@@ -323,7 +323,7 @@ mod tests {
              WHERE large.id = 3",
         )
         .unwrap();
-        let plan = compile_query_opts(&snapshot, &query, CompileOptions::default()).unwrap();
+        let plan = compile_query(&snapshot, &query, CompileOptions::default()).unwrap();
         let rendered = plan.explain(&snapshot);
         assert!(
             rendered.starts_with("plan est_rows="),

@@ -1,9 +1,9 @@
 //! Physical operators — layer 2 of the planned execution engine.
 //!
-//! [`execute_planned`] lowers a query through [`crate::plan`] (logical
+//! [`compile_query`] lowers a query through [`crate::plan`] (logical
 //! planning + rewrites) and the `compile` submodule (ordinal resolution,
-//! join algorithm selection, subquery compilation), then executes the
-//! resulting physical plan. Compared to the legacy tree-walking interpreter
+//! join algorithm selection, subquery compilation); [`exec_compiled`] runs
+//! the resulting physical plan. Compared to the legacy tree-walking interpreter
 //! the planned engine:
 //!
 //! * joins equi-key pairs with a **hash join** instead of a nested loop;
@@ -39,7 +39,6 @@ use bp_sql::{Query, SetOperator};
 
 use bp_sql::BinaryOperator;
 
-use crate::database::Database;
 use crate::error::{StorageError, StorageResult};
 use crate::plan::{ColumnBinding, Planner, SortKey};
 use crate::result::QueryResult;
@@ -69,7 +68,7 @@ pub enum ExecStrategy {
     Legacy,
 }
 
-/// Execution knobs threaded through [`crate::Database::execute_opts`] and
+/// Execution knobs threaded through [`crate::Snapshot::execute`] and
 /// onward into grading/evaluation layers.
 ///
 /// `threads = 1` reproduces the original single-threaded executor;
@@ -118,52 +117,6 @@ impl ExecOptions {
     }
 }
 
-/// Plan, compile and execute a query with the planned engine at default
-/// (full) parallelism. Takes a fresh snapshot of `db` (see
-/// [`crate::snapshot::Snapshot`]); reads against an already-held snapshot
-/// go through [`crate::snapshot::Snapshot::execute_opts`].
-pub fn execute_planned(db: &Database, query: &Query) -> StorageResult<QueryResult> {
-    execute_planned_opts(db, query, ExecOptions::default())
-}
-
-/// Plan, compile and execute a query with the planned engine using an
-/// explicit thread budget, against a fresh snapshot of `db`.
-pub fn execute_planned_opts(
-    db: &Database,
-    query: &Query,
-    options: ExecOptions,
-) -> StorageResult<QueryResult> {
-    let snapshot = db.snapshot();
-    let physical = compile_query(&snapshot, query)?;
-    exec_compiled(&snapshot, &physical, options)
-}
-
-/// Plan and compile a query into a reusable physical plan (the
-/// parse-once/execute-many half of [`crate::prepared::PreparedQuery`]).
-pub(crate) fn compile_query(db: &Snapshot, query: &Query) -> StorageResult<PhysQueryPlan> {
-    compile_query_opts(db, query, CompileOptions::default())
-}
-
-/// [`compile_query`] with index-backed fast paths toggleable: compiling
-/// with `fast_paths = false` forces every access back to a full scan. The
-/// in-crate differential tests and the `index_point_lookup` benchmark use
-/// this to pin indexed ≡ scanned (and to time the gap) on the *same*
-/// query, without relying on a second engine.
-pub fn compile_query_with(
-    db: &Snapshot,
-    query: &Query,
-    fast_paths: bool,
-) -> StorageResult<PhysQueryPlan> {
-    compile_query_opts(
-        db,
-        query,
-        CompileOptions {
-            fast_paths,
-            ..CompileOptions::default()
-        },
-    )
-}
-
 /// Compile-time knobs, each toggling one family of plan transformations
 /// that the differential suites pin as result-invisible:
 ///
@@ -191,10 +144,15 @@ impl Default for CompileOptions {
     }
 }
 
-/// [`compile_query`] with every compile-time knob explicit. Also stamps
-/// the plan's estimated output cardinality and the planner's optimizer
-/// counters onto the returned [`PhysQueryPlan`].
-pub fn compile_query_opts(
+/// Plan and compile a query into a reusable physical plan — the
+/// parse-once/execute-many half of [`crate::prepared::PreparedQuery`], and
+/// the planned arm of [`crate::Snapshot::execute`]. Also stamps the plan's
+/// estimated output cardinality and the planner's optimizer counters onto
+/// the returned [`PhysQueryPlan`]. [`CompileOptions`] toggles the
+/// result-invisible plan transformations, so tests and benchmarks can pin
+/// (and time) the *same* query with index fast paths or cost-based join
+/// ordering switched off, without relying on a second engine.
+pub fn compile_query(
     db: &Snapshot,
     query: &Query,
     options: CompileOptions,
@@ -952,6 +910,7 @@ pub(crate) fn eval_count(expr: &PhysExpr, ctx: &RunCtx<'_>) -> StorageResult<usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Database;
     use crate::schema::{Column, TableSchema};
     use bp_sql::DataType;
 
@@ -1004,7 +963,7 @@ mod tests {
         db.insert_into("t", (0..10i64).map(|i| vec![Value::Int(9 - i)]))
             .expect("rows");
         let result = db
-            .execute_sql_opts(
+            .execute_sql(
                 "SELECT v FROM t ORDER BY v LIMIT 9223372036854775807",
                 ExecOptions::default().with_threads(2),
             )
@@ -1162,8 +1121,13 @@ mod tests {
             .chain(declined_queries.iter().map(|sql| (*sql, false)));
         for (sql, expect_index) in all {
             let query = bp_sql::parse_query(sql).expect("parse");
-            let fast = compile_query_with(&snapshot, &query, true).expect("fast compile");
-            let slow = compile_query_with(&snapshot, &query, false).expect("slow compile");
+            let fast =
+                compile_query(&snapshot, &query, CompileOptions::default()).expect("fast compile");
+            let scan_only = CompileOptions {
+                fast_paths: false,
+                ..CompileOptions::default()
+            };
+            let slow = compile_query(&snapshot, &query, scan_only).expect("slow compile");
             if expect_index {
                 assert!(
                     fast.access_paths().index_scan > 0,

@@ -35,7 +35,7 @@
 //! compiler is allowed — required — to emit plans for. The verifier
 //! rejects only trees the compiler can never produce from legal SQL.
 //!
-//! Wiring: [`super::compile_query_with`] asserts both passes on every
+//! Wiring: [`super::compile_query`] asserts both passes on every
 //! compile in debug builds (so the whole differential suite doubles as a
 //! verifier stress test), [`crate::prepared::PreparedQuery`] runs
 //! [`verify_plan`] always-on at first compile inside the plan cache, and
@@ -447,7 +447,7 @@ pub(crate) fn render_violations(violations: &[PlanViolation]) -> String {
 // ---------------------------------------------------------------------
 
 /// Counters for plan-verification coverage, exposed through
-/// [`crate::service::AnnotationService::verifier_stats`] so coverage is
+/// [`crate::PlanCache::verifier_stats`] so coverage is
 /// observable, not inferred. Mirrors [`super::AccessPathStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct VerifierStats {
@@ -1907,7 +1907,7 @@ mod tests {
             "SELECT a.id, c.id FROM a JOIN b ON a.x = b.id JOIN c ON b.y = c.id",
         )
         .unwrap();
-        let mut plan = crate::physical::compile_query_opts(
+        let mut plan = crate::physical::compile_query(
             &snapshot,
             &query,
             crate::physical::CompileOptions::default(),
@@ -2061,7 +2061,7 @@ mod tests {
             "SELECT id FROM t ORDER BY v LIMIT 1",
         ] {
             let query = bp_sql::parse_query(sql).unwrap();
-            let plan = super::super::compile_query(&snapshot, &query).unwrap();
+            let plan = super::super::compile_query(&snapshot, &query, Default::default()).unwrap();
             let violations = verify_plan(&snapshot, &plan);
             assert!(
                 violations.is_empty(),

@@ -27,7 +27,7 @@
 //!
 //! Layer 2 — the physical operators that execute these plans — lives in
 //! [`crate::physical`]. The legacy tree-walking interpreter
-//! ([`crate::exec`]) is retained as the differential-testing oracle; both
+//! (`ExecStrategy::Legacy`) is retained as the differential-testing oracle; both
 //! engines share this module's binding-resolution rules so they agree on
 //! name lookup exactly.
 

@@ -25,17 +25,16 @@
 
 use std::collections::HashMap;
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex, OnceLock};
+use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use bp_sql::Query;
 
 use crate::cost::OptimizerStats;
 use crate::error::{StorageError, StorageResult};
-use crate::exec::Executor;
 use crate::physical::{
-    compile_query, exec_compiled, verify_plan, AccessPathStats, ExecOptions, ExecStrategy,
-    PhysQueryPlan, VerifierStats,
+    compile_query, exec_compiled, verify_plan, AccessPathStats, CompileOptions, ExecOptions,
+    ExecStrategy, PhysQueryPlan, VerifierStats,
 };
 use crate::result::QueryResult;
 use crate::snapshot::Snapshot;
@@ -155,7 +154,7 @@ impl PreparedQuery {
     fn compiled(&self) -> StorageResult<&PhysQueryPlan> {
         self.plan
             .get_or_init(|| {
-                let plan = compile_query(&self.snapshot, &self.query)?;
+                let plan = compile_query(&self.snapshot, &self.query, CompileOptions::default())?;
                 let violations = verify_plan(&self.snapshot, &plan);
                 let _ = self.verification.set(VerifierStats {
                     plans_verified: 1,
@@ -249,7 +248,7 @@ impl PreparedQuery {
     pub fn execute(&self, options: ExecOptions) -> StorageResult<QueryResult> {
         match options.strategy {
             ExecStrategy::Planned => exec_compiled(&self.snapshot, self.compiled()?, options),
-            ExecStrategy::Legacy => Executor::new(&self.snapshot).execute(&self.query),
+            ExecStrategy::Legacy => self.snapshot.execute(&self.query, options),
         }
     }
 }
@@ -325,33 +324,67 @@ struct Slot {
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
-    /// Access-path tallies folded in by executors via
-    /// [`PlanCache::record_access`]. `get` never updates these — the split
-    /// reflects *executed* work, and only the caller knows whether (and
-    /// how many times) a returned plan actually ran.
-    index_scans: AtomicU64,
-    full_scans: AtomicU64,
-    /// Verifier tallies folded in via [`PlanCache::record_verification`]:
-    /// per-compile (take-once), so `plans_verified` counts distinct
-    /// compiles, not executions.
-    plans_verified: AtomicU64,
-    plan_violations: AtomicU64,
-    /// Optimizer tallies folded in via [`PlanCache::record_optimizer`]:
-    /// per-compile (take-once), like verification.
-    opt_cost_based: AtomicU64,
-    opt_syntactic_fallback: AtomicU64,
-    /// Cardinality-drift tallies folded in via
-    /// [`PlanCache::record_cardinality`]: per *execution* (estimates are
-    /// only as good as what re-running the plan actually returns).
-    card_executions: AtomicU64,
-    card_estimated_rows: AtomicU64,
-    card_actual_rows: AtomicU64,
 }
 
 struct CacheInner {
     slots: HashMap<String, Slot>,
     clock: u64,
     stats: PlanCacheStats,
+    counters: Counters,
+}
+
+/// The execution-side tallies folded in by [`PlanCache::execute`] (or the
+/// individual `record_*` calls), summed with saturating adds: an estimate
+/// saturated at `u64::MAX` pins its sum there instead of wrapping.
+#[derive(Default)]
+struct Counters {
+    /// Per execution: the split reflects *executed* work, and only the
+    /// caller knows whether (and how many times) a returned plan ran.
+    access: AccessPathStats,
+    /// Per compile (take-once): `plans_verified` counts distinct compiles.
+    verifier: VerifierStats,
+    /// Per compile (take-once), like verification.
+    optimizer: OptimizerStats,
+    /// Per execution: estimates are only as good as what re-running the
+    /// plan actually returns.
+    cardinality: CardinalityStats,
+}
+
+impl Counters {
+    fn add_access(&mut self, access: Option<AccessPathStats>) {
+        if let Some(access) = access {
+            let sum = &mut self.access;
+            sum.index_scan = sum.index_scan.saturating_add(access.index_scan);
+            sum.full_scan = sum.full_scan.saturating_add(access.full_scan);
+        }
+    }
+
+    fn add_verification(&mut self, outcome: Option<VerifierStats>) {
+        if let Some(stats) = outcome {
+            let sum = &mut self.verifier;
+            sum.plans_verified = sum.plans_verified.saturating_add(stats.plans_verified);
+            sum.violations = sum.violations.saturating_add(stats.violations);
+        }
+    }
+
+    fn add_optimizer(&mut self, outcome: Option<OptimizerStats>) {
+        if let Some(stats) = outcome {
+            let sum = &mut self.optimizer;
+            sum.cost_based = sum.cost_based.saturating_add(stats.cost_based);
+            sum.syntactic_fallback = sum
+                .syntactic_fallback
+                .saturating_add(stats.syntactic_fallback);
+        }
+    }
+
+    fn add_cardinality(&mut self, estimated: Option<u64>, actual_rows: u64) {
+        if let Some(estimated) = estimated {
+            let sum = &mut self.cardinality;
+            sum.estimated_executions = sum.estimated_executions.saturating_add(1);
+            sum.estimated_rows = sum.estimated_rows.saturating_add(estimated);
+            sum.actual_rows = sum.actual_rows.saturating_add(actual_rows);
+        }
+    }
 }
 
 impl PlanCache {
@@ -364,16 +397,8 @@ impl PlanCache {
                 slots: HashMap::new(),
                 clock: 0,
                 stats: PlanCacheStats::default(),
+                counters: Counters::default(),
             }),
-            index_scans: AtomicU64::new(0),
-            full_scans: AtomicU64::new(0),
-            plans_verified: AtomicU64::new(0),
-            plan_violations: AtomicU64::new(0),
-            opt_cost_based: AtomicU64::new(0),
-            opt_syntactic_fallback: AtomicU64::new(0),
-            card_executions: AtomicU64::new(0),
-            card_estimated_rows: AtomicU64::new(0),
-            card_actual_rows: AtomicU64::new(0),
         }
     }
 
@@ -394,7 +419,7 @@ impl PlanCache {
     /// first insert wins.
     pub fn get(&self, snapshot: &Snapshot, sql: &str) -> StorageResult<Arc<PreparedQuery>> {
         {
-            let mut inner = self.inner.lock().expect("plan cache lock");
+            let mut inner = self.lock();
             inner.clock += 1;
             let stamp = inner.clock;
             if let Some(slot) = inner.slots.get(sql) {
@@ -415,7 +440,7 @@ impl PlanCache {
             inner.stats.misses += 1;
         }
         let prepared = PreparedQuery::new(snapshot.clone(), sql).map(Arc::new);
-        let mut inner = self.inner.lock().expect("plan cache lock");
+        let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
         let result = match inner.slots.get_mut(sql) {
@@ -460,34 +485,55 @@ impl PlanCache {
         result
     }
 
+    /// Run `sql` against `snapshot` through the cache: [`PlanCache::get`],
+    /// [`PreparedQuery::execute`], then fold every execution-side counter
+    /// under one lock acquisition. Tallies are taken *after* execution so
+    /// lazily-compiled plans report, and on the error path too (a failing
+    /// residual predicate chose its access path at compile time all the
+    /// same); cardinality drift is folded only for successful executions.
+    /// Parse errors return before anything is folded. Session reads
+    /// ([`crate::AnnotationSession::execute_sql`]) and backtranslation
+    /// grading (`bp_metrics::grade_cached`) both run through here.
+    pub fn execute(
+        &self,
+        snapshot: &Snapshot,
+        sql: &str,
+        options: ExecOptions,
+    ) -> StorageResult<QueryResult> {
+        let prepared = self.get(snapshot, sql)?;
+        let result = prepared.execute(options);
+        let mut inner = self.lock();
+        let counters = &mut inner.counters;
+        counters.add_access(prepared.access_paths());
+        counters.add_verification(prepared.take_verification());
+        counters.add_optimizer(prepared.take_optimizer());
+        if let Ok(result) = &result {
+            counters.add_cardinality(prepared.estimated_rows(), result.row_count() as u64);
+        }
+        result
+    }
+
     /// A point-in-time copy of the hit/miss/invalidation counters.
     pub fn stats(&self) -> PlanCacheStats {
-        self.inner.lock().expect("plan cache lock").stats
+        self.lock().stats
     }
 
     /// Fold one executed statement's access-path tally into the cache-wide
-    /// counters. Call *after* execution so lazily-compiled plans report,
-    /// passing [`PreparedQuery::access_paths`]'s output directly — `None`
+    /// counters, as [`PlanCache::execute`] does, for callers that drive
+    /// [`PlanCache::get`] and [`PreparedQuery::execute`] themselves. Pass
+    /// [`PreparedQuery::access_paths`]'s output after execution: `None`
     /// (never compiled: legacy strategy, parse/plan failure) contributes
-    /// nothing. The error path still tallies: a failing residual predicate
-    /// chose its access path at compile time all the same.
+    /// nothing.
     pub fn record_access(&self, access: Option<AccessPathStats>) {
-        if let Some(access) = access {
-            self.index_scans
-                .fetch_add(access.index_scan, Ordering::Release);
-            self.full_scans
-                .fetch_add(access.full_scan, Ordering::Release);
-        }
+        self.lock().counters.add_access(access);
     }
 
-    /// A point-in-time copy of the access-path counters accumulated via
-    /// [`PlanCache::record_access`]: how many table accesses the executed
-    /// statements answered from a secondary index vs a full scan.
+    /// How many table accesses the executed statements answered from a
+    /// secondary index vs a full scan. Each execution re-counts its plan's
+    /// tally (cached plans included — the split reflects executed work, not
+    /// compile events).
     pub fn access_stats(&self) -> AccessPathStats {
-        AccessPathStats {
-            index_scan: self.index_scans.load(Ordering::Acquire),
-            full_scan: self.full_scans.load(Ordering::Acquire),
-        }
+        self.lock().counters.access
     }
 
     /// Fold one prepared query's **take-once** verifier outcome into the
@@ -496,50 +542,31 @@ impl PlanCache {
     /// never produced a plan to verify) contributes nothing, so calling
     /// this after every execution still counts each compile exactly once.
     pub fn record_verification(&self, outcome: Option<VerifierStats>) {
-        if let Some(stats) = outcome {
-            self.plans_verified
-                .fetch_add(stats.plans_verified, Ordering::Release);
-            self.plan_violations
-                .fetch_add(stats.violations, Ordering::Release);
-        }
+        self.lock().counters.add_verification(outcome);
     }
 
-    /// A point-in-time copy of the verifier counters accumulated via
-    /// [`PlanCache::record_verification`]: how many compiled plans the
-    /// always-on verifier checked, and how many violations it raised
-    /// (always 0 unless a compiler bug slipped through — a violation also
-    /// fails the offending statement with
-    /// [`StorageError::PlanVerification`]).
+    /// How many compiled plans the always-on verifier checked (once per
+    /// compile, however often a cached plan re-executes), and how many
+    /// violations it raised — always 0 unless a compiler bug slipped
+    /// through, and a violation also fails the offending statement with
+    /// [`StorageError::PlanVerification`].
     pub fn verifier_stats(&self) -> VerifierStats {
-        VerifierStats {
-            plans_verified: self.plans_verified.load(Ordering::Acquire),
-            violations: self.plan_violations.load(Ordering::Acquire),
-        }
+        self.lock().counters.verifier
     }
 
     /// Fold one prepared query's **take-once** optimizer outcome into the
     /// cache-wide counters. Pass [`PreparedQuery::take_optimizer`]'s
     /// output directly: `None` (not yet compiled, already tallied, legacy
-    /// run, failed compile) contributes nothing, so calling this after
-    /// every execution still counts each compile exactly once.
+    /// run, failed compile) contributes nothing.
     pub fn record_optimizer(&self, outcome: Option<OptimizerStats>) {
-        if let Some(stats) = outcome {
-            self.opt_cost_based
-                .fetch_add(stats.cost_based, Ordering::Release);
-            self.opt_syntactic_fallback
-                .fetch_add(stats.syntactic_fallback, Ordering::Release);
-        }
+        self.lock().counters.add_optimizer(outcome);
     }
 
-    /// A point-in-time copy of the optimizer counters accumulated via
-    /// [`PlanCache::record_optimizer`]: how many join spines the cost
-    /// model re-associated vs how many join nodes compiled in syntactic
-    /// order, over every distinct compile the cache's statements forced.
+    /// How many join spines the cost model re-associated vs how many join
+    /// nodes compiled in syntactic order, over every distinct compile the
+    /// cache's statements forced.
     pub fn optimizer_stats(&self) -> OptimizerStats {
-        OptimizerStats {
-            cost_based: self.opt_cost_based.load(Ordering::Acquire),
-            syntactic_fallback: self.opt_syntactic_fallback.load(Ordering::Acquire),
-        }
+        self.lock().counters.optimizer
     }
 
     /// Fold one executed statement's estimated-vs-actual output row counts
@@ -548,33 +575,27 @@ impl PlanCache {
     /// directly — `None` (no compiled plan, or a shape the estimator
     /// declines to score) contributes nothing.
     pub fn record_cardinality(&self, estimated: Option<u64>, actual_rows: u64) {
-        if let Some(estimated) = estimated {
-            self.card_executions.fetch_add(1, Ordering::Release);
-            self.card_estimated_rows
-                .fetch_add(estimated, Ordering::Release);
-            self.card_actual_rows
-                .fetch_add(actual_rows, Ordering::Release);
-        }
+        self.lock().counters.add_cardinality(estimated, actual_rows);
     }
 
-    /// A point-in-time copy of the cardinality-drift counters accumulated
-    /// via [`PlanCache::record_cardinality`].
+    /// Estimated vs actually-returned output rows, summed per *execution*
+    /// over every successful statement whose plan carried an estimate.
     pub fn cardinality_stats(&self) -> CardinalityStats {
-        CardinalityStats {
-            estimated_executions: self.card_executions.load(Ordering::Acquire),
-            estimated_rows: self.card_estimated_rows.load(Ordering::Acquire),
-            actual_rows: self.card_actual_rows.load(Ordering::Acquire),
-        }
+        self.lock().counters.cardinality
     }
 
     /// Number of currently cached SQL texts (successes and cached errors).
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache lock").slots.len()
+        self.lock().slots.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("plan cache lock")
     }
 }
 
@@ -611,7 +632,7 @@ mod tests {
         assert_eq!(prepared.referenced_tables(), ["T"]);
         for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
             let options = ExecOptions::new(strategy).with_threads(2);
-            let direct = db.execute_sql_opts(sql, options).expect("direct executes");
+            let direct = db.execute_sql(sql, options).expect("direct executes");
             // Execute twice: the second run exercises the warmed subquery
             // cache inside the stored plan.
             for round in 0..2 {
@@ -670,7 +691,10 @@ mod tests {
             .execute(ExecOptions::new(ExecStrategy::Planned))
             .is_err());
         let legacy = prepared.execute(ExecOptions::new(ExecStrategy::Legacy));
-        let direct = db.execute_sql_with("SELECT x FROM missing", ExecStrategy::Legacy);
+        let direct = db.execute_sql(
+            "SELECT x FROM missing",
+            ExecOptions::new(ExecStrategy::Legacy),
+        );
         assert_eq!(legacy.is_err(), direct.is_err());
     }
 
@@ -890,5 +914,16 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 64, "one get per item");
         assert_eq!(stats.invalidations, 0);
+    }
+
+    #[test]
+    fn counter_sums_saturate_instead_of_wrapping() {
+        // A saturated estimate must pin the sum at u64::MAX, not wrap it.
+        let cache = PlanCache::with_default_capacity();
+        cache.record_cardinality(Some(u64::MAX), 0);
+        cache.record_cardinality(Some(u64::MAX), 0);
+        let card = cache.cardinality_stats();
+        assert_eq!(card.estimated_rows, u64::MAX);
+        assert_eq!(card.estimated_executions, 2);
     }
 }

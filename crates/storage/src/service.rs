@@ -8,10 +8,10 @@
 //! [`Snapshot`] or install a write — never during query execution — plus a
 //! shared, version-invalidating [`PlanCache`]. Concurrent
 //! [`AnnotationSession`]s each pin a snapshot and submit read batches
-//! through [`batch_map`](crate::batch_map), so a session's results are
-//! **byte-identical to a serial run against its pinned snapshot at every
-//! thread count**, no matter how fast the writer streams inserts: writers
-//! copy-on-write new table versions and never touch pinned ones.
+//! through [`batch_map`], so a session's results are **byte-identical to
+//! a serial run against its pinned snapshot at every thread count**, no
+//! matter how fast the writer streams inserts: writers copy-on-write new
+//! table versions and never touch pinned ones.
 //!
 //! Error semantics inside a batch follow the batch driver: results come
 //! back in input order and per-statement errors stay per-statement, so the
@@ -20,11 +20,10 @@
 
 use crate::sync::RwLock;
 
-use crate::cost::OptimizerStats;
 use crate::database::Database;
 use crate::error::{StorageError, StorageResult};
-use crate::physical::{batch_map, AccessPathStats, ExecOptions, VerifierStats};
-use crate::prepared::{CardinalityStats, PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
+use crate::physical::{batch_map, ExecOptions};
+use crate::prepared::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::result::QueryResult;
 use crate::schema::TableSchema;
 use crate::snapshot::Snapshot;
@@ -87,51 +86,16 @@ impl AnnotationService {
         self.live.write().expect("service lock").ingest_ddl(ddl)
     }
 
-    /// The shared plan cache's hit/miss/invalidation counters.
-    pub fn cache_stats(&self) -> PlanCacheStats {
-        self.cache.stats()
-    }
-
-    /// Aggregate access-path counters over every statement the service's
-    /// sessions executed: how many table accesses the compiler answered
-    /// from a secondary index vs a full scan. Each execution re-counts its
-    /// plan's tally (cached plans included — the split reflects executed
-    /// work, not compile events). Executions that never compile a plan
-    /// (legacy interpreter runs, parse/plan failures) contribute nothing.
-    /// The counters live on the shared [`PlanCache`] so the raw-cache
-    /// grading paths (see `bp_metrics::grade_cached`) report through the
-    /// same mechanism.
-    pub fn access_path_stats(&self) -> AccessPathStats {
-        self.cache.access_stats()
-    }
-
-    /// Aggregate plan-verifier counters over every statement the service's
-    /// sessions compiled: how many physical plans the always-on verifier
-    /// checked and how many violations it raised. Counted per *compile*
-    /// (cached plans tally once, however often they re-execute), so
-    /// `plans_verified` tracks the cache's miss-side compile work and
-    /// `violations` staying at 0 is the observable proof that no
-    /// miscompiled plan ever reached execution.
-    pub fn verifier_stats(&self) -> VerifierStats {
-        self.cache.verifier_stats()
-    }
-
-    /// Aggregate optimizer counters over every statement the service's
-    /// sessions compiled: join spines whose association the cost model
-    /// chose vs join nodes compiled in syntactic order. Counted per
-    /// *compile* (cached plans tally once, however often they re-execute),
-    /// mirroring [`AnnotationService::verifier_stats`].
-    pub fn optimizer_stats(&self) -> OptimizerStats {
-        self.cache.optimizer_stats()
-    }
-
-    /// Aggregate cardinality-drift counters over every successful
-    /// statement execution whose plan carried a cost-model estimate:
-    /// estimated vs actually-returned output rows. Counted per
-    /// *execution* — the drift a study report shows is the drift graders
-    /// actually experienced, re-executions included.
-    pub fn cardinality_stats(&self) -> CardinalityStats {
-        self.cache.cardinality_stats()
+    /// The shared plan cache every session executes through. Its counters
+    /// cover every statement the service's sessions ran: hit/miss/
+    /// invalidation ([`PlanCache::stats`]), access paths and cardinality
+    /// drift per *execution*, and verifier and optimizer outcomes per
+    /// *compile* — so `verifier_stats().violations` staying at 0 is the
+    /// observable proof that no miscompiled plan ever reached execution.
+    /// The raw-cache grading paths (see `bp_metrics::grade_cached`) report
+    /// through the same counters.
+    pub fn plan_cache(&self) -> &PlanCache {
+        &self.cache
     }
 
     /// Total rows currently in the live database.
@@ -162,31 +126,9 @@ impl AnnotationSession<'_> {
     }
 
     /// Execute one SQL text against the pinned snapshot, through the shared
-    /// plan cache.
-    pub fn execute_sql(&self, sql: &str) -> StorageResult<QueryResult> {
-        self.execute_sql_opts(sql, ExecOptions::default())
-    }
-
-    /// [`AnnotationSession::execute_sql`] with explicit execution options.
-    pub fn execute_sql_opts(&self, sql: &str, options: ExecOptions) -> StorageResult<QueryResult> {
-        let prepared = self.service.cache.get(&self.snapshot, sql)?;
-        let result = prepared.execute(options);
-        // Tally after execution so lazily-compiled plans report, and on
-        // the error path too (a failing residual still chose its access
-        // path at compile time).
-        self.service.cache.record_access(prepared.access_paths());
-        self.service
-            .cache
-            .record_verification(prepared.take_verification());
-        self.service
-            .cache
-            .record_optimizer(prepared.take_optimizer());
-        if let Ok(result) = &result {
-            self.service
-                .cache
-                .record_cardinality(prepared.estimated_rows(), result.row_count() as u64);
-        }
-        result
+    /// plan cache ([`PlanCache::execute`]).
+    pub fn execute_sql(&self, sql: &str, options: ExecOptions) -> StorageResult<QueryResult> {
+        self.service.cache.execute(&self.snapshot, sql, options)
     }
 
     /// Execute a batch of SQL texts against the pinned snapshot, fanned out
@@ -201,7 +143,7 @@ impl AnnotationSession<'_> {
     ) -> StorageResult<Vec<QueryResult>> {
         let item_options = ExecOptions::serial();
         batch_map(threads, sqls.len(), |i| {
-            self.execute_sql_opts(sqls[i].as_ref(), item_options)
+            self.execute_sql(sqls[i].as_ref(), item_options)
         })
     }
 
@@ -216,7 +158,7 @@ impl AnnotationSession<'_> {
     ) -> Vec<StorageResult<QueryResult>> {
         let item_options = ExecOptions::serial();
         batch_map(threads, sqls.len(), |i| {
-            Ok::<_, StorageError>(self.execute_sql_opts(sqls[i].as_ref(), item_options))
+            Ok::<_, StorageError>(self.execute_sql(sqls[i].as_ref(), item_options))
         })
         .expect("outcome collection is infallible")
     }
@@ -225,7 +167,9 @@ impl AnnotationSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::ExecStrategy;
+    use crate::cost::OptimizerStats;
+    use crate::physical::{AccessPathStats, ExecStrategy, VerifierStats};
+    use crate::prepared::CardinalityStats;
     use crate::schema::Column;
     use crate::value::Value;
     use bp_sql::DataType;
@@ -249,6 +193,11 @@ mod tests {
         db
     }
 
+    /// Run `sql` through `session` with the default options.
+    fn run(session: &AnnotationSession<'_>, sql: &str) -> StorageResult<QueryResult> {
+        session.execute_sql(sql, ExecOptions::default())
+    }
+
     fn reader_sqls() -> Vec<String> {
         vec![
             "SELECT COUNT(*) FROM log".into(),
@@ -262,17 +211,17 @@ mod tests {
     fn sessions_pin_a_snapshot_until_refresh() {
         let service = AnnotationService::new(corpus_db());
         let mut session = service.open_session();
-        let before = session.execute_sql("SELECT COUNT(*) FROM log").unwrap();
+        let before = run(&session, "SELECT COUNT(*) FROM log").unwrap();
         assert_eq!(before.scalar(), Some(&Value::Int(400)));
         service
             .insert("log", vec![vec![400.into(), 0.into(), 1.0.into()]])
             .unwrap();
         // Still pinned...
-        let pinned = session.execute_sql("SELECT COUNT(*) FROM log").unwrap();
+        let pinned = run(&session, "SELECT COUNT(*) FROM log").unwrap();
         assert_eq!(pinned.scalar(), Some(&Value::Int(400)));
         // ...until the session opts in to the new state.
         session.refresh();
-        let fresh = session.execute_sql("SELECT COUNT(*) FROM log").unwrap();
+        let fresh = run(&session, "SELECT COUNT(*) FROM log").unwrap();
         assert_eq!(fresh.scalar(), Some(&Value::Int(401)));
         assert_eq!(service.total_rows(), 401);
     }
@@ -306,9 +255,10 @@ mod tests {
                         let serial: Vec<QueryResult> = sqls
                             .iter()
                             .map(|sql| {
+                                let query = bp_sql::parse_query(sql).expect("parses");
                                 session
                                     .snapshot()
-                                    .execute_sql_opts(sql, ExecOptions::serial())
+                                    .execute(&query, ExecOptions::serial())
                                     .expect("serial executes")
                             })
                             .collect();
@@ -325,7 +275,7 @@ mod tests {
             writer.join().expect("writer panics propagate");
         });
         assert_eq!(service.total_rows(), 600);
-        let stats = service.cache_stats();
+        let stats = service.plan_cache().stats();
         assert!(stats.hits + stats.misses > 0);
     }
 
@@ -370,13 +320,14 @@ mod tests {
     fn access_path_counters_split_indexed_from_scanned() {
         let service = AnnotationService::new(corpus_db());
         let session = service.open_session();
-        assert_eq!(service.access_path_stats(), AccessPathStats::default());
-        // A point lookup compiles onto the hash index...
-        session
-            .execute_sql("SELECT score FROM log WHERE id = 7")
-            .unwrap();
         assert_eq!(
-            service.access_path_stats(),
+            service.plan_cache().access_stats(),
+            AccessPathStats::default()
+        );
+        // A point lookup compiles onto the hash index...
+        run(&session, "SELECT score FROM log WHERE id = 7").unwrap();
+        assert_eq!(
+            service.plan_cache().access_stats(),
             AccessPathStats {
                 index_scan: 1,
                 full_scan: 0
@@ -384,11 +335,9 @@ mod tests {
         );
         // ...an unsargable predicate (arithmetic can overflow, so the
         // conjunct is not benign) walks the table...
-        session
-            .execute_sql("SELECT score FROM log WHERE id + 1 = 8")
-            .unwrap();
+        run(&session, "SELECT score FROM log WHERE id + 1 = 8").unwrap();
         assert_eq!(
-            service.access_path_stats(),
+            service.plan_cache().access_stats(),
             AccessPathStats {
                 index_scan: 1,
                 full_scan: 1
@@ -396,11 +345,9 @@ mod tests {
         );
         // ...and a cached plan re-counts on every execution: the split
         // reflects executed work, not compile events.
-        session
-            .execute_sql("SELECT score FROM log WHERE id = 7")
-            .unwrap();
+        run(&session, "SELECT score FROM log WHERE id = 7").unwrap();
         assert_eq!(
-            service.access_path_stats(),
+            service.plan_cache().access_stats(),
             AccessPathStats {
                 index_scan: 2,
                 full_scan: 1
@@ -412,11 +359,14 @@ mod tests {
     fn verifier_counters_count_compiles_not_executions() {
         let service = AnnotationService::new(corpus_db());
         let session = service.open_session();
-        assert_eq!(service.verifier_stats(), VerifierStats::default());
-        // First planned execution compiles → one verified plan.
-        session.execute_sql("SELECT COUNT(*) FROM log").unwrap();
         assert_eq!(
-            service.verifier_stats(),
+            service.plan_cache().verifier_stats(),
+            VerifierStats::default()
+        );
+        // First planned execution compiles → one verified plan.
+        run(&session, "SELECT COUNT(*) FROM log").unwrap();
+        assert_eq!(
+            service.plan_cache().verifier_stats(),
             VerifierStats {
                 plans_verified: 1,
                 violations: 0
@@ -424,14 +374,12 @@ mod tests {
         );
         // Re-executing the cached plan must not re-count: verification is
         // per compile, not per execution.
-        session.execute_sql("SELECT COUNT(*) FROM log").unwrap();
-        assert_eq!(service.verifier_stats().plans_verified, 1);
+        run(&session, "SELECT COUNT(*) FROM log").unwrap();
+        assert_eq!(service.plan_cache().verifier_stats().plans_verified, 1);
         // A second distinct statement compiles (and verifies) its own plan.
-        session
-            .execute_sql("SELECT MAX(score) FROM log WHERE grp = 3")
-            .unwrap();
+        run(&session, "SELECT MAX(score) FROM log WHERE grp = 3").unwrap();
         assert_eq!(
-            service.verifier_stats(),
+            service.plan_cache().verifier_stats(),
             VerifierStats {
                 plans_verified: 2,
                 violations: 0
@@ -439,16 +387,16 @@ mod tests {
         );
         // A legacy run never compiles, so it never verifies.
         session
-            .execute_sql_opts(
+            .execute_sql(
                 "SELECT grp FROM log WHERE id = 1",
                 ExecOptions::new(ExecStrategy::Legacy),
             )
             .unwrap();
-        assert_eq!(service.verifier_stats().plans_verified, 2);
+        assert_eq!(service.plan_cache().verifier_stats().plans_verified, 2);
         // A parse error produces no plan to verify.
-        assert!(session.execute_sql("NOT REAL SQL").is_err());
+        assert!(run(&session, "NOT REAL SQL").is_err());
         assert_eq!(
-            service.verifier_stats(),
+            service.plan_cache().verifier_stats(),
             VerifierStats {
                 plans_verified: 2,
                 violations: 0
@@ -485,11 +433,17 @@ mod tests {
             .unwrap();
         let service = AnnotationService::new(db);
         let session = service.open_session();
-        assert_eq!(service.optimizer_stats(), OptimizerStats::default());
-        assert_eq!(service.cardinality_stats(), CardinalityStats::default());
+        assert_eq!(
+            service.plan_cache().optimizer_stats(),
+            OptimizerStats::default()
+        );
+        assert_eq!(
+            service.plan_cache().cardinality_stats(),
+            CardinalityStats::default()
+        );
         // A single-table query executes with an estimate but no join spine.
-        session.execute_sql("SELECT COUNT(*) FROM log").unwrap();
-        let card = service.cardinality_stats();
+        run(&session, "SELECT COUNT(*) FROM log").unwrap();
+        let card = service.plan_cache().cardinality_stats();
         assert_eq!(card.estimated_executions, 1);
         assert_eq!(card.actual_rows, 1);
         // A three-way join spine goes through the cost-based reorderer.
@@ -497,17 +451,17 @@ mod tests {
                         JOIN tags ON log.grp = tags.grp \
                         JOIN extra ON tags.grp = extra.grp \
                         WHERE log.id < 3";
-        session.execute_sql(join_sql).unwrap();
-        let opt = service.optimizer_stats();
+        run(&session, join_sql).unwrap();
+        let opt = service.plan_cache().optimizer_stats();
         assert_eq!(
             opt.cost_based, 1,
             "the three-way spine must be cost-based reordered: {opt:?}"
         );
         // Re-executing the cached plan must not re-count the compile-side
         // optimizer tally, but it does tally another execution's drift.
-        session.execute_sql(join_sql).unwrap();
-        assert_eq!(service.optimizer_stats(), opt);
-        let card = service.cardinality_stats();
+        run(&session, join_sql).unwrap();
+        assert_eq!(service.plan_cache().optimizer_stats(), opt);
+        let card = service.plan_cache().cardinality_stats();
         assert_eq!(card.estimated_executions, 3);
         assert_eq!(card.actual_rows, 1 + 2 * 3);
         assert!(card.estimated_rows > 0);
@@ -519,7 +473,7 @@ mod tests {
         let session = service.open_session();
         let sql = "SELECT grp FROM log WHERE id = 399";
         // Build the pinned version's lazy index...
-        let before = session.execute_sql(sql).unwrap();
+        let before = run(&session, sql).unwrap();
         assert_eq!(before.rows, vec![vec![Value::Int(4)]]);
         // ...then install a new version: copy-on-write resets the *new*
         // version's caches and never touches the pinned one's, so the old
@@ -527,19 +481,15 @@ mod tests {
         service
             .insert("log", vec![vec![500.into(), 9.into(), 0.0.into()]])
             .unwrap();
-        let pinned = session.execute_sql(sql).unwrap();
+        let pinned = run(&session, sql).unwrap();
         assert_eq!(pinned, before);
         // The pinned index must not see the new row...
-        let missing = session
-            .execute_sql("SELECT grp FROM log WHERE id = 500")
-            .unwrap();
+        let missing = run(&session, "SELECT grp FROM log WHERE id = 500").unwrap();
         assert!(missing.rows.is_empty());
         // ...while a fresh session indexes the new version (and the plan
         // cache invalidates the entry pinned to the old one).
         let fresh = service.open_session();
-        let found = fresh
-            .execute_sql("SELECT grp FROM log WHERE id = 500")
-            .unwrap();
+        let found = run(&fresh, "SELECT grp FROM log WHERE id = 500").unwrap();
         assert_eq!(found.rows, vec![vec![Value::Int(9)]]);
     }
 
@@ -551,12 +501,11 @@ mod tests {
             .unwrap();
         let session = service.open_session();
         for sql in reader_sqls() {
-            let planned = session
-                .execute_sql_opts(&sql, ExecOptions::default())
-                .unwrap();
+            let planned = run(&session, &sql).unwrap();
+            let query = bp_sql::parse_query(&sql).unwrap();
             let oracle = session
                 .snapshot()
-                .execute_sql_opts(&sql, ExecOptions::new(ExecStrategy::Legacy))
+                .execute(&query, ExecOptions::new(ExecStrategy::Legacy))
                 .unwrap();
             assert_eq!(planned, oracle, "legacy oracle diverges on {sql}");
         }

@@ -7,8 +7,8 @@
 //! pins exactly the table versions that were current at that instant.
 //! Writers never block readers and readers never block writers: a write
 //! copy-on-write-installs a new table version (and a new table map) in the
-//! owning [`Database`], while every in-flight snapshot keeps reading the
-//! versions it pinned. A snapshot's view is immutable by construction, so
+//! owning [`crate::Database`], while every in-flight snapshot keeps reading
+//! the versions it pinned. A snapshot's view is immutable by construction, so
 //! scans, the cached columnar decode, and the uncorrelated-subquery caches
 //! inside compiled plans all key off it safely.
 
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use crate::error::StorageResult;
 use crate::exec::Executor;
-use crate::physical::{ExecOptions, ExecStrategy};
+use crate::physical::{compile_query, exec_compiled, CompileOptions, ExecOptions, ExecStrategy};
 use crate::result::QueryResult;
 use crate::schema::Catalog;
 use crate::table::Table;
@@ -87,40 +87,28 @@ impl Snapshot {
         Arc::ptr_eq(&self.tables, &other.tables)
     }
 
-    /// Execute a parsed query against this snapshot with the default
-    /// options: the planned engine, parallel across all available hardware
-    /// threads.
-    pub fn execute(&self, query: &bp_sql::Query) -> StorageResult<QueryResult> {
-        self.execute_opts(query, ExecOptions::default())
-    }
-
-    /// Execute SQL text against this snapshot with the default options.
-    pub fn execute_sql(&self, sql: &str) -> StorageResult<QueryResult> {
-        self.execute_sql_opts(sql, ExecOptions::default())
-    }
-
-    /// Execute a parsed query with full [`ExecOptions`] control. The result
-    /// is byte-identical at every thread count, and — because the snapshot
-    /// is immutable — byte-identical no matter what writers do to the
-    /// owning database in the meantime.
-    pub fn execute_opts(
+    /// Execute a parsed query against this snapshot — the one engine
+    /// dispatch every read path funnels into. [`ExecStrategy::Planned`]
+    /// plans, compiles and runs the query through
+    /// [`crate::physical::compile_query`]; [`ExecStrategy::Legacy`]
+    /// interprets the AST directly. The result is byte-identical at every
+    /// thread count, and — because the snapshot is immutable —
+    /// byte-identical no matter what writers do to the owning database in
+    /// the meantime. Repeated SQL texts should go through
+    /// [`Snapshot::prepare`] or a [`crate::PlanCache`] instead, which
+    /// compile once.
+    pub fn execute(
         &self,
         query: &bp_sql::Query,
         options: ExecOptions,
     ) -> StorageResult<QueryResult> {
         match options.strategy {
             ExecStrategy::Planned => {
-                let physical = crate::physical::compile_query(self, query)?;
-                crate::physical::exec_compiled(self, &physical, options)
+                let physical = compile_query(self, query, CompileOptions::default())?;
+                exec_compiled(self, &physical, options)
             }
             ExecStrategy::Legacy => Executor::new(self).execute(query),
         }
-    }
-
-    /// Execute SQL text with full [`ExecOptions`] control.
-    pub fn execute_sql_opts(&self, sql: &str, options: ExecOptions) -> StorageResult<QueryResult> {
-        let query = bp_sql::parse_query(sql)?;
-        self.execute_opts(&query, options)
     }
 
     /// Build (without executing) the logical plan for a query against this

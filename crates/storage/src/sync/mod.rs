@@ -11,14 +11,14 @@
 //!   `BENCH_exec.json` gates see the exact same machine code as before.
 //!
 //! - **`--features bp_sanitize`**: the same names resolve to instrumented
-//!   wrappers ([`shim`]) backed by a sanitizer runtime ([`sanitize`]).
-//!   Inside a [`sanitize::explore`] session every lock acquire/release,
+//!   wrappers (`shim`) backed by a sanitizer runtime (`sanitize`).
+//!   Inside a `sanitize::explore` session every lock acquire/release,
 //!   atomic load/store/RMW, `OnceLock` access and scoped spawn/join is a
 //!   *schedule point*: a seeded controller serializes the participating
 //!   threads and deterministically permutes which thread runs next, while
 //!   per-thread vector clocks and per-lock locksets feed a happens-before
 //!   race detector and a lock-acquisition-order cycle detector. Findings
-//!   are reported as structured [`sanitize::SyncViolation`]s carrying both
+//!   are reported as structured `sanitize::SyncViolation`s carrying both
 //!   access sites, both clocks, and the primitive's construction site.
 //!
 //! The instrumented API is a strict subset of `std`'s: code that compiles

@@ -2,7 +2,7 @@
 //! behind a monotonically increasing version.
 //!
 //! A [`Table`] is a cheap *handle*: the schema plus an `Arc` to the actual
-//! row payload ([`TableData`]) and a version counter. Cloning a handle
+//! row payload (`TableData`) and a version counter. Cloning a handle
 //! shares the payload by refcount, which is what makes database snapshots
 //! cheap (see [`crate::snapshot::Snapshot`]). Writers go through
 //! [`Arc::make_mut`]: while any snapshot still pins the payload the write
@@ -12,7 +12,7 @@
 //!
 //! The cached columnar decode lives *inside* the payload, so its lifetime
 //! is exactly one table version: a copy-on-write starts the new version
-//! with a cold cache (clones of [`ColumnarCache`] are empty), an in-place
+//! with a cold cache (clones of `ColumnarCache` are empty), an in-place
 //! write resets it explicitly, and a snapshot's pinned decode stays valid
 //! forever because its payload is immutable. A stale decode is therefore
 //! unrepresentable, not merely avoided.

@@ -57,7 +57,7 @@ impl Value {
     }
 
     /// Coerce to an integer if exactly representable. Delegates to
-    /// [`Value::exact_int`], so an integral float outside `i64` range
+    /// `Value::exact_int`, so an integral float outside `i64` range
     /// (`1e300`) returns `None` instead of silently saturating to
     /// `i64::MAX` the way a bare `as` cast would.
     pub fn as_i64(&self) -> Option<i64> {

@@ -148,20 +148,20 @@ fn session_refresh_vs_streaming_writer() {
                 let mut session = service.open_session();
                 let before = int_scalar(
                     &session
-                        .execute_sql("SELECT COUNT(*) FROM t")
+                        .execute_sql("SELECT COUNT(*) FROM t", ExecOptions::default())
                         .expect("pinned read"),
                 );
                 // The pinned snapshot must be immune to the writer.
                 let again = int_scalar(
                     &session
-                        .execute_sql("SELECT COUNT(*) FROM t")
+                        .execute_sql("SELECT COUNT(*) FROM t", ExecOptions::default())
                         .expect("pinned re-read"),
                 );
                 assert_eq!(before, again, "pinned snapshot moved under a writer");
                 session.refresh();
                 let after = int_scalar(
                     &session
-                        .execute_sql("SELECT COUNT(*) FROM t")
+                        .execute_sql("SELECT COUNT(*) FROM t", ExecOptions::default())
                         .expect("refreshed read"),
                 );
                 (before, after)
@@ -178,7 +178,7 @@ fn session_refresh_vs_streaming_writer() {
         let final_count = int_scalar(
             &service
                 .open_session()
-                .execute_sql("SELECT COUNT(*) FROM t")
+                .execute_sql("SELECT COUNT(*) FROM t", ExecOptions::default())
                 .expect("final read"),
         );
         assert_eq!(final_count, 11);
@@ -200,17 +200,17 @@ fn lazy_index_and_stats_caches_under_parallel_scans() {
         scope(|s| {
             let probes = |tag: &'static str| {
                 let point = int_scalar(
-                    &db.execute_sql_opts("SELECT v FROM t WHERE id = 3", ExecOptions::serial())
+                    &db.execute_sql("SELECT v FROM t WHERE id = 3", ExecOptions::serial())
                         .expect("point lookup"),
                 );
                 assert_eq!(point, 0, "{tag}: point lookup wrong");
                 let min = int_scalar(
-                    &db.execute_sql_opts("SELECT MIN(v) FROM t", ExecOptions::serial())
+                    &db.execute_sql("SELECT MIN(v) FROM t", ExecOptions::serial())
                         .expect("min aggregate"),
                 );
                 assert_eq!(min, 0, "{tag}: MIN wrong");
                 let maxid = int_scalar(
-                    &db.execute_sql_opts("SELECT MAX(id) FROM t", ExecOptions::serial())
+                    &db.execute_sql("SELECT MAX(id) FROM t", ExecOptions::serial())
                         .expect("max aggregate"),
                 );
                 assert_eq!(maxid, 7, "{tag}: MAX wrong");

@@ -376,8 +376,10 @@ impl StudyRun {
 
     /// [`StudyRun::clarity_histograms`] plus the plan-cache and
     /// access-path counters the grading sweep accumulated. Grading executes
-    /// every original query and every regenerated query through one shared
-    /// [`PlanCache`] keyed on a snapshot per database pinned up front — a
+    /// every original query and every regenerated query through
+    /// [`PlanCache::execute`] (inside `bp_metrics::grade_cached`), which
+    /// folds every counter below, on one [`PlanCache`] per dataset keyed
+    /// on a snapshot per database pinned up front — a
     /// corpus whose descriptions backtranslate to a handful of distinct SQL
     /// texts compiles each text once, not once per participant — and the
     /// counters quantify exactly that reuse. The histograms never depend on
@@ -470,7 +472,10 @@ impl StudyRun {
         let bird_card = bird_cache.cardinality_stats();
         let cardinality = CardinalityStats {
             estimated_executions: beaver_card.estimated_executions + bird_card.estimated_executions,
-            estimated_rows: beaver_card.estimated_rows + bird_card.estimated_rows,
+            // Estimates saturate at u64::MAX; so does their sum.
+            estimated_rows: beaver_card
+                .estimated_rows
+                .saturating_add(bird_card.estimated_rows),
             actual_rows: beaver_card.actual_rows + bird_card.actual_rows,
         };
         (histograms, stats, access, verified, optimizer, cardinality)

@@ -30,8 +30,8 @@ const TEST_THREADS: usize = 4;
 /// engines and thread counts; when a query errors, both engines must error,
 /// and the columnar engine's error must be identical across thread counts.
 fn assert_engines_agree(db: &Database, sql: &str, label: &str) {
-    let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy);
-    let columnar = db.execute_sql_opts(
+    let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
+    let columnar = db.execute_sql(
         sql,
         ExecOptions::new(ExecStrategy::Planned).with_threads(TEST_THREADS),
     );
@@ -41,7 +41,7 @@ fn assert_engines_agree(db: &Database, sql: &str, label: &str) {
         (l, c) => panic!("ok/err divergence on {label} query {sql}: legacy={l:?} columnar={c:?}"),
     }
     // Thread-count determinism, including error identity.
-    let columnar_serial = db.execute_sql_opts(sql, ExecOptions::serial());
+    let columnar_serial = db.execute_sql(sql, ExecOptions::serial());
     assert_eq!(
         columnar_serial, columnar,
         "parallel columnar diverges from serial columnar on {label}: {sql}"
@@ -60,7 +60,7 @@ fn assert_corpus_differential(kind: BenchmarkKind, query_count: usize, seed: u64
 /// are skipped (deferred plan errors are legal); compiled plans must be
 /// sound.
 fn assert_corpus_verifies(kind: BenchmarkKind, query_count: usize, seed: u64) {
-    use benchpress_suite::storage::{compile_query_with, verify_plan};
+    use benchpress_suite::storage::{compile_query, verify_plan, CompileOptions};
     let corpus = GeneratedBenchmark::generate(kind, query_count, seed);
     let snapshot = corpus.database.snapshot();
     for entry in &corpus.log {
@@ -68,7 +68,11 @@ fn assert_corpus_verifies(kind: BenchmarkKind, query_count: usize, seed: u64) {
             continue;
         };
         for fast_paths in [true, false] {
-            if let Ok(plan) = compile_query_with(&snapshot, &query, fast_paths) {
+            let options = CompileOptions {
+                fast_paths,
+                ..CompileOptions::default()
+            };
+            if let Ok(plan) = compile_query(&snapshot, &query, options) {
                 let violations = verify_plan(&snapshot, &plan);
                 assert!(
                     violations.is_empty(),
@@ -120,7 +124,7 @@ proptest! {
     /// Static-verification property: every plan compiled from all four
     /// corpora passes `verify_plan` with zero violations, with index fast
     /// paths both on and off. (In debug builds the compile hook asserts
-    /// this a second time from inside `compile_query_with`.)
+    /// this a second time from inside `compile_query`.)
     #[test]
     fn corpus_plans_verify_cleanly(seed in 0u64..10_000) {
         for kind in [
@@ -618,7 +622,7 @@ fn corner_corpus_agrees_through_multi_morsel_operators() {
     let snapshot = db.snapshot();
     for (sql, operator) in outer_joins {
         let query = benchpress_suite::sql::parse_query(sql).expect("outer join parses");
-        let plan = benchpress_suite::storage::compile_query_with(&snapshot, &query, true)
+        let plan = benchpress_suite::storage::compile_query(&snapshot, &query, Default::default())
             .expect("outer join compiles");
         let rendered = plan.explain(&snapshot);
         assert!(
@@ -661,11 +665,11 @@ fn parallel_query_errors_match_serial_cleanly() {
     db.insert_into("WIDE", rows).expect("rows");
     let sql = "SELECT ID, BIG + 1 FROM WIDE";
     let serial = db
-        .execute_sql_opts(sql, ExecOptions::serial())
+        .execute_sql(sql, ExecOptions::serial())
         .expect_err("serial planned must report the overflow");
     for round in 0..25 {
         let parallel = db
-            .execute_sql_opts(sql, ExecOptions::default().with_threads(8))
+            .execute_sql(sql, ExecOptions::default().with_threads(8))
             .expect_err("parallel planned must report the overflow, not panic");
         assert_eq!(
             parallel, serial,
@@ -755,13 +759,11 @@ fn join_order_db() -> Database {
 /// `explain()` renderings so a divergence immediately shows the shapes
 /// that produced it.
 fn assert_join_orders_agree(db: &Database, sql: &str) {
-    use benchpress_suite::storage::{
-        compile_query_opts, exec_compiled, verify_plan, CompileOptions,
-    };
+    use benchpress_suite::storage::{compile_query, exec_compiled, verify_plan, CompileOptions};
     let query = benchpress_suite::sql::parse_query(sql).expect("generated join SQL parses");
     let snapshot = db.snapshot();
-    let cost_based = compile_query_opts(&snapshot, &query, CompileOptions::default());
-    let syntactic = compile_query_opts(
+    let cost_based = compile_query(&snapshot, &query, CompileOptions::default());
+    let syntactic = compile_query(
         &snapshot,
         &query,
         CompileOptions {
@@ -817,7 +819,7 @@ fn assert_join_orders_agree(db: &Database, sql: &str) {
             serial_result = Some(from_cost);
         }
     }
-    let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy);
+    let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
     match (legacy, serial_result.expect("both thread counts ran")) {
         (Ok(l), Ok(c)) => assert_eq!(
             l,
@@ -905,14 +907,14 @@ proptest! {
 /// property above would be vacuously comparing a plan against itself.
 #[test]
 fn pathological_chain_is_cost_based_reordered() {
-    use benchpress_suite::storage::{compile_query_opts, CompileOptions};
+    use benchpress_suite::storage::{compile_query, CompileOptions};
     let db = join_order_db();
     let snapshot = db.snapshot();
     let sql = "SELECT R_BIG.ID, R_MID.ID, R_SMALL.M FROM R_BIG \
                JOIN R_MID ON R_BIG.K = R_MID.K \
                JOIN R_SMALL ON R_MID.J = R_SMALL.J";
     let query = benchpress_suite::sql::parse_query(sql).expect("parses");
-    let plan = compile_query_opts(&snapshot, &query, CompileOptions::default()).expect("compiles");
+    let plan = compile_query(&snapshot, &query, CompileOptions::default()).expect("compiles");
     assert!(
         plan.optimizer_stats().cost_based >= 1,
         "the big-first chain must be cost-based reordered; plan:\n{}",
@@ -926,32 +928,55 @@ fn pathological_chain_is_cost_based_reordered() {
 // queries under a streaming writer
 // ---------------------------------------------------------------------
 
-/// Snapshot reads must be byte-identical to reads through the `Database`
-/// borrow, for every corpus query, every engine, and every thread count —
-/// including error identity. The columnar ≡ legacy oracle applies
-/// unchanged to the snapshot path.
+/// Every way to run a query must agree, for every corpus query: the
+/// database's text convenience, `Snapshot::execute`, a prepared query and
+/// the plan cache return byte-identical results — planned at threads 1 and
+/// 4, and legacy — including error identity. The columnar ≡ legacy oracle
+/// applies unchanged to the snapshot path, and the cache's always-on
+/// verifier checks each distinct compiled text exactly once, cleanly.
 #[test]
 fn snapshot_reads_match_borrowed_reads_on_every_engine() {
+    use benchpress_suite::storage::{compile_query, CompileOptions, PlanCache};
     let corpus = GeneratedBenchmark::generate(BenchmarkKind::Beaver, 8, 20_260_808);
     let db = &corpus.database;
     let snapshot = db.snapshot();
+    let cache = PlanCache::with_default_capacity();
+    let mut compiled = std::collections::BTreeSet::new();
+    let engines = [
+        ExecOptions::serial(),
+        ExecOptions::serial().with_threads(TEST_THREADS),
+        ExecOptions::new(ExecStrategy::Legacy),
+    ];
     for entry in &corpus.log {
+        let sql = entry.sql.as_str();
         // The snapshot path must satisfy the full differential...
-        assert_engines_agree(db, &entry.sql, "snapshot-corpus");
-        // ...and mirror the borrow path result-for-result.
-        for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
-            for threads in [1usize, TEST_THREADS] {
-                let options = ExecOptions::new(strategy).with_threads(threads);
-                let borrowed = db.execute_sql_opts(&entry.sql, options);
-                let snapshotted = snapshot.execute_sql_opts(&entry.sql, options);
+        assert_engines_agree(db, sql, "snapshot-corpus");
+        let query = benchpress_suite::sql::parse_query(sql).expect("corpus SQL parses");
+        if compile_query(&snapshot, &query, CompileOptions::default()).is_ok() {
+            compiled.insert(sql);
+        }
+        // ...and every entry point must mirror the text convenience.
+        for options in engines {
+            let text = db.execute_sql(sql, options);
+            let others = [
+                ("Snapshot::execute", snapshot.execute(&query, options)),
+                (
+                    "PreparedQuery::execute",
+                    snapshot.prepare(sql).and_then(|p| p.execute(options)),
+                ),
+                ("PlanCache::execute", cache.execute(&snapshot, sql, options)),
+            ];
+            for (entry_point, result) in others {
                 assert_eq!(
-                    borrowed, snapshotted,
-                    "snapshot diverges from borrow ({strategy:?}, {threads} threads): {}",
-                    entry.sql
+                    text, result,
+                    "{entry_point} diverges from Database::execute_sql ({options:?}): {sql}"
                 );
             }
         }
     }
+    let verified = cache.verifier_stats();
+    assert_eq!(verified.plans_verified, compiled.len() as u64);
+    assert_eq!(verified.violations, 0);
 }
 
 /// Concurrency stress: reader threads executing `PreparedQuery`s while a
@@ -1007,8 +1032,10 @@ fn prepared_queries_survive_a_streaming_writer() {
                         let serial: Vec<_> = sqls
                             .iter()
                             .map(|sql| {
+                                let query = benchpress_suite::sql::parse_query(sql)
+                                    .expect("corpus SQL parses");
                                 snapshot
-                                    .execute_sql_opts(sql, ExecOptions::serial())
+                                    .execute(&query, ExecOptions::serial())
                                     .expect("serial run executes")
                             })
                             .collect();
@@ -1035,7 +1062,8 @@ fn prepared_queries_survive_a_streaming_writer() {
     ];
     for threads in [1usize, 4] {
         let err = batch_map(threads, batch.len(), |i| {
-            snapshot.execute_sql_opts(&batch[i], ExecOptions::serial())
+            let query = benchpress_suite::sql::parse_query(&batch[i])?;
+            snapshot.execute(&query, ExecOptions::serial())
         })
         .expect_err("batch contains failing statements");
         assert!(

@@ -13,7 +13,7 @@
 //! check below confirms the sharing end to end.
 
 use benchpress_suite::storage::like_match;
-use benchpress_suite::storage::{Database, ExecStrategy};
+use benchpress_suite::storage::{Database, ExecOptions, ExecStrategy};
 use proptest::prelude::*;
 
 /// The pre-rewrite matcher, verbatim in structure: recursive, byte-wise,
@@ -153,8 +153,12 @@ fn engines_share_the_fixed_matcher() {
         ("SELECT id FROM names WHERE name LIKE '魚_米'", 1),
         ("SELECT id FROM names WHERE name LIKE '%é'", 1),
     ] {
-        let legacy = db.execute_sql_with(sql, ExecStrategy::Legacy).unwrap();
-        let columnar = db.execute_sql_with(sql, ExecStrategy::Planned).unwrap();
+        let legacy = db
+            .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
+            .unwrap();
+        let columnar = db
+            .execute_sql(sql, ExecOptions::new(ExecStrategy::Planned))
+            .unwrap();
         assert_eq!(legacy, columnar, "legacy vs columnar diverge on {sql}");
         assert_eq!(
             legacy.row_count(),
