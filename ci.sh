@@ -84,7 +84,7 @@ echo "concurrency stress loop: ${STRESS_PASSES} pass(es) green"
 echo "==> indexed-vs-scanned stress loop (differential fast-path oracles, timeboxed)"
 # The secondary-index fast paths must be invisible in results: every
 # indexed access path (hash point/IN probes, ordered-range scans, index
-# aggregates, ordered-index Top-K) has a differential oracle that compares
+# aggregates) has a differential oracle that compares
 # it against the same query forced to full-scan, and against the legacy
 # interpreter, at several thread counts. The proptest generators draw new
 # seeds every pass, so re-running in release mode until a ~30s budget is

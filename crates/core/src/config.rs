@@ -32,12 +32,15 @@ impl Credential {
         !self.key.is_empty()
     }
 
-    /// A redacted form safe to show in logs/UI (`sk-…1234`).
+    /// A redacted form safe to show in logs/UI (`sk-…1234`). Counts
+    /// characters, not bytes, so a non-ASCII key neither panics nor shows
+    /// more of itself than an ASCII one.
     pub fn redacted(&self) -> String {
-        if self.key.len() <= 4 {
+        let len = self.key.chars().count();
+        if len <= 4 {
             "****".to_string()
         } else {
-            format!("…{}", &self.key[self.key.len() - 4..])
+            format!("…{}", self.key.chars().skip(len - 4).collect::<String>())
         }
     }
 }
@@ -126,6 +129,10 @@ mod tests {
         assert!(!credential.redacted().contains("secret"));
         let short = Credential::new("abc");
         assert_eq!(short.redacted(), "****");
+        // Multi-byte keys redact by character: no panic on a char
+        // boundary, and a four-character key still shows nothing.
+        assert_eq!(Credential::new("sk-€€").redacted(), "…k-€€");
+        assert_eq!(Credential::new("€€€€").redacted(), "****");
         assert!(!Credential::new("").is_configured());
     }
 }

@@ -56,8 +56,8 @@ use super::batch::{
 use super::expr::{BatchEnv, PhysExpr};
 use super::parallel::{run_morsels, run_tasks};
 use super::{
-    compare_rows, dedup_rows, eval_count, exec_index_agg, exec_index_top_k, exec_query_plan,
-    finalize_agg_groups, index_scan_ids, join, top_k_rows, PhysNode, RunCtx,
+    compare_rows, dedup_rows, eval_count, exec_index_agg, exec_query_plan, finalize_agg_groups,
+    index_scan_ids, join, top_k_rows, PhysNode, RunCtx,
 };
 
 /// Execute a node columnar-ly and materialize the live rows (the
@@ -166,16 +166,6 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
         PhysNode::IndexAgg { name, specs } => {
             let rows = exec_index_agg(name, specs, ctx)?;
             rows_to_batches(&rows, specs.len(), ctx)
-        }
-        PhysNode::IndexTopK {
-            name,
-            key_ordinal,
-            output,
-            limit,
-            offset,
-        } => {
-            let rows = exec_index_top_k(name, *key_ordinal, output, limit, offset.as_ref(), ctx)?;
-            rows_to_batches(&rows, output.len(), ctx)
         }
         PhysNode::ScanCte { name } => {
             let result = ctx

@@ -14,7 +14,7 @@ use bp_sql::{column_ref, split_conjuncts, Expr, Query};
 use crate::error::{StorageError, StorageResult};
 use crate::plan::{
     and_join, benign, resolve_binding, sarg_column, sargable_atom, ColumnBinding, LogicalPlan,
-    Planner, QueryPlan, SargAtom, Scan, ScanSource, SortKey,
+    Planner, QueryPlan, SargAtom, Scan, ScanSource,
 };
 use crate::scalar::{canonical_function_name, is_aggregate_name, literal_value, missing_arg_error};
 use crate::snapshot::Snapshot;
@@ -249,20 +249,20 @@ impl<'a> Compiler<'a> {
                     }) = input.as_ref()
                     {
                         if let Some(specs) = index_agg_specs(items, &bindings) {
-                            // MIN/MAX read the *ordered* index, which NaN
-                            // poisoning invalidates: decline the whole
-                            // fast path and fall back to the hash
-                            // aggregate (the exact semantics the runtime
-                            // fallback would have reproduced anyway).
-                            let ordered_ok = self.db.table(name).is_some_and(|table| {
+                            // A NaN-poisoned spec column declines the whole
+                            // fast path: the hash aggregate is the exact
+                            // semantics.
+                            let nan_free = self.db.table(name).is_some_and(|table| {
                                 specs.iter().all(|spec| match spec {
-                                    AggSpec::Min(col) | AggSpec::Max(col) => {
+                                    AggSpec::Min(col)
+                                    | AggSpec::Max(col)
+                                    | AggSpec::Count { col, .. } => {
                                         !table.secondary_index(*col).has_nan()
                                     }
-                                    AggSpec::CountStar | AggSpec::Count { .. } => true,
+                                    AggSpec::CountStar => true,
                                 })
                             });
-                            if ordered_ok {
+                            if nan_free {
                                 self.index_scans += 1;
                                 return Ok(PhysNode::IndexAgg {
                                     name: name.clone(),
@@ -320,33 +320,12 @@ impl<'a> Compiler<'a> {
                 // Plain `Sort` stays for unlimited queries, and OFFSET-only
                 // limits keep the full sort (every row may still surface).
                 match (compiled_input, limit) {
-                    (PhysNode::Sort { input, keys }, Some(limit)) => {
-                        if self.fast_paths {
-                            match try_fuse_index_top_k(self.db, input, keys, limit, offset) {
-                                Ok(node) => {
-                                    // The scan under the fused Sort+Project was
-                                    // already tallied as a full scan; reclassify.
-                                    self.full_scans -= 1;
-                                    self.index_scans += 1;
-                                    return Ok(node);
-                                }
-                                Err((input, keys, limit, offset)) => {
-                                    return Ok(PhysNode::TopK {
-                                        input,
-                                        keys,
-                                        limit,
-                                        offset,
-                                    });
-                                }
-                            }
-                        }
-                        Ok(PhysNode::TopK {
-                            input,
-                            keys,
-                            limit,
-                            offset,
-                        })
-                    }
+                    (PhysNode::Sort { input, keys }, Some(limit)) => Ok(PhysNode::TopK {
+                        input,
+                        keys,
+                        limit,
+                        offset,
+                    }),
                     (compiled_input, limit) => Ok(PhysNode::Limit {
                         input: Box::new(compiled_input),
                         limit,
@@ -451,11 +430,19 @@ impl<'a> Compiler<'a> {
         let Some(chosen) = chosen else {
             return Ok(None);
         };
-        let access = match atoms[chosen].clone().expect("chosen atom exists") {
-            SargAtom::Point { col, key } => IndexAccess::Point { col, key },
-            SargAtom::Range { col, lower, upper } => IndexAccess::Range { col, lower, upper },
-            SargAtom::InList { col, keys } => IndexAccess::InList { col, keys },
+        let (col, access) = match atoms[chosen].clone().expect("chosen atom exists") {
+            SargAtom::Point { col, key } => (col, IndexAccess::Point { col, key }),
+            SargAtom::Range { col, lower, upper } => {
+                (col, IndexAccess::Range { col, lower, upper })
+            }
+            SargAtom::InList { col, keys } => (col, IndexAccess::InList { col, keys }),
         };
+        // NaN breaks the coincidence between index order / `group_key`
+        // equality and the scan kernels, and the executor has no fallback:
+        // a NaN-poisoned column keeps the scan + filter plan.
+        if table.secondary_index(col).has_nan() {
+            return Ok(None);
+        }
         self.index_scans += 1;
         let scan = PhysNode::IndexScan {
             name: name.to_string(),
@@ -505,6 +492,16 @@ impl<'a> Compiler<'a> {
         let Some(col) = sarg_column(needle, bindings) else {
             return Ok(None);
         };
+        // A NaN-poisoned probe column keeps the scan + filter plan. This is
+        // decided before the subquery compiles, so a declined probe leaves
+        // no trace (access-path tally, correlation flags) behind.
+        if self
+            .db
+            .table(name)
+            .is_some_and(|t| t.secondary_index(col).has_nan())
+        {
+            return Ok(None);
+        }
         let plan = match self.compile_subplan(subquery) {
             // Correlated or CTE-entangled subqueries cannot probe: their
             // result depends on the enclosing scope.
@@ -748,9 +745,11 @@ impl<'a> Compiler<'a> {
 /// family-confused probe (`int_col = 'abc'`, `col = NULL`) compares
 /// values the index orders into disjoint runs, so the compiler falls back
 /// to the scan + filter plan, whose per-row evaluation is the exact
-/// semantics. **Ordered** access (range scans) is additionally declined
-/// when the column is NaN-poisoned. `verify.rs` enforces the same
-/// preconditions as hard invariants on every compiled plan.
+/// semantics. A range atom on a NaN-poisoned column is unusable too, so
+/// another atom may still win; point and IN-list atoms are checked for
+/// NaN only once chosen, so compiling never builds an index that
+/// execution would not read. `verify.rs` enforces the same preconditions
+/// as hard invariants on every compiled plan.
 fn atom_usable(table: &Table, atom: &SargAtom) -> bool {
     let expected = |col: usize| type_family(table.schema.columns[col].data_type);
     let matches_family = |col: usize, key: &Value| value_family(key) == expected(col);
@@ -808,76 +807,6 @@ fn index_agg_specs(items: &[Expr], bindings: &[ColumnBinding]) -> Option<Vec<Agg
             }
         })
         .collect()
-}
-
-/// Try to fuse `Sort(Project(ScanTable), [single ascending column key])`
-/// plus a LIMIT into an ordered-index prefix read. On failure the parts
-/// are handed back so the caller can build the ordinary Top-K. A
-/// NaN-poisoned key column declines the fusion outright: the prefix read
-/// trusts the *ordered* index, which NaN invalidates (the heap-based
-/// Top-K it falls back to is the exact semantics).
-#[allow(clippy::type_complexity, clippy::result_large_err)]
-fn try_fuse_index_top_k(
-    db: &Snapshot,
-    input: Box<PhysNode>,
-    keys: Vec<SortKey>,
-    limit: PhysExpr,
-    offset: Option<PhysExpr>,
-) -> Result<PhysNode, (Box<PhysNode>, Vec<SortKey>, PhysExpr, Option<PhysExpr>)> {
-    let key_ordinal = match keys.as_slice() {
-        [SortKey {
-            ordinal: Some(k),
-            asc: true,
-        }] => *k,
-        _ => return Err((input, keys, limit, offset)),
-    };
-    let fusable = match input.as_ref() {
-        PhysNode::Project {
-            input: inner,
-            items,
-            distinct: false,
-            ..
-        } => {
-            matches!(inner.as_ref(), PhysNode::ScanTable { .. })
-                && key_ordinal < items.len()
-                && items.iter().all(|i| matches!(i, PhysExpr::Column(_)))
-                && match (inner.as_ref(), &items[key_ordinal]) {
-                    (PhysNode::ScanTable { name, .. }, PhysExpr::Column(col)) => db
-                        .table(name)
-                        .is_some_and(|t| !t.secondary_index(*col).has_nan()),
-                    _ => false,
-                }
-        }
-        _ => false,
-    };
-    if !fusable {
-        return Err((input, keys, limit, offset));
-    }
-    let PhysNode::Project {
-        input: inner,
-        items,
-        ..
-    } = *input
-    else {
-        unreachable!("fusable checked the shape above")
-    };
-    let PhysNode::ScanTable { name, .. } = *inner else {
-        unreachable!("fusable checked the shape above")
-    };
-    let output = items
-        .iter()
-        .map(|i| match i {
-            PhysExpr::Column(c) => *c,
-            _ => unreachable!("fusable checked the shape above"),
-        })
-        .collect();
-    Ok(PhysNode::IndexTopK {
-        name,
-        key_ordinal,
-        output,
-        limit,
-        offset,
-    })
 }
 
 /// Narrow a scan directly under a projection (optionally through one

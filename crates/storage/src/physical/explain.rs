@@ -86,11 +86,6 @@ fn render_node(node: &PhysNode, db: &Snapshot, depth: usize, out: &mut String) {
                 &format!("IndexAgg {name} specs={}", specs.len()),
             );
         }
-        PhysNode::IndexTopK {
-            name, key_ordinal, ..
-        } => {
-            line(out, depth, &format!("IndexTopK {name} key={key_ordinal}"));
-        }
         PhysNode::ScanCte { name } => line(out, depth, &format!("ScanCte {name}")),
         PhysNode::ScanDerived { plan } => {
             line(out, depth, "ScanDerived");
@@ -290,7 +285,7 @@ fn node_est(node: &PhysNode, db: &Snapshot) -> Option<f64> {
         PhysNode::SetOp { left, right, .. } => {
             Some(node_est(&left.root, db)? + node_est(&right.root, db)?)
         }
-        PhysNode::IndexTopK { .. } | PhysNode::ScanCte { .. } | PhysNode::ScanEmpty => None,
+        PhysNode::ScanCte { .. } | PhysNode::ScanEmpty => None,
     }
 }
 

@@ -18,10 +18,11 @@
 //! * index fast paths meet their preconditions: the accessed column
 //!   exists, probe keys share the declared column's type family (the
 //!   compiler declines family-confused probes — see
-//!   [`value_family`]/[`type_family`]), and **ordered**-index paths
-//!   (range scans, `MIN`/`MAX` index aggregates, `IndexTopK`) never sit
-//!   on a NaN-poisoned column, where `total_cmp` order diverges from the
-//!   scan kernels' per-row semantics;
+//!   [`value_family`]/[`type_family`]), and no index path of any kind
+//!   (point, IN-list, IN-subquery and range scans, index aggregates) sits
+//!   on a NaN-poisoned column, where `total_cmp` order and `group_key`
+//!   equality diverge from the scan kernels' per-row semantics — the
+//!   executor has no fallback, so this precondition is what keeps it exact;
 //! * join and aggregate structure is sound: hash-join key lists have equal
 //!   non-zero arity with in-bounds ordinals on each side, output bindings
 //!   cover exactly the combined input arity, sort keys are in bounds, and
@@ -155,12 +156,13 @@ pub enum PlanViolation {
         /// The table's column count.
         arity: usize,
     },
-    /// An **ordered**-index access (range scan, `MIN`/`MAX` aggregate,
-    /// `IndexTopK` prefix read) sits on a NaN-poisoned column. NaN breaks
-    /// the coincidence between `total_cmp` order and the scan kernels'
-    /// per-row comparison semantics, so the compiler must decline these
-    /// paths at compile time.
-    OrderedIndexOnNanColumn {
+    /// An index access (any `IndexScan` access path, or an `IndexAgg`
+    /// spec column) sits on a NaN-poisoned column. NaN breaks the
+    /// coincidence between `total_cmp` order / `group_key` equality and the
+    /// scan kernels' per-row semantics, and the executor trusts the index
+    /// unconditionally, so the compiler must decline these paths at compile
+    /// time.
+    IndexOnNanColumn {
         /// Operator path from the plan root.
         path: String,
         /// The table whose index is accessed.
@@ -240,15 +242,6 @@ pub enum PlanViolation {
         /// The input arity it must stay below.
         arity: usize,
     },
-    /// An `IndexTopK`'s sort-key position is outside its own output list.
-    TopKKeyOutOfBounds {
-        /// Operator path from the plan root.
-        path: String,
-        /// The recorded key position.
-        key_ordinal: usize,
-        /// The output list length.
-        outputs: usize,
-    },
     /// A projection's `visible` count exceeds its item count (hidden sort
     /// keys extend `items` beyond `visible`, never the other way round).
     VisibleOutOfBounds {
@@ -281,14 +274,13 @@ impl PlanViolation {
             | PlanViolation::UnknownTable { path, .. }
             | PlanViolation::UnknownCte { path, .. }
             | PlanViolation::IndexColumnOutOfBounds { path, .. }
-            | PlanViolation::OrderedIndexOnNanColumn { path, .. }
+            | PlanViolation::IndexOnNanColumn { path, .. }
             | PlanViolation::TypeConfusedComparison { path, .. }
             | PlanViolation::JoinKeyArityMismatch { path, .. }
             | PlanViolation::JoinWidthMismatch { path, .. }
             | PlanViolation::JoinBindingMismatch { path, .. }
             | PlanViolation::BindingWidthMismatch { path, .. }
             | PlanViolation::SortKeyOutOfBounds { path, .. }
-            | PlanViolation::TopKKeyOutOfBounds { path, .. }
             | PlanViolation::VisibleOutOfBounds { path, .. }
             | PlanViolation::OutputWidthMismatch { path, .. } => path,
         }
@@ -328,13 +320,13 @@ impl fmt::Display for PlanViolation {
                 f,
                 "{path}: index access on {table} column {ordinal}, but the table has {arity} columns"
             ),
-            PlanViolation::OrderedIndexOnNanColumn {
+            PlanViolation::IndexOnNanColumn {
                 path,
                 table,
                 column,
             } => write!(
                 f,
-                "{path}: ordered-index path on NaN-poisoned column {table}.{column}"
+                "{path}: index path on NaN-poisoned column {table}.{column}"
             ),
             PlanViolation::TypeConfusedComparison {
                 path,
@@ -382,14 +374,6 @@ impl fmt::Display for PlanViolation {
             } => write!(
                 f,
                 "{path}: sort key ordinal {ordinal} out of bounds for input arity {arity}"
-            ),
-            PlanViolation::TopKKeyOutOfBounds {
-                path,
-                key_ordinal,
-                outputs,
-            } => write!(
-                f,
-                "{path}: IndexTopK key position {key_ordinal} outside its {outputs} outputs"
             ),
             PlanViolation::VisibleOutOfBounds {
                 path,
@@ -596,22 +580,6 @@ impl Verifier<'_> {
             PhysNode::IndexAgg { name, specs } => {
                 self.path.push("IndexAgg".into());
                 let out = self.check_index_agg(name, specs);
-                self.path.pop();
-                out
-            }
-            PhysNode::IndexTopK {
-                name,
-                key_ordinal,
-                output,
-                limit,
-                offset,
-            } => {
-                self.path.push("IndexTopK".into());
-                let out = self.check_index_top_k(name, *key_ordinal, output);
-                self.check_expr(limit, &[]);
-                if let Some(offset) = offset {
-                    self.check_expr(offset, &[]);
-                }
                 self.path.pop();
                 out
             }
@@ -878,59 +846,42 @@ impl Verifier<'_> {
     }
 
     /// Index fast-path preconditions: in-bounds column, family-compatible
-    /// probe keys, no ordered access on a NaN-poisoned column.
+    /// probe keys, and no index path of any kind on a NaN-poisoned column.
     fn check_index_access(&mut self, table: &str, access: &IndexAccess) {
         let Some(t) = self.db.table(table) else {
             return; // UnknownTable already reported by check_table_scan.
         };
         let arity = t.schema.column_count();
-        let check_col = |me: &mut Self, col: usize| -> bool {
-            if col >= arity {
-                let v = PlanViolation::IndexColumnOutOfBounds {
-                    path: me.path(),
-                    table: table.to_string(),
-                    ordinal: col,
-                    arity,
-                };
-                me.report(v);
-                return false;
-            }
-            true
+        let (col, keys): (usize, Vec<&Value>) = match access {
+            IndexAccess::Point { col, key } => (*col, vec![key]),
+            IndexAccess::InList { col, keys } => (*col, keys.iter().collect()),
+            IndexAccess::Range { col, lower, upper } => (
+                *col,
+                lower.iter().chain(upper.iter()).map(|(v, _)| v).collect(),
+            ),
+            // The probe keys come from the subquery, so their family is
+            // unknowable at compile time.
+            IndexAccess::InSubquery { col, .. } => (*col, Vec::new()),
         };
-        match access {
-            IndexAccess::Point { col, key } => {
-                if check_col(self, *col) {
-                    self.check_key_family(table, *col, std::slice::from_ref(key));
-                }
-            }
-            IndexAccess::InList { col, keys } => {
-                if check_col(self, *col) {
-                    self.check_key_family(table, *col, keys);
-                }
-            }
-            IndexAccess::Range { col, lower, upper } => {
-                if check_col(self, *col) {
-                    let bounds: Vec<Value> = lower
-                        .iter()
-                        .chain(upper.iter())
-                        .map(|(v, _)| v.clone())
-                        .collect();
-                    self.check_key_family(table, *col, &bounds);
-                    self.check_not_nan(table, *col);
-                }
-            }
-            IndexAccess::InSubquery { col, plan } => {
-                // Hash probe with runtime fallback; the probe keys come
-                // from the subquery so their family is unknowable at
-                // compile time.
-                check_col(self, *col);
-                self.check_subplan(plan);
-            }
+        if col >= arity {
+            let v = PlanViolation::IndexColumnOutOfBounds {
+                path: self.path(),
+                table: table.to_string(),
+                ordinal: col,
+                arity,
+            };
+            self.report(v);
+        } else {
+            self.check_key_family(table, col, &keys);
+            self.check_not_nan(table, col);
+        }
+        if let IndexAccess::InSubquery { plan, .. } = access {
+            self.check_subplan(plan);
         }
     }
 
     /// Probe keys must share the declared column's `total_cmp` family.
-    fn check_key_family(&mut self, table: &str, col: usize, keys: &[Value]) {
+    fn check_key_family(&mut self, table: &str, col: usize, keys: &[&Value]) {
         let Some(t) = self.db.table(table) else {
             return;
         };
@@ -951,13 +902,13 @@ impl Verifier<'_> {
         }
     }
 
-    /// Ordered-index paths are forbidden on NaN-poisoned columns.
+    /// Index paths are forbidden on NaN-poisoned columns.
     fn check_not_nan(&mut self, table: &str, col: usize) {
         let Some(t) = self.db.table(table) else {
             return;
         };
         if t.secondary_index(col).has_nan() {
-            let v = PlanViolation::OrderedIndexOnNanColumn {
+            let v = PlanViolation::IndexOnNanColumn {
                 path: self.path(),
                 table: table.to_string(),
                 column: t.schema.columns[col].name.clone(),
@@ -978,90 +929,29 @@ impl Verifier<'_> {
         let arity = table.schema.column_count();
         specs
             .iter()
-            .map(|spec| match spec {
-                AggSpec::CountStar => TypeInfo::known(DataType::Integer, false),
-                AggSpec::Count { col, .. } => {
-                    if *col >= arity {
-                        let v = PlanViolation::IndexColumnOutOfBounds {
-                            path: self.path(),
-                            table: name.to_string(),
-                            ordinal: *col,
-                            arity,
-                        };
-                        self.report(v);
-                    }
-                    TypeInfo::known(DataType::Integer, false)
-                }
-                AggSpec::Min(col) | AggSpec::Max(col) => {
-                    if *col >= arity {
-                        let v = PlanViolation::IndexColumnOutOfBounds {
-                            path: self.path(),
-                            table: name.to_string(),
-                            ordinal: *col,
-                            arity,
-                        };
-                        self.report(v);
-                        return TypeInfo::UNKNOWN;
-                    }
-                    self.check_not_nan(name, *col);
-                    TypeInfo {
-                        data_type: Some(table.schema.columns[*col].data_type),
-                        nullable: true, // empty table → NULL
-                    }
-                }
-            })
-            .collect()
-    }
-
-    fn check_index_top_k(
-        &mut self,
-        name: &str,
-        key_ordinal: usize,
-        output: &[usize],
-    ) -> Vec<TypeInfo> {
-        let Some(table) = self.db.table(name) else {
-            let v = PlanViolation::UnknownTable {
-                path: self.path(),
-                name: name.to_string(),
-            };
-            self.report(v);
-            return Vec::new();
-        };
-        let arity = table.schema.column_count();
-        for &c in output {
-            if c >= arity {
-                let v = PlanViolation::IndexColumnOutOfBounds {
-                    path: self.path(),
-                    table: name.to_string(),
-                    ordinal: c,
-                    arity,
+            .map(|spec| {
+                let col = match spec {
+                    AggSpec::CountStar => return TypeInfo::known(DataType::Integer, false),
+                    AggSpec::Count { col, .. } | AggSpec::Min(col) | AggSpec::Max(col) => *col,
                 };
-                self.report(v);
-            }
-        }
-        if key_ordinal >= output.len() {
-            let v = PlanViolation::TopKKeyOutOfBounds {
-                path: self.path(),
-                key_ordinal,
-                outputs: output.len(),
-            };
-            self.report(v);
-        } else if output[key_ordinal] < arity {
-            // The prefix read trusts the ordered index: NaN poisoning
-            // forbids it.
-            self.check_not_nan(name, output[key_ordinal]);
-        }
-        output
-            .iter()
-            .map(|&c| {
-                if c < arity {
-                    let col = &table.schema.columns[c];
-                    TypeInfo {
-                        data_type: Some(col.data_type),
-                        nullable: col.nullable,
-                    }
+                if col >= arity {
+                    let v = PlanViolation::IndexColumnOutOfBounds {
+                        path: self.path(),
+                        table: name.to_string(),
+                        ordinal: col,
+                        arity,
+                    };
+                    self.report(v);
                 } else {
-                    TypeInfo::UNKNOWN
+                    self.check_not_nan(name, col);
+                }
+                match spec {
+                    AggSpec::Min(_) | AggSpec::Max(_) if col < arity => TypeInfo {
+                        data_type: Some(table.schema.columns[col].data_type),
+                        nullable: true, // empty table → NULL
+                    },
+                    AggSpec::Min(_) | AggSpec::Max(_) => TypeInfo::UNKNOWN,
+                    _ => TypeInfo::known(DataType::Integer, false),
                 }
             })
             .collect()
@@ -1648,6 +1538,7 @@ impl LogicalVerifier<'_> {
 mod tests {
     use super::*;
     use crate::database::Database;
+    use crate::error::StorageError;
     use crate::physical::AccessPathStats;
     use crate::plan::ColumnBinding;
     use crate::schema::{Column, TableSchema};
@@ -1769,64 +1660,102 @@ mod tests {
     }
 
     #[test]
-    fn rejects_ordered_index_paths_on_nan_poisoned_columns() {
+    fn rejects_index_paths_on_nan_poisoned_columns() {
         let db = db();
         let snapshot = db.snapshot();
-        // Every ordered-index shape on the NaN-poisoned Float column must
-        // be rejected: range scan, MIN/MAX index aggregate, Top-K fusion.
-        let range = plan_of(
-            PhysNode::IndexScan {
-                name: "T".into(),
-                access: IndexAccess::Range {
+        // Every index shape on the NaN-poisoned Float column must be
+        // rejected: point, IN-list, IN-subquery and range scans, and index
+        // aggregates (COUNT included).
+        let scan = |access: IndexAccess| {
+            plan_of(
+                PhysNode::IndexScan {
+                    name: "T".into(),
+                    access,
+                    cols: None,
+                },
+                &["id", "v", "f"],
+            )
+        };
+        let agg = |spec: AggSpec| {
+            plan_of(
+                PhysNode::IndexAgg {
+                    name: "T".into(),
+                    specs: vec![spec],
+                },
+                &["m"],
+            )
+        };
+        let cases = [
+            (
+                "point",
+                scan(IndexAccess::Point {
+                    col: 2,
+                    key: Value::Float(0.5),
+                }),
+            ),
+            (
+                "in-list",
+                scan(IndexAccess::InList {
+                    col: 2,
+                    keys: vec![Value::Float(0.5), Value::Float(1.5)],
+                }),
+            ),
+            (
+                "in-subquery",
+                scan(IndexAccess::InSubquery {
+                    col: 2,
+                    plan: Box::new(SubPlan::failing(StorageError::Unsupported(
+                        "never runs".into(),
+                    ))),
+                }),
+            ),
+            (
+                "range",
+                scan(IndexAccess::Range {
                     col: 2,
                     lower: Some((Value::Float(0.0), true)),
                     upper: None,
-                },
-                cols: None,
-            },
-            &["id", "v", "f"],
-        );
-        let agg = plan_of(
-            PhysNode::IndexAgg {
-                name: "T".into(),
-                specs: vec![AggSpec::Min(2)],
-            },
-            &["m"],
-        );
-        let top_k = plan_of(
-            PhysNode::IndexTopK {
-                name: "T".into(),
-                key_ordinal: 0,
-                output: vec![2],
-                limit: PhysExpr::Literal(Value::Int(5)),
-                offset: None,
-            },
-            &["f"],
-        );
-        for (label, corrupt) in [("range", range), ("index-agg", agg), ("top-k", top_k)] {
+                }),
+            ),
+            ("index-agg min", agg(AggSpec::Min(2))),
+            (
+                "index-agg count",
+                agg(AggSpec::Count {
+                    col: 2,
+                    distinct: false,
+                }),
+            ),
+        ];
+        for (label, corrupt) in cases {
             let violations = verify_plan(&snapshot, &corrupt);
             assert!(
                 violations
                     .iter()
-                    .any(|v| matches!(v, PlanViolation::OrderedIndexOnNanColumn { .. })),
-                "{label}: expected OrderedIndexOnNanColumn, got:\n{}",
+                    .any(|v| matches!(v, PlanViolation::IndexOnNanColumn { .. })),
+                "{label}: expected IndexOnNanColumn, got:\n{}",
                 render_violations(&violations)
             );
         }
         // The same shapes on the NaN-free Integer column are sound.
-        let clean = plan_of(
-            PhysNode::IndexScan {
-                name: "T".into(),
-                access: IndexAccess::Range {
-                    col: 1,
-                    lower: Some((Value::Int(0), true)),
-                    upper: None,
-                },
-                cols: None,
-            },
-            &["id", "v", "f"],
-        );
-        assert!(verify_plan(&snapshot, &clean).is_empty());
+        let clean = [
+            scan(IndexAccess::Range {
+                col: 1,
+                lower: Some((Value::Int(0), true)),
+                upper: None,
+            }),
+            scan(IndexAccess::Point {
+                col: 1,
+                key: Value::Int(10),
+            }),
+            agg(AggSpec::Count {
+                col: 1,
+                distinct: true,
+            }),
+        ];
+        for plan in clean {
+            let violations = verify_plan(&snapshot, &plan);
+            assert!(violations.is_empty(), "{}", render_violations(&violations));
+        }
     }
 
     #[test]

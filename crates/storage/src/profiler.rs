@@ -4,7 +4,6 @@
 
 use crate::database::Database;
 use crate::table::Table;
-use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -52,25 +51,16 @@ pub struct DatabaseProfile {
 pub fn profile_table(table: &Table) -> TableProfile {
     let column_count = table.schema.column_count();
     let row_count = table.row_count();
+    // The cached per-version statistics count NULLs and distinct non-NULL
+    // values by `group_key` — exactly the profile's equivalence.
+    let stats = table.stats();
     let mut null_cells = 0usize;
     let mut uniqueness_sum = 0.0;
-
-    for (idx, _column) in table.schema.columns.iter().enumerate() {
-        let mut distinct: BTreeSet<String> = BTreeSet::new();
-        let mut non_null = 0usize;
-        for row in table.rows() {
-            match &row[idx] {
-                Value::Null => null_cells += 1,
-                v => {
-                    non_null += 1;
-                    distinct.insert(v.group_key());
-                }
-            }
-        }
+    for column in &stats.columns {
+        null_cells += column.null_count;
         if row_count > 0 {
             // Uniqueness of a column = distinct non-null values / total rows.
-            uniqueness_sum += distinct.len() as f64 / row_count as f64;
-            let _ = non_null;
+            uniqueness_sum += column.ndv as f64 / row_count as f64;
         }
     }
 
@@ -127,6 +117,7 @@ pub fn profile_database(db: &Database) -> DatabaseProfile {
 mod tests {
     use super::*;
     use crate::schema::{Column, TableSchema};
+    use crate::value::Value;
     use bp_sql::DataType;
 
     fn db_with_data() -> Database {

@@ -12,7 +12,7 @@
 //!
 //! The cached columnar decode lives *inside* the payload, so its lifetime
 //! is exactly one table version: a copy-on-write starts the new version
-//! with a cold cache (clones of `ColumnarCache` are empty), an in-place
+//! with a cold cache (a cloned cache cell starts empty), an in-place
 //! write resets it explicitly, and a snapshot's pinned decode stays valid
 //! forever because its payload is immutable. A stale decode is therefore
 //! unrepresentable, not merely avoided.
@@ -30,48 +30,37 @@ use serde::{Deserialize, Serialize};
 /// A row of values, one per column in the owning table's schema.
 pub type Row = Vec<Value>;
 
-/// The lazily-built columnar decode of a table's rows, shared with the
-/// columnar engine's scans. Cached per `(batch, column)` cell so a scan can
+/// Derived data cached on one table version — the columnar decode, the
+/// secondary indexes and the statistics — filled lazily on first use and
+/// shared by refcount afterwards. Transparent to the table's value
+/// semantics: a clone starts empty, because a copy-on-write clone begins a
+/// *new* version with cold caches while the original keeps its warm ones
+/// for the snapshots still reading it. Any row mutation replaces it with a
+/// fresh (empty) cell, so a stale derivation is unrepresentable.
+#[derive(Debug)]
+struct Derived<T>(OnceLock<T>);
+
+impl<T> Default for Derived<T> {
+    #[track_caller]
+    fn default() -> Self {
+        Derived(OnceLock::new())
+    }
+}
+
+impl<T> Clone for Derived<T> {
+    #[track_caller]
+    fn clone(&self) -> Self {
+        Derived::default()
+    }
+}
+
+/// The columnar decode, cached per `(batch, column)` cell so a scan can
 /// decode **only the columns the plan references** (projection pruning)
-/// while every decoded column is still built once per table version and
-/// shared by refcount. Transparent to the table's value semantics: clones
-/// start empty, equality ignores it, and serde skips it. Any row mutation
-/// replaces it with a fresh (empty) cache.
-#[derive(Debug, Default)]
-struct ColumnarCache(OnceLock<Vec<ColumnSlots>>);
+/// while every decoded column is still built once per table version.
+type ColumnGrid = Vec<ColumnSlots>;
 
 /// One batch's worth of per-column decode slots, each filled on first use.
 type ColumnSlots = Box<[OnceLock<Arc<ColumnVec>>]>;
-
-impl Clone for ColumnarCache {
-    fn clone(&self) -> Self {
-        ColumnarCache::default()
-    }
-}
-
-impl PartialEq for ColumnarCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-// The cache is derived data: it serializes as `null` and deserializes (or
-// is absent, for older snapshots) as an empty cache.
-impl Serialize for ColumnarCache {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl Deserialize for ColumnarCache {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(ColumnarCache::default())
-    }
-
-    fn from_missing(_: &str) -> Result<Self, serde::Error> {
-        Ok(ColumnarCache::default())
-    }
-}
 
 /// A secondary index over one column of one immutable table version:
 ///
@@ -85,9 +74,10 @@ impl Deserialize for ColumnarCache {
 /// Group-key equality coincides with `total_cmp == Equal` for every value
 /// except NaN (which `total_cmp` treats as equal to any inexact float while
 /// its group key is distinct), so a column containing NaN poisons both
-/// structures: [`ColumnIndex::has_nan`] is the flag the execution fast
-/// paths check before trusting the index — when set they fall back to the
-/// exact scan kernels, keeping results byte-identical.
+/// structures: [`ColumnIndex::has_nan`] is the flag the *compiler* consults
+/// before emitting any index path on the column — when set it keeps the
+/// scan + filter (or hash-aggregate) plan, and the plan verifier rejects
+/// any index path that slips through. The executor never checks it.
 #[derive(Debug)]
 pub(crate) struct ColumnIndex {
     hash: HashMap<String, Vec<u32>>,
@@ -132,7 +122,8 @@ impl ColumnIndex {
     }
 
     /// Whether the column contains a NaN, which invalidates every fast path
-    /// over this index (callers must use the exact scan kernels instead).
+    /// over this index: the compiler then declines all of them, and the
+    /// ordered index is left unsorted.
     pub(crate) fn has_nan(&self) -> bool {
         self.has_nan
     }
@@ -223,114 +214,18 @@ impl ColumnIndex {
     }
 }
 
-/// The lazily-built per-column secondary indexes of one table version.
-/// Same transparency contract as [`ColumnarCache`]: clones start empty,
-/// equality ignores it, serde skips it, and any row mutation replaces it —
-/// so the Arc-versioned snapshot model invalidates indexes for free, and a
-/// pinned snapshot keeps reading its own consistent index.
-#[derive(Debug, Default)]
-struct IndexCache(OnceLock<Box<[OnceLock<Arc<ColumnIndex>>]>>);
-
-impl IndexCache {
-    fn column(&self, width: usize, col: usize, rows: &[Row]) -> Arc<ColumnIndex> {
-        let slots = self
-            .0
-            .get_or_init(|| (0..width).map(|_| OnceLock::new()).collect());
-        slots[col]
-            .get_or_init(|| Arc::new(ColumnIndex::build(rows, col)))
-            .clone()
-    }
-}
-
-impl Clone for IndexCache {
-    fn clone(&self) -> Self {
-        IndexCache::default()
-    }
-}
-
-impl PartialEq for IndexCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl Serialize for IndexCache {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl Deserialize for IndexCache {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(IndexCache::default())
-    }
-
-    fn from_missing(_: &str) -> Result<Self, serde::Error> {
-        Ok(IndexCache::default())
-    }
-}
-
-/// The lazily-built per-column statistics of one table version (row count,
-/// NDV, min/max, null fraction, numeric histograms — see [`crate::stats`]).
-/// Same transparency contract as [`ColumnarCache`] and [`IndexCache`]:
-/// clones start empty, equality ignores it, serde skips it, and any row
-/// mutation replaces it — so statistics are always about exactly the rows
-/// of the version they sit on, and a stale statistic is unrepresentable.
-#[derive(Debug, Default)]
-struct StatsCache(OnceLock<Arc<crate::stats::TableStats>>);
-
-impl Clone for StatsCache {
-    fn clone(&self) -> Self {
-        StatsCache::default()
-    }
-}
-
-impl PartialEq for StatsCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl Serialize for StatsCache {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl Deserialize for StatsCache {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(StatsCache::default())
-    }
-
-    fn from_missing(_: &str) -> Result<Self, serde::Error> {
-        Ok(StatsCache::default())
-    }
-}
-
-/// One immutable version of a table's payload: the rows plus the columnar
-/// decode derived from exactly those rows. Shared by `Arc` between the live
-/// database and any snapshots pinning this version.
-#[derive(Debug, Default)]
+/// One immutable version of a table's payload: the rows plus the data
+/// derived from exactly those rows. Shared by `Arc` between the live
+/// database and any snapshots pinning this version; a clone (the start of
+/// a copy-on-write version) carries the rows and starts every cache cold.
+#[derive(Debug, Default, Clone)]
 struct TableData {
     rows: Vec<Row>,
-    columnar: ColumnarCache,
-    indexes: IndexCache,
-    stats: StatsCache,
-}
-
-impl Clone for TableData {
-    fn clone(&self) -> Self {
-        // A clone is the start of a *new* version (copy-on-write): carry
-        // the rows, start the decode, index and stats caches cold. The
-        // original version keeps its warm caches for the snapshots still
-        // reading it.
-        TableData {
-            rows: self.rows.clone(),
-            columnar: ColumnarCache::default(),
-            indexes: IndexCache::default(),
-            stats: StatsCache::default(),
-        }
-    }
+    columnar: Derived<ColumnGrid>,
+    /// Per-column secondary indexes, one slot per schema column.
+    indexes: Derived<Box<[OnceLock<Arc<ColumnIndex>>]>>,
+    /// Per-column statistics (see [`crate::stats`]).
+    stats: Derived<Arc<crate::stats::TableStats>>,
 }
 
 /// An in-memory table: a schema plus an `Arc`-shared, versioned row
@@ -424,9 +319,9 @@ impl Table {
         // it (the clone starts with cold decode and index caches); otherwise
         // mutates in place, where the caches must be reset by hand.
         let data = Arc::make_mut(&mut self.data);
-        data.columnar = ColumnarCache::default();
-        data.indexes = IndexCache::default();
-        data.stats = StatsCache::default();
+        data.columnar = Derived::default();
+        data.indexes = Derived::default();
+        data.stats = Derived::default();
         data.rows.push(coerced);
         self.version += 1;
         Ok(())
@@ -499,9 +394,14 @@ impl Table {
     /// version — built on first use, shared by refcount afterwards, and
     /// immutable for as long as any snapshot pins this payload.
     pub(crate) fn secondary_index(&self, col: usize) -> Arc<ColumnIndex> {
-        self.data
-            .indexes
-            .column(self.schema.column_count(), col, &self.data.rows)
+        let slots = self.data.indexes.0.get_or_init(|| {
+            (0..self.schema.column_count())
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        slots[col]
+            .get_or_init(|| Arc::new(ColumnIndex::build(&self.data.rows, col)))
+            .clone()
     }
 
     /// The lazily-built per-column statistics of this table version — built
@@ -588,9 +488,7 @@ impl Deserialize for Table {
             version,
             data: Arc::new(TableData {
                 rows,
-                columnar: ColumnarCache::default(),
-                indexes: IndexCache::default(),
-                stats: StatsCache::default(),
+                ..TableData::default()
             }),
         })
     }

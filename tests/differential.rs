@@ -451,11 +451,11 @@ proptest! {
 
     /// Sargable predicate shapes the compiler lowers onto secondary
     /// indexes — point equality, one-sided ranges, BETWEEN, IN-lists, IN
-    /// (subquery), index-served aggregates, and ordered-index Top-K
-    /// prefixes — with and without residual conjuncts. The legacy
-    /// interpreter never uses an index, so agreement with it *is* the
-    /// indexed ≡ scanned proof; the NaN-poisoned corpus additionally
-    /// forces every fast path through its exact-fallback branch.
+    /// (subquery) and index-served aggregates — with and without residual
+    /// conjuncts, plus whole-table Top-K. The legacy interpreter never
+    /// uses an index, so agreement with it *is* the indexed ≡ scanned
+    /// proof; the NaN-poisoned corpus additionally pins the plans the
+    /// compiler falls back to when it declines an index on a NaN column.
     #[test]
     fn indexed_access_paths_agree(seed in 0u64..1_000_000) {
         for (db, tag) in [(edge_db(), "indexed"), (edge_db_with_nan(), "indexed-nan")] {
@@ -478,8 +478,8 @@ proptest! {
                     tag,
                 );
             }
-            // Ordered-index Top-K prefixes: NULLs sort first, duplicate keys
-            // keep row order, OFFSET skips before LIMIT takes.
+            // Whole-table Top-K: NULLs sort first, duplicate keys keep row
+            // order, OFFSET skips before LIMIT takes.
             let k = mix.below(20);
             let off = mix.below(6);
             assert_engines_agree(
@@ -498,7 +498,8 @@ proptest! {
                     tag,
                 );
             }
-            // Index-served aggregates (MAX(FRAC) falls back under NaN).
+            // Index-served aggregates (the NaN corpus's FRAC declines the
+            // index, so the hash aggregate answers instead).
             assert_engines_agree(
                 &db,
                 "SELECT MIN(BIG), MAX(FRAC), COUNT(*), COUNT(BIG), COUNT(DISTINCT TXT) FROM EDGE_A",
