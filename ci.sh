@@ -102,6 +102,24 @@ while :; do
 done
 echo "indexed-vs-scanned stress loop: ${INDEX_STRESS_PASSES} pass(es) green"
 
+echo "==> paper-artifact smoke (table/figure binaries and examples, run twice, diffed)"
+# The seven table/figure binaries and the four examples take no arguments
+# and are seeded throughout, so two runs must print identical bytes. A
+# non-zero exit or any difference between the two runs fails the build.
+cargo build --release -q --workspace --bins --examples
+SMOKE_BINS="table1 table2 table3 table4 figure1 figure4 user_study_report
+  examples/quickstart examples/benchmark_curation examples/enterprise_annotation examples/user_study"
+rm -rf target/smoke && mkdir -p target/smoke
+for pass in 1 2; do
+  for bin in $SMOKE_BINS; do
+    "./target/release/$bin" > "target/smoke/${bin#examples/}.$pass.txt"
+  done
+done
+for bin in $SMOKE_BINS; do
+  diff "target/smoke/${bin#examples/}.1.txt" "target/smoke/${bin#examples/}.2.txt"
+done
+echo "paper-artifact smoke: 11 programs, two identical runs"
+
 echo "==> exec bench (engine comparison table; emits BENCH_exec.json)"
 # Gate kinds (table in crates/bench/src/bin/exec_bench.rs): always enforced,
 # enforced on >= 4 cores (else recorded with meets_target=null), and

@@ -214,86 +214,34 @@ fn walk_expr(expr: &Expr, depth: usize, a: &mut QueryAnalysis) {
             }
         }
         Expr::Literal(Literal::String(s)) => a.literal_terms.push(s.clone()),
-        Expr::Literal(_) => {}
-        Expr::BinaryOp { left, op, right } => {
-            if op.is_comparison() {
-                a.predicate_count += 1;
-            }
-            walk_expr(left, depth, a);
-            walk_expr(right, depth, a);
+        Expr::BinaryOp { op, .. } if op.is_comparison() => a.predicate_count += 1,
+        Expr::Function { name, .. } if expr.is_aggregate_call() => {
+            a.aggregate_count += 1;
+            a.aggregate_functions.push(name.value.to_ascii_uppercase());
         }
-        Expr::UnaryOp { expr, .. } => walk_expr(expr, depth, a),
-        Expr::Function {
-            name,
-            args,
-            distinct: _,
-        } => {
-            if expr.is_aggregate_call() {
-                a.aggregate_count += 1;
-                a.aggregate_functions.push(name.value.to_ascii_uppercase());
-            }
-            for arg in args {
-                walk_expr(arg, depth, a);
-            }
-        }
-        Expr::Case {
-            operand,
-            conditions,
-            else_result,
-        } => {
-            if let Some(op) = operand {
-                walk_expr(op, depth, a);
-            }
-            for (cond, result) in conditions {
-                walk_expr(cond, depth, a);
-                walk_expr(result, depth, a);
-            }
-            if let Some(else_result) = else_result {
-                walk_expr(else_result, depth, a);
-            }
-        }
-        Expr::Exists { subquery, .. } => {
-            a.predicate_count += 1;
-            a.subquery_count += 1;
-            walk_query(subquery, depth + 1, a);
-        }
-        Expr::Subquery(subquery) => {
-            a.subquery_count += 1;
-            walk_query(subquery, depth + 1, a);
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            a.predicate_count += 1;
-            a.subquery_count += 1;
-            walk_expr(expr, depth, a);
-            walk_query(subquery, depth + 1, a);
-        }
-        Expr::InList { expr, list, .. } => {
-            a.predicate_count += 1;
-            walk_expr(expr, depth, a);
-            for item in list {
-                walk_expr(item, depth, a);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            a.predicate_count += 1;
-            walk_expr(expr, depth, a);
-            walk_expr(low, depth, a);
-            walk_expr(high, depth, a);
-        }
-        Expr::IsNull { expr, .. } => {
-            a.predicate_count += 1;
-            walk_expr(expr, depth, a);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            a.predicate_count += 1;
-            walk_expr(expr, depth, a);
-            walk_expr(pattern, depth, a);
-        }
-        Expr::Cast { expr, .. } => walk_expr(expr, depth, a),
-        Expr::Nested(inner) => walk_expr(inner, depth, a),
-        Expr::Wildcard => {}
+        Expr::Exists { .. }
+        | Expr::InSubquery { .. }
+        | Expr::InList { .. }
+        | Expr::Between { .. }
+        | Expr::IsNull { .. }
+        | Expr::Like { .. } => a.predicate_count += 1,
+        _ => {}
+    }
+    expr.for_each_child(|child| walk_expr(child, depth, a));
+    if let Some(subquery) = own_subquery(expr) {
+        a.subquery_count += 1;
+        walk_query(subquery, depth + 1, a);
+    }
+}
+
+/// The subquery an expression node itself holds (`EXISTS`, scalar and
+/// `IN` subqueries), if any.
+fn own_subquery(expr: &Expr) -> Option<&Query> {
+    match expr {
+        Expr::Exists { subquery, .. }
+        | Expr::Subquery(subquery)
+        | Expr::InSubquery { subquery, .. } => Some(subquery),
+        _ => None,
     }
 }
 
@@ -388,123 +336,28 @@ pub fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
     out
 }
 
-/// Collect every column reference in an expression, *without* descending
-/// into subqueries (their references belong to their own scopes). Used by
-/// the planner to decide where a predicate can be evaluated.
+/// Collect every column reference in an expression, in source order,
+/// *without* descending into subqueries (their references belong to their
+/// own scopes; the tested expression of `x IN (SELECT ...)` is still
+/// collected). The planner's pushdown and the cost estimator use it to
+/// decide which relations a predicate reads; decomposition uses it for its
+/// correlation check.
 pub fn collect_column_refs(expr: &Expr, out: &mut Vec<ColumnRef>) {
     match expr {
-        Expr::Identifier(_) | Expr::CompoundIdentifier(_) => {
-            if let Some(cr) = column_ref(expr) {
-                out.push(cr);
-            }
-        }
-        Expr::Literal(_) | Expr::Wildcard => {}
-        Expr::BinaryOp { left, right, .. } => {
-            collect_column_refs(left, out);
-            collect_column_refs(right, out);
-        }
-        Expr::UnaryOp { expr, .. } => collect_column_refs(expr, out),
-        Expr::Function { args, .. } => {
-            for arg in args {
-                collect_column_refs(arg, out);
-            }
-        }
-        Expr::Case {
-            operand,
-            conditions,
-            else_result,
-        } => {
-            if let Some(op) = operand {
-                collect_column_refs(op, out);
-            }
-            for (c, r) in conditions {
-                collect_column_refs(c, out);
-                collect_column_refs(r, out);
-            }
-            if let Some(e) = else_result {
-                collect_column_refs(e, out);
-            }
-        }
-        Expr::Exists { .. } | Expr::Subquery(_) => {}
-        Expr::InSubquery { expr, .. } => collect_column_refs(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_column_refs(expr, out);
-            for item in list {
-                collect_column_refs(item, out);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_column_refs(expr, out);
-            collect_column_refs(low, out);
-            collect_column_refs(high, out);
-        }
-        Expr::IsNull { expr, .. } => collect_column_refs(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_column_refs(expr, out);
-            collect_column_refs(pattern, out);
-        }
-        Expr::Cast { expr, .. } => collect_column_refs(expr, out),
-        Expr::Nested(inner) => collect_column_refs(inner, out),
+        Expr::Identifier(_) | Expr::CompoundIdentifier(_) => out.extend(column_ref(expr)),
+        _ => expr.for_each_child(|child| collect_column_refs(child, out)),
     }
 }
 
-/// The direct subqueries of an expression (not recursing into them).
+/// The subqueries that belong to an expression's own scope, in source
+/// order: every `EXISTS`, scalar and `IN` subquery reachable through its
+/// sub-expressions, but none nested inside those subqueries.
 pub fn expr_subqueries(expr: &Expr) -> Vec<&Query> {
-    let mut out = Vec::new();
     fn walk<'e>(expr: &'e Expr, out: &mut Vec<&'e Query>) {
-        match expr {
-            Expr::Exists { subquery, .. } | Expr::Subquery(subquery) => out.push(subquery),
-            Expr::InSubquery { expr, subquery, .. } => {
-                walk(expr, out);
-                out.push(subquery);
-            }
-            Expr::BinaryOp { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::UnaryOp { expr, .. } => walk(expr, out),
-            Expr::Function { args, .. } => args.iter().for_each(|a| walk(a, out)),
-            Expr::Case {
-                operand,
-                conditions,
-                else_result,
-            } => {
-                if let Some(op) = operand {
-                    walk(op, out);
-                }
-                for (c, r) in conditions {
-                    walk(c, out);
-                    walk(r, out);
-                }
-                if let Some(e) = else_result {
-                    walk(e, out);
-                }
-            }
-            Expr::InList { expr, list, .. } => {
-                walk(expr, out);
-                list.iter().for_each(|e| walk(e, out));
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                walk(expr, out);
-                walk(low, out);
-                walk(high, out);
-            }
-            Expr::IsNull { expr, .. } => walk(expr, out),
-            Expr::Like { expr, pattern, .. } => {
-                walk(expr, out);
-                walk(pattern, out);
-            }
-            Expr::Cast { expr, .. } | Expr::Nested(expr) => walk(expr, out),
-            Expr::Identifier(_)
-            | Expr::CompoundIdentifier(_)
-            | Expr::Literal(_)
-            | Expr::Wildcard => {}
-        }
+        expr.for_each_child(|child| walk(child, out));
+        out.extend(own_subquery(expr));
     }
+    let mut out = Vec::new();
     walk(expr, &mut out);
     out
 }
@@ -618,6 +471,26 @@ mod tests {
             "SELECT * FROM terms WHERE term_name = 'J-term' AND street_type = 'STREET'",
         );
         assert_eq!(a.literal_terms, vec!["J-term", "STREET"]);
+    }
+
+    #[test]
+    fn literal_and_aggregate_order_follows_source_order() {
+        let a = analyze_sql(
+            "SELECT CASE WHEN MAX(a) > 1 THEN 'hi' ELSE 'lo' END, SUM(AVG(b)) FROM t \
+             WHERE c IN ('x', 'y') AND d BETWEEN 'm' AND 'n' \
+             AND e IN (SELECT MIN(f) FROM u WHERE g = 'z') \
+             GROUP BY h HAVING COUNT(*) IN (SELECT MAX(k) FROM v WHERE k <> 'w')",
+        );
+        assert_eq!(
+            a.literal_terms,
+            vec!["hi", "lo", "x", "y", "m", "n", "z", "w"]
+        );
+        assert_eq!(
+            a.aggregate_functions,
+            vec!["MAX", "SUM", "AVG", "MIN", "COUNT", "MAX"]
+        );
+        assert_eq!(a.subquery_count, 2);
+        assert_eq!(a.nesting_depth, 1);
     }
 
     #[test]

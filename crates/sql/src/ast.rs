@@ -680,6 +680,63 @@ impl Expr {
         }
     }
 
+    /// Call `f` on each direct sub-expression, in source order (for `CASE`:
+    /// operand, then each WHEN/THEN pair, then ELSE). Subqueries are never
+    /// entered: `InSubquery` yields only its tested expression, and
+    /// `Exists`/`Subquery` yield nothing — callers handle subqueries
+    /// themselves.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::BinaryOp { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::UnaryOp { expr, .. }
+            | Expr::InSubquery { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::Nested(expr) => f(expr),
+            Expr::Function { args, .. } => args.iter().for_each(f),
+            Expr::Case {
+                operand,
+                conditions,
+                else_result,
+            } => {
+                if let Some(operand) = operand {
+                    f(operand);
+                }
+                for (cond, result) in conditions {
+                    f(cond);
+                    f(result);
+                }
+                if let Some(else_result) = else_result {
+                    f(else_result);
+                }
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            Expr::Identifier(_)
+            | Expr::CompoundIdentifier(_)
+            | Expr::Literal(_)
+            | Expr::Exists { .. }
+            | Expr::Subquery(_)
+            | Expr::Wildcard => {}
+        }
+    }
+
     /// Whether this expression node is an aggregate function call.
     pub fn is_aggregate_call(&self) -> bool {
         match self {
@@ -729,6 +786,44 @@ mod tests {
         assert!(Expr::func("sum", vec![Expr::col("x")]).is_aggregate_call());
         assert!(!Expr::func("UPPER", vec![Expr::col("x")]).is_aggregate_call());
         assert!(!Expr::col("count").is_aggregate_call());
+    }
+
+    #[test]
+    fn for_each_child_yields_direct_children_in_source_order() {
+        let cases: &[(&str, &[&str])] = &[
+            ("a + b", &["a", "b"]),
+            ("NOT a", &["a"]),
+            ("f(a, b, c)", &["a", "b", "c"]),
+            ("COUNT(*)", &["*"]),
+            (
+                "CASE a WHEN b THEN c WHEN d THEN e ELSE f END",
+                &["a", "b", "c", "d", "e", "f"],
+            ),
+            ("CASE WHEN b THEN c END", &["b", "c"]),
+            ("a IN (SELECT b FROM t WHERE c = 1)", &["a"]),
+            ("a NOT IN (b, c)", &["a", "b", "c"]),
+            ("a BETWEEN b AND c", &["a", "b", "c"]),
+            ("a IS NOT NULL", &["a"]),
+            ("a LIKE b", &["a", "b"]),
+            ("CAST(a AS INTEGER)", &["a"]),
+            ("(a + b)", &["a + b"]),
+            // Leaves, and subqueries, which are never yielded.
+            ("EXISTS (SELECT b FROM t)", &[]),
+            ("(SELECT b FROM t)", &[]),
+            ("t.a", &[]),
+            ("'x'", &[]),
+        ];
+        for (sql, expected) in cases {
+            let query = crate::parser::parse_query(&format!("SELECT {sql}")).unwrap();
+            let Some(SelectItem::Expr { expr, .. }) =
+                query.top_select().unwrap().projection.first()
+            else {
+                panic!("no projected expression in {sql}");
+            };
+            let mut children = Vec::new();
+            expr.for_each_child(|child| children.push(child.to_string()));
+            assert_eq!(children, *expected, "children of {sql}");
+        }
     }
 
     #[test]

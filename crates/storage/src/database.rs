@@ -138,12 +138,6 @@ impl Database {
         self.snapshot().execute(&query, options)
     }
 
-    /// Build (without executing) the logical plan for a query, for
-    /// inspection and testing of the rewrite passes.
-    pub fn plan(&self, query: &bp_sql::Query) -> StorageResult<crate::plan::QueryPlan> {
-        self.snapshot().plan(query)
-    }
-
     /// Parse `sql` once into a reusable [`crate::prepared::PreparedQuery`]
     /// (planned + compiled lazily at its first planned execution, so the
     /// legacy interpreter path never pays for or fails on compilation).

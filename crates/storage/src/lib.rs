@@ -410,6 +410,36 @@ mod executor_tests {
         assert!(!results_match(&gold, &wrong));
     }
 
+    /// An aggregate on the left of `IN (subquery)` makes the SELECT an
+    /// aggregate query: one row, not one `IN` test per input row.
+    #[test]
+    fn aggregate_tested_by_in_subquery_aggregates() {
+        let mut db = Database::new("agg_in");
+        db.ingest_ddl("CREATE TABLE t (id INT PRIMARY KEY, x INT); CREATE TABLE u (id INT);")
+            .unwrap();
+        db.insert_into(
+            "t",
+            vec![
+                vec![1.into(), 1.into()],
+                vec![2.into(), 2.into()],
+                vec![3.into(), 3.into()],
+            ],
+        )
+        .unwrap();
+        db.insert_into("u", vec![vec![3.into()]]).unwrap();
+        for sql in [
+            "SELECT COUNT(*) IN (SELECT id FROM u) FROM t",
+            "SELECT MAX(x) IN (SELECT id FROM u) FROM t",
+        ] {
+            for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
+                let r = db
+                    .execute_sql(sql, ExecOptions::new(strategy))
+                    .unwrap_or_else(|e| panic!("{strategy:?} fails on {sql}: {e}"));
+                assert_eq!(r.rows, vec![vec![Value::Bool(true)]], "{strategy:?}: {sql}");
+            }
+        }
+    }
+
     /// Targeted differential suite: the planned engine must produce the
     /// exact same `QueryResult` (columns, row order, ordered flag) as the
     /// legacy interpreter on every construct, including the corners the

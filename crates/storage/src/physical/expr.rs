@@ -526,37 +526,74 @@ impl PhysExpr {
         }
     }
 
-    /// Record every input-column ordinal this expression reads, assuming a
-    /// vectorized evaluation (see [`PhysExpr::vectorizable`]).
-    pub(crate) fn collect_columns(&self, out: &mut std::collections::BTreeSet<usize>) {
+    /// Call `f` on each direct sub-expression, in source order (for `CASE`:
+    /// operand, then each WHEN/THEN pair, then ELSE). Subplans are never
+    /// entered: `InSubquery` yields only its tested expression.
+    pub(crate) fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a PhysExpr)) {
         match self {
-            PhysExpr::Column(idx) => {
-                out.insert(*idx);
-            }
-            PhysExpr::Literal(_) | PhysExpr::Outer { .. } | PhysExpr::Fail(_) => {}
             PhysExpr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
+                f(left);
+                f(right);
             }
             PhysExpr::Unary { expr, .. }
+            | PhysExpr::InSubquery { expr, .. }
             | PhysExpr::IsNull { expr, .. }
-            | PhysExpr::Cast { expr, .. } => expr.collect_columns(out),
+            | PhysExpr::Cast { expr, .. } => f(expr),
+            PhysExpr::ScalarFn { args, .. } => args.iter().for_each(f),
+            PhysExpr::Aggregate { arg, .. } => {
+                if let Some(arg) = arg {
+                    f(arg);
+                }
+            }
+            PhysExpr::Case {
+                operand,
+                conditions,
+                else_result,
+            } => {
+                if let Some(operand) = operand {
+                    f(operand);
+                }
+                for (cond, result) in conditions {
+                    f(cond);
+                    f(result);
+                }
+                if let Some(else_result) = else_result {
+                    f(else_result);
+                }
+            }
+            PhysExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
             PhysExpr::Between {
                 expr, low, high, ..
             } => {
-                expr.collect_columns(out);
-                low.collect_columns(out);
-                high.collect_columns(out);
+                f(expr);
+                f(low);
+                f(high);
             }
             PhysExpr::Like { expr, pattern, .. } => {
-                expr.collect_columns(out);
-                pattern.collect_columns(out);
+                f(expr);
+                f(pattern);
             }
-            // Non-vectorizable shapes take the gather fallback, which reads
-            // every column; pruning callers must reject them via
-            // `vectorizable` before trusting this set.
-            _ => {}
+            PhysExpr::Column(_)
+            | PhysExpr::Outer { .. }
+            | PhysExpr::Literal(_)
+            | PhysExpr::Exists { .. }
+            | PhysExpr::ScalarSubquery { .. }
+            | PhysExpr::Fail(_) => {}
         }
+    }
+
+    /// Record every input-column ordinal this expression reads, assuming a
+    /// vectorized evaluation. Non-vectorizable shapes take the gather
+    /// fallback, which reads every column, so pruning callers must reject
+    /// them via [`PhysExpr::vectorizable`] before trusting this set.
+    pub(crate) fn collect_columns(&self, out: &mut std::collections::BTreeSet<usize>) {
+        if let PhysExpr::Column(idx) = self {
+            out.insert(*idx);
+        }
+        self.for_each_child(|child| child.collect_columns(out));
     }
 
     /// Per-row fallback: gather each live row and evaluate with the row
@@ -688,4 +725,140 @@ fn eval_aggregate(
         }
     }
     finish_aggregate(name, values, distinct)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn col(i: usize) -> PhysExpr {
+        PhysExpr::Column(i)
+    }
+
+    fn boxed(i: usize) -> Box<PhysExpr> {
+        Box::new(col(i))
+    }
+
+    fn subplan() -> Box<SubPlan> {
+        Box::new(SubPlan::failing(StorageError::UnknownTable("U".into())))
+    }
+
+    /// Every shape with children numbers them `Column(0..)` in source
+    /// order; subplans and leaves yield nothing.
+    #[test]
+    fn for_each_child_yields_direct_children_in_source_order() {
+        let cases = vec![
+            (
+                PhysExpr::Binary {
+                    left: boxed(0),
+                    op: BinaryOperator::Plus,
+                    right: boxed(1),
+                },
+                2,
+            ),
+            (
+                PhysExpr::Unary {
+                    op: UnaryOperator::Minus,
+                    expr: boxed(0),
+                },
+                1,
+            ),
+            (
+                PhysExpr::ScalarFn {
+                    name: "COALESCE",
+                    args: vec![col(0), col(1), col(2)],
+                },
+                3,
+            ),
+            (
+                PhysExpr::Aggregate {
+                    name: "MAX",
+                    arg: Some(boxed(0)),
+                    distinct: false,
+                },
+                1,
+            ),
+            (
+                PhysExpr::Case {
+                    operand: Some(boxed(0)),
+                    conditions: vec![(col(1), col(2)), (col(3), col(4))],
+                    else_result: Some(boxed(5)),
+                },
+                6,
+            ),
+            (
+                PhysExpr::InSubquery {
+                    expr: boxed(0),
+                    plan: subplan(),
+                    negated: false,
+                },
+                1,
+            ),
+            (
+                PhysExpr::InList {
+                    expr: boxed(0),
+                    list: vec![col(1), col(2)],
+                    negated: true,
+                },
+                3,
+            ),
+            (
+                PhysExpr::Between {
+                    expr: boxed(0),
+                    low: boxed(1),
+                    high: boxed(2),
+                    negated: false,
+                },
+                3,
+            ),
+            (
+                PhysExpr::IsNull {
+                    expr: boxed(0),
+                    negated: false,
+                },
+                1,
+            ),
+            (
+                PhysExpr::Like {
+                    expr: boxed(0),
+                    pattern: boxed(1),
+                    negated: false,
+                },
+                2,
+            ),
+            (
+                PhysExpr::Cast {
+                    expr: boxed(0),
+                    data_type: DataType::Text,
+                },
+                1,
+            ),
+            (
+                PhysExpr::Aggregate {
+                    name: "COUNT",
+                    arg: None,
+                    distinct: false,
+                },
+                0,
+            ),
+            (
+                PhysExpr::Exists {
+                    plan: subplan(),
+                    negated: false,
+                },
+                0,
+            ),
+            (PhysExpr::ScalarSubquery { plan: subplan() }, 0),
+            (PhysExpr::Literal(Value::Int(1)), 0),
+            (col(7), 0),
+        ];
+        for (i, (expr, expected)) in cases.iter().enumerate() {
+            let mut children = Vec::new();
+            expr.for_each_child(|child| match child {
+                PhysExpr::Column(c) => children.push(*c),
+                _ => panic!("case {i}: unexpected non-column child"),
+            });
+            assert_eq!(children, (0..*expected).collect::<Vec<_>>(), "case {i}");
+        }
+    }
 }

@@ -28,13 +28,14 @@
 //!   cover exactly the combined input arity, sort keys are in bounds, and
 //!   `visible` never exceeds the projected item count.
 //!
-//! The pass also infers expression types and nullability bottom-up from
-//! the table schemas ([`TypeInfo`]); the inference deliberately stays
-//! conservative. **Runtime type errors are not violations**: arithmetic on
-//! text, division by zero, scalar-subquery cardinality and set-operation
-//! width mismatches are legal, differential-tested semantics that the
-//! compiler is allowed — required — to emit plans for. The verifier
-//! rejects only trees the compiler can never produce from legal SQL.
+//! Both walkers carry only each operator's output *arity* up the tree: no
+//! check needs more than a column's position, and the probe-family check
+//! reads the declared column type. No expression types are inferred.
+//! **Runtime type errors are not violations**: arithmetic on text,
+//! division by zero, scalar-subquery cardinality and set-operation width
+//! mismatches are legal, differential-tested semantics that the compiler
+//! is allowed — required — to emit plans for. The verifier rejects only
+//! trees the compiler can never produce from legal SQL.
 //!
 //! Wiring: [`super::compile_query`] asserts both passes on every
 //! compile in debug builds (so the whole differential suite doubles as a
@@ -45,7 +46,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use bp_sql::{DataType, JoinOperator};
+use bp_sql::DataType;
 
 use crate::plan::{ColumnBinding, LogicalPlan, QueryPlan, Scan, ScanSource, SortKey};
 use crate::snapshot::Snapshot;
@@ -443,37 +444,6 @@ pub struct VerifierStats {
 }
 
 // ---------------------------------------------------------------------
-// Type inference
-// ---------------------------------------------------------------------
-
-/// Inferred static type + nullability of an expression or column, derived
-/// bottom-up from the table schemas. `data_type: None` means statically
-/// unknown (NULL literals, outer references, mixed CASE branches) — the
-/// inference is deliberately conservative because runtime type errors are
-/// legal semantics, not miscompiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TypeInfo {
-    /// Statically known type, if any.
-    pub data_type: Option<DataType>,
-    /// Whether NULL can surface here.
-    pub nullable: bool,
-}
-
-impl TypeInfo {
-    const UNKNOWN: TypeInfo = TypeInfo {
-        data_type: None,
-        nullable: true,
-    };
-
-    fn known(dt: DataType, nullable: bool) -> TypeInfo {
-        TypeInfo {
-            data_type: Some(dt),
-            nullable,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Public entry points
 // ---------------------------------------------------------------------
 
@@ -517,8 +487,8 @@ struct Verifier<'a> {
     db: &'a Snapshot,
     violations: Vec<PlanViolation>,
     path: Vec<String>,
-    /// CTE scopes, innermost last: name → output column types.
-    frames: Vec<HashMap<String, Vec<TypeInfo>>>,
+    /// CTE scopes, innermost last: name → output arity.
+    frames: Vec<HashMap<String, usize>>,
 }
 
 impl Verifier<'_> {
@@ -530,52 +500,51 @@ impl Verifier<'_> {
         self.violations.push(violation);
     }
 
-    /// Verify one (sub-)plan and return its visible output types
+    /// Verify one (sub-)plan and return its visible output arity
     /// (truncated to the declared column list, exactly like execution).
-    fn check_plan(&mut self, plan: &PhysQueryPlan) -> Vec<TypeInfo> {
+    fn check_plan(&mut self, plan: &PhysQueryPlan) -> usize {
         self.frames.push(HashMap::new());
         for (name, sub) in &plan.ctes {
             self.path.push(format!("cte({name})"));
-            let types = self.check_plan(sub);
+            let arity = self.check_plan(sub);
             self.path.pop();
             self.frames
                 .last_mut()
                 .expect("frame pushed above")
-                .insert(name.clone(), types);
+                .insert(name.clone(), arity);
         }
-        let root_types = self.check_node(&plan.root, 0);
-        if plan.columns.len() > root_types.len() {
+        let root_arity = self.check_node(&plan.root, 0);
+        if plan.columns.len() > root_arity {
             self.report(PlanViolation::OutputWidthMismatch {
                 path: self.path(),
                 columns: plan.columns.len(),
-                arity: root_types.len(),
+                arity: root_arity,
             });
         }
         self.frames.pop();
-        let visible = plan.columns.len().min(root_types.len());
-        root_types[..visible].to_vec()
+        plan.columns.len().min(root_arity)
     }
 
-    /// Verify one operator and return its output types. `prune_levels` is
+    /// Verify one operator and return its output arity. `prune_levels` is
     /// the number of remaining operator levels through which a
     /// projection-pruned scan is still legal: a projection grants its
     /// input 2 (scan directly below, or through exactly one filter), a
     /// filter passes its allowance down minus one, everything else grants
     /// 0.
-    fn check_node(&mut self, node: &PhysNode, prune_levels: usize) -> Vec<TypeInfo> {
+    fn check_node(&mut self, node: &PhysNode, prune_levels: usize) -> usize {
         match node {
             PhysNode::ScanTable { name, cols } => {
                 self.path.push("ScanTable".into());
-                let types = self.check_table_scan(name, cols.as_deref(), prune_levels);
+                let arity = self.check_table_scan(name, cols.as_deref(), prune_levels);
                 self.path.pop();
-                types
+                arity
             }
             PhysNode::IndexScan { name, access, cols } => {
                 self.path.push("IndexScan".into());
-                let types = self.check_table_scan(name, cols.as_deref(), prune_levels);
+                let arity = self.check_table_scan(name, cols.as_deref(), prune_levels);
                 self.check_index_access(name, access);
                 self.path.pop();
-                types
+                arity
             }
             PhysNode::IndexAgg { name, specs } => {
                 self.path.push("IndexAgg".into());
@@ -589,77 +558,65 @@ impl Verifier<'_> {
                     .iter()
                     .rev()
                     .find_map(|frame| frame.get(name))
-                    .cloned();
-                match found {
-                    Some(types) => types,
-                    None => {
-                        self.path.push("ScanCte".into());
-                        let v = PlanViolation::UnknownCte {
-                            path: self.path(),
-                            name: name.clone(),
-                        };
-                        self.report(v);
-                        self.path.pop();
-                        Vec::new()
-                    }
-                }
+                    .copied();
+                found.unwrap_or_else(|| {
+                    self.path.push("ScanCte".into());
+                    let v = PlanViolation::UnknownCte {
+                        path: self.path(),
+                        name: name.clone(),
+                    };
+                    self.report(v);
+                    self.path.pop();
+                    0
+                })
             }
             PhysNode::ScanDerived { plan } => {
                 self.path.push("ScanDerived".into());
-                let types = self.check_plan(plan);
+                let arity = self.check_plan(plan);
                 self.path.pop();
-                types
+                arity
             }
-            PhysNode::ScanEmpty => Vec::new(),
+            PhysNode::ScanEmpty => 0,
             PhysNode::Filter {
                 input,
                 predicate,
                 bindings,
             } => {
                 self.path.push("Filter".into());
-                let input_types = self.check_node(input, prune_levels.saturating_sub(1));
-                self.check_bindings(bindings.len(), input_types.len());
-                self.check_expr(predicate, &input_types);
+                let arity = self.check_node(input, prune_levels.saturating_sub(1));
+                self.check_bindings(bindings.len(), arity);
+                self.check_expr(predicate, arity);
                 self.path.pop();
-                input_types
+                arity
             }
             PhysNode::NestedLoopJoin {
                 left,
                 right,
-                operator,
                 on,
                 bindings,
                 right_width,
+                ..
             } => {
                 self.path.push("NestedLoopJoin".into());
-                let out = self.check_join_common(
-                    left,
-                    right,
-                    *operator,
-                    on.as_ref(),
-                    bindings,
-                    *right_width,
-                    None,
-                );
+                let out =
+                    self.check_join_common(left, right, on.as_ref(), bindings, *right_width, None);
                 self.path.pop();
                 out
             }
             PhysNode::HashJoin {
                 left,
                 right,
-                operator,
                 left_keys,
                 right_keys,
                 residual,
                 bindings,
                 right_width,
-                build_left: _,
+                ..
             } => {
                 self.path.push("HashJoin".into());
                 let out = self.check_join_common(
                     left,
                     right,
-                    *operator,
                     residual.as_ref(),
                     bindings,
                     *right_width,
@@ -676,8 +633,8 @@ impl Verifier<'_> {
                 ..
             } => {
                 self.path.push("Project".into());
-                let input_types = self.check_node(input, 2);
-                self.check_bindings(bindings.len(), input_types.len());
+                let arity = self.check_node(input, 2);
+                self.check_bindings(bindings.len(), arity);
                 if *visible > items.len() {
                     self.report(PlanViolation::VisibleOutOfBounds {
                         path: self.path(),
@@ -686,12 +643,11 @@ impl Verifier<'_> {
                     });
                 }
                 self.check_prune_consumers(input, items);
-                let out = items
-                    .iter()
-                    .map(|item| self.check_expr(item, &input_types))
-                    .collect();
+                for item in items {
+                    self.check_expr(item, arity);
+                }
                 self.path.pop();
-                out
+                items.len()
             }
             PhysNode::HashAggregate {
                 input,
@@ -703,8 +659,8 @@ impl Verifier<'_> {
                 ..
             } => {
                 self.path.push("HashAggregate".into());
-                let input_types = self.check_node(input, 0);
-                self.check_bindings(bindings.len(), input_types.len());
+                let arity = self.check_node(input, 0);
+                self.check_bindings(bindings.len(), arity);
                 if *visible > items.len() {
                     self.report(PlanViolation::VisibleOutOfBounds {
                         path: self.path(),
@@ -712,25 +668,18 @@ impl Verifier<'_> {
                         items: items.len(),
                     });
                 }
-                for g in group_by {
-                    self.check_expr(g, &input_types);
+                for expr in group_by.iter().chain(having).chain(items) {
+                    self.check_expr(expr, arity);
                 }
-                if let Some(having) = having {
-                    self.check_expr(having, &input_types);
-                }
-                let out = items
-                    .iter()
-                    .map(|item| self.check_expr(item, &input_types))
-                    .collect();
                 self.path.pop();
-                out
+                items.len()
             }
             PhysNode::Sort { input, keys } => {
                 self.path.push("Sort".into());
-                let input_types = self.check_node(input, 0);
-                self.check_sort_keys(keys, input_types.len());
+                let arity = self.check_node(input, 0);
+                self.check_sort_keys(keys, arity);
                 self.path.pop();
-                input_types
+                arity
             }
             PhysNode::TopK {
                 input,
@@ -739,14 +688,13 @@ impl Verifier<'_> {
                 offset,
             } => {
                 self.path.push("TopK".into());
-                let input_types = self.check_node(input, 0);
-                self.check_sort_keys(keys, input_types.len());
-                self.check_expr(limit, &[]);
-                if let Some(offset) = offset {
-                    self.check_expr(offset, &[]);
+                let arity = self.check_node(input, 0);
+                self.check_sort_keys(keys, arity);
+                for expr in std::iter::once(limit).chain(offset) {
+                    self.check_expr(expr, 0);
                 }
                 self.path.pop();
-                input_types
+                arity
             }
             PhysNode::Limit {
                 input,
@@ -754,57 +702,54 @@ impl Verifier<'_> {
                 offset,
             } => {
                 self.path.push("Limit".into());
-                let input_types = self.check_node(input, 0);
+                let arity = self.check_node(input, 0);
                 // LIMIT/OFFSET are compiled in an empty scope: identifiers
                 // resolve to outer references, never to columns, so any
                 // `Column` here is a miscompile (flagged as out of bounds
                 // against arity 0).
-                if let Some(limit) = limit {
-                    self.check_expr(limit, &[]);
-                }
-                if let Some(offset) = offset {
-                    self.check_expr(offset, &[]);
+                for expr in limit.iter().chain(offset) {
+                    self.check_expr(expr, 0);
                 }
                 self.path.pop();
-                input_types
+                arity
             }
             PhysNode::SetOp { left, right, .. } => {
                 // A width mismatch between the branches is a *legal runtime
                 // error* (differential-tested), so only the branches
                 // themselves are verified here.
                 self.path.push("SetOp.left".into());
-                let left_types = self.check_plan(left);
+                let arity = self.check_plan(left);
                 self.path.pop();
                 self.path.push("SetOp.right".into());
                 self.check_plan(right);
                 self.path.pop();
-                left_types
+                arity
             }
             PhysNode::Nested(plan) => {
                 self.path.push("Nested".into());
-                let types = self.check_plan(plan);
+                let arity = self.check_plan(plan);
                 self.path.pop();
-                types
+                arity
             }
         }
     }
 
     /// Schema lookup + prune-mask validation shared by table and index
-    /// scans. Returns the scan's output types (always full table arity:
+    /// scans. Returns the scan's output arity (always full table arity:
     /// pruned slots still occupy their position as placeholders).
     fn check_table_scan(
         &mut self,
         name: &str,
         cols: Option<&[usize]>,
         prune_levels: usize,
-    ) -> Vec<TypeInfo> {
+    ) -> usize {
         let Some(table) = self.db.table(name) else {
             let v = PlanViolation::UnknownTable {
                 path: self.path(),
                 name: name.to_string(),
             };
             self.report(v);
-            return Vec::new();
+            return 0;
         };
         let arity = table.schema.column_count();
         if let Some(mask) = cols {
@@ -834,15 +779,7 @@ impl Verifier<'_> {
                 }
             }
         }
-        table
-            .schema
-            .columns
-            .iter()
-            .map(|c| TypeInfo {
-                data_type: Some(c.data_type),
-                nullable: c.nullable,
-            })
-            .collect()
+        arity
     }
 
     /// Index fast-path preconditions: in-bounds column, family-compatible
@@ -917,78 +854,68 @@ impl Verifier<'_> {
         }
     }
 
-    fn check_index_agg(&mut self, name: &str, specs: &[AggSpec]) -> Vec<TypeInfo> {
+    /// Index-aggregate columns are in bounds and free of NaN. Returns the
+    /// output arity: one column per spec.
+    fn check_index_agg(&mut self, name: &str, specs: &[AggSpec]) -> usize {
         let Some(table) = self.db.table(name) else {
             let v = PlanViolation::UnknownTable {
                 path: self.path(),
                 name: name.to_string(),
             };
             self.report(v);
-            return Vec::new();
+            return 0;
         };
         let arity = table.schema.column_count();
-        specs
-            .iter()
-            .map(|spec| {
-                let col = match spec {
-                    AggSpec::CountStar => return TypeInfo::known(DataType::Integer, false),
-                    AggSpec::Count { col, .. } | AggSpec::Min(col) | AggSpec::Max(col) => *col,
+        for spec in specs {
+            let col = match spec {
+                AggSpec::CountStar => continue,
+                AggSpec::Count { col, .. } | AggSpec::Min(col) | AggSpec::Max(col) => *col,
+            };
+            if col >= arity {
+                let v = PlanViolation::IndexColumnOutOfBounds {
+                    path: self.path(),
+                    table: name.to_string(),
+                    ordinal: col,
+                    arity,
                 };
-                if col >= arity {
-                    let v = PlanViolation::IndexColumnOutOfBounds {
-                        path: self.path(),
-                        table: name.to_string(),
-                        ordinal: col,
-                        arity,
-                    };
-                    self.report(v);
-                } else {
-                    self.check_not_nan(name, col);
-                }
-                match spec {
-                    AggSpec::Min(_) | AggSpec::Max(_) if col < arity => TypeInfo {
-                        data_type: Some(table.schema.columns[col].data_type),
-                        nullable: true, // empty table → NULL
-                    },
-                    AggSpec::Min(_) | AggSpec::Max(_) => TypeInfo::UNKNOWN,
-                    _ => TypeInfo::known(DataType::Integer, false),
-                }
-            })
-            .collect()
+                self.report(v);
+            } else {
+                self.check_not_nan(name, col);
+            }
+        }
+        specs.len()
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn check_join_common(
         &mut self,
         left: &PhysNode,
         right: &PhysNode,
-        operator: JoinOperator,
         residual: Option<&PhysExpr>,
         bindings: &[ColumnBinding],
         right_width: usize,
         keys: Option<(&[usize], &[usize])>,
-    ) -> Vec<TypeInfo> {
+    ) -> usize {
         self.path.push("left".into());
-        let left_types = self.check_node(left, 0);
+        let left_arity = self.check_node(left, 0);
         self.path.pop();
         self.path.push("right".into());
-        let right_types = self.check_node(right, 0);
+        let right_arity = self.check_node(right, 0);
         self.path.pop();
-        if right_width != right_types.len() {
+        if right_width != right_arity {
             self.report(PlanViolation::JoinWidthMismatch {
                 path: self.path(),
-                expected: right_types.len(),
+                expected: right_arity,
                 found: right_width,
             });
         }
-        let combined = left_types.len() + right_types.len();
+        let combined = left_arity + right_arity;
         self.check_bindings(bindings.len(), combined);
         // Join-order-independent output-binding invariant: every join
         // algorithm emits left columns then right columns, so the output
         // bindings must be the concatenation of the children's bindings for
         // any association tree — the check that catches a reordered plan
         // whose bindings were not rebuilt to match the rewired children.
-        for (child, offset) in [(left, 0), (right, left_types.len())] {
+        for (child, offset) in [(left, 0), (right, left_arity)] {
             let Some(child_bindings) = node_bindings(child) else {
                 continue;
             };
@@ -1013,46 +940,28 @@ impl Verifier<'_> {
                 });
             }
             for &k in left_keys {
-                if k >= left_types.len() {
+                if k >= left_arity {
                     self.report(PlanViolation::ColumnOutOfBounds {
                         path: format!("{}.left_keys", self.path()),
                         ordinal: k,
-                        arity: left_types.len(),
+                        arity: left_arity,
                     });
                 }
             }
             for &k in right_keys {
-                if k >= right_types.len() {
+                if k >= right_arity {
                     self.report(PlanViolation::ColumnOutOfBounds {
                         path: format!("{}.right_keys", self.path()),
                         ordinal: k,
-                        arity: right_types.len(),
+                        arity: right_arity,
                     });
                 }
             }
         }
-        // Outer joins pad the unmatched side with NULLs.
-        let (left_nullable, right_nullable) = match operator {
-            JoinOperator::LeftOuter => (false, true),
-            JoinOperator::RightOuter => (true, false),
-            JoinOperator::FullOuter => (true, true),
-            JoinOperator::Inner | JoinOperator::Cross => (false, false),
-        };
-        let mut out: Vec<TypeInfo> = left_types
-            .iter()
-            .map(|t| TypeInfo {
-                nullable: t.nullable || left_nullable,
-                ..*t
-            })
-            .collect();
-        out.extend(right_types.iter().map(|t| TypeInfo {
-            nullable: t.nullable || right_nullable,
-            ..*t
-        }));
         if let Some(on) = residual {
-            self.check_expr(on, &out);
+            self.check_expr(on, combined);
         }
-        out
+        combined
     }
 
     fn check_bindings(&mut self, bindings: usize, arity: usize) {
@@ -1142,182 +1051,26 @@ impl Verifier<'_> {
         }
     }
 
-    /// Walk an expression: check every resolved column against the input
-    /// arity, verify nested subqueries, and infer the result type
-    /// bottom-up. Runtime type errors are legal, so the inference never
-    /// reports "ill-typed arithmetic" — it exists to type the plan's
-    /// output columns and power the index family checks.
-    fn check_expr(&mut self, expr: &PhysExpr, input: &[TypeInfo]) -> TypeInfo {
-        use bp_sql::BinaryOperator as B;
-        match expr {
-            PhysExpr::Column(idx) => {
-                if *idx >= input.len() {
-                    self.report(PlanViolation::ColumnOutOfBounds {
-                        path: self.path(),
-                        ordinal: *idx,
-                        arity: input.len(),
-                    });
-                    TypeInfo::UNKNOWN
-                } else {
-                    input[*idx]
-                }
+    /// Walk an expression: check each resolved column against the input
+    /// arity, then the node's children, then the subplan it holds (if
+    /// any). Runtime type errors are legal semantics, so nothing about an
+    /// expression's type is checked here.
+    fn check_expr(&mut self, expr: &PhysExpr, arity: usize) {
+        if let PhysExpr::Column(idx) = expr {
+            if *idx >= arity {
+                self.report(PlanViolation::ColumnOutOfBounds {
+                    path: self.path(),
+                    ordinal: *idx,
+                    arity,
+                });
             }
-            PhysExpr::Outer { .. } => TypeInfo::UNKNOWN,
-            PhysExpr::Literal(v) => TypeInfo {
-                data_type: v.data_type(),
-                nullable: matches!(v, Value::Null),
-            },
-            PhysExpr::Binary { left, op, right } => {
-                let lt = self.check_expr(left, input);
-                let rt = self.check_expr(right, input);
-                match op {
-                    B::Eq | B::NotEq | B::Lt | B::LtEq | B::Gt | B::GtEq | B::And | B::Or => {
-                        TypeInfo::known(DataType::Boolean, true)
-                    }
-                    B::Concat => TypeInfo::known(DataType::Text, true),
-                    B::Plus | B::Minus | B::Multiply | B::Divide | B::Modulo => TypeInfo {
-                        data_type: match (lt.data_type, rt.data_type) {
-                            (Some(DataType::Integer), Some(DataType::Integer)) => {
-                                Some(DataType::Integer)
-                            }
-                            (Some(DataType::Float), Some(dt))
-                            | (Some(dt), Some(DataType::Float))
-                                if type_family(dt) == 1 =>
-                            {
-                                Some(DataType::Float)
-                            }
-                            _ => None,
-                        },
-                        nullable: true,
-                    },
-                }
-            }
-            PhysExpr::Unary { op, expr } => {
-                let t = self.check_expr(expr, input);
-                match op {
-                    bp_sql::UnaryOperator::Not => TypeInfo::known(DataType::Boolean, true),
-                    bp_sql::UnaryOperator::Minus | bp_sql::UnaryOperator::Plus => TypeInfo {
-                        data_type: t.data_type.filter(|dt| type_family(*dt) == 1),
-                        nullable: true,
-                    },
-                }
-            }
-            PhysExpr::ScalarFn { name, args } => {
-                let arg_types: Vec<TypeInfo> =
-                    args.iter().map(|a| self.check_expr(a, input)).collect();
-                let data_type = match *name {
-                    "UPPER" | "LOWER" | "TRIM" | "SUBSTR" | "SUBSTRING" => Some(DataType::Text),
-                    "LENGTH" | "LEN" => Some(DataType::Integer),
-                    "ABS" | "ROUND" => arg_types.first().and_then(|t| t.data_type),
-                    "COALESCE" => arg_types.first().and_then(|t| t.data_type),
-                    _ => None,
-                };
-                TypeInfo {
-                    data_type,
-                    nullable: true,
-                }
-            }
-            PhysExpr::Aggregate { name, arg, .. } => {
-                let arg_type = arg.as_ref().map(|a| self.check_expr(a, input));
-                match *name {
-                    "COUNT" => TypeInfo::known(DataType::Integer, false),
-                    "AVG" => TypeInfo::known(DataType::Float, true),
-                    "MIN" | "MAX" | "SUM" => TypeInfo {
-                        data_type: arg_type.and_then(|t| t.data_type),
-                        nullable: true,
-                    },
-                    _ => TypeInfo::UNKNOWN,
-                }
-            }
-            PhysExpr::Case {
-                operand,
-                conditions,
-                else_result,
-            } => {
-                if let Some(operand) = operand {
-                    self.check_expr(operand, input);
-                }
-                let mut branch: Option<TypeInfo> = None;
-                let mut merge = |t: TypeInfo| {
-                    branch = Some(match branch {
-                        None => t,
-                        Some(prev) if prev.data_type == t.data_type => TypeInfo {
-                            data_type: prev.data_type,
-                            nullable: prev.nullable || t.nullable,
-                        },
-                        Some(_) => TypeInfo::UNKNOWN,
-                    });
-                };
-                for (cond, result) in conditions {
-                    self.check_expr(cond, input);
-                    let t = self.check_expr(result, input);
-                    merge(t);
-                }
-                if let Some(else_result) = else_result {
-                    let t = self.check_expr(else_result, input);
-                    merge(t);
-                }
-                TypeInfo {
-                    data_type: branch.and_then(|t| t.data_type),
-                    nullable: true, // no ELSE → NULL
-                }
-            }
-            PhysExpr::Exists { plan, .. } => {
-                self.check_subplan(plan);
-                TypeInfo::known(DataType::Boolean, false)
-            }
-            PhysExpr::ScalarSubquery { plan } => {
-                let mut first = TypeInfo::UNKNOWN;
-                if let Ok(sub) = &plan.plan {
-                    self.path.push("subquery".into());
-                    let types = self.check_plan(sub);
-                    self.path.pop();
-                    if let Some(t) = types.first() {
-                        first = TypeInfo {
-                            data_type: t.data_type,
-                            nullable: true, // empty result → NULL
-                        };
-                    }
-                }
-                first
-            }
-            PhysExpr::InSubquery { expr, plan, .. } => {
-                self.check_expr(expr, input);
-                self.check_subplan(plan);
-                TypeInfo::known(DataType::Boolean, true)
-            }
-            PhysExpr::InList { expr, list, .. } => {
-                self.check_expr(expr, input);
-                for item in list {
-                    self.check_expr(item, input);
-                }
-                TypeInfo::known(DataType::Boolean, true)
-            }
-            PhysExpr::Between {
-                expr, low, high, ..
-            } => {
-                self.check_expr(expr, input);
-                self.check_expr(low, input);
-                self.check_expr(high, input);
-                TypeInfo::known(DataType::Boolean, true)
-            }
-            PhysExpr::IsNull { expr, .. } => {
-                self.check_expr(expr, input);
-                TypeInfo::known(DataType::Boolean, false)
-            }
-            PhysExpr::Like { expr, pattern, .. } => {
-                self.check_expr(expr, input);
-                self.check_expr(pattern, input);
-                TypeInfo::known(DataType::Boolean, true)
-            }
-            PhysExpr::Cast { expr, data_type } => {
-                self.check_expr(expr, input);
-                TypeInfo {
-                    data_type: Some(*data_type),
-                    nullable: true, // failed casts yield NULL
-                }
-            }
-            PhysExpr::Fail(_) => TypeInfo::UNKNOWN, // lazy error — legal
+        }
+        expr.for_each_child(|child| self.check_expr(child, arity));
+        if let PhysExpr::Exists { plan, .. }
+        | PhysExpr::ScalarSubquery { plan }
+        | PhysExpr::InSubquery { plan, .. } = expr
+        {
+            self.check_subplan(plan);
         }
     }
 }
@@ -1542,6 +1295,7 @@ mod tests {
     use crate::physical::AccessPathStats;
     use crate::plan::ColumnBinding;
     use crate::schema::{Column, TableSchema};
+    use bp_sql::JoinOperator;
 
     /// A table with an Integer key, an Integer payload, and a NaN-poisoned
     /// Float column — enough surface for every corrupted-plan fixture.

@@ -137,36 +137,9 @@ pub(crate) fn output_name(expr: &Expr) -> String {
 /// subquery. Decides between [`LogicalPlan::Project`] and
 /// [`LogicalPlan::Aggregate`], with exactly the legacy interpreter's rules.
 pub(crate) fn contains_aggregate(expr: &Expr) -> bool {
-    if expr.is_aggregate_call() {
-        return true;
-    }
-    match expr {
-        Expr::BinaryOp { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
-        Expr::UnaryOp { expr, .. } => contains_aggregate(expr),
-        Expr::Function { args, .. } => args.iter().any(contains_aggregate),
-        Expr::Case {
-            operand,
-            conditions,
-            else_result,
-        } => {
-            operand.as_deref().is_some_and(contains_aggregate)
-                || conditions
-                    .iter()
-                    .any(|(c, r)| contains_aggregate(c) || contains_aggregate(r))
-                || else_result.as_deref().is_some_and(contains_aggregate)
-        }
-        Expr::Cast { expr, .. } | Expr::Nested(expr) | Expr::IsNull { expr, .. } => {
-            contains_aggregate(expr)
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => contains_aggregate(expr) || contains_aggregate(low) || contains_aggregate(high),
-        Expr::Like { expr, pattern, .. } => contains_aggregate(expr) || contains_aggregate(pattern),
-        Expr::InList { expr, list, .. } => {
-            contains_aggregate(expr) || list.iter().any(contains_aggregate)
-        }
-        _ => false,
-    }
+    let mut found = expr.is_aggregate_call();
+    expr.for_each_child(|child| found = found || contains_aggregate(child));
+    found
 }
 
 // ---------------------------------------------------------------------

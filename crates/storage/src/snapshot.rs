@@ -111,12 +111,6 @@ impl Snapshot {
         }
     }
 
-    /// Build (without executing) the logical plan for a query against this
-    /// snapshot.
-    pub fn plan(&self, query: &bp_sql::Query) -> StorageResult<crate::plan::QueryPlan> {
-        crate::plan::Planner::new(self).plan(query)
-    }
-
     /// Parse `sql` once into a reusable [`crate::prepared::PreparedQuery`]
     /// that owns a clone of this snapshot.
     pub fn prepare(&self, sql: &str) -> StorageResult<crate::prepared::PreparedQuery> {

@@ -1,6 +1,5 @@
 //! Runtime values stored in tables and produced by query evaluation.
 
-use bp_sql::DataType;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -28,19 +27,6 @@ impl Value {
     /// Is this the NULL value?
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
-    }
-
-    /// The data type this value naturally maps to, or `None` for NULL.
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(DataType::Integer),
-            Value::Float(_) => Some(DataType::Float),
-            Value::Text(_) => Some(DataType::Text),
-            Value::Bool(_) => Some(DataType::Boolean),
-            Value::Date(_) => Some(DataType::Date),
-            Value::Timestamp(_) => Some(DataType::Timestamp),
-        }
     }
 
     /// Coerce to a float for arithmetic, if numeric (dates/timestamps count
@@ -496,13 +482,5 @@ mod tests {
         assert!(hit);
         assert!(underscores);
         assert!(literal);
-    }
-
-    #[test]
-    fn data_type_mapping() {
-        assert_eq!(Value::Int(1).data_type(), Some(DataType::Integer));
-        assert_eq!(Value::Text("x".into()).data_type(), Some(DataType::Text));
-        assert_eq!(Value::Null.data_type(), None);
-        assert_eq!(Value::Date(10).data_type(), Some(DataType::Date));
     }
 }
