@@ -106,18 +106,25 @@ echo "==> paper-artifact smoke (table/figure binaries and examples, run twice, d
 # The seven table/figure binaries and the four examples take no arguments
 # and are seeded throughout, so two runs must print identical bytes. A
 # non-zero exit or any difference between the two runs fails the build.
+# Each program's first-pass wall time goes to target/smoke/times.txt and is
+# printed; the times are recorded, never asserted.
 cargo build --release -q --workspace --bins --examples
 SMOKE_BINS="table1 table2 table3 table4 figure1 figure4 user_study_report
   examples/quickstart examples/benchmark_curation examples/enterprise_annotation examples/user_study"
 rm -rf target/smoke && mkdir -p target/smoke
 for pass in 1 2; do
   for bin in $SMOKE_BINS; do
+    start=$(date +%s%N)
     "./target/release/$bin" > "target/smoke/${bin#examples/}.$pass.txt"
+    if [ "$pass" = 1 ]; then
+      echo "${bin#examples/} $(( ($(date +%s%N) - start) / 1000000 )) ms" >> target/smoke/times.txt
+    fi
   done
 done
 for bin in $SMOKE_BINS; do
   diff "target/smoke/${bin#examples/}.1.txt" "target/smoke/${bin#examples/}.2.txt"
 done
+cat target/smoke/times.txt
 echo "paper-artifact smoke: 11 programs, two identical runs"
 
 echo "==> exec bench (engine comparison table; emits BENCH_exec.json)"

@@ -10,13 +10,25 @@
 //! SQL-relevant information the description preserves — which is precisely
 //! what the paper's Figure 4 uses backtranslation to measure. No gold query
 //! is consulted.
+//!
+//! [`Backtranslator::new`] splits every table and column name of the
+//! catalog into lowercase parts once, into a schema lexicon that stores
+//! each distinct part once with its common-word flag. A
+//! [`Backtranslator::backtranslate`] call then tokenizes the description
+//! and answers each distinct part against that token set at most once,
+//! with a few ordered-set lookups whose count does not depend on the
+//! description's length. Scoring every table reads those answers, so a
+//! call costs one pass over the lexicon's part references plus the
+//! description's own phrase scans.
 
 use crate::model::ModelProfile;
 use bp_embed::tokenize;
 use bp_sql::DataType;
 use bp_storage::{Catalog, TableSchema};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 /// An aggregate inferred from description phrasing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,36 +56,37 @@ impl InferredAggregate {
 /// from a natural-language description.
 #[derive(Debug, Clone)]
 pub struct Backtranslator<'a> {
-    catalog: &'a Catalog,
+    lexicon: Lexicon<'a>,
     profile: ModelProfile,
 }
 
 impl<'a> Backtranslator<'a> {
     /// Create a backtranslator over a schema catalog using the given model
-    /// profile (the paper uses a vanilla, un-tuned model here).
+    /// profile (the paper uses a vanilla, un-tuned model here). Splits the
+    /// catalog's names into the schema lexicon every call reads.
     pub fn new(catalog: &'a Catalog, profile: ModelProfile) -> Self {
-        Backtranslator { catalog, profile }
+        Backtranslator {
+            lexicon: Lexicon::new(catalog),
+            profile,
+        }
     }
 
     /// Regenerate SQL from a description. Always returns *some* SQL text;
     /// whether it parses/executes/matches is what the rubric grades.
     pub fn backtranslate(&self, description: &str) -> String {
-        let tokens = tokenize(description);
-        let token_set: BTreeSet<String> = tokens.iter().cloned().collect();
+        let mentions = self.lexicon.mentions(tokenize(description));
         let lower = description.to_lowercase();
 
         // 1. Table selection by lexical overlap.
-        let mut scored_tables: Vec<(f64, &TableSchema)> = self
-            .catalog
-            .tables()
-            .map(|t| (table_score(t, &token_set), t))
+        let mut scored_tables: Vec<(f64, &LexTable<'a>)> = self
+            .lexicon
+            .tables
+            .iter()
+            .map(|t| (mentions.table_score(t), t))
             .filter(|(score, _)| *score > 0.0)
             .collect();
-        scored_tables.sort_by(|(a, ta), (b, tb)| {
-            b.partial_cmp(a)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(ta.name.cmp(&tb.name))
-        });
+        scored_tables
+            .sort_by(|(a, ta), (b, tb)| b.total_cmp(a).then(ta.schema.name.cmp(&tb.schema.name)));
         if scored_tables.is_empty() {
             // Nothing recognizable: emit a degenerate query (level 1-2 outcome).
             return "SELECT 1".to_string();
@@ -81,10 +94,9 @@ impl<'a> Backtranslator<'a> {
         let primary = scored_tables[0].1;
         // Include a second table only when its *name* (not just a column) is
         // clearly mentioned and a join key exists.
-        let secondary =
-            scored_tables.iter().skip(1).map(|(_, t)| *t).find(|t| {
-                table_name_mentioned(t, &token_set) && join_condition(primary, t).is_some()
-            });
+        let secondary = scored_tables.iter().skip(1).map(|(_, t)| *t).find(|t| {
+            mentions.any(&t.parts, &[]) && join_condition(primary.schema, t.schema).is_some()
+        });
 
         // 2. Aggregates and distinct.
         let aggregate = infer_aggregate(&lower);
@@ -92,17 +104,19 @@ impl<'a> Backtranslator<'a> {
             lower.contains("distinct") || lower.contains("unique ") || lower.contains("different ");
 
         // 3. Columns mentioned, per table.
-        let mentioned_primary = mentioned_columns(primary, &token_set);
+        let mentioned_primary = mentioned_columns(primary, &mentions);
         let mentioned_secondary = secondary
-            .map(|t| mentioned_columns(t, &token_set))
+            .map(|t| mentioned_columns(t, &mentions))
             .unwrap_or_default();
 
         // 4. Grouping.
-        let group_column = infer_group_column(&lower, primary, secondary);
+        let group_column = self.lexicon.infer_group_column(&lower, primary, secondary);
 
         // 5. Filters.
-        let mut filters = infer_literal_filters(description, primary, secondary);
-        filters.extend(infer_numeric_filters(&lower, primary));
+        let mut filters =
+            self.lexicon
+                .infer_literal_filters(description, &lower, primary, secondary);
+        filters.extend(self.lexicon.infer_numeric_filters(&lower, primary));
 
         // 6. Ordering and limit.
         let wants_order = lower.contains("sorted")
@@ -127,7 +141,7 @@ impl<'a> Backtranslator<'a> {
                 &mentioned_primary,
                 &mentioned_secondary,
                 group_column.as_deref(),
-                primary,
+                primary.schema,
             );
             projection.push(argument);
         }
@@ -149,7 +163,15 @@ impl<'a> Backtranslator<'a> {
             projection.push("*".to_string());
         }
 
-        // 8. Assemble the SQL text.
+        // 8. Vanilla-model imperfection: a weak backtranslator occasionally
+        // drops the WHERE clause it found. Deterministic per description.
+        let drop_filters = self.profile.sql_skill < 0.7 && {
+            let h = crate::sql2nl::stable_hash(description);
+            (h % 100) as f64 / 100.0 > self.profile.sql_skill
+        };
+
+        // 9. Assemble the SQL text.
+        let (primary, secondary) = (primary.schema, secondary.map(|t| t.schema));
         let mut sql = format!("SELECT {}", projection.join(", "));
         sql.push_str(&format!(" FROM {}", primary.name));
         if let Some(secondary) = secondary {
@@ -160,7 +182,7 @@ impl<'a> Backtranslator<'a> {
                 ));
             }
         }
-        if !filters.is_empty() {
+        if !filters.is_empty() && !drop_filters {
             sql.push_str(&format!(" WHERE {}", filters.join(" AND ")));
         }
         if let Some(group_column) = &group_column {
@@ -188,28 +210,134 @@ impl<'a> Backtranslator<'a> {
         if let Some(limit) = limit {
             sql.push_str(&format!(" LIMIT {limit}"));
         }
-
-        // 9. Vanilla-model imperfection: a weak backtranslator occasionally
-        // drops the WHERE clause it found. Deterministic per description.
-        if self.profile.sql_skill < 0.7 && !filters.is_empty() {
-            let h = crate::sql2nl::stable_hash(description);
-            if (h % 100) as f64 / 100.0 > self.profile.sql_skill {
-                if let Some(pos) = sql.find(" WHERE ") {
-                    let rest = sql[pos + 7..].to_string();
-                    let end = rest
-                        .find(" GROUP BY ")
-                        .or_else(|| rest.find(" ORDER BY "))
-                        .unwrap_or(rest.len());
-                    sql = format!("{}{}", &sql[..pos], &rest[end..]);
-                }
-            }
-        }
         sql
     }
 }
 
-fn name_parts(name: &str) -> Vec<String> {
-    tokenize(name)
+/// Index of a distinct name part in [`Lexicon::parts`].
+type PartId = usize;
+
+/// One distinct lowercase name part of a catalog.
+#[derive(Debug, Clone)]
+struct Part {
+    text: String,
+    /// [`is_common_word`] of `text`.
+    common: bool,
+}
+
+/// A table's names, split into lexicon parts.
+#[derive(Debug, Clone)]
+struct LexTable<'a> {
+    schema: &'a TableSchema,
+    /// The table name under Unicode `to_lowercase`.
+    full_name: PartId,
+    /// `tokenize(name)` of the table, in order.
+    parts: Vec<PartId>,
+    /// `tokenize(name)` of each column, in column order.
+    columns: Vec<Vec<PartId>>,
+}
+
+/// The schema lexicon: every table and column name of a catalog split into
+/// lowercase parts once, each distinct part stored once.
+#[derive(Debug, Clone)]
+struct Lexicon<'a> {
+    parts: Vec<Part>,
+    /// One entry per table, in catalog order.
+    tables: Vec<LexTable<'a>>,
+}
+
+impl<'a> Lexicon<'a> {
+    fn new(catalog: &'a Catalog) -> Self {
+        let mut parts: Vec<Part> = Vec::new();
+        let mut ids: BTreeMap<String, PartId> = BTreeMap::new();
+        let mut intern = |text: String| {
+            *ids.entry(text).or_insert_with_key(|text| {
+                parts.push(Part {
+                    text: text.clone(),
+                    common: is_common_word(text),
+                });
+                parts.len() - 1
+            })
+        };
+        let mut tables = Vec::new();
+        for schema in catalog.tables() {
+            let full_name = intern(schema.name.to_lowercase());
+            let mut split = |name: &str| -> Vec<PartId> {
+                tokenize(name).into_iter().map(&mut intern).collect()
+            };
+            tables.push(LexTable {
+                schema,
+                full_name,
+                parts: split(&schema.name),
+                columns: schema.columns.iter().map(|c| split(&c.name)).collect(),
+            });
+        }
+        Lexicon { parts, tables }
+    }
+
+    /// The parts that `tokens` mention.
+    fn mentions(&self, tokens: Vec<String>) -> Mentions<'_> {
+        Mentions {
+            parts: &self.parts,
+            tokens: tokens.into_iter().collect(),
+            memo: vec![Cell::new(None); self.parts.len()],
+        }
+    }
+}
+
+/// Which lexicon parts one token set contains, each part answered at most
+/// once.
+struct Mentions<'l> {
+    parts: &'l [Part],
+    tokens: BTreeSet<String>,
+    memo: Vec<Cell<Option<bool>>>,
+}
+
+impl Mentions<'_> {
+    fn contains(&self, part: PartId) -> bool {
+        let cell = &self.memo[part];
+        cell.get().unwrap_or_else(|| {
+            let hit = tokens_contains(&self.tokens, &self.parts[part].text);
+            cell.set(Some(hit));
+            hit
+        })
+    }
+
+    /// Whether any of `parts` longer than two bytes and not in `generic` is
+    /// mentioned.
+    fn any(&self, parts: &[PartId], generic: &[&str]) -> bool {
+        parts.iter().any(|&part| {
+            let text = self.parts[part].text.as_str();
+            text.len() > 2 && !generic.contains(&text) && self.contains(part)
+        })
+    }
+
+    /// Lexical evidence that the tokens are about `table`. The weights are
+    /// added in a fixed order, so equal evidence gives bit-equal scores.
+    fn table_score(&self, table: &LexTable<'_>) -> f64 {
+        let mut score = 0.0;
+        // Exact full-name mention (e.g. "students", "moira_list") is the
+        // strongest possible signal.
+        if self.contains(table.full_name) && !self.parts[table.full_name].common {
+            score += 3.0;
+        }
+        for &part in &table.parts {
+            let Part { text, common } = &self.parts[part];
+            if part == table.full_name || text.len() <= 2 {
+                continue;
+            }
+            if self.contains(part) {
+                score += if *common { 0.25 } else { 1.0 };
+            }
+        }
+        for &part in table.columns.iter().flatten() {
+            let Part { text, common } = &self.parts[part];
+            if text.len() > 2 && self.contains(part) {
+                score += if *common { 0.1 } else { 0.5 };
+            }
+        }
+        score
+    }
 }
 
 /// Words that appear both in ordinary English and in schema identifiers
@@ -236,61 +364,41 @@ fn is_common_word(word: &str) -> bool {
     )
 }
 
-fn table_score(table: &TableSchema, tokens: &BTreeSet<String>) -> f64 {
-    let mut score = 0.0;
-    let full_name = table.name.to_lowercase();
-    // Exact full-name mention (e.g. "students", "moira_list") is the
-    // strongest possible signal.
-    if tokens_contains(tokens, &full_name) && !is_common_word(&full_name) {
-        score += 3.0;
-    }
-    for part in name_parts(&table.name) {
-        if part == full_name || part.len() <= 2 {
-            continue;
-        }
-        if tokens_contains(tokens, &part) {
-            score += if is_common_word(&part) { 0.25 } else { 1.0 };
-        }
-    }
-    for column in &table.columns {
-        for part in name_parts(&column.name) {
-            if part.len() > 2 && tokens_contains(tokens, &part) {
-                score += if is_common_word(&part) { 0.1 } else { 0.5 };
-            }
-        }
-    }
-    score
-}
-
+/// Whether `tokens` holds some `t` that matches `part` with light
+/// plural/prefix slack, so "students" matches the `student` part: `t` equals
+/// `part`, `part + "s"` or `part` minus a trailing `s`, or both are at least
+/// 4 bytes long and one starts with the other. Allocates nothing, and the
+/// number of lookups depends on `part` only, not on the size of `tokens`.
 fn tokens_contains(tokens: &BTreeSet<String>, part: &str) -> bool {
     if tokens.contains(part) {
         return true;
     }
-    // Light plural/prefix slack so "students" matches the `student` part.
-    tokens.iter().any(|t| {
-        (t.len() >= 4 && part.len() >= 4 && (t.starts_with(part) || part.starts_with(t.as_str())))
-            || *t == format!("{part}s")
-            || format!("{t}s") == part
-    })
+    // The tokens that start with `part` sort right after it.
+    let mut longer = tokens
+        .range::<str, _>((Bound::Excluded(part), Bound::Unbounded))
+        .take_while(|t| t.starts_with(part));
+    if longer.any(|t| part.len() >= 4 || (t.len() == part.len() + 1 && t.ends_with('s'))) {
+        return true;
+    }
+    if part
+        .strip_suffix('s')
+        .is_some_and(|stem| tokens.contains(stem))
+    {
+        return true;
+    }
+    // The tokens that `part` starts with are its char-boundary prefixes.
+    (4..part.len()).any(|end| part.is_char_boundary(end) && tokens.contains(&part[..end]))
 }
 
-fn table_name_mentioned(table: &TableSchema, tokens: &BTreeSet<String>) -> bool {
-    name_parts(&table.name)
-        .iter()
-        .any(|p| p.len() > 2 && tokens_contains(tokens, p))
-}
-
-fn mentioned_columns(table: &TableSchema, tokens: &BTreeSet<String>) -> Vec<String> {
+fn mentioned_columns(table: &LexTable<'_>, mentions: &Mentions<'_>) -> Vec<String> {
     let generic = ["id", "key", "code", "num", "no"];
     table
+        .schema
         .columns
         .iter()
-        .filter(|c| {
-            name_parts(&c.name).iter().any(|p| {
-                p.len() > 2 && !generic.contains(&p.as_str()) && tokens_contains(tokens, p)
-            })
-        })
-        .map(|c| c.name.clone())
+        .zip(&table.columns)
+        .filter(|(_, parts)| mentions.any(parts, &generic))
+        .map(|(c, _)| c.name.clone())
         .collect()
 }
 
@@ -354,39 +462,166 @@ fn aggregate_argument(
     }
 }
 
-fn infer_group_column(
-    lower: &str,
-    primary: &TableSchema,
-    secondary: Option<&TableSchema>,
-) -> Option<String> {
-    let cue_positions: Vec<usize> = ["for each ", "per ", "for every ", "by each "]
-        .iter()
-        .filter_map(|cue| lower.find(cue).map(|p| p + cue.len()))
-        .collect();
-    let position = cue_positions.into_iter().min()?;
-    // The grouping key is the phrase immediately after the cue, up to the
-    // next clause boundary ("for each dept, report ..." → "dept").
-    let tail: String = lower[position..]
-        .chars()
-        .take_while(|c| *c != ',' && *c != '.' && *c != ';')
-        .take(40)
-        .collect();
-    let tail_tokens: BTreeSet<String> = tokenize(&tail).into_iter().collect();
-    let candidates = |table: &TableSchema| -> Option<String> {
-        let generic = ["id", "key", "code"];
-        table
-            .columns
+impl Lexicon<'_> {
+    fn infer_group_column(
+        &self,
+        lower: &str,
+        primary: &LexTable<'_>,
+        secondary: Option<&LexTable<'_>>,
+    ) -> Option<String> {
+        let cue_positions: Vec<usize> = ["for each ", "per ", "for every ", "by each "]
             .iter()
-            .find(|c| {
-                name_parts(&c.name).iter().any(|p| {
-                    p.len() > 2
-                        && !generic.contains(&p.as_str())
-                        && tokens_contains(&tail_tokens, p)
-                })
-            })
-            .map(|c| c.name.clone())
-    };
-    candidates(primary).or_else(|| secondary.and_then(candidates))
+            .filter_map(|cue| lower.find(cue).map(|p| p + cue.len()))
+            .collect();
+        let position = cue_positions.into_iter().min()?;
+        // The grouping key is the phrase immediately after the cue, up to the
+        // next clause boundary ("for each dept, report ..." → "dept").
+        let tail: String = lower[position..]
+            .chars()
+            .take_while(|c| *c != ',' && *c != '.' && *c != ';')
+            .take(40)
+            .collect();
+        let tail_mentions = self.mentions(tokenize(&tail));
+        let candidates = |table: &LexTable<'_>| -> Option<String> {
+            table
+                .schema
+                .columns
+                .iter()
+                .zip(&table.columns)
+                .find(|(_, parts)| tail_mentions.any(parts, &["id", "key", "code"]))
+                .map(|(c, _)| c.name.clone())
+        };
+        candidates(primary).or_else(|| secondary.and_then(candidates))
+    }
+
+    fn infer_literal_filters(
+        &self,
+        description: &str,
+        lower: &str,
+        primary: &LexTable<'_>,
+        secondary: Option<&LexTable<'_>>,
+    ) -> Vec<String> {
+        let mut filters = Vec::new();
+        for literal in quoted_literals(description) {
+            if literal.is_empty() {
+                continue;
+            }
+            // Find the text column whose name parts appear closest before the literal.
+            let literal_position = lower
+                .find(&format!("'{}'", literal.to_lowercase()))
+                .unwrap_or(0);
+            let window: String = lower[..literal_position]
+                .chars()
+                .rev()
+                .take(70)
+                .collect::<String>()
+                .chars()
+                .rev()
+                .collect();
+            // Pick the text column mentioned *closest* to the literal ("rows
+            // where dept is 'EECS'" should bind to dept, not to an earlier
+            // mention of name).
+            let pick_column = |table: &LexTable<'_>| -> Option<String> {
+                let mut best: Option<(usize, String)> = None;
+                for (column, parts) in table.schema.columns.iter().zip(&table.columns) {
+                    if column.data_type != DataType::Text {
+                        continue;
+                    }
+                    let latest = parts
+                        .iter()
+                        .map(|&p| self.parts[p].text.as_str())
+                        .filter(|p| p.len() > 2)
+                        .filter_map(|p| window.rfind(p))
+                        .max();
+                    if let Some(position) = latest {
+                        if best.as_ref().map(|(b, _)| position > *b).unwrap_or(true) {
+                            best = Some((position, column.name.clone()));
+                        }
+                    }
+                }
+                best.map(|(_, name)| name)
+            };
+            let column = pick_column(primary)
+                .or_else(|| secondary.and_then(pick_column))
+                .or_else(|| {
+                    primary
+                        .schema
+                        .columns
+                        .iter()
+                        .find(|c| c.data_type == DataType::Text)
+                        .map(|c| c.name.clone())
+                });
+            let Some(column) = column else { continue };
+            let starts_with_cue = lower[..literal_position].ends_with("starts with ")
+                || window.trim_end().ends_with("starts with")
+                || window.contains("starting with");
+            if starts_with_cue {
+                filters.push(format!("{column} LIKE '{literal}%'"));
+            } else if window.contains("ends with") || window.contains("ending with") {
+                filters.push(format!("{column} LIKE '%{literal}'"));
+            } else {
+                filters.push(format!("{column} = '{literal}'"));
+            }
+        }
+        filters
+    }
+
+    fn infer_numeric_filters(&self, lower: &str, primary: &LexTable<'_>) -> Vec<String> {
+        let mut filters = Vec::new();
+        let comparisons = [
+            ("greater than", ">"),
+            ("more than", ">"),
+            ("above", ">"),
+            ("at least", ">="),
+            ("less than", "<"),
+            ("fewer than", "<"),
+            ("below", "<"),
+            ("at most", "<="),
+        ];
+        let numeric = || {
+            primary
+                .schema
+                .columns
+                .iter()
+                .zip(&primary.columns)
+                .filter(|(c, _)| matches!(c.data_type, DataType::Integer | DataType::Float))
+        };
+        for (phrase, operator) in comparisons {
+            let mut search_from = 0usize;
+            while let Some(found) = lower[search_from..].find(phrase) {
+                let position = search_from + found + phrase.len();
+                let tail: String = lower[position..].chars().take(20).collect();
+                let number: String = tail
+                    .chars()
+                    .skip_while(|c| !c.is_ascii_digit())
+                    .take_while(|c| c.is_ascii_digit() || *c == '.')
+                    .collect::<String>()
+                    .trim_end_matches('.')
+                    .to_string();
+                search_from = position;
+                if number.is_empty() {
+                    continue;
+                }
+                // Column: the numeric column whose name parts appear before the phrase.
+                let head: String = lower[..search_from.saturating_sub(phrase.len())]
+                    .chars()
+                    .rev()
+                    .take(60)
+                    .collect::<String>()
+                    .chars()
+                    .rev()
+                    .collect();
+                let head_mentions = self.mentions(tokenize(&head));
+                let column = numeric()
+                    .find(|(_, parts)| head_mentions.any(parts, &[]))
+                    .or_else(|| numeric().next());
+                if let Some((column, _)) = column {
+                    filters.push(format!("{} {} {}", column.name, operator, number));
+                }
+            }
+        }
+        filters
+    }
 }
 
 fn quoted_literals(description: &str) -> Vec<String> {
@@ -403,137 +638,6 @@ fn quoted_literals(description: &str) -> Vec<String> {
         }
     }
     literals
-}
-
-fn infer_literal_filters(
-    description: &str,
-    primary: &TableSchema,
-    secondary: Option<&TableSchema>,
-) -> Vec<String> {
-    let lower = description.to_lowercase();
-    let mut filters = Vec::new();
-    for literal in quoted_literals(description) {
-        if literal.is_empty() {
-            continue;
-        }
-        // Find the text column whose name parts appear closest before the literal.
-        let literal_position = lower
-            .find(&format!("'{}'", literal.to_lowercase()))
-            .unwrap_or(0);
-        let window: String = lower[..literal_position]
-            .chars()
-            .rev()
-            .take(70)
-            .collect::<String>()
-            .chars()
-            .rev()
-            .collect();
-        // Pick the text column mentioned *closest* to the literal ("rows
-        // where dept is 'EECS'" should bind to dept, not to an earlier
-        // mention of name).
-        let pick_column = |table: &TableSchema| -> Option<String> {
-            let mut best: Option<(usize, String)> = None;
-            for column in table
-                .columns
-                .iter()
-                .filter(|c| c.data_type == DataType::Text)
-            {
-                let latest = name_parts(&column.name)
-                    .iter()
-                    .filter(|p| p.len() > 2)
-                    .filter_map(|p| window.rfind(p.as_str()))
-                    .max();
-                if let Some(position) = latest {
-                    if best.as_ref().map(|(b, _)| position > *b).unwrap_or(true) {
-                        best = Some((position, column.name.clone()));
-                    }
-                }
-            }
-            best.map(|(_, name)| name)
-        };
-        let column = pick_column(primary)
-            .or_else(|| secondary.and_then(pick_column))
-            .or_else(|| {
-                primary
-                    .columns
-                    .iter()
-                    .find(|c| c.data_type == DataType::Text)
-                    .map(|c| c.name.clone())
-            });
-        let Some(column) = column else { continue };
-        let starts_with_cue = lower[..literal_position].ends_with("starts with ")
-            || window.trim_end().ends_with("starts with")
-            || window.contains("starting with");
-        if starts_with_cue {
-            filters.push(format!("{column} LIKE '{literal}%'"));
-        } else if window.contains("ends with") || window.contains("ending with") {
-            filters.push(format!("{column} LIKE '%{literal}'"));
-        } else {
-            filters.push(format!("{column} = '{literal}'"));
-        }
-    }
-    filters
-}
-
-fn infer_numeric_filters(lower: &str, primary: &TableSchema) -> Vec<String> {
-    let mut filters = Vec::new();
-    let comparisons = [
-        ("greater than", ">"),
-        ("more than", ">"),
-        ("above", ">"),
-        ("at least", ">="),
-        ("less than", "<"),
-        ("fewer than", "<"),
-        ("below", "<"),
-        ("at most", "<="),
-    ];
-    for (phrase, operator) in comparisons {
-        let mut search_from = 0usize;
-        while let Some(found) = lower[search_from..].find(phrase) {
-            let position = search_from + found + phrase.len();
-            let tail: String = lower[position..].chars().take(20).collect();
-            let number: String = tail
-                .chars()
-                .skip_while(|c| !c.is_ascii_digit())
-                .take_while(|c| c.is_ascii_digit() || *c == '.')
-                .collect::<String>()
-                .trim_end_matches('.')
-                .to_string();
-            search_from = position;
-            if number.is_empty() {
-                continue;
-            }
-            // Column: the numeric column whose name parts appear before the phrase.
-            let head: String = lower[..search_from.saturating_sub(phrase.len())]
-                .chars()
-                .rev()
-                .take(60)
-                .collect::<String>()
-                .chars()
-                .rev()
-                .collect();
-            let head_tokens: BTreeSet<String> = tokenize(&head).into_iter().collect();
-            let column = primary
-                .columns
-                .iter()
-                .filter(|c| matches!(c.data_type, DataType::Integer | DataType::Float))
-                .find(|c| {
-                    name_parts(&c.name)
-                        .iter()
-                        .any(|p| p.len() > 2 && tokens_contains(&head_tokens, p))
-                })
-                .or_else(|| {
-                    primary
-                        .columns
-                        .iter()
-                        .find(|c| matches!(c.data_type, DataType::Integer | DataType::Float))
-                });
-            if let Some(column) = column {
-                filters.push(format!("{} {} {}", column.name, operator, number));
-            }
-        }
-    }
-    filters
 }
 
 fn infer_limit(lower: &str) -> Option<usize> {
@@ -774,5 +878,244 @@ mod tests {
         }
         assert!(kept > 0);
         assert!(dropped > 0);
+    }
+
+    #[test]
+    fn weak_model_dropping_its_filter_keeps_the_limit() {
+        let catalog = catalog();
+        let weak = Backtranslator::new(&catalog, ModelKind::Llama8B.profile());
+        let mut dropped = 0;
+        for i in 0..40 {
+            let description = format!(
+                "Variant {i}: list the name and dept of students where dept is 'EECS', returning only the single result."
+            );
+            let sql = weak.backtranslate(&description);
+            assert!(sql.ends_with(" LIMIT 1"), "got: {sql}");
+            if !sql.contains(" WHERE ") {
+                assert_eq!(sql, "SELECT name, dept FROM students LIMIT 1");
+                dropped += 1;
+            }
+        }
+        assert!(dropped > 0, "no variant exercised the dropped filter");
+    }
+
+    #[test]
+    fn weak_model_drops_a_filter_whose_literal_looks_like_a_clause() {
+        let catalog = catalog();
+        let weak = Backtranslator::new(&catalog, ModelKind::Llama8B.profile());
+        let mut dropped = 0;
+        for i in 0..40 {
+            let description = format!(
+                "Variant {i}: list the name of students where dept is 'x GROUP BY y', sorted by name."
+            );
+            let sql = weak.backtranslate(&description);
+            if !sql.contains(" WHERE ") {
+                assert!(!sql.contains("GROUP BY"), "got: {sql}");
+                assert!(sql.ends_with(" ORDER BY name DESC"), "got: {sql}");
+                dropped += 1;
+            }
+        }
+        assert!(dropped > 0, "no variant exercised the dropped filter");
+    }
+
+    /// The scorer as it was before the schema lexicon: every call
+    /// re-tokenizes every name and scans every token. The lexicon scorer
+    /// must match it bit for bit.
+    mod reference {
+        use super::super::is_common_word;
+        use bp_embed::tokenize;
+        use bp_storage::TableSchema;
+        use std::collections::BTreeSet;
+
+        fn name_parts(name: &str) -> Vec<String> {
+            tokenize(name)
+        }
+
+        pub(super) fn tokens_contains(tokens: &BTreeSet<String>, part: &str) -> bool {
+            if tokens.contains(part) {
+                return true;
+            }
+            tokens.iter().any(|t| {
+                (t.len() >= 4
+                    && part.len() >= 4
+                    && (t.starts_with(part) || part.starts_with(t.as_str())))
+                    || *t == format!("{part}s")
+                    || format!("{t}s") == part
+            })
+        }
+
+        pub(super) fn table_score(table: &TableSchema, tokens: &BTreeSet<String>) -> f64 {
+            let mut score = 0.0;
+            let full_name = table.name.to_lowercase();
+            if tokens_contains(tokens, &full_name) && !is_common_word(&full_name) {
+                score += 3.0;
+            }
+            for part in name_parts(&table.name) {
+                if part == full_name || part.len() <= 2 {
+                    continue;
+                }
+                if tokens_contains(tokens, &part) {
+                    score += if is_common_word(&part) { 0.25 } else { 1.0 };
+                }
+            }
+            for column in &table.columns {
+                for part in name_parts(&column.name) {
+                    if part.len() > 2 && tokens_contains(tokens, &part) {
+                        score += if is_common_word(&part) { 0.1 } else { 0.5 };
+                    }
+                }
+            }
+            score
+        }
+    }
+
+    /// Every table's lexicon score equals the reference score bit for bit,
+    /// and every lexicon part is matched exactly as the reference matches it.
+    fn assert_scores_match(catalog: &Catalog, tokens: Vec<String>) {
+        let lexicon = Lexicon::new(catalog);
+        let set: BTreeSet<String> = tokens.iter().cloned().collect();
+        let mentions = lexicon.mentions(tokens);
+        for part in &lexicon.parts {
+            assert_eq!(
+                tokens_contains(&set, &part.text),
+                reference::tokens_contains(&set, &part.text),
+                "part {:?}, tokens {set:?}",
+                part.text
+            );
+        }
+        for table in &lexicon.tables {
+            assert_eq!(
+                mentions.table_score(table).to_bits(),
+                reference::table_score(table.schema, &set).to_bits(),
+                "table {:?}, tokens {set:?}",
+                table.schema.name
+            );
+        }
+    }
+
+    /// Tokens that just hit or just miss `part` under the plural/prefix
+    /// slack: byte prefixes of 2–5 bytes (cut back to a char boundary),
+    /// `part` minus its last char, and `part` plus `s`, `ss` or `x`.
+    fn near_misses(part: &str) -> Vec<String> {
+        let prefix = |bytes: usize| {
+            let mut end = bytes.min(part.len());
+            while !part.is_char_boundary(end) {
+                end -= 1;
+            }
+            part[..end].to_string()
+        };
+        let mut chars = part.chars();
+        chars.next_back();
+        let mut near = vec![prefix(2), prefix(3), prefix(4), prefix(5)];
+        near.push(chars.as_str().to_string());
+        near.extend(["s", "ss", "x"].map(|suffix| format!("{part}{suffix}")));
+        near.retain(|t| !t.is_empty());
+        near
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Generated schemas in every naming style the corpora use, plus
+        /// short parts and names whose Unicode and ASCII lowercase differ,
+        /// scored against token sets built from their own near-misses.
+        #[test]
+        fn lexicon_scores_match_reference_on_generated_schemas(
+            names in proptest::collection::vec(
+                prop_oneof![
+                    "[a-z]{1,7}(_[a-z]{1,6}){0,3}",
+                    "[a-z]{1,7}([A-Z][a-z]{1,5}){0,3}",
+                    "[A-Z]{1,7}(_[A-Z]{1,6}){0,3}",
+                    "[a-z]{1,2}(_[a-z]{1,2}){0,3}",
+                    "[a-zéßİÉ]{1,5}(_[a-zéßİÉs]{1,5}){0,2}",
+                    "(list|name|data|key|status|record|records|info)(_[a-z]{1,6}){0,2}",
+                ],
+                2..24,
+            ),
+            shape in proptest::collection::vec(0usize..4, 1..6),
+            picks in proptest::collection::vec(0usize..1000, 0..24),
+            words in proptest::collection::vec("[a-zéßs]{1,8}", 0..6),
+        ) {
+            // Carve the names into tables of 0-3 columns each.
+            let mut catalog = Catalog::new();
+            let mut names = names.into_iter();
+            for columns in shape {
+                let Some(table) = names.next() else { break };
+                let columns = names
+                    .by_ref()
+                    .take(columns)
+                    .map(|c| Column::new(c, DataType::Text))
+                    .collect();
+                // A duplicate (case-insensitive) table name is simply skipped.
+                let _ = catalog.add_table(TableSchema::new(table, columns));
+            }
+            // Candidate tokens: every part, its near-misses, and the whole
+            // lowercase table names.
+            let mut candidates: Vec<String> = Vec::new();
+            for table in catalog.tables() {
+                candidates.push(table.name.to_lowercase());
+                let columns = table.columns.iter().map(|c| &c.name);
+                for part in std::iter::once(&table.name).chain(columns).flat_map(|n| tokenize(n)) {
+                    candidates.extend(near_misses(&part));
+                    candidates.push(part);
+                }
+            }
+            let mut tokens: Vec<String> = picks
+                .iter()
+                .map(|&pick| candidates[pick % candidates.len()].clone())
+                .collect();
+            tokens.extend(words);
+            assert_scores_match(&catalog, tokens);
+        }
+    }
+
+    #[test]
+    fn lexicon_scores_match_reference_on_non_ascii_names() {
+        let mut catalog = Catalog::new();
+        for (table, column) in [
+            ("İstanbul_Straße", "straße_öl"),
+            ("ÉCOLE_ÉLÈVES", "élèves_names"),
+            ("naïveÉcole", "İİİİ"),
+            ("students", "ss"),
+        ] {
+            catalog
+                .add_table(TableSchema::new(
+                    table,
+                    vec![Column::new(column, DataType::Text)],
+                ))
+                .unwrap();
+        }
+        for text in [
+            "İstanbul straße students student",
+            "i̇stanbul_straße écoles élève élèves_name",
+            "naïveécole naïv naïveÉcoles İİİ İİİİs",
+            "stud studs s students_s",
+        ] {
+            assert_scores_match(&catalog, tokenize(text));
+        }
+    }
+
+    #[test]
+    fn lexicon_scores_match_reference_on_every_corpus() {
+        use bp_datasets::{BenchmarkKind, GeneratedBenchmark};
+        for kind in [
+            BenchmarkKind::Spider,
+            BenchmarkKind::Bird,
+            BenchmarkKind::Fiben,
+            BenchmarkKind::Beaver,
+        ] {
+            for seed in [7, 2026] {
+                let bench = GeneratedBenchmark::generate(kind, 12, seed);
+                let catalog = bench.database.catalog();
+                for entry in &bench.log {
+                    let query = bp_sql::parse_query(&entry.sql).expect("corpus SQL parses");
+                    for description in [entry.question.clone(), crate::describe_query(&query)] {
+                        assert_scores_match(catalog, tokenize(&description));
+                    }
+                }
+            }
+        }
     }
 }
