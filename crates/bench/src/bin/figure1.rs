@@ -10,16 +10,18 @@
 //! only the enterprise-tuned "contextModel" recovering a little.
 //!
 //! Grading runs `bp_llm`'s inter-query batch pipeline: items fan out across
-//! a work-stealing worker pool sharing one LRU plan cache, and the reported
-//! numbers are byte-identical at every thread count. Items whose *gold* SQL
+//! a work-stealing worker pool sharing one LRU plan cache per corpus, which
+//! every model grades through, so each gold query is prepared once per
+//! corpus, not once per model. The reported numbers are byte-identical at
+//! every thread count and to a fresh cache per model. Items whose *gold* SQL
 //! fails to run are corpus defects, reported separately (`gold-invalid`)
 //! and excluded from the accuracy denominator.
 
 use bp_bench::{
     f1, figure1_models, generate_all_benchmarks, print_header, HARNESS_SEED, QUERIES_PER_BENCHMARK,
 };
-use bp_llm::evaluate_execution_accuracy;
-use bp_storage::available_threads;
+use bp_llm::evaluate_execution_accuracy_cached;
+use bp_storage::{available_threads, ExecOptions, PlanCache};
 
 fn main() {
     print_header(
@@ -86,12 +88,15 @@ fn main() {
             .map(|(_, rows)| *rows)
             .unwrap_or(&[]);
         let items = corpus.eval_items();
+        let cache = PlanCache::with_default_capacity();
         for (index, model) in models.iter().enumerate() {
-            let report = evaluate_execution_accuracy(
+            let report = evaluate_execution_accuracy_cached(
                 &model.profile(),
                 &items,
                 &corpus.database,
                 HARNESS_SEED,
+                ExecOptions::default(),
+                &cache,
             );
             let paper_value = paper_rows
                 .get(index)

@@ -204,7 +204,12 @@ pub fn evaluate_execution_accuracy(
 /// `cache`, so each distinct SQL text (every gold query, and every
 /// prediction that reproduces one) is parsed, planned and compiled once,
 /// and long-lived services (and repeated study runs over the same corpus)
-/// reuse compiled plans across calls.
+/// reuse compiled plans across calls. That holds only while the distinct
+/// texts of everything graded through `cache` fit its capacity: past it,
+/// LRU eviction makes a later lookup prepare the same text again (the
+/// report never changes, only the work). A
+/// [`PlanCache::with_default_capacity`] holds a whole corpus graded by
+/// every Figure 1 model.
 ///
 /// The whole run grades one [`Snapshot`] taken up front: a writer streaming
 /// inserts concurrently never perturbs in-flight grading, and the cache's
@@ -269,9 +274,7 @@ fn grade_item(
     cache: &PlanCache,
     options: ExecOptions,
 ) -> ItemOutcome {
-    let mut rng = ChaCha8Rng::seed_from_u64(
-        seed ^ stable_hash(&item.gold_sql) ^ (index as u64).wrapping_mul(0x9e3779b97f4a7c15),
-    );
+    let mut rng = item_rng(seed, item, index);
     // Gold side first: an item whose gold SQL cannot run was never a fair
     // test of the model, whatever its prediction would have done.
     let gold = match cache.get(snapshot, &item.gold_sql) {
@@ -303,12 +306,21 @@ fn grade_item(
     }
 }
 
+/// The RNG an item's prediction draws from, independently seeded from
+/// `(seed, gold SQL, index)` so no item's draws depend on another's.
+fn item_rng(seed: u64, item: &EvalItem, index: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(
+        seed ^ stable_hash(&item.gold_sql) ^ (index as u64).wrapping_mul(0x9e3779b97f4a7c15),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ModelKind;
     use bp_sql::parse_query;
-    use bp_storage::ExecStrategy;
+    use bp_storage::{ExecStrategy, PreparedQuery};
+    use std::collections::HashSet;
 
     fn campus_db() -> Database {
         let mut db = Database::new("campus");
@@ -551,6 +563,124 @@ mod tests {
         // entirely; the batch pipeline must still agree with it.
         let legacy = grade(ExecOptions::new(ExecStrategy::Legacy).with_threads(4));
         assert_eq!(serial, legacy);
+    }
+
+    /// One Figure 1 sweep: a corpus with more distinct gold texts than
+    /// the old 512-entry default, generated at an eighth of its Laptop rows
+    /// so the debug test stays quick.
+    fn figure1_sweep_items() -> (Database, Vec<EvalItem>) {
+        use bp_datasets::{generate_database, generate_workload, lexicon_for, BenchmarkKind};
+        let kind = BenchmarkKind::Spider;
+        let mut profile = kind.profile();
+        profile.rows_per_table = (profile.rows_per_table / 8).max(8);
+        let db = generate_database(&profile, 2026);
+        let log = generate_workload(&db, &profile, &lexicon_for(kind), 800, 2026 ^ 0xbeef);
+        let items = log
+            .into_iter()
+            .map(|entry| EvalItem {
+                question: entry.question,
+                gold_sql: entry.sql,
+                // `bp_datasets` links its own copy of this crate, so the
+                // difficulty crosses field by field.
+                difficulty: WorkloadDifficulty {
+                    schema_ambiguity: entry.difficulty.schema_ambiguity,
+                    domain_terms: entry.difficulty.domain_terms,
+                },
+            })
+            .collect();
+        (db, items)
+    }
+
+    #[test]
+    fn default_cache_prepares_each_text_of_a_figure1_sweep_once() {
+        let (db, items) = figure1_sweep_items();
+        let snapshot = db.snapshot();
+        let models = [
+            ModelKind::Gpt4o,
+            ModelKind::Llama70B,
+            ModelKind::Llama8B,
+            ModelKind::ContextModel,
+        ];
+        let seed = 17;
+        let options = ExecOptions::serial();
+        let shared = PlanCache::with_default_capacity();
+        let swept: Vec<_> = models
+            .iter()
+            .map(|model| {
+                evaluate_execution_accuracy_cached(
+                    &model.profile(),
+                    &items,
+                    &db,
+                    seed,
+                    options,
+                    &shared,
+                )
+            })
+            .collect();
+
+        // Every text the sweep looks up: each gold query, and each model's
+        // prediction for an item whose gold runs (the grader skips the
+        // prediction of a corpus defect).
+        let mut texts: HashSet<String> = items.iter().map(|i| i.gold_sql.clone()).collect();
+        assert!(
+            texts.len() > 512,
+            "only {} distinct gold texts",
+            texts.len()
+        );
+        let runnable: Vec<_> = items
+            .iter()
+            .map(|item| {
+                let gold = PreparedQuery::new(snapshot.clone(), &item.gold_sql).ok()?;
+                gold.execute(options).ok()?;
+                Some(gold)
+            })
+            .collect();
+        for model in &models {
+            for (index, (item, gold)) in items.iter().zip(&runnable).enumerate() {
+                if let Some(gold) = gold {
+                    let mut rng = item_rng(seed, item, index);
+                    let prediction = predict_sql(
+                        &model.profile(),
+                        gold.query(),
+                        item.difficulty,
+                        snapshot.catalog(),
+                        &mut rng,
+                    );
+                    texts.insert(prediction.sql);
+                }
+            }
+        }
+        let stats = shared.stats();
+        let runnable_count = runnable.iter().flatten().count();
+        assert_eq!(
+            stats.hits + stats.misses,
+            (models.len() * (items.len() + runnable_count)) as u64,
+            "one gold lookup per item, one prediction lookup per runnable gold"
+        );
+        assert_eq!(
+            stats.misses,
+            texts.len() as u64,
+            "a text was prepared more than once in one sweep"
+        );
+        assert_eq!(stats.invalidations, 0);
+
+        for (model, swept) in models.iter().zip(&swept) {
+            let fresh = PlanCache::with_default_capacity();
+            let alone = evaluate_execution_accuracy_cached(
+                &model.profile(),
+                &items,
+                &db,
+                seed,
+                options,
+                &fresh,
+            );
+            assert_eq!(
+                &alone,
+                swept,
+                "{} grades differently in a shared cache",
+                model.name()
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! Run with: `cargo run --example benchmark_curation`
 
 use benchpress_suite::core::{
-    execution_accuracy, export_records, review_metrics, FeedbackAction, Project, TaskConfig,
+    execution_accuracy_cached, export_records, review_metrics, FeedbackAction, Project, TaskConfig,
 };
 use benchpress_suite::datasets::{BenchmarkKind, GeneratedBenchmark};
 use benchpress_suite::llm::ModelKind;
+use benchpress_suite::storage::{ExecOptions, PlanCache};
 
 fn main() {
     // An enterprise SQL log (Beaver-like): ambiguous schema, domain terms.
@@ -53,9 +54,18 @@ fn main() {
     );
 
     // Use the curated benchmark to evaluate text-to-SQL models on *your* workload.
+    // One plan cache serves every model, so each gold query compiles once.
     println!("\nExecution accuracy of text-to-SQL models on the curated workload:");
+    let cache = PlanCache::with_default_capacity();
     for model in [ModelKind::Gpt4o, ModelKind::Llama70B, ModelKind::Llama8B] {
-        let report = execution_accuracy(&project, model, corpus.profile.schema_ambiguity, 3);
+        let report = execution_accuracy_cached(
+            &project,
+            model,
+            corpus.profile.schema_ambiguity,
+            3,
+            ExecOptions::default(),
+            &cache,
+        );
         println!(
             "  {:<18} {:>5.1}%  ({} / {} correct, {} invalid)",
             model.name(),
