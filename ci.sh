@@ -33,7 +33,10 @@ echo "==> cargo test -q --workspace (includes the umbrella tier-1 suite)"
 # suites compile thousands of corpus plans, so a verifier-visible miscompile
 # fails here before any release gate runs. (The release path stays covered
 # too: PreparedQuery verifies every plan it compiles, always-on.)
-cargo test -q --workspace
+# The run is capped at 8 GiB of address space (in a subshell, so later
+# steps are unaffected): a runaway join then fails by test name instead of
+# being OOM-killed with the machine.
+( ulimit -v 8388608; cargo test -q --workspace )
 
 echo "==> bp-sync sanitized model tests (deterministic schedule exploration, timeboxed)"
 # The concurrency sanitizer: the same library code recompiled with its
@@ -86,7 +89,7 @@ echo "==> indexed-vs-scanned stress loop (differential fast-path oracles, timebo
 # indexed access path (hash point/IN probes, ordered-range scans, index
 # aggregates) has a differential oracle that compares
 # it against the same query forced to full-scan, and against the legacy
-# interpreter, at several thread counts. The proptest generators draw new
+# interpreter. The proptest generators draw new
 # seeds every pass, so re-running in release mode until a ~30s budget is
 # spent keeps widening the explored corpus (at least one pass always runs;
 # a failing pass fails the build).

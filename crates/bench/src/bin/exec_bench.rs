@@ -220,40 +220,36 @@ fn fast_paths(fast_paths: bool) -> CompileOptions {
     }
 }
 
-/// Every foreign-key equi-join of the corpus schema, projecting the key
-/// pair, or every column of both tables when `wide`.
-fn fk_joins(db: &Database, wide: bool) -> Vec<String> {
-    let mut joins = Vec::new();
-    for table in db.tables() {
-        for column in &table.schema.columns {
-            if let Some((parent, pk)) = &column.references {
-                let (child, fk) = (&table.schema.name, &column.name);
-                let projection = match wide {
-                    true => "c.*, p.*".to_string(),
-                    false => format!("c.{fk}, p.{pk}"),
-                };
-                let from = format!("{child} c JOIN {parent} p ON c.{fk} = p.{pk}");
-                joins.push(format!("SELECT {projection} FROM {from}"));
-            }
-        }
-    }
-    assert!(!joins.is_empty(), "corpus has foreign keys");
-    joins
+/// The first foreign-key equi-join of the corpus schema, projecting the
+/// key pair.
+fn fk_join(db: &Database) -> String {
+    db.tables()
+        .find_map(|table| {
+            let column = table
+                .schema
+                .columns
+                .iter()
+                .find(|c| c.references.is_some())?;
+            let (parent, pk) = column.references.as_ref()?;
+            let (child, fk) = (&table.schema.name, &column.name);
+            Some(format!(
+                "SELECT c.{fk}, p.{pk} FROM {child} c JOIN {parent} p ON c.{fk} = p.{pk}"
+            ))
+        })
+        .expect("corpus has foreign keys")
 }
 
 /// Two timed sides, each `(json_key, runs, options)`, executing `sqls`;
-/// every query is first asserted byte-identical under both and `also`.
+/// every query is first asserted byte-identical under both.
 fn query_sides<'a>(
     db: &'a Database,
     sqls: &[String],
     sides: [(&'static str, usize, ExecOptions); 2],
-    also: ExecOptions,
 ) -> Vec<Side<'a>> {
     let queries: Vec<_> = sqls.iter().map(|sql| parse(sql)).collect();
     for query in &queries {
-        let options = [sides[0].2, sides[1].2, also];
-        let [a, b, c] = options.map(|opts| db.snapshot().execute(query, opts));
-        assert!(a == b && b == c, "engines or thread counts disagree");
+        let [a, b] = sides.map(|(.., opts)| db.snapshot().execute(query, opts));
+        assert!(a == b, "engines disagree");
     }
     let timed = |(key, runs, opts): (&'static str, usize, ExecOptions)| {
         let queries = queries.clone();
@@ -440,7 +436,7 @@ struct Lookups {
     output_rows: usize,
 }
 
-fn point_lookups(large: &GeneratedBenchmark, threads: usize) -> Lookups {
+fn point_lookups(large: &GeneratedBenchmark) -> Lookups {
     const LOOKUPS: usize = 48;
     let snapshot = large.database.snapshot();
     let mut keys = Vec::new();
@@ -462,13 +458,13 @@ fn point_lookups(large: &GeneratedBenchmark, threads: usize) -> Lookups {
         let [fast, scan] = [true, false].map(|fast| compile(fast).expect("compiles"));
         let paths = [&fast, &scan].map(|plan| plan.access_paths().index_scan);
         assert_eq!(paths, [1, 0], "{sql}: wrong access paths");
-        let exec = |plan, threads| {
-            let options = ExecOptions::default().with_threads(threads);
-            exec_compiled(&snapshot, plan, options).expect("lookup executes")
-        };
-        let indexed = exec(&fast, 1);
-        assert_eq!(indexed, exec(&scan, 1), "{sql}: index and scan differ");
-        assert_eq!(indexed, exec(&fast, threads), "{sql}: threads change it");
+        let exec = |plan| exec_compiled(&snapshot, plan, ExecOptions::serial());
+        let indexed = exec(&fast).expect("lookup executes");
+        assert_eq!(
+            Ok(&indexed),
+            exec(&scan).as_ref(),
+            "{sql}: index and scan differ"
+        );
         output_rows += indexed.row_count();
         lookups.push((fast, scan));
     }
@@ -614,18 +610,15 @@ fn main() {
     let (db, rows_per_table) = (&large.database, large.profile.rows_per_table);
     let service = AnnotationService::new(db.clone());
     let log: Vec<String> = large.log.iter().map(|entry| entry.sql.clone()).collect();
-    let lookups = point_lookups(&large, threads);
+    let lookups = point_lookups(&large);
     let (jo_snapshot, jo_plans, jo_output_rows) = join_order();
     let serial = ExecOptions::serial();
     let legacy = ExecOptions::new(ExecStrategy::Legacy);
-    let parallel = ExecOptions::default().with_threads(threads);
-    let join = [fk_joins(db, false).swap_remove(0)];
+    let join = [fk_join(db)];
     let join_result = db.execute_sql(&join[0], serial);
     let workload: Vec<String> = medium.log.iter().map(|entry| entry.sql.clone()).collect();
-    let wide_joins = fk_joins(db, true);
     let headline_sides = [("legacy_ms", 1, legacy), ("planned_ms", 9, serial)];
     let workload_sides = [("legacy_ms", 1, legacy), ("planned_ms", 3, serial)];
-    let parallel_sides = [("serial_ms", 5, serial), ("parallel_ms", 5, parallel)];
     // Building an entry runs its identity checks, so all of them pass before
     // the first timing.
     let table = [
@@ -633,7 +626,7 @@ fn main() {
         // nested loop. One round (a legacy run takes ~10 s); its target and
         // outcome are the report's top-level keys.
         Entry {
-            sides: query_sides(db, &join, headline_sides, serial),
+            sides: query_sides(db, &join, headline_sides),
             rounds: 1,
             target_key: None,
             gate: Gate::Always(HEADLINE_TARGET),
@@ -645,7 +638,7 @@ fn main() {
         },
         // The Medium workload's mixed shapes: filters, aggregates, subqueries.
         Entry {
-            sides: query_sides(&medium.database, &workload, workload_sides, parallel),
+            sides: query_sides(&medium.database, &workload, workload_sides),
             rounds: 1,
             target_key: None,
             ..Entry::new(
@@ -653,21 +646,10 @@ fn main() {
                 facts!(kind: medium.kind.name(), scale: "medium", queries: workload.len()),
             )
         },
-        // Every foreign-key join, wide enough that rows materialize, serial
-        // vs on the morsel-parallel executor.
-        Entry {
-            sides: query_sides(db, &wide_joins, parallel_sides, parallel),
-            gate: Gate::MinCores(1.5, MIN_CORES),
-            ..Entry::new(
-                "parallel_equi_join_workload",
-                facts!(scale: SCALE.name(), queries: wide_joins.len(), threads: threads,
-                       cores: threads),
-            )
-        },
         pipeline_throughput(&large, threads),
         concurrent_read_write(&service, log, threads),
-        // Point lookups through the hash index vs forced full scans; the
-        // probes run on one thread, so the gate holds on any core count.
+        // Point lookups through the hash index vs forced full scans; one
+        // query runs on one thread, so the gate holds on any core count.
         Entry {
             sides: vec![
                 plans_side("full_scan_ms", &lookups.snapshot, &lookups.scan),
@@ -680,7 +662,7 @@ fn main() {
                        rows_per_table: rows_per_table, output_rows: lookups.output_rows),
             )
         },
-        // Cost-based vs syntactic join order (`JO_SQL`), single-threaded, so
+        // Cost-based vs syntactic join order (`JO_SQL`) on one thread, so
         // the gate holds on any core count.
         Entry {
             sides: vec![

@@ -73,8 +73,8 @@ pub fn backtranslation_study(project: &Project, model: ModelKind) -> Backtransla
 /// Evaluate a text-to-SQL model's execution accuracy on a project's log,
 /// using the gold questions ingested with the log. This is the per-project
 /// form of the Figure 1 experiment; grading runs with the default options
-/// (the planned engine across all hardware threads) through a fresh plan
-/// cache.
+/// (the planned engine, items fanned out over one worker per hardware
+/// thread) through a fresh plan cache.
 pub fn execution_accuracy(
     project: &Project,
     model: ModelKind,
@@ -87,11 +87,11 @@ pub fn execution_accuracy(
 }
 
 /// [`execution_accuracy`] with full [`ExecOptions`] control (engine choice
-/// plus worker-thread budget), grading through a caller-supplied
+/// plus item-pool size), grading through a caller-supplied
 /// [`bp_storage::PlanCache`]. `options.threads` sizes the inter-query batch
 /// pipeline's worker pool (see
 /// [`bp_llm::evaluate_execution_accuracy_cached`]): items fan out across
-/// workers sharing the cache while each item executes serially, and
+/// workers sharing the cache, each item's queries run on its worker, and
 /// grading is deterministic — byte-identical reports — at every thread
 /// count. Repeated evaluations of a growing project — the annotation
 /// service's steady state — reuse compiled plans for every query whose

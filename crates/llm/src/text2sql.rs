@@ -171,8 +171,8 @@ enum ItemOutcome {
 }
 
 /// Evaluate a model's execution accuracy over a workload against a database
-/// with the default options: the planned engine, across all available
-/// hardware threads, through a fresh [`PlanCache`].
+/// with the default options: the planned engine, with items fanned out over
+/// one worker per available hardware thread, through a fresh [`PlanCache`].
 ///
 /// Every prediction is executed on `db` and compared to the gold result with
 /// the Spider/Bird execution-accuracy convention (see
@@ -194,10 +194,9 @@ pub fn evaluate_execution_accuracy(
 ///
 /// This is the **inter-query batch pipeline**: `options.threads` sizes a
 /// deterministic work-stealing worker pool ([`bp_storage::batch_map`]) that
-/// fans the *items* out, while each item executes its two queries
-/// single-threaded on `options.strategy` — for corpus grading, parallelism
-/// across thousands of independent items beats parallelism inside one
-/// small query, and the two never compose well (nested pools just contend).
+/// fans the *items* out, and each item executes its two queries on
+/// `options.strategy` on the worker that claimed it — the engine's only
+/// level of parallelism is across items, never inside one query.
 /// Grading million-entry logs wants the planned engine (the columnar batch
 /// engine, the default); differential checks of the grader itself can pin
 /// [`bp_storage::ExecStrategy::Legacy`] (the interpreter oracle). All workers share
@@ -229,8 +228,7 @@ pub fn evaluate_execution_accuracy_cached(
     cache: &PlanCache,
 ) -> ExecutionAccuracyReport {
     let snapshot = db.snapshot();
-    let item_options = ExecOptions::new(options.strategy).with_threads(1);
-    let outcomes = batch_map(options.threads.max(1), items.len(), |index| {
+    let outcomes = batch_map(options.threads, items.len(), |index| {
         Ok::<_, std::convert::Infallible>(grade_item(
             profile,
             &items[index],
@@ -238,7 +236,7 @@ pub fn evaluate_execution_accuracy_cached(
             &snapshot,
             seed,
             cache,
-            item_options,
+            options,
         ))
     })
     .expect("grading items is infallible");
@@ -563,6 +561,56 @@ mod tests {
         // entirely; the batch pipeline must still agree with it.
         let legacy = grade(ExecOptions::new(ExecStrategy::Legacy).with_threads(4));
         assert_eq!(serial, legacy);
+    }
+
+    /// Regression: Beaver item 5's GPT-4o prediction at seed 7 swaps its
+    /// hub table for one that lacks the column its WHERE clause names.
+    /// Both engines must reject it before reading a row. They used to
+    /// build the whole many-to-many join product under that filter first,
+    /// which aborted the process under an 8 GiB address-space ceiling.
+    #[test]
+    fn wrong_table_prediction_is_rejected_at_prepare_in_both_engines() {
+        use crate::corrupt::Corruption;
+        use bp_datasets::{BenchmarkKind, GeneratedBenchmark};
+        use bp_storage::{compile_query, StorageError};
+        let beaver = GeneratedBenchmark::generate(BenchmarkKind::Beaver, 25, 13);
+        let entry = &beaver.log[5];
+        let item = EvalItem {
+            question: entry.question.clone(),
+            gold_sql: entry.sql.clone(),
+            difficulty: WorkloadDifficulty {
+                schema_ambiguity: entry.difficulty.schema_ambiguity,
+                domain_terms: entry.difficulty.domain_terms,
+            },
+        };
+        let snapshot = beaver.database.snapshot();
+        let gold = parse_query(&item.gold_sql).expect("gold parses");
+        let prediction = predict_sql(
+            &ModelKind::Gpt4o.profile(),
+            &gold,
+            item.difficulty,
+            snapshot.catalog(),
+            &mut item_rng(7, &item, 5),
+        );
+        assert_eq!(prediction.corruption, Some(Corruption::WrongTable));
+        let query = parse_query(&prediction.sql).expect("prediction parses");
+        let unknown_column = |result: &Result<_, StorageError>| {
+            matches!(result, Err(StorageError::UnknownColumn(_)))
+        };
+        // The planned compiler rejects it, so no plan ever runs...
+        let compiled = compile_query(&snapshot, &query, Default::default()).map(drop);
+        assert!(
+            unknown_column(&compiled),
+            "{}: {compiled:?}",
+            prediction.sql
+        );
+        // ...and the interpreter rejects it before its first join.
+        for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
+            let result = snapshot
+                .execute(&query, ExecOptions::new(strategy))
+                .map(drop);
+            assert!(unknown_column(&result), "{strategy:?}: {result:?}");
+        }
     }
 
     /// One Figure 1 sweep: a corpus with more distinct gold texts than

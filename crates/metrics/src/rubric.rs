@@ -223,11 +223,10 @@ pub fn grade_cached(
             })
         }
     };
-    // Level 1 (continued): must execute. Each side runs single-threaded —
-    // sweeps parallelize across comparisons, not inside one query — and
-    // folds its counters into the cache; that is where the study report's
-    // index-scan vs full-scan split comes from.
-    let run = |sql: &str| cache.execute(snapshot, sql, ExecOptions::serial());
+    // Level 1 (continued): must execute. Each side folds its counters into
+    // the cache; that is where the study report's index-scan vs full-scan
+    // split comes from.
+    let run = |sql: &str| cache.execute(snapshot, sql, ExecOptions::default());
     let mut execution_matches = None;
     match run(regenerated_sql) {
         Err(e) => {

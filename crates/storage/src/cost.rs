@@ -25,7 +25,7 @@
 //!   excluded to keep the byte-identity contract.
 //!
 //! A spine qualifies only when every join is `INNER`/`CROSS` and every ON
-//! residual is [`benign`] (error-free with locally-resolving refs), so no
+//! residual is [`benign`] (error-free), so no
 //! reordering can change *which rows* an error-capable expression sees —
 //! the same gate predicate pushdown uses. Everything else (outer joins,
 //! error-capable residuals, two-relation spines) falls back to syntactic
@@ -409,9 +409,8 @@ fn spine_member(plan: &LogicalPlan) -> bool {
         LogicalPlan::Join {
             operator: JoinOperator::Inner | JoinOperator::Cross,
             residual,
-            bindings,
             ..
-        } => residual.as_ref().is_none_or(|r| benign(r, bindings)),
+        } => residual.as_ref().is_none_or(benign),
         _ => false,
     }
 }

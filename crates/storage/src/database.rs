@@ -121,18 +121,17 @@ impl Database {
     }
 
     /// Execute a parsed query against a fresh [`Snapshot`] with the default
-    /// options: the planned engine, parallel across all available hardware
-    /// threads. Explicit options go through
-    /// `self.snapshot().execute(query, options)`.
+    /// options: the planned engine, on the calling thread. Explicit options
+    /// go through `self.snapshot().execute(query, options)`.
     pub fn execute(&self, query: &bp_sql::Query) -> StorageResult<QueryResult> {
         self.snapshot().execute(query, ExecOptions::default())
     }
 
     /// Parse and execute SQL text against a fresh [`Snapshot`] — the one
-    /// text convenience. `options` picks the engine and the planned
-    /// engine's worker-thread budget; the result is byte-identical at every
-    /// thread count. Executing against a snapshot is also what makes `&self`
-    /// execution safe alongside other threads holding older snapshots.
+    /// text convenience. `options` picks the engine; the query runs on the
+    /// calling thread. Executing against a snapshot is also what makes
+    /// `&self` execution safe alongside other threads holding older
+    /// snapshots.
     pub fn execute_sql(&self, sql: &str, options: ExecOptions) -> StorageResult<QueryResult> {
         let query = bp_sql::parse_query(sql)?;
         self.snapshot().execute(&query, options)
@@ -284,15 +283,10 @@ mod tests {
         let sql = "SELECT dept, COUNT(*) FROM students GROUP BY dept ORDER BY dept";
         let query = bp_sql::parse_query(sql).unwrap();
         for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
-            for threads in [1usize, 2, 8] {
-                let options = ExecOptions::new(strategy).with_threads(threads);
-                let direct = db.execute_sql(sql, options).unwrap();
-                let via_snapshot = snap.execute(&query, options).unwrap();
-                assert_eq!(
-                    direct, via_snapshot,
-                    "snapshot diverges under {strategy:?} at threads={threads}"
-                );
-            }
+            let options = ExecOptions::new(strategy);
+            let direct = db.execute_sql(sql, options).unwrap();
+            let via_snapshot = snap.execute(&query, options).unwrap();
+            assert_eq!(direct, via_snapshot, "snapshot diverges under {strategy:?}");
         }
     }
 

@@ -13,22 +13,25 @@
 //! ([`crate::physical`], selected via
 //! [`ExecStrategy`](crate::physical::ExecStrategy)). Value-level semantics
 //! are shared with the planner through the crate-private `scalar` module,
-//! so the two engines cannot drift apart on scalar behavior.
+//! so the two engines cannot drift apart on scalar behavior. Name
+//! resolution is checked independently: a [`Binder`] pass over the AST
+//! rejects an unknown column before the first row is read, as the planned
+//! compiler does while it resolves ordinals.
 
 use std::collections::HashMap;
 
 use bp_sql::{
-    Expr, JoinConstraint, JoinOperator, Literal, OrderByExpr, Query, Select, SetExpr, TableFactor,
-    UnaryOperator,
+    column_ref, Expr, JoinConstraint, JoinOperator, Literal, OrderByExpr, Query, Select, SetExpr,
+    TableFactor, UnaryOperator,
 };
 
 use crate::error::{StorageError, StorageResult};
-use crate::plan::{contains_aggregate, expand_projection, ColumnBinding};
+use crate::plan::{contains_aggregate, expand_projection, resolve_binding, ColumnBinding};
 use crate::result::QueryResult;
 use crate::scalar::{
-    canonical_function_name, cast_value, combine_set_operation, composite_key, eq_upper,
-    eval_binary, eval_unary_minus, finish_aggregate, is_aggregate_name, literal_value, map_text,
-    missing_arg_error, upper_eq,
+    canonical_function_name, cast_value, combine_set_operation, composite_key, eval_binary,
+    eval_unary_minus, finish_aggregate, is_aggregate_name, literal_value, map_text,
+    min_scalar_args, missing_arg_error, upper_eq,
 };
 use crate::snapshot::Snapshot;
 use crate::table::Row;
@@ -91,16 +94,7 @@ struct EvalCtx<'a> {
 
 impl<'a> EvalCtx<'a> {
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> StorageResult<Value> {
-        // Bindings were normalized to uppercase at relation construction, so
-        // lookup compares case-insensitively without allocating.
-        let mut matches = self.bindings.iter().enumerate().filter(|(_, b)| {
-            eq_upper(&b.name, name)
-                && match qualifier {
-                    Some(q) => b.qualifier.as_deref().is_some_and(|bq| eq_upper(bq, q)),
-                    None => true,
-                }
-        });
-        if let Some((idx, _)) = matches.next() {
+        if let Some(idx) = resolve_binding(self.bindings, qualifier, name) {
             return Ok(self.row.get(idx).cloned().unwrap_or(Value::Null));
         }
         if let Some(outer) = self.outer {
@@ -125,8 +119,9 @@ impl<'a> Executor<'a> {
         Executor { db }
     }
 
-    /// Execute a parsed query.
+    /// Execute a parsed query: bind every name, then interpret.
     pub(crate) fn execute(&self, query: &Query) -> StorageResult<QueryResult> {
+        Binder::bind(self.db, query)?;
         let ctes = CteScope::root();
         self.execute_query(query, &ctes, None)
     }
@@ -659,6 +654,214 @@ impl<'a> Executor<'a> {
             result.rows.truncate(n);
         }
         Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Static name resolution
+// ---------------------------------------------------------------------
+
+/// Static name resolution, run before the interpreter reads a row: a column
+/// reference that no enclosing row scope binds is an
+/// [`StorageError::UnknownColumn`] (after any unknown table, which the
+/// planner reports first). It binds exactly what the planned compiler
+/// compiles: a subquery whose tables do not resolve stays lazy, aggregates
+/// bind their first argument, and calls that fail on their name or arity
+/// bind none.
+struct Binder<'a> {
+    db: &'a Snapshot,
+    /// Visible CTEs as (name, output columns), innermost last.
+    ctes: Vec<(String, Vec<String>)>,
+    /// Row scopes of the expressions enclosing the current subquery,
+    /// outermost first.
+    scopes: Vec<Vec<ColumnBinding>>,
+    /// `false` while checking only that tables resolve.
+    columns: bool,
+}
+
+impl<'a> Binder<'a> {
+    fn bind(db: &'a Snapshot, query: &Query) -> StorageResult<()> {
+        let mut binder = Binder {
+            db,
+            ctes: Vec::new(),
+            scopes: Vec::new(),
+            columns: false,
+        };
+        binder.query(query)?;
+        binder.columns = true;
+        binder.query(query).map(drop)
+    }
+
+    /// Bind one query level (its CTEs are visible only inside it) and
+    /// return its output column names.
+    fn query(&mut self, query: &Query) -> StorageResult<Vec<String>> {
+        let visible = self.ctes.len();
+        let result = self.query_inner(query);
+        self.ctes.truncate(visible);
+        result
+    }
+
+    fn query_inner(&mut self, query: &Query) -> StorageResult<Vec<String>> {
+        for cte in query.with.iter().flat_map(|with| &with.ctes) {
+            let columns = self.query(&cte.query)?;
+            self.ctes.push((cte.name.normalized(), columns));
+        }
+        let columns = match &query.body {
+            SetExpr::Select(select) => self.select(select, &query.order_by)?,
+            // ORDER BY over a set operation names output columns or
+            // ordinals and never raises.
+            body => self.set_expr(body)?,
+        };
+        for count in query.limit.iter().chain(&query.offset) {
+            self.expr(count, &[])?;
+        }
+        Ok(columns)
+    }
+
+    fn set_expr(&mut self, body: &SetExpr) -> StorageResult<Vec<String>> {
+        match body {
+            SetExpr::Select(select) => self.select(select, &[]),
+            SetExpr::Query(query) => self.query(query),
+            SetExpr::SetOperation { left, right, .. } => {
+                let columns = self.set_expr(left)?;
+                self.set_expr(right)?;
+                Ok(columns)
+            }
+        }
+    }
+
+    fn select(&mut self, select: &Select, order_by: &[OrderByExpr]) -> StorageResult<Vec<String>> {
+        let mut bindings = Vec::new();
+        for twj in &select.from {
+            let mut relation = self.factor(&twj.relation)?;
+            for join in &twj.joins {
+                relation.extend(self.factor(&join.relation)?);
+                if let JoinConstraint::On(on) = &join.constraint {
+                    self.expr(on, &relation)?;
+                }
+            }
+            bindings.extend(relation);
+        }
+        let projection = expand_projection(&select.projection, &bindings);
+        let columns: Vec<String> = projection.iter().map(|(_, name)| name.clone()).collect();
+        // ORDER BY keys that name an output alias are not expressions; an
+        // ordinal is a literal, with nothing to bind.
+        let sort_exprs = order_by
+            .iter()
+            .map(|item| &item.expr)
+            .filter(|expr| match expr {
+                Expr::Identifier(ident) => {
+                    let target = ident.normalized();
+                    !columns.iter().any(|c| upper_eq(c, &target))
+                }
+                _ => true,
+            });
+        let exprs = select.selection.iter().chain(&select.group_by);
+        let exprs = exprs
+            .chain(&select.having)
+            .chain(projection.iter().map(|(e, _)| e));
+        for expr in exprs.chain(sort_exprs) {
+            self.expr(expr, &bindings)?;
+        }
+        Ok(columns)
+    }
+
+    fn factor(&mut self, factor: &TableFactor) -> StorageResult<Vec<ColumnBinding>> {
+        let (qualifier, columns) = match factor {
+            TableFactor::Table { name, alias } => {
+                let base = name.base().normalized();
+                let columns = match self.ctes.iter().rev().find(|(cte, _)| *cte == base) {
+                    Some((_, columns)) => columns.clone(),
+                    None => match self.db.table(&base) {
+                        Some(table) => table
+                            .schema
+                            .columns
+                            .iter()
+                            .map(|c| c.name.clone())
+                            .collect(),
+                        None => return Err(StorageError::UnknownTable(name.to_string())),
+                    },
+                };
+                (alias.as_ref().map_or(base, |a| a.normalized()), columns)
+            }
+            TableFactor::Derived { subquery, alias } => {
+                let qualifier = alias.as_ref().map(|a| a.normalized());
+                (
+                    qualifier.unwrap_or_else(|| "_DERIVED".into()),
+                    self.query(subquery)?,
+                )
+            }
+        };
+        let binding = |c: &String| ColumnBinding {
+            qualifier: Some(qualifier.clone()),
+            name: c.to_ascii_uppercase(),
+        };
+        Ok(columns.iter().map(binding).collect())
+    }
+
+    fn expr(&mut self, expr: &Expr, bindings: &[ColumnBinding]) -> StorageResult<()> {
+        if !self.columns {
+            return Ok(());
+        }
+        match expr {
+            Expr::Identifier(_) | Expr::CompoundIdentifier(_) => {
+                let Some(cr) = column_ref(expr) else {
+                    return Ok(());
+                };
+                let qualifier = cr.qualifier.as_ref().map(|i| i.value.as_str());
+                let name = cr.column.value.as_str();
+                let mut scopes =
+                    std::iter::once(bindings).chain(self.scopes.iter().map(Vec::as_slice));
+                if scopes.any(|scope| resolve_binding(scope, qualifier, name).is_some()) {
+                    return Ok(());
+                }
+                Err(StorageError::UnknownColumn(match qualifier {
+                    Some(q) => format!("{q}.{name}"),
+                    None => name.to_string(),
+                }))
+            }
+            Expr::Function { name, args, .. } => {
+                let bound = match canonical_function_name(&name.value) {
+                    Some(f) if is_aggregate_name(f) => args.len().min(1),
+                    Some(f) if args.len() >= min_scalar_args(f) => args.len(),
+                    _ => 0,
+                };
+                args[..bound]
+                    .iter()
+                    .try_for_each(|arg| self.expr(arg, bindings))
+            }
+            Expr::Exists { subquery, .. } | Expr::Subquery(subquery) => {
+                self.subquery(subquery, bindings)
+            }
+            Expr::InSubquery { expr, subquery, .. } => {
+                self.expr(expr, bindings)?;
+                self.subquery(subquery, bindings)
+            }
+            _ => {
+                let mut result = Ok(());
+                expr.for_each_child(|child| {
+                    if result.is_ok() {
+                        result = self.expr(child, bindings);
+                    }
+                });
+                result
+            }
+        }
+    }
+
+    /// Bind an expression subquery evaluated against rows of `bindings`,
+    /// unless its tables do not resolve (then it fails only if evaluated).
+    fn subquery(&mut self, query: &Query, bindings: &[ColumnBinding]) -> StorageResult<()> {
+        self.columns = false;
+        let tables = self.query(query);
+        self.columns = true;
+        if tables.is_err() {
+            return Ok(());
+        }
+        self.scopes.push(bindings.to_vec());
+        let result = self.query(query);
+        self.scopes.pop();
+        result.map(drop)
     }
 }
 

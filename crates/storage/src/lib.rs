@@ -611,8 +611,8 @@ mod executor_tests {
             assert_engines_agree(
                 "SELECT name FROM students WHERE id IN (SELECT x FROM missing) AND 1 = 0",
             );
-            // ...nor may it suppress UnknownColumn from an unresolvable
-            // reference in a residual conjunct (WHERE or join ON).
+            // An unresolvable reference in a residual conjunct (WHERE or
+            // join ON) is rejected before execution in both engines.
             assert_engines_agree("SELECT name FROM students WHERE bogus = 1 AND gpa > 100");
             assert_engines_agree(
                 "SELECT s.name FROM students s JOIN enrollments e \
@@ -625,11 +625,11 @@ mod executor_tests {
             assert_engines_agree("SELECT SUBSTR(name) FROM students");
         }
 
-        /// The parallel executor must be byte-identical to serial planned
-        /// execution (and to the oracle) at every thread count, including
-        /// thread counts far above the available hardware parallelism.
+        /// Joins (inner and outer), grouping, DISTINCT, correlated
+        /// subqueries and set operations: the planned engine must match
+        /// the oracle byte for byte.
         #[test]
-        fn parallel_execution_is_deterministic() {
+        fn planned_execution_matches_the_oracle() {
             let db = campus_db();
             let queries = [
                 "SELECT s.name, e.course FROM students s JOIN enrollments e ON s.id = e.student_id ORDER BY s.name, e.course",
@@ -641,27 +641,21 @@ mod executor_tests {
                 "SELECT dept FROM students UNION SELECT DEPT FROM MOIRA_LIST",
             ];
             for sql in queries {
-                let serial = db
-                    .execute_sql(sql, ExecOptions::serial())
-                    .unwrap_or_else(|e| panic!("serial fails on {sql}: {e}"));
-                for threads in [2, 3, 8, 64] {
-                    let parallel = db
-                        .execute_sql(sql, ExecOptions::default().with_threads(threads))
-                        .unwrap_or_else(|e| panic!("parallel({threads}) fails on {sql}: {e}"));
-                    assert_eq!(serial, parallel, "threads={threads} diverges on: {sql}");
-                }
+                let planned = db
+                    .execute_sql(sql, ExecOptions::default())
+                    .unwrap_or_else(|e| panic!("planned fails on {sql}: {e}"));
                 let legacy = db
                     .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
                     .unwrap();
-                assert_eq!(serial, legacy, "planned diverges from oracle on: {sql}");
+                assert_eq!(planned, legacy, "planned diverges from oracle on: {sql}");
             }
         }
 
-        /// Same determinism check over inputs large enough that every
-        /// parallel operator really splits into multiple morsels (the
-        /// campus tables are small enough to run inline).
+        /// The same check over inputs that span several batches, so every
+        /// operator carries rows, groups and join matches across batch
+        /// boundaries (the campus tables fit in one batch).
         #[test]
-        fn parallel_execution_is_deterministic_at_morsel_scale() {
+        fn planned_execution_matches_the_oracle_across_batches() {
             let mut db = Database::new("wide");
             db.ingest_ddl(
                 "CREATE TABLE orders (id INT PRIMARY KEY, customer_id INT, amount NUMBER, region VARCHAR(10));
@@ -707,26 +701,20 @@ mod executor_tests {
                 "SELECT id, amount FROM orders WHERE amount > (SELECT AVG(amount) FROM orders) ORDER BY id LIMIT 50",
             ];
             for sql in queries {
-                let serial = db
-                    .execute_sql(sql, ExecOptions::serial())
-                    .unwrap_or_else(|e| panic!("serial fails on {sql}: {e}"));
+                let planned = db
+                    .execute_sql(sql, ExecOptions::default())
+                    .unwrap_or_else(|e| panic!("planned fails on {sql}: {e}"));
                 let legacy = db
                     .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
                     .unwrap();
-                assert_eq!(serial, legacy, "planned diverges from oracle on: {sql}");
-                for threads in [2, 4] {
-                    let parallel = db
-                        .execute_sql(sql, ExecOptions::default().with_threads(threads))
-                        .unwrap_or_else(|e| panic!("parallel({threads}) fails on {sql}: {e}"));
-                    assert_eq!(serial, parallel, "threads={threads} diverges on: {sql}");
-                }
+                assert_eq!(planned, legacy, "planned diverges from oracle on: {sql}");
             }
-            // Error paths are deterministic too: first-row-in-order error.
+            // Error paths agree too: the first failing row in row order.
             let err_sql = "SELECT 1 / (id - 700) FROM orders";
-            let serial_err = db.execute_sql(err_sql, ExecOptions::serial());
-            let parallel_err = db.execute_sql(err_sql, ExecOptions::default().with_threads(8));
-            assert_eq!(serial_err, parallel_err);
-            assert!(serial_err.is_err());
+            let planned_err = db.execute_sql(err_sql, ExecOptions::default());
+            let legacy_err = db.execute_sql(err_sql, ExecOptions::new(ExecStrategy::Legacy));
+            assert!(planned_err.is_err());
+            assert_eq!(planned_err, legacy_err);
         }
 
         #[test]

@@ -1,6 +1,6 @@
 //! Typed columnar batches — the data representation of the columnar engine.
 //!
-//! A [`Batch`] holds a morsel of rows decoded into typed column vectors
+//! A [`Batch`] holds a run of rows decoded into typed column vectors
 //! ([`ColumnVec`]): `i64`/`f64`/`bool`/`String` payload vectors plus a
 //! [`NullMask`] bitmap, with a heterogeneous [`ColumnVec::Any`] fallback for
 //! columns that mix value families (CTE outputs, CASE results, per-row
@@ -24,9 +24,8 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use crate::table::Row;
 use crate::value::Value;
 
-/// Physical rows per batch. Fixed (never derived from the thread budget) so
-/// batch boundaries — and therefore evaluation order and error identity —
-/// are identical at every thread count.
+/// Physical rows per batch. Fixed, so batch boundaries — and therefore
+/// evaluation order and error identity — never depend on the input.
 pub(crate) const BATCH_ROWS: usize = 1024;
 
 // ---------------------------------------------------------------------
@@ -631,7 +630,7 @@ pub(crate) fn keys_nonnull(cols: &[&ColumnVec], i: usize) -> bool {
 // Batches
 // ---------------------------------------------------------------------
 
-/// A morsel of rows in columnar form: typed columns plus an optional
+/// A run of rows in columnar form: typed columns plus an optional
 /// selection vector of live physical row indices (ascending). `len` is the
 /// physical row count, tracked separately so zero-column batches (FROM-less
 /// SELECT) still carry their row count.

@@ -1,14 +1,14 @@
 //! Columnar batch execution — the default strategy of the planned engine.
 //!
 //! Operators consume and produce [`Vec<Batch>`]: scans decode table rows
-//! into typed column vectors once (fixed [`BATCH_ROWS`]-row batches, so
-//! batch boundaries never depend on the thread budget), filters refine each
-//! batch's **selection vector** without touching the data, projections
-//! evaluate vectorized expression kernels over whole batches, and the hash
-//! join and hash aggregate key on **column slices** ([`KeyPart`] hashes)
-//! instead of allocating a composite `String` per row. The morsel-parallel
-//! scheduler hands out whole batches as morsels ([`run_tasks`] over the
-//! batch list).
+//! into typed column vectors once (fixed [`BATCH_ROWS`]-row batches),
+//! filters refine each batch's **selection vector** without touching the
+//! data, projections evaluate vectorized expression kernels over whole
+//! batches, and the hash join and hash aggregate key on **column slices**
+//! ([`KeyPart`](super::batch::KeyPart) hashes) instead of allocating a
+//! composite `String` per row. Every operator is a plain loop over its
+//! batches on the calling thread; parallelism lives one level up, across
+//! independent queries (see [`batch_map`](super::batch_map)).
 //!
 //! Everything not yet vectorized falls back without leaving the engine:
 //! expressions with subqueries/CASE/functions evaluate per row inside their
@@ -16,18 +16,17 @@
 //! (sort, set operations, non-equi joins, derived tables) convert batches
 //! to rows, reuse the row operators, and convert back.
 //!
-//! Output is byte-identical at every thread count: batch boundaries are
-//! fixed, per-batch results are reassembled in batch order, join candidates
-//! are emitted in build order, and aggregate groups merge in first-seen
-//! order over batches. The legacy interpreter (`ExecStrategy::Legacy`)
-//! is the differential oracle for this engine.
+//! Output order is the interpreter's: batches are visited in row order,
+//! join candidates are emitted left-row-major in right-row order, and
+//! aggregate groups appear in first-seen order. The legacy interpreter
+//! (`ExecStrategy::Legacy`) is the differential oracle for this engine.
 //!
 //! Two documented divergences from the interpreter. **NaN join keys**: the
 //! interpreter's total ordering treats NaN as equal to every number, the
 //! hash join as equal only to NaN — NaN cannot be produced by the supported
 //! expression surface. **Error identity under multiple failures**: a query
 //! errors on exactly the same inputs in both engines, and each engine's
-//! reported error is deterministic at every thread count — but when
+//! reported error is deterministic — but when
 //! *several* rows or operands can fail, the columnar engine evaluates
 //! operand-major (whole left column, then whole right column) while the
 //! interpreter evaluates row-major, so the two may surface different
@@ -35,10 +34,9 @@
 //! later row vs the right operand's division-by-zero on an earlier row).
 //! Matching row-major error selection would require error-deferring
 //! kernels; the differential suite therefore requires Ok-results to be
-//! byte-identical and both engines to fail on the same queries, and exact
-//! error equality only within an engine across thread counts.
+//! byte-identical and both engines to fail on the same queries.
 
-use crate::sync::{Arc, Mutex};
+use crate::sync::Arc;
 use std::collections::HashMap;
 
 use bp_sql::JoinOperator;
@@ -54,7 +52,6 @@ use super::batch::{
     BATCH_ROWS, PAD_NULL,
 };
 use super::expr::{BatchEnv, PhysExpr};
-use super::parallel::{run_morsels, run_tasks};
 use super::{
     compare_rows, dedup_rows, eval_count, exec_index_agg, exec_query_plan, finalize_agg_groups,
     index_scan_ids, join, top_k_rows, PhysNode, RunCtx,
@@ -64,36 +61,18 @@ use super::{
 /// `QueryResult` edge). Dense batches move their payloads out.
 pub(crate) fn exec_node_rows(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<Vec<Row>> {
     let batches = exec_node_col(node, ctx)?;
-    batches_to_rows(batches, ctx)
-}
-
-/// Chunk rows into fixed-size dense batches (decoded in parallel).
-fn rows_to_batches(rows: &[Row], width: usize, ctx: &RunCtx<'_>) -> StorageResult<Vec<Batch>> {
-    let chunks: Vec<&[Row]> = rows.chunks(BATCH_ROWS.max(1)).collect();
-    run_tasks(ctx.threads, chunks.len(), |i| {
-        Ok::<_, StorageError>(Batch::from_rows(chunks[i], width))
-    })
-}
-
-/// Materialize all live rows of a batch list, in batch order (parallel;
-/// each batch is consumed exactly once).
-fn batches_to_rows(batches: Vec<Batch>, ctx: &RunCtx<'_>) -> StorageResult<Vec<Row>> {
-    let total: usize = batches.iter().map(|b| b.live()).sum();
-    let cells: Vec<Mutex<Option<Batch>>> =
-        batches.into_iter().map(|b| Mutex::new(Some(b))).collect();
-    let chunks = run_tasks(ctx.threads, cells.len(), |i| {
-        let batch = cells[i]
-            .lock()
-            .expect("batch cell lock")
-            .take()
-            .expect("each batch converted once");
-        Ok::<_, StorageError>(batch.into_rows())
-    })?;
-    let mut rows = Vec::with_capacity(total);
-    for chunk in chunks {
-        rows.extend(chunk);
+    let mut rows = Vec::with_capacity(batches.iter().map(|b| b.live()).sum());
+    for batch in batches {
+        rows.extend(batch.into_rows());
     }
     Ok(rows)
+}
+
+/// Chunk rows into fixed-size dense batches.
+fn rows_to_batches(rows: &[Row], width: usize) -> Vec<Batch> {
+    rows.chunks(BATCH_ROWS)
+        .map(|chunk| Batch::from_rows(chunk, width))
+        .collect()
 }
 
 /// Flatten a batch list into one dense batch (the hash-join build side
@@ -142,7 +121,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             // the table (invalidated by inserts); a scan is refcount bumps
             // plus fresh (all-live) selections. With a pruning mask only
             // the referenced columns are decoded.
-            Ok(table.columnar_batches_for(ctx.threads, cols.as_deref()))
+            Ok(table.columnar_batches_for(cols.as_deref()))
         }
         PhysNode::IndexScan { name, access, cols } => {
             let table = ctx
@@ -153,7 +132,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             // straight onto per-batch selection vectors (batch boundaries
             // are fixed at BATCH_ROWS), so no data moves at all.
             let ids = index_scan_ids(table, access, ctx)?;
-            let mut batches = table.columnar_batches_for(ctx.threads, cols.as_deref());
+            let mut batches = table.columnar_batches_for(cols.as_deref());
             let mut sels: Vec<Vec<u32>> = batches.iter().map(|_| Vec::new()).collect();
             for id in ids {
                 sels[id as usize / BATCH_ROWS].push((id as usize % BATCH_ROWS) as u32);
@@ -165,18 +144,18 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
         }
         PhysNode::IndexAgg { name, specs } => {
             let rows = exec_index_agg(name, specs, ctx)?;
-            rows_to_batches(&rows, specs.len(), ctx)
+            Ok(rows_to_batches(&rows, specs.len()))
         }
         PhysNode::ScanCte { name } => {
             let result = ctx
                 .frame
                 .and_then(|f| f.get(name))
                 .ok_or_else(|| StorageError::UnknownTable(name.clone()))?;
-            rows_to_batches(&result.rows, result.columns.len(), ctx)
+            Ok(rows_to_batches(&result.rows, result.columns.len()))
         }
         PhysNode::ScanDerived { plan } => {
             let result = exec_query_plan(plan, ctx)?;
-            rows_to_batches(&result.rows, result.columns.len(), ctx)
+            Ok(rows_to_batches(&result.rows, result.columns.len()))
         }
         PhysNode::ScanEmpty => Ok(vec![Batch {
             len: 1,
@@ -192,24 +171,16 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             // Selection refinement: evaluate the predicate over each
             // batch's live rows and keep the physical indices where it is
             // TRUE. The columns themselves are untouched.
-            let selections = run_tasks(ctx.threads, batches.len(), |i| {
-                let batch = &batches[i];
-                let wctx = ctx.serial();
-                let env = BatchEnv {
-                    ctx: &wctx,
-                    bindings,
-                };
+            let env = BatchEnv { ctx, bindings };
+            for batch in &mut batches {
                 let col = predicate.eval_batch(batch, &env)?;
                 let (truth, nulls) = truth3_col(col.as_ref());
-                let mut sel = Vec::new();
-                for (j, phys) in batch.live_rows().enumerate() {
-                    if truth[j] && !nulls.get(j) {
-                        sel.push(phys as u32);
-                    }
-                }
-                Ok::<_, StorageError>(sel)
-            })?;
-            for (batch, sel) in batches.iter_mut().zip(selections) {
+                let sel = batch
+                    .live_rows()
+                    .enumerate()
+                    .filter(|&(j, _)| truth[j] && !nulls.get(j))
+                    .map(|(_, phys)| phys as u32)
+                    .collect();
                 batch.selection = Some(sel);
             }
             Ok(batches)
@@ -222,23 +193,20 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             bindings,
         } => {
             let batches = exec_node_col(input, ctx)?;
-            let mut out = run_tasks(ctx.threads, batches.len(), |i| {
-                let batch = &batches[i];
-                let wctx = ctx.serial();
-                let env = BatchEnv {
-                    ctx: &wctx,
-                    bindings,
-                };
-                let columns = items
-                    .iter()
-                    .map(|item| item.eval_batch(batch, &env))
-                    .collect::<StorageResult<Vec<_>>>()?;
-                Ok::<_, StorageError>(Batch {
-                    len: batch.live(),
-                    columns,
-                    selection: None,
+            let env = BatchEnv { ctx, bindings };
+            let mut out = batches
+                .iter()
+                .map(|batch| {
+                    Ok(Batch {
+                        len: batch.live(),
+                        columns: items
+                            .iter()
+                            .map(|item| item.eval_batch(batch, &env))
+                            .collect::<StorageResult<Vec<_>>>()?,
+                        selection: None,
+                    })
                 })
-            })?;
+                .collect::<StorageResult<Vec<_>>>()?;
             if *distinct {
                 dedup_batches(&mut out, *visible);
             }
@@ -290,7 +258,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
                 *right_width,
                 ctx,
             )?;
-            rows_to_batches(&rows, bindings.len(), ctx)
+            Ok(rows_to_batches(&rows, bindings.len()))
         }
         PhysNode::HashAggregate {
             input,
@@ -307,13 +275,13 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             if *distinct {
                 dedup_rows(&mut rows, *visible);
             }
-            rows_to_batches(&rows, items.len(), ctx)
+            Ok(rows_to_batches(&rows, items.len()))
         }
         PhysNode::Sort { input, keys } => {
             let mut rows = exec_node_rows(input, ctx)?;
             let width = rows.first().map(|r| r.len()).unwrap_or(0);
             rows.sort_by(|a, b| compare_rows(a, b, keys));
-            rows_to_batches(&rows, width, ctx)
+            Ok(rows_to_batches(&rows, width))
         }
         PhysNode::TopK {
             input,
@@ -329,7 +297,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             };
             let take = eval_count(limit, ctx)?;
             let rows = top_k_rows(rows, keys, skip, take);
-            rows_to_batches(&rows, width, ctx)
+            Ok(rows_to_batches(&rows, width))
         }
         PhysNode::Limit {
             input,
@@ -373,11 +341,11 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             let l = exec_query_plan(left, ctx)?;
             let r = exec_query_plan(right, ctx)?;
             let combined = combine_set_operation(*op, *all, l, r)?;
-            rows_to_batches(&combined.rows, combined.columns.len(), ctx)
+            Ok(rows_to_batches(&combined.rows, combined.columns.len()))
         }
         PhysNode::Nested(sub) => {
             let result = exec_query_plan(sub, ctx)?;
-            rows_to_batches(&result.rows, result.columns.len(), ctx)
+            Ok(rows_to_batches(&result.rows, result.columns.len()))
         }
     }
 }
@@ -421,10 +389,10 @@ fn dedup_batches(batches: &mut [Batch], visible: usize) {
 }
 
 /// Columnar hash join: build a bucket table over the flattened right side
-/// keyed on column slices, probe left batches in parallel, and emit output
-/// batches by gathering columns — no composite key strings, no per-pair row
-/// concatenation. Candidate pairs are enumerated left-row-major with
-/// right candidates in build order.
+/// keyed on column slices, probe it with each left batch in turn, and emit
+/// one output batch per left batch by gathering columns — no composite key
+/// strings, no per-pair row concatenation. Candidate pairs are enumerated
+/// left-row-major with right candidates in build order.
 ///
 /// With `build_left` the bucket table is built over the left batches instead
 /// and the right rows probe it in right-row order, appending each right index
@@ -465,19 +433,16 @@ fn columnar_hash_join(
     // indices in right-row order. Hash collisions are resolved by key
     // equality, so candidate sequences are exact-key candidate lists either
     // way.
-    let left_matches: Option<Vec<Vec<u32>>> = if build_left {
-        Some(build_left_matches(
+    let left_matches: Option<Vec<Vec<u32>>> = build_left.then(|| {
+        build_left_matches(
             &left_batches,
             &left_offsets,
             total_left,
             left_keys,
-            &right,
             &right_key_cols,
-            ctx,
-        )?)
-    } else {
-        None
-    };
+            right.len,
+        )
+    });
     let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
     if !build_left {
         table.reserve(right.len);
@@ -493,11 +458,11 @@ fn columnar_hash_join(
 
     let track_right = matches!(operator, JoinOperator::RightOuter | JoinOperator::FullOuter);
     let left_outer = matches!(operator, JoinOperator::LeftOuter | JoinOperator::FullOuter);
+    let mut right_matched = vec![false; if track_right { right.len } else { 0 }];
+    let env = BatchEnv { ctx, bindings };
 
-    // Probe: one task per left batch, reassembled in batch order.
-    let probed = run_tasks(ctx.threads, left_batches.len(), |bi| {
-        let batch = &left_batches[bi];
-        let wctx = ctx.serial();
+    let mut out = Vec::with_capacity(left_batches.len() + 1);
+    for (bi, batch) in left_batches.iter().enumerate() {
         let left_key_cols: Vec<&ColumnVec> = left_keys
             .iter()
             .map(|&k| batch.columns[k].as_ref())
@@ -544,10 +509,6 @@ fn columnar_hash_join(
                     columns,
                     selection: None,
                 };
-                let env = BatchEnv {
-                    ctx: &wctx,
-                    bindings,
-                };
                 let col = predicate.eval_batch(&candidates, &env)?;
                 let (truth, nulls) = truth3_col(col.as_ref());
                 (0..pairs.len())
@@ -560,8 +521,6 @@ fn columnar_hash_join(
         // rows pad NULLs on the right for LEFT/FULL joins.
         let mut lidx: Vec<u32> = Vec::new();
         let mut ridx: Vec<u32> = Vec::new();
-        let mut matched_right: Vec<u32> = Vec::new();
-        let mut seen = vec![false; if track_right { right.len } else { 0 }];
         let mut p = 0usize;
         for &(lphys, count) in &per_row {
             let mut matched = false;
@@ -570,9 +529,8 @@ fn columnar_hash_join(
                     matched = true;
                     lidx.push(pairs[j].0);
                     ridx.push(pairs[j].1);
-                    if track_right && !seen[pairs[j].1 as usize] {
-                        seen[pairs[j].1 as usize] = true;
-                        matched_right.push(pairs[j].1);
+                    if track_right {
+                        right_matched[pairs[j].1 as usize] = true;
                     }
                 }
             }
@@ -590,24 +548,13 @@ fn columnar_hash_join(
         for c in 0..right_width {
             columns.push(Arc::new(right.columns[c].gather_padded(&ridx)));
         }
-        Ok::<_, StorageError>((
-            Batch {
-                len: lidx.len(),
-                columns,
-                selection: None,
-            },
-            matched_right,
-        ))
-    })?;
-
-    let mut out = Vec::with_capacity(probed.len() + 1);
-    let mut right_matched = vec![false; if track_right { right.len } else { 0 }];
-    for (batch, matched) in probed {
-        out.push(batch);
-        for ri in matched {
-            right_matched[ri as usize] = true;
-        }
+        out.push(Batch {
+            len: lidx.len(),
+            columns,
+            selection: None,
+        });
     }
+
     if track_right {
         let unmatched: Vec<u32> = (0..right.len as u32)
             .filter(|&ri| !right_matched[ri as usize])
@@ -633,19 +580,17 @@ fn columnar_hash_join(
 /// Build-side-flipped candidate enumeration: bucket every live left row by
 /// key hash (in batch-major left-row order), then probe with the flattened
 /// right side in right-row order, appending each right index to the candidate
-/// lists of the left rows it key-matches. Morsel chunks merge in range order,
-/// so every per-left-row list comes out ascending by right index — exactly
-/// the sequence the build-right path would have enumerated.
-#[allow(clippy::too_many_arguments)]
+/// lists of the left rows it key-matches. Every per-left-row list therefore
+/// comes out ascending by right index — exactly the sequence the build-right
+/// path would have enumerated.
 fn build_left_matches(
     left_batches: &[Batch],
     left_offsets: &[usize],
     total_left: usize,
     left_keys: &[usize],
-    right: &Batch,
     right_key_cols: &[&ColumnVec],
-    ctx: &RunCtx<'_>,
-) -> StorageResult<Vec<Vec<u32>>> {
+    right_len: usize,
+) -> Vec<Vec<u32>> {
     let left_key_cols: Vec<Vec<&ColumnVec>> = left_batches
         .iter()
         .map(|batch| {
@@ -667,40 +612,29 @@ fn build_left_matches(
             }
         }
     }
-    let pair_chunks = run_morsels(ctx.threads, right.len, |range| {
-        let mut pairs: Vec<(u32, u32, u32)> = Vec::new();
-        for ri in range {
-            if keys_nonnull(right_key_cols, ri) {
-                if let Some(candidates) = table.get(&composite_hash(right_key_cols, ri)) {
-                    for &(bi, lphys) in candidates {
-                        if composite_eq(
-                            &left_key_cols[bi as usize],
-                            lphys as usize,
-                            right_key_cols,
-                            ri,
-                        ) {
-                            pairs.push((bi, lphys, ri as u32));
-                        }
-                    }
-                }
+    let mut matches: Vec<Vec<u32>> = vec![Vec::new(); total_left];
+    for ri in 0..right_len {
+        if !keys_nonnull(right_key_cols, ri) {
+            continue;
+        }
+        let Some(candidates) = table.get(&composite_hash(right_key_cols, ri)) else {
+            continue;
+        };
+        for &(bi, lphys) in candidates {
+            let (bi, lphys) = (bi as usize, lphys as usize);
+            if composite_eq(&left_key_cols[bi], lphys, right_key_cols, ri) {
+                matches[left_offsets[bi] + lphys].push(ri as u32);
             }
         }
-        Ok::<_, StorageError>(pairs)
-    })?;
-    let mut matches: Vec<Vec<u32>> = vec![Vec::new(); total_left];
-    for chunk in pair_chunks {
-        for (bi, lphys, ri) in chunk {
-            matches[left_offsets[bi as usize] + lphys as usize].push(ri);
-        }
     }
-    Ok(matches)
+    matches
 }
 
 /// Columnar hash aggregation: group keys are evaluated as whole columns per
-/// batch and grouped on column-slice hashes (no composite key strings);
-/// per-batch partial groupings merge in batch order so global group order
-/// is first-seen over the input. Group rows are then gathered and
-/// finalized with the shared HAVING/projection phase.
+/// batch and grouped on column-slice hashes (no composite key strings) in
+/// one pass over the batches in row order, so group order is first-seen
+/// over the input and each group's rows stay in row order. The groups are
+/// then finalized with the shared HAVING/projection phase.
 fn columnar_hash_aggregate(
     batches: &[Batch],
     group_by: &[PhysExpr],
@@ -709,93 +643,46 @@ fn columnar_hash_aggregate(
     bindings: &[ColumnBinding],
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Row>> {
-    struct Partial {
-        /// Evaluated key columns, dense over the batch's live rows.
-        keys: Vec<Arc<ColumnVec>>,
-        /// Physical row index of each live row.
-        phys: Vec<u32>,
-        /// Local groups: (key hash, representative dense index, members as
-        /// dense indices), in first-seen order.
-        groups: Vec<(u64, u32, Vec<u32>)>,
-    }
-
-    // Phase 1 — parallel per-batch partial grouping.
-    let partials: Vec<Partial> = run_tasks(ctx.threads, batches.len(), |bi| {
-        let batch = &batches[bi];
-        let wctx = ctx.serial();
-        let env = BatchEnv {
-            ctx: &wctx,
-            bindings,
-        };
-        let keys = group_by
-            .iter()
-            .map(|e| e.eval_batch(batch, &env))
-            .collect::<StorageResult<Vec<_>>>()?;
-        let key_refs: Vec<&ColumnVec> = keys.iter().map(|c| c.as_ref()).collect();
-        let phys: Vec<u32> = batch.live_rows().map(|i| i as u32).collect();
-        let mut groups: Vec<(u64, u32, Vec<u32>)> = Vec::new();
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-        for j in 0..phys.len() {
-            let hash = composite_hash(&key_refs, j);
-            let bucket = buckets.entry(hash).or_default();
-            let existing = bucket
-                .iter()
-                .find(|&&g| composite_eq(&key_refs, groups[g as usize].1 as usize, &key_refs, j));
-            match existing {
-                Some(&g) => groups[g as usize].2.push(j as u32),
-                None => {
-                    bucket.push(groups.len() as u32);
-                    groups.push((hash, j as u32, vec![j as u32]));
-                }
-            }
-        }
-        Ok::<_, StorageError>(Partial { keys, phys, groups })
-    })?;
-
-    // Phase 2 — deterministic merge in batch order: global groups hold
-    // (batch, physical row) members; key equality compares representative
-    // key cells across batches. Key-column refs are computed once per
-    // partial, not per candidate comparison.
-    let all_key_refs: Vec<Vec<&ColumnVec>> = partials
+    let env = BatchEnv { ctx, bindings };
+    // Evaluated key columns per batch, dense over the batch's live rows.
+    let keys = batches
         .iter()
-        .map(|p| p.keys.iter().map(|c| c.as_ref()).collect())
+        .map(|batch| {
+            group_by
+                .iter()
+                .map(|e| e.eval_batch(batch, &env))
+                .collect::<StorageResult<Vec<_>>>()
+        })
+        .collect::<StorageResult<Vec<_>>>()?;
+    let key_refs: Vec<Vec<&ColumnVec>> = keys
+        .iter()
+        .map(|cols| cols.iter().map(|c| c.as_ref()).collect())
         .collect();
-    let mut global: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut reps: Vec<(usize, usize)> = Vec::new(); // (batch, dense index)
+
+    // Group rows in first-seen order; `reps` is each group's first member
+    // as (batch, dense index) for key comparison.
+    let mut groups: Vec<Vec<Row>> = Vec::new();
+    let mut reps: Vec<(usize, usize)> = Vec::new();
     let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-    for (bi, partial) in partials.iter().enumerate() {
-        let key_refs = &all_key_refs[bi];
-        for (hash, rep, members) in &partial.groups {
-            let bucket = buckets.entry(*hash).or_default();
+    for (bi, batch) in batches.iter().enumerate() {
+        let cols = &key_refs[bi];
+        for (j, phys) in batch.live_rows().enumerate() {
+            let bucket = buckets.entry(composite_hash(cols, j)).or_default();
             let existing = bucket.iter().find(|&&g| {
                 let (obi, oj) = reps[g as usize];
-                composite_eq(&all_key_refs[obi], oj, key_refs, *rep as usize)
+                composite_eq(&key_refs[obi], oj, cols, j)
             });
-            let members_phys = members
-                .iter()
-                .map(|&j| (bi as u32, partial.phys[j as usize]));
+            let row = batch.gather_row(phys);
             match existing {
-                Some(&g) => global[g as usize].extend(members_phys),
+                Some(&g) => groups[g as usize].push(row),
                 None => {
-                    bucket.push(global.len() as u32);
-                    reps.push((bi, *rep as usize));
-                    global.push(members_phys.collect());
+                    bucket.push(groups.len() as u32);
+                    reps.push((bi, j));
+                    groups.push(vec![row]);
                 }
             }
         }
     }
-
-    // Phase 3 — gather group rows (parallel over groups) and finalize with
-    // the shared HAVING/projection phase.
-    let groups: Vec<Vec<Row>> = run_tasks(ctx.threads, global.len(), |g| {
-        Ok::<_, StorageError>(
-            global[g]
-                .iter()
-                .map(|&(bi, phys)| batches[bi as usize].gather_row(phys as usize))
-                .collect(),
-        )
-    })?;
-    let mut groups = groups;
     if groups.is_empty() && group_by.is_empty() {
         // Aggregates over an empty input still produce one row.
         groups.push(Vec::new());

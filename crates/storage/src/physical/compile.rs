@@ -5,6 +5,10 @@
 //! logical plan's extracted equi-keys, plans + compiles expression
 //! subqueries recursively, and computes each subquery's cacheability
 //! (uncorrelated and free of reads from enclosing CTE scopes).
+//!
+//! A column reference that no enclosing row scope binds is a compile error
+//! ([`StorageError::UnknownColumn`]) wherever it sits, as SQLite and
+//! PostgreSQL reject such a statement at prepare.
 
 use crate::sync::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -16,7 +20,9 @@ use crate::plan::{
     and_join, benign, resolve_binding, sarg_column, sargable_atom, ColumnBinding, LogicalPlan,
     Planner, QueryPlan, SargAtom, Scan, ScanSource,
 };
-use crate::scalar::{canonical_function_name, is_aggregate_name, literal_value, missing_arg_error};
+use crate::scalar::{
+    canonical_function_name, is_aggregate_name, literal_value, min_scalar_args, missing_arg_error,
+};
 use crate::snapshot::Snapshot;
 use crate::table::Table;
 use crate::value::Value;
@@ -30,6 +36,9 @@ pub(crate) struct Compiler<'a> {
     /// CTE name frames mirrored from the planner: name → output columns.
     /// Needed to plan subqueries discovered inside expressions.
     frames: Vec<HashMap<String, Vec<String>>>,
+    /// Row scopes of the expressions enclosing the subquery being
+    /// compiled, outermost first: where a correlated reference may bind.
+    scopes: Vec<Vec<ColumnBinding>>,
     /// Whether any outer (correlated) column reference was compiled since
     /// the current subplan boundary.
     contains_outer: bool,
@@ -64,6 +73,7 @@ impl<'a> Compiler<'a> {
         Compiler {
             db,
             frames: Vec::new(),
+            scopes: Vec::new(),
             contains_outer: false,
             min_cte_depth: usize::MAX,
             fast_paths: options.fast_paths,
@@ -377,7 +387,7 @@ impl<'a> Compiler<'a> {
         // Every conjunct must be benign (cannot raise on any row): the
         // index path never evaluates the chosen conjunct on non-matching
         // rows, so anything that could error must not be skipped.
-        if !conjuncts.iter().all(|c| benign(c, bindings)) {
+        if !conjuncts.iter().all(|c| benign(c)) {
             return Ok(None);
         }
         let Some(table) = self.db.table(name) else {
@@ -502,14 +512,16 @@ impl<'a> Compiler<'a> {
         {
             return Ok(None);
         }
-        let plan = match self.compile_subplan(subquery) {
-            // Correlated or CTE-entangled subqueries cannot probe: their
-            // result depends on the enclosing scope.
-            Ok(plan) if plan.cacheable => plan,
-            Ok(_) => return Ok(None),
-            // Plan/compile failures stay lazy, exactly like the scalar
-            // path: execution raises them only when the probe actually
-            // runs (an all-NULL needle column never does).
+        let plan = match self.plan_subquery(subquery) {
+            Ok(logical) => match self.compile_subplan(&logical, bindings)? {
+                // Correlated or CTE-entangled subqueries cannot probe:
+                // their result depends on the enclosing scope.
+                plan if plan.cacheable => plan,
+                _ => return Ok(None),
+            },
+            // Planning failures stay lazy, exactly like the scalar path:
+            // execution raises them only when the probe actually runs (an
+            // all-NULL needle column never does).
             Err(e) => SubPlan::failing(e),
         };
         self.index_scans += 1;
@@ -537,21 +549,26 @@ impl<'a> Compiler<'a> {
                 };
                 let qualifier = cr.qualifier.as_ref().map(|i| i.value.as_str());
                 let name = cr.column.value.as_str();
-                match resolve_binding(bindings, qualifier, name) {
-                    Some(idx) => Ok(PhysExpr::Column(idx)),
-                    None => {
-                        self.contains_outer = true;
-                        let display = match qualifier {
-                            Some(q) => format!("{q}.{name}"),
-                            None => name.to_string(),
-                        };
-                        Ok(PhysExpr::Outer {
-                            qualifier: qualifier.map(|q| q.to_ascii_uppercase()),
-                            name: name.to_ascii_uppercase(),
-                            display,
-                        })
-                    }
+                if let Some(idx) = resolve_binding(bindings, qualifier, name) {
+                    return Ok(PhysExpr::Column(idx));
                 }
+                let display = match qualifier {
+                    Some(q) => format!("{q}.{name}"),
+                    None => name.to_string(),
+                };
+                let bound_outside = self
+                    .scopes
+                    .iter()
+                    .any(|scope| resolve_binding(scope, qualifier, name).is_some());
+                if !bound_outside {
+                    return Err(StorageError::UnknownColumn(display));
+                }
+                self.contains_outer = true;
+                Ok(PhysExpr::Outer {
+                    qualifier: qualifier.map(|q| q.to_ascii_uppercase()),
+                    name: name.to_ascii_uppercase(),
+                    display,
+                })
             }
             Expr::Literal(lit) => Ok(PhysExpr::Literal(literal_value(lit))),
             Expr::BinaryOp { left, op, right } => Ok(PhysExpr::Binary {
@@ -594,12 +611,7 @@ impl<'a> Compiler<'a> {
                         distinct: *distinct,
                     })
                 } else {
-                    let required = match canonical {
-                        "UPPER" | "LOWER" | "LENGTH" | "LEN" | "ABS" | "ROUND" => 1,
-                        "SUBSTR" | "SUBSTRING" => 2,
-                        _ => 0,
-                    };
-                    if args.len() < required {
+                    if args.len() < min_scalar_args(canonical) {
                         return Ok(PhysExpr::Fail(missing_arg_error(canonical, args.len())));
                     }
                     let args = args
@@ -635,16 +647,16 @@ impl<'a> Compiler<'a> {
                     .map(|e| self.compile_expr(e, bindings).map(Box::new))
                     .transpose()?,
             }),
-            Expr::Exists { subquery, negated } => match self.compile_subplan(subquery) {
-                Ok(plan) => Ok(PhysExpr::Exists {
-                    plan: Box::new(plan),
+            Expr::Exists { subquery, negated } => match self.plan_subquery(subquery) {
+                Ok(logical) => Ok(PhysExpr::Exists {
+                    plan: Box::new(self.compile_subplan(&logical, bindings)?),
                     negated: *negated,
                 }),
                 Err(e) => Ok(PhysExpr::Fail(e)),
             },
-            Expr::Subquery(subquery) => match self.compile_subplan(subquery) {
-                Ok(plan) => Ok(PhysExpr::ScalarSubquery {
-                    plan: Box::new(plan),
+            Expr::Subquery(subquery) => match self.plan_subquery(subquery) {
+                Ok(logical) => Ok(PhysExpr::ScalarSubquery {
+                    plan: Box::new(self.compile_subplan(&logical, bindings)?),
                 }),
                 Err(e) => Ok(PhysExpr::Fail(e)),
             },
@@ -654,21 +666,18 @@ impl<'a> Compiler<'a> {
                 negated,
             } => {
                 let needle = Box::new(self.compile_expr(expr, bindings)?);
-                match self.compile_subplan(subquery) {
-                    Ok(plan) => Ok(PhysExpr::InSubquery {
-                        expr: needle,
-                        plan: Box::new(plan),
-                        negated: *negated,
-                    }),
+                let plan = match self.plan_subquery(subquery) {
+                    Ok(logical) => self.compile_subplan(&logical, bindings)?,
                     // The interpreter evaluates the needle before running
                     // the subquery, and returns NULL for a NULL needle
                     // without ever touching the subquery — preserve that.
-                    Err(e) => Ok(PhysExpr::InSubquery {
-                        expr: needle,
-                        plan: Box::new(SubPlan::failing(e)),
-                        negated: *negated,
-                    }),
-                }
+                    Err(e) => SubPlan::failing(e),
+                };
+                Ok(PhysExpr::InSubquery {
+                    expr: needle,
+                    plan: Box::new(plan),
+                    negated: *negated,
+                })
             }
             Expr::InList {
                 expr,
@@ -717,17 +726,29 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Plan and compile an expression subquery, deciding cacheability: a
-    /// subplan may cache its result iff nothing it compiled (including
-    /// nested subqueries, CTE bodies and derived tables) referenced an
-    /// outer column or a CTE defined outside the subplan itself.
-    fn compile_subplan(&mut self, query: &Query) -> StorageResult<SubPlan> {
-        let entry_depth = self.frames.len();
-        let logical = Planner::with_frames(self.db, self.frames.clone()).plan(query)?;
+    /// Plan an expression subquery against the enclosing CTE frames. A
+    /// planning failure (an unknown table) stays lazy: callers turn it into
+    /// a node that raises it only when evaluated, as the interpreter does.
+    fn plan_subquery(&self, query: &Query) -> StorageResult<QueryPlan> {
+        Planner::with_frames(self.db, self.frames.clone()).plan(query)
+    }
 
+    /// Compile a planned expression subquery that is evaluated against rows
+    /// of `bindings`, deciding cacheability: a subplan may cache its result
+    /// iff nothing it compiled (including nested subqueries, CTE bodies and
+    /// derived tables) referenced an outer column or a CTE defined outside
+    /// the subplan itself.
+    fn compile_subplan(
+        &mut self,
+        logical: &QueryPlan,
+        bindings: &[ColumnBinding],
+    ) -> StorageResult<SubPlan> {
+        let entry_depth = self.frames.len();
         let saved_outer = std::mem::replace(&mut self.contains_outer, false);
         let saved_depth = std::mem::replace(&mut self.min_cte_depth, usize::MAX);
-        let result = self.compile_query_plan(&logical);
+        self.scopes.push(bindings.to_vec());
+        let result = self.compile_query_plan(logical);
+        self.scopes.pop();
         let cacheable = !self.contains_outer && self.min_cte_depth >= entry_depth;
         self.contains_outer |= saved_outer;
         self.min_cte_depth = self.min_cte_depth.min(saved_depth);

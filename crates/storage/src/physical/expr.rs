@@ -33,17 +33,18 @@ use super::{exec_query_plan, OuterEnv, PhysQueryPlan, RunCtx};
 
 /// A subquery compiled into its own physical plan.
 pub(crate) struct SubPlan {
-    /// The compiled plan, or the deferred planning/compilation error to
-    /// raise if the subquery is ever actually executed (the interpreter
+    /// The compiled plan, or the deferred planning error (an unknown table)
+    /// to raise if the subquery is ever actually executed (the interpreter
     /// only fails when it reaches the subquery at evaluation time).
     pub plan: Result<PhysQueryPlan, StorageError>,
     /// Whether the result is invariant across evaluations (uncorrelated and
     /// reading no enclosing CTEs) and may therefore be cached.
     pub cacheable: bool,
     /// Cached result for cacheable subplans (per compiled plan, i.e. per
-    /// top-level execution). A `Mutex` rather than a `RefCell` so compiled
-    /// expressions can be shared across the parallel executor's workers;
-    /// concurrent fills race benignly (both compute the same result).
+    /// top-level execution). A `Mutex` rather than a `RefCell` so one
+    /// compiled plan can serve every [`batch_map`](super::batch_map) worker
+    /// of a shared plan cache; concurrent fills race benignly (both compute
+    /// the same result).
     pub cache: Mutex<Option<Arc<QueryResult>>>,
 }
 
@@ -61,7 +62,7 @@ impl SubPlan {
         if self.cacheable {
             // Double-checked fill: the lock is only ever held for the two
             // cache peeks, never across exec_query_plan, so a shared or
-            // recursive SubPlan can't self-deadlock and probe workers never
+            // recursive SubPlan can't self-deadlock and other workers never
             // block on a fill. Workers racing past an empty cache duplicate
             // the (deterministic) execution; the first fill wins and the
             // losers return their identical result.
@@ -98,9 +99,10 @@ impl SubPlan {
 pub(crate) enum PhysExpr {
     /// Resolved column ordinal in the current row.
     Column(usize),
-    /// Correlated reference resolved through enclosing row scopes at
-    /// evaluation time. `qualifier`/`name` are pre-normalized; `display`
-    /// preserves the original spelling for error messages.
+    /// Correlated reference to an enclosing row scope: the compiler checks
+    /// that some scope binds it, and evaluation looks it up by name.
+    /// `qualifier`/`name` are pre-normalized; `display` preserves the
+    /// original spelling for error messages.
     Outer {
         qualifier: Option<String>,
         name: String,

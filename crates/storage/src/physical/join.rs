@@ -2,21 +2,18 @@
 //!
 //! Equi-joins run as the columnar engine's hash join
 //! (`columnar::columnar_hash_join`); every other join converts its inputs
-//! to rows and pairs them here. The quadratic pair loop fans out over
-//! left-row morsels; per-morsel outputs and right-matched sets are merged
-//! in morsel order, so the output — including the padded unmatched rows of
-//! LEFT/RIGHT/FULL joins — is byte-identical to the serial pair order at
-//! every thread count.
+//! to rows and pairs them here, in one left-row-major loop on the calling
+//! thread — the interpreter's pair order, padded unmatched rows of
+//! LEFT/RIGHT/FULL joins included.
 
 use bp_sql::JoinOperator;
 
-use crate::error::{StorageError, StorageResult};
+use crate::error::StorageResult;
 use crate::plan::ColumnBinding;
 use crate::table::Row;
 use crate::value::Value;
 
 use super::expr::{EvalEnv, PhysExpr};
-use super::parallel::run_morsels;
 use super::RunCtx;
 
 fn pad_left(width: usize, rrow: &Row) -> Row {
@@ -45,53 +42,35 @@ pub(super) fn nested_loop_join(
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Row>> {
     let track_right = matches!(operator, JoinOperator::RightOuter | JoinOperator::FullOuter);
-    let probe_chunks = run_morsels(ctx.threads, left_rows.len(), |range| {
-        let wctx = ctx.serial();
-        let mut out: Vec<Row> = Vec::new();
-        let mut matched_right: Vec<usize> = Vec::new();
-        // Transient per-morsel dedup bitmap (dropped before the result is
-        // stored): keeps matched_right at O(distinct right rows) instead
-        // of O(output rows) on skewed RIGHT/FULL joins.
-        let mut seen = vec![false; if track_right { right_rows.len() } else { 0 }];
-        for lrow in &left_rows[range] {
-            let mut matched = false;
-            for (ri, rrow) in right_rows.iter().enumerate() {
-                let mut combined = lrow.clone();
-                combined.extend(rrow.iter().cloned());
-                let keep = match on {
-                    None => true,
-                    Some(on) => {
-                        let env = EvalEnv {
-                            ctx: &wctx,
-                            bindings,
-                            row: &combined,
-                            group: None,
-                        };
-                        on.eval_truthy(&env)?
-                    }
-                };
-                if keep {
-                    matched = true;
-                    if track_right && !seen[ri] {
-                        seen[ri] = true;
-                        matched_right.push(ri);
-                    }
-                    out.push(combined);
+    let mut right_matched = vec![false; if track_right { right_rows.len() } else { 0 }];
+    let mut rows = Vec::new();
+    for lrow in left_rows {
+        let mut matched = false;
+        for (ri, rrow) in right_rows.iter().enumerate() {
+            let mut combined = lrow.clone();
+            combined.extend(rrow.iter().cloned());
+            let keep = match on {
+                None => true,
+                Some(on) => {
+                    let env = EvalEnv {
+                        ctx,
+                        bindings,
+                        row: &combined,
+                        group: None,
+                    };
+                    on.eval_truthy(&env)?
                 }
-            }
-            if !matched && matches!(operator, JoinOperator::LeftOuter | JoinOperator::FullOuter) {
-                out.push(pad_right(lrow, right_width));
+            };
+            if keep {
+                matched = true;
+                if track_right {
+                    right_matched[ri] = true;
+                }
+                rows.push(combined);
             }
         }
-        Ok::<_, StorageError>((out, matched_right))
-    })?;
-
-    let mut rows = Vec::new();
-    let mut right_matched = vec![false; if track_right { right_rows.len() } else { 0 }];
-    for (chunk, matched) in probe_chunks {
-        rows.extend(chunk);
-        for ri in matched {
-            right_matched[ri] = true;
+        if !matched && matches!(operator, JoinOperator::LeftOuter | JoinOperator::FullOuter) {
+            rows.push(pad_right(lrow, right_width));
         }
     }
     if track_right {

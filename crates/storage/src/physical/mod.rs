@@ -47,7 +47,6 @@ use crate::value::Value;
 
 use compile::Compiler;
 use expr::{EvalEnv, PhysExpr, SubPlan};
-use parallel::run_morsels;
 pub use parallel::{available_threads, batch_map};
 pub use verify::{verify_logical, verify_plan, PlanViolation, VerifierStats};
 
@@ -69,23 +68,23 @@ pub enum ExecStrategy {
 /// Execution knobs threaded through [`crate::Snapshot::execute`] and
 /// onward into grading/evaluation layers.
 ///
-/// `threads = 1` reproduces the original single-threaded executor;
-/// larger counts run the planned engine's morsel-driven parallel operators
-/// (parallel hash-join probes, parallel hash aggregation, batch-parallel
-/// scan/filter/project). Output is **byte-identical at every thread count**
-/// — parallel results are reassembled in deterministic morsel order — so
-/// the differential oracle keeps working. The legacy interpreter ignores
-/// `threads`.
+/// A query always runs on the calling thread, whatever `threads` says.
+/// `threads` sizes only the [`batch_map`] item pool of the multi-item APIs
+/// (corpus grading, study simulation, session batches), which fan whole
+/// independent queries out across workers; their reports are
+/// **byte-identical at every thread count**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Which engine executes the query.
     pub strategy: ExecStrategy,
-    /// Worker-thread budget for the planned engine (clamped to ≥ 1).
+    /// Item-pool size for the multi-item APIs (clamped to ≥ 1); a single
+    /// query ignores it.
     pub threads: usize,
 }
 
 impl Default for ExecOptions {
-    /// Planned engine with one worker per available hardware thread.
+    /// Planned engine, with an item pool of one worker per available
+    /// hardware thread.
     fn default() -> Self {
         ExecOptions {
             strategy: ExecStrategy::default(),
@@ -95,7 +94,7 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Options for a given strategy at the default (full) parallelism.
+    /// Options for a given strategy with the default item pool.
     pub fn new(strategy: ExecStrategy) -> Self {
         ExecOptions {
             strategy,
@@ -103,12 +102,13 @@ impl ExecOptions {
         }
     }
 
-    /// Single-threaded planned execution (the pre-parallel behavior).
+    /// Planned execution with a one-worker item pool: multi-item APIs run
+    /// their items in a serial loop on the calling thread.
     pub fn serial() -> Self {
         ExecOptions::default().with_threads(1)
     }
 
-    /// Set the worker-thread budget (clamped to ≥ 1).
+    /// Set the item-pool size (clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -196,20 +196,20 @@ fn est_to_u64(rows: f64) -> u64 {
     }
 }
 
-/// Execute an already-compiled physical plan. The plan must have been
-/// compiled against `db` (ordinals and table names are resolved at compile
-/// time); [`crate::prepared::PreparedQuery`] enforces that pairing by
-/// owning the snapshot it compiled against.
+/// Execute an already-compiled physical plan on the calling thread (a
+/// compiled plan is always planned, so `options` has nothing to choose).
+/// The plan must have been compiled against `db` (ordinals and table names
+/// are resolved at compile time); [`crate::prepared::PreparedQuery`]
+/// enforces that pairing by owning the snapshot it compiled against.
 pub fn exec_compiled(
     db: &Snapshot,
     plan: &PhysQueryPlan,
-    options: ExecOptions,
+    _options: ExecOptions,
 ) -> StorageResult<QueryResult> {
     let ctx = RunCtx {
         db,
         frame: None,
         outer: None,
-        threads: options.threads.max(1),
     };
     exec_query_plan(plan, &ctx)
 }
@@ -449,20 +449,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) db: &'a Snapshot,
     pub(crate) frame: Option<&'a CteFrame<'a>>,
     pub(crate) outer: Option<&'a OuterEnv<'a>>,
-    /// Worker-thread budget for parallel operators (≥ 1; 1 = serial).
-    pub(crate) threads: usize,
-}
-
-impl<'a> RunCtx<'a> {
-    /// The same context pinned to one thread — used inside parallel worker
-    /// closures so nested operators (e.g. subqueries evaluated per row)
-    /// never spawn a second level of workers on an already-busy pool.
-    pub(crate) fn serial(&self) -> RunCtx<'a> {
-        RunCtx {
-            threads: 1,
-            ..*self
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -678,8 +664,8 @@ pub(crate) fn top_k_rows(rows: Vec<Row>, keys: &[SortKey], skip: usize, take: us
     kept.into_iter().map(|e| e.row).collect()
 }
 
-/// Phase 3 of hash aggregation: evaluate HAVING and the output expressions per group, in (already
-/// deterministic) group order, fanning out over morsels.
+/// The last phase of hash aggregation: evaluate HAVING and the output
+/// expressions per group, in (first-seen) group order.
 pub(crate) fn finalize_agg_groups(
     groups: &[Vec<Row>],
     having: Option<&PhysExpr>,
@@ -688,35 +674,31 @@ pub(crate) fn finalize_agg_groups(
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Row>> {
     let width = bindings.len();
-    let finalized = run_morsels(ctx.threads, groups.len(), |range| {
-        let wctx = ctx.serial();
-        let mut out: Vec<Option<Row>> = Vec::with_capacity(range.len());
-        for group_rows in &groups[range] {
-            let representative = group_rows
-                .first()
-                .cloned()
-                .unwrap_or_else(|| vec![Value::Null; width]);
-            let env = EvalEnv {
-                ctx: &wctx,
-                bindings,
-                row: &representative,
-                group: Some(group_rows),
-            };
-            if let Some(having) = having {
-                if !having.eval_truthy(&env)? {
-                    out.push(None);
-                    continue;
-                }
+    let mut out = Vec::with_capacity(groups.len());
+    for group_rows in groups {
+        let representative = group_rows
+            .first()
+            .cloned()
+            .unwrap_or_else(|| vec![Value::Null; width]);
+        let env = EvalEnv {
+            ctx,
+            bindings,
+            row: &representative,
+            group: Some(group_rows),
+        };
+        if let Some(having) = having {
+            if !having.eval_truthy(&env)? {
+                continue;
             }
-            let values = items
+        }
+        out.push(
+            items
                 .iter()
                 .map(|item| item.eval(&env))
-                .collect::<StorageResult<Row>>()?;
-            out.push(Some(values));
-        }
-        Ok::<_, StorageError>(out)
-    })?;
-    Ok(finalized.into_iter().flatten().flatten().collect())
+                .collect::<StorageResult<Row>>()?,
+        );
+    }
+    Ok(out)
 }
 
 /// Evaluate a LIMIT/OFFSET expression (empty row scope) to a count.
@@ -796,7 +778,7 @@ mod tests {
         let result = db
             .execute_sql(
                 "SELECT v FROM t ORDER BY v LIMIT 9223372036854775807",
-                ExecOptions::default().with_threads(2),
+                ExecOptions::default(),
             )
             .expect("enormous LIMIT must not panic or abort");
         assert_eq!(result.rows.len(), 10);
@@ -883,7 +865,7 @@ mod tests {
 
     /// The in-crate indexed ≡ scanned oracle: every fast-path shape,
     /// compiled with and without index lowering, must produce byte-identical
-    /// results (errors included) at both thread counts — over data stocked
+    /// results (errors included) — over data stocked
     /// with NULLs, duplicate keys, NaN (which poisons the index, so the
     /// compiler must decline every index path on that column), and `-0.0`
     /// (which must probe equal to `0`).
@@ -983,15 +965,9 @@ mod tests {
                 0,
                 "forced-full-scan compile must not touch an index for {sql}"
             );
-            for threads in [1usize, 4] {
-                let options = ExecOptions::default().with_threads(threads);
-                let indexed = exec_compiled(&snapshot, &fast, options);
-                let scanned = exec_compiled(&snapshot, &slow, options);
-                assert_eq!(
-                    indexed, scanned,
-                    "indexed vs scanned diverge on {sql} ({threads} threads)"
-                );
-            }
+            let indexed = exec_compiled(&snapshot, &fast, ExecOptions::default());
+            let scanned = exec_compiled(&snapshot, &slow, ExecOptions::default());
+            assert_eq!(indexed, scanned, "indexed vs scanned diverge on {sql}");
         }
     }
 }

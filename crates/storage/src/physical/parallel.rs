@@ -1,28 +1,26 @@
-//! Morsel-driven parallel execution primitives for the planned engine.
+//! The one level of parallelism: independent items, never one query.
 //!
-//! Work is cut into **morsels** (contiguous index ranges) that a small pool
-//! of scoped `std::thread` workers pull from a shared atomic cursor — idle
-//! workers steal the next morsel instead of being assigned a fixed shard,
-//! so skewed morsels do not leave cores idle. Results are reassembled in
-//! morsel order, which makes every parallel operator's output **independent
-//! of scheduling**: the planned engine produces byte-identical results at
-//! any thread count, so the legacy interpreter stays usable as the
-//! differential oracle.
+//! A query always runs on the calling thread. Workloads made of many small,
+//! independent queries (grading a corpus, simulating a study, a session's
+//! batch) fan their *items* out through [`batch_map`], a small pool of
+//! scoped `std::thread` workers that pull item indices from a shared atomic
+//! cursor — a slow item never idles the rest of the pool. Results are
+//! reassembled by index, so the output is **independent of scheduling**:
+//! byte-identical at every thread count.
 //!
-//! Error semantics also match serial execution: when morsels fail, the
-//! error reported is the one from the earliest morsel (workers claim
-//! morsels in index order, so every morsel before a failed one has
-//! completed), and remaining unclaimed morsels are abandoned.
-
-use std::ops::Range;
+//! Error semantics match a serial loop: when items fail, the error reported
+//! is the one from the earliest item (workers claim items in index order, so
+//! every item before a failed one has completed), and remaining unclaimed
+//! items are abandoned.
 
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{scope, Mutex, OnceLock};
 
 /// Number of worker threads the host machine supports; the default for
-/// [`crate::physical::ExecOptions::threads`]. Cached: `ExecOptions` is
-/// constructed per `Database::execute` call, and `available_parallelism`
-/// is documented as potentially expensive (syscall + cgroup reads).
+/// [`crate::physical::ExecOptions::threads`], i.e. the default size of the
+/// [`batch_map`] item pool. Cached: `ExecOptions` is constructed per
+/// `Database::execute` call, and `available_parallelism` is documented as
+/// potentially expensive (syscall + cgroup reads).
 pub fn available_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -32,31 +30,19 @@ pub fn available_threads() -> usize {
     })
 }
 
-/// Minimum rows per morsel. Below this, per-morsel bookkeeping (and the
-/// scoped thread spawn itself) costs more than the parallelism returns, so
-/// smaller inputs run inline on the calling thread.
-const MIN_MORSEL: usize = 256;
-
-/// Cut `0..len` into at most `threads * 4` morsels of at least
-/// [`MIN_MORSEL`] items (one final shorter remainder allowed). A single
-/// morsel means "run inline".
-fn morsels(len: usize, threads: usize) -> Vec<Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let max_chunks = threads.max(1) * 4;
-    let chunks = (len / MIN_MORSEL).clamp(1, max_chunks);
-    let size = len.div_ceil(chunks);
-    (0..len)
-        .step_by(size.max(1))
-        .map(|start| start..(start + size).min(len))
-        .collect()
-}
-
-/// Run `work(task_index)` for every index in `0..count` on up to `threads`
-/// scoped workers and return the results in task order. The first error in
-/// task order wins, exactly as a serial loop would report it.
-pub(crate) fn run_tasks<R, E, F>(threads: usize, count: usize, work: F) -> Result<Vec<R>, E>
+/// Run `work(index)` for every index in `0..count` on up to `threads`
+/// work-stealing workers and return the results **in input order**.
+///
+/// Each task is one whole independent item (e.g. one grading item, one
+/// study participant), and runs its queries on the worker that claimed it.
+/// The first error in task order wins, exactly as a serial loop would
+/// report it. `threads <= 1` (or a single task) runs inline on the calling
+/// thread with zero spawn overhead.
+///
+/// Tasks must be independent: the driver gives no ordering guarantee about
+/// *when* tasks run relative to each other, only about how their results
+/// (and errors) are surfaced.
+pub fn batch_map<R, E, F>(threads: usize, count: usize, work: F) -> Result<Vec<R>, E>
 where
     R: Send,
     E: Send,
@@ -98,7 +84,7 @@ where
                 if result.is_err() {
                     failed.store(true, Ordering::Release);
                 }
-                *slots[i].lock().expect("morsel slot lock") = Some(result);
+                *slots[i].lock().expect("batch slot lock") = Some(result);
             });
         }
     });
@@ -107,7 +93,7 @@ where
     // after the earliest error, whose own slot is filled.
     let mut out = Vec::with_capacity(count);
     for slot in slots {
-        match slot.into_inner().expect("morsel slot lock") {
+        match slot.into_inner().expect("batch slot lock") {
             Some(Ok(r)) => out.push(r),
             Some(Err(e)) => return Err(e),
             None => unreachable!("unfilled slot before the first error"),
@@ -116,78 +102,15 @@ where
     Ok(out)
 }
 
-/// Run `work(index)` for every index in `0..count` on up to `threads`
-/// work-stealing workers and return the results **in input order** — the
-/// public inter-task batch driver behind `bp_storage::batch_map`.
-///
-/// This is the same scoped-thread machinery the planned engine's parallel
-/// operators use, applied one level up: whole independent tasks (e.g. one
-/// grading item, one study participant) instead of morsels of one query.
-/// Workers claim task indices from a shared atomic cursor, so a slow task
-/// never idles the rest of the pool, and results are reassembled by index,
-/// so the output is **independent of scheduling**: byte-identical at every
-/// thread count, with the first error in task order winning exactly as a
-/// serial loop would report it. `threads <= 1` (or a single task) runs
-/// inline on the calling thread with zero spawn overhead.
-///
-/// Tasks must be independent: the driver gives no ordering guarantee about
-/// *when* tasks run relative to each other, only about how their results
-/// (and errors) are surfaced.
-pub fn batch_map<R, E, F>(threads: usize, count: usize, work: F) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(usize) -> Result<R, E> + Sync,
-{
-    run_tasks(threads, count, work)
-}
-
-/// Run `work` over each morsel of `0..len` and return the per-morsel
-/// results in morsel order. `len` below ~2×[`MIN_MORSEL`] (or `threads <=
-/// 1`) runs inline with zero thread overhead.
-pub(crate) fn run_morsels<R, E, F>(threads: usize, len: usize, work: F) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Result<R, E> + Sync,
-{
-    let ranges = morsels(len, threads);
-    run_tasks(threads, ranges.len(), |i| work(ranges[i].clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn morsels_cover_input_in_order() {
-        for len in [0usize, 1, 255, 256, 511, 512, 4096, 100_000] {
-            for threads in [1usize, 2, 8] {
-                let ranges = morsels(len, threads);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "gap at len={len} threads={threads}");
-                    assert!(r.end > r.start);
-                    next = r.end;
-                }
-                assert_eq!(next, len);
-                assert!(ranges.len() <= threads * 4 || len < MIN_MORSEL * ranges.len());
-            }
-        }
-    }
-
-    #[test]
-    fn small_inputs_run_inline_as_one_morsel() {
-        assert_eq!(morsels(100, 8).len(), 1);
-        assert_eq!(morsels(511, 8).len(), 1);
-        assert!(morsels(512, 8).len() >= 2);
-    }
-
-    #[test]
     fn results_preserve_task_order_at_any_thread_count() {
         for threads in [1usize, 2, 3, 8] {
             let out: Vec<usize> =
-                run_tasks(threads, 37, |i| Ok::<_, ()>(i * 2)).expect("no errors");
+                batch_map(threads, 37, |i| Ok::<_, ()>(i * 2)).expect("no errors");
             assert_eq!(out, (0..37).map(|i| i * 2).collect::<Vec<_>>());
         }
     }
@@ -196,7 +119,7 @@ mod tests {
     fn earliest_error_wins() {
         for threads in [1usize, 4] {
             let err =
-                run_tasks::<usize, usize, _>(threads, 64, |i| if i >= 10 { Err(i) } else { Ok(i) })
+                batch_map::<usize, usize, _>(threads, 64, |i| if i >= 10 { Err(i) } else { Ok(i) })
                     .expect_err("tasks fail from index 10");
             assert_eq!(err, 10, "threads={threads}");
         }
@@ -210,7 +133,7 @@ mod tests {
         // Slow even tasks + a fast early error maximize that window.
         for round in 0usize..200 {
             let fail_from = round % 8 + 1;
-            let err = run_tasks::<usize, usize, _>(8, 64, |i| {
+            let err = batch_map::<usize, usize, _>(8, 64, |i| {
                 if i % 2 == 0 && i > 0 {
                     std::thread::sleep(std::time::Duration::from_micros(50));
                 }
@@ -222,19 +145,6 @@ mod tests {
             })
             .expect_err("tasks fail early");
             assert_eq!(err, fail_from, "round={round}");
-        }
-    }
-
-    #[test]
-    fn morsel_results_concatenate_to_serial_order() {
-        let data: Vec<u64> = (0..10_000).collect();
-        for threads in [1usize, 2, 8] {
-            let chunks = run_morsels(threads, data.len(), |range| {
-                Ok::<_, ()>(data[range].to_vec())
-            })
-            .expect("no errors");
-            let flat: Vec<u64> = chunks.into_iter().flatten().collect();
-            assert_eq!(flat, data);
         }
     }
 }

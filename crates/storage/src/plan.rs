@@ -530,7 +530,7 @@ impl<'a> Planner<'a> {
         // error-free; otherwise it stays above the join untouched.
         if let Some(selection) = &select.selection {
             let conjuncts = split_conjuncts(selection);
-            if conjuncts.iter().all(|c| benign(c, &bindings)) {
+            if conjuncts.iter().all(|c| benign(c)) {
                 let mut residual: Vec<Expr> = Vec::new();
                 for conjunct in conjuncts {
                     match pushable_conjunct(conjunct, &bindings) {
@@ -735,7 +735,7 @@ impl<'a> Planner<'a> {
                 // keep even error behavior identical, take the hash path
                 // only when every residual conjunct is benign — else fall
                 // back to a nested loop over the original predicate.
-                if !keys.is_empty() && !residual.iter().all(|r| benign(r, &bindings)) {
+                if !keys.is_empty() && !residual.iter().all(benign) {
                     keys.clear();
                     residual = vec![on.clone()];
                 }
@@ -791,7 +791,7 @@ fn set_op_order_ordinal(expr: &Expr, columns: &[String]) -> Option<usize> {
 /// evaluating such a predicate on rows the join would have eliminated must
 /// remain unobservable.
 fn pushable_conjunct(conjunct: &Expr, bindings: &[ColumnBinding]) -> Option<Vec<usize>> {
-    if !error_free(conjunct) {
+    if !benign(conjunct) {
         return None;
     }
     let mut refs = Vec::new();
@@ -804,50 +804,34 @@ fn pushable_conjunct(conjunct: &Expr, bindings: &[ColumnBinding]) -> Option<Vec<
     Some(ordinals)
 }
 
-/// Whether an expression provably cannot raise an error when evaluated
-/// against rows of `bindings`: its shape is [`error_free`] *and* every
-/// column reference resolves locally (an unresolvable reference raises
-/// `UnknownColumn` at evaluation time — or defers to an outer scope that
-/// might — so it does not qualify). This is the gate for every rewrite
-/// that changes *which rows* a predicate is evaluated on.
-pub(crate) fn benign(expr: &Expr, bindings: &[ColumnBinding]) -> bool {
-    if !error_free(expr) {
-        return false;
-    }
-    let mut refs = Vec::new();
-    collect_column_refs(expr, &mut refs);
-    refs.iter().all(|r| {
-        let qualifier = r.qualifier.as_ref().map(|i| i.value.as_str());
-        resolve_binding(bindings, qualifier, &r.column.value).is_some()
-    })
-}
-
 /// Whether evaluating this expression can never raise an error, for any
-/// input row, *assuming its column references resolve* (see [`benign`]).
-/// Conservative: only comparison/logic/pattern/list/null-test shapes over
-/// columns and literals qualify (no arithmetic, functions, CASE, or
-/// subqueries).
-fn error_free(expr: &Expr) -> bool {
+/// input row. Conservative: only comparison/logic/pattern/list/null-test
+/// shapes over columns and literals qualify (no arithmetic, functions,
+/// CASE, or subqueries). Column references cannot raise either: the
+/// compiler rejects a statement with an unresolvable one before it runs.
+/// This is the gate for every rewrite that changes *which rows* a
+/// predicate is evaluated on.
+pub(crate) fn benign(expr: &Expr) -> bool {
     match expr {
         Expr::Identifier(_) | Expr::CompoundIdentifier(_) | Expr::Literal(_) => true,
         Expr::BinaryOp { left, op, right } => {
             use BinaryOperator::*;
             matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq | And | Or | Concat)
-                && error_free(left)
-                && error_free(right)
+                && benign(left)
+                && benign(right)
         }
         Expr::UnaryOp {
             op: UnaryOperator::Not,
             expr,
-        } => error_free(expr),
-        Expr::IsNull { expr, .. } => error_free(expr),
-        Expr::Like { expr, pattern, .. } => error_free(expr) && error_free(pattern),
+        } => benign(expr),
+        Expr::IsNull { expr, .. } => benign(expr),
+        Expr::Like { expr, pattern, .. } => benign(expr) && benign(pattern),
         Expr::Between {
             expr, low, high, ..
-        } => error_free(expr) && error_free(low) && error_free(high),
-        Expr::InList { expr, list, .. } => error_free(expr) && list.iter().all(error_free),
-        Expr::Cast { expr, .. } => error_free(expr),
-        Expr::Nested(inner) => error_free(inner),
+        } => benign(expr) && benign(low) && benign(high),
+        Expr::InList { expr, list, .. } => benign(expr) && list.iter().all(benign),
+        Expr::Cast { expr, .. } => benign(expr),
+        Expr::Nested(inner) => benign(inner),
         _ => false,
     }
 }
@@ -996,13 +980,12 @@ fn try_push(plan: &mut LogicalPlan, conjunct: Expr, ordinals: &[usize]) -> Resul
             right,
             operator,
             residual,
-            bindings,
             ..
         } => {
             // Reducing a join's input also reduces the pairs its ON residual
             // is evaluated on; if that residual can error, the oracle (which
             // sees every pair) could fail where the pushed plan succeeds.
-            if residual.as_ref().is_some_and(|r| !benign(r, bindings)) {
+            if residual.as_ref().is_some_and(|r| !benign(r)) {
                 return Err(conjunct);
             }
             let left_width = left.bindings().len();

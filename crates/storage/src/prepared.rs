@@ -640,7 +640,7 @@ mod tests {
         assert_eq!(prepared.sql(), sql);
         assert_eq!(prepared.referenced_tables(), ["T"]);
         for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
-            let options = ExecOptions::new(strategy).with_threads(2);
+            let options = ExecOptions::new(strategy);
             let direct = db.execute_sql(sql, options).expect("direct executes");
             // Execute twice: the second run exercises the warmed subquery
             // cache inside the stored plan.

@@ -323,6 +323,16 @@ pub(crate) fn finish_aggregate(
     }
 }
 
+/// The fewest arguments a canonical scalar function accepts; a call with
+/// fewer raises [`missing_arg_error`] when evaluated.
+pub(crate) fn min_scalar_args(canonical: &str) -> usize {
+    match canonical {
+        "UPPER" | "LOWER" | "LENGTH" | "LEN" | "ABS" | "ROUND" => 1,
+        "SUBSTR" | "SUBSTRING" => 2,
+        _ => 0,
+    }
+}
+
 /// Error helper for functions that require an argument at `index`.
 pub(crate) fn missing_arg_error(name: &str, index: usize) -> StorageError {
     StorageError::TypeError(format!("{name} expects at least {} argument(s)", index + 1))
@@ -443,9 +453,8 @@ pub(crate) fn combine_set_operation(
 // the hot type combinations with tight loops, and *every* other combination
 // falls through to a per-element loop over [`eval_binary`] itself, so the
 // kernels' *values* cannot drift from the per-row evaluators. Kernels stop
-// at the first erroring element in row order; because batch boundaries are
-// fixed (never derived from the thread budget), the reported error is
-// identical at every thread count. Error *identity* may still differ from
+// at the first erroring element in row order, so the reported error is
+// deterministic. Error *identity* may still differ from
 // the legacy interpreter when several operands can fail (operand-major vs
 // row-major evaluation) — see the documented divergence in
 // `crate::physical::columnar`.

@@ -133,17 +133,16 @@ impl AnnotationSession<'_> {
 
     /// Execute a batch of SQL texts against the pinned snapshot, fanned out
     /// over `threads` [`batch_map`] workers, stopping at the first error
-    /// **in input order** (exactly what a serial loop would report). Every
-    /// statement runs single-threaded inside the fan-out; results come back
-    /// in input order and are byte-identical at every thread count.
+    /// **in input order** (exactly what a serial loop would report). Each
+    /// statement runs on the worker that claimed it; results come back in
+    /// input order and are byte-identical at every thread count.
     pub fn batch_execute<S: AsRef<str> + Sync>(
         &self,
         sqls: &[S],
         threads: usize,
     ) -> StorageResult<Vec<QueryResult>> {
-        let item_options = ExecOptions::serial();
         batch_map(threads, sqls.len(), |i| {
-            self.execute_sql(sqls[i].as_ref(), item_options)
+            self.execute_sql(sqls[i].as_ref(), ExecOptions::default())
         })
     }
 
@@ -156,9 +155,8 @@ impl AnnotationSession<'_> {
         sqls: &[S],
         threads: usize,
     ) -> Vec<StorageResult<QueryResult>> {
-        let item_options = ExecOptions::serial();
         batch_map(threads, sqls.len(), |i| {
-            Ok::<_, StorageError>(self.execute_sql(sqls[i].as_ref(), item_options))
+            Ok::<_, StorageError>(self.execute_sql(sqls[i].as_ref(), ExecOptions::default()))
         })
         .expect("outcome collection is infallible")
     }

@@ -91,10 +91,9 @@ impl Snapshot {
     /// dispatch every read path funnels into. [`ExecStrategy::Planned`]
     /// plans, compiles and runs the query through
     /// [`crate::physical::compile_query`]; [`ExecStrategy::Legacy`]
-    /// interprets the AST directly. The result is byte-identical at every
-    /// thread count, and — because the snapshot is immutable —
-    /// byte-identical no matter what writers do to the owning database in
-    /// the meantime. Repeated SQL texts should go through
+    /// interprets the AST directly. Either runs on the calling thread, and
+    /// — because the snapshot is immutable — the result is byte-identical
+    /// no matter what writers do to the owning database in the meantime. Repeated SQL texts should go through
     /// [`Snapshot::prepare`] or a [`crate::PlanCache`] instead, which
     /// compile once.
     pub fn execute(

@@ -327,62 +327,44 @@ impl Table {
         Ok(())
     }
 
-    /// The table's rows decoded into fixed-size columnar [`Batch`]es —
-    /// each `(batch, column)` cell is decoded once per table version (any
-    /// write starts a fresh cache, whether it copied the payload or reset
-    /// it in place) and shared with every scan by refcount. The returned
-    /// batches are dense (no selection); batch boundaries are fixed by
-    /// [`BATCH_ROWS`], never by `threads` (which only parallelizes the
-    /// one-time decode), so columnar execution is deterministic at every
-    /// thread count.
-    #[cfg(test)]
-    pub(crate) fn columnar_batches(&self, threads: usize) -> Vec<Batch> {
-        self.columnar_batches_for(threads, None)
-    }
-
-    /// [`Table::columnar_batches`] restricted to the columns in `cols`
-    /// (projection pruning): only the referenced columns are decoded.
-    /// Pruned slots are filled with a shared empty placeholder column —
-    /// loudly wrong (out-of-bounds panic) if a consumer the plan analysis
-    /// missed ever touches one — unless an earlier scan already decoded the
-    /// real column, in which case the cached decode rides along for free.
-    pub(crate) fn columnar_batches_for(
-        &self,
-        threads: usize,
-        cols: Option<&[usize]>,
-    ) -> Vec<Batch> {
+    /// The table's rows decoded into fixed-size columnar [`Batch`]es,
+    /// restricted to the columns in `cols` (projection pruning; `None`
+    /// decodes all). Each `(batch, column)` cell is decoded once per table
+    /// version (any write starts a fresh cache, whether it copied the
+    /// payload or reset it in place) and shared with every scan by
+    /// refcount. The batches are dense (no selection), with boundaries
+    /// fixed by [`BATCH_ROWS`]. Pruned slots are filled with a shared empty
+    /// placeholder column — loudly wrong (out-of-bounds panic) if a
+    /// consumer the plan analysis missed ever touches one — unless an
+    /// earlier scan already decoded the real column, in which case the
+    /// cached decode rides along for free.
+    pub(crate) fn columnar_batches_for(&self, cols: Option<&[usize]>) -> Vec<Batch> {
         let width = self.schema.column_count();
-        let rows = &self.data.rows;
-        let chunks: Vec<&[Row]> = rows.chunks(BATCH_ROWS).collect();
+        let chunks = self.data.rows.chunks(BATCH_ROWS);
         let grid = self.data.columnar.0.get_or_init(|| {
             chunks
-                .iter()
+                .clone()
                 .map(|_| (0..width).map(|_| OnceLock::new()).collect())
                 .collect()
         });
-        let needed: Vec<usize> = match cols {
-            Some(cols) => cols.to_vec(),
-            None => (0..width).collect(),
-        };
-        crate::physical::parallel::run_tasks(threads, chunks.len(), |i| {
-            for &c in &needed {
-                grid[i][c].get_or_init(|| Arc::new(ColumnVec::from_rows_column(chunks[i], c)));
-            }
-            Ok::<_, std::convert::Infallible>(())
-        })
-        .expect("decode is infallible");
+        let needed = |c: usize| cols.is_none_or(|cols| cols.contains(&c));
         let placeholder = Arc::new(ColumnVec::Any(Vec::new()));
         chunks
-            .iter()
             .zip(grid)
             .map(|(chunk, slots)| Batch {
                 len: chunk.len(),
                 columns: (0..width)
                     .map(|c| {
-                        slots[c]
-                            .get()
-                            .cloned()
-                            .unwrap_or_else(|| placeholder.clone())
+                        if needed(c) {
+                            slots[c]
+                                .get_or_init(|| Arc::new(ColumnVec::from_rows_column(chunk, c)))
+                                .clone()
+                        } else {
+                            slots[c]
+                                .get()
+                                .cloned()
+                                .unwrap_or_else(|| placeholder.clone())
+                        }
                     })
                     .collect(),
                 selection: None,
@@ -658,11 +640,11 @@ mod tests {
         t.insert_all((0..10i64).map(|i| vec![i.into(), format!("r{i}").into(), (i as f64).into()]))
             .unwrap();
         let pinned = t.clone();
-        let before = pinned.columnar_batches(1);
+        let before = pinned.columnar_batches_for(None);
         assert_eq!(before.iter().map(|b| b.len).sum::<usize>(), 10);
         // Writer streams more rows; the pinned decode must not change.
         t.insert(vec![10.into(), "new".into(), 1.0.into()]).unwrap();
-        let after = pinned.columnar_batches(1);
+        let after = pinned.columnar_batches_for(None);
         assert_eq!(
             after.iter().map(|b| b.len).sum::<usize>(),
             10,
@@ -670,7 +652,10 @@ mod tests {
         );
         // The writer's new version decodes all rows.
         assert_eq!(
-            t.columnar_batches(1).iter().map(|b| b.len).sum::<usize>(),
+            t.columnar_batches_for(None)
+                .iter()
+                .map(|b| b.len)
+                .sum::<usize>(),
             11
         );
     }
@@ -780,14 +765,14 @@ mod tests {
         let mut t = table();
         t.insert_all((0..4i64).map(|i| vec![i.into(), format!("r{i}").into(), (i as f64).into()]))
             .unwrap();
-        let pruned = t.columnar_batches_for(1, Some(&[0]));
+        let pruned = t.columnar_batches_for(Some(&[0]));
         assert_eq!(pruned.len(), 1);
         assert_eq!(pruned[0].columns[0].len(), 4, "requested column decoded");
         assert_eq!(pruned[0].columns[1].len(), 0, "pruned column is empty");
         assert_eq!(pruned[0].columns[2].len(), 0, "pruned column is empty");
         // A later full decode fills the remaining cells and reuses the
         // already-decoded column by refcount.
-        let full = t.columnar_batches(1);
+        let full = t.columnar_batches_for(None);
         assert!(Arc::ptr_eq(&pruned[0].columns[0], &full[0].columns[0]));
         assert_eq!(full[0].columns[1].len(), 4);
         assert_eq!(full[0].columns[2].len(), 4);

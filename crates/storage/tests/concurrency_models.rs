@@ -279,7 +279,7 @@ fn take_once_verification_is_exactly_once_under_concurrent_draining() {
 #[test]
 fn planted_relaxed_race_is_found_and_replays_at_a_pinned_seed() {
     // This is the pattern the `relaxed` audit promoted out of
-    // `run_tasks`: a flag stored Relaxed on one thread and read Relaxed
+    // `batch_map`: a flag stored Relaxed on one thread and read Relaxed
     // on another, with the reader acting on what it saw.
     let body = || {
         let flag = AtomicBool::new(false);

@@ -5,12 +5,8 @@
 //! `ExecStrategy::Planned` (the columnar batch engine, the default) and
 //! `ExecStrategy::Legacy` (the tree-walking interpreter, the oracle).
 //! Successful results must be *identical*: same columns, same rows in the
-//! same order, same ordered flag — or both engines must fail.
-//!
-//! The planned engine runs at thread budgets 1 **and** 4 (parallel
-//! operators run even on single-core CI; determinism makes extra workers
-//! harmless) and must be byte-identical to itself across thread counts —
-//! including on error paths. Seed-driven generators target what the corpus
+//! same order, same ordered flag — or both engines must fail. Seed-driven
+//! generators target what the corpus
 //! generator never emits: NULL-heavy boolean predicates (three-valued
 //! logic), large-magnitude integers (±2^53 neighborhood, `i64::MIN`/`MAX`),
 //! text containing the historical `"\u{1}"` key separator, and ORDER
@@ -19,33 +15,22 @@
 
 use benchpress_suite::datasets::{BenchmarkKind, CorpusScale, GeneratedBenchmark};
 use benchpress_suite::sql::DataType;
-use benchpress_suite::storage::{Column, Database, ExecOptions, ExecStrategy, TableSchema, Value};
+use benchpress_suite::storage::{
+    Column, Database, ExecOptions, ExecStrategy, StorageError, TableSchema, Value,
+};
 use proptest::prelude::*;
 
-/// Parallel thread budget for the planned engine in this suite.
-const TEST_THREADS: usize = 4;
-
-/// Execute with the columnar engine (at threads 1 and 4) and the legacy
-/// interpreter. Successful results must be byte-identical across both
-/// engines and thread counts; when a query errors, both engines must error,
-/// and the columnar engine's error must be identical across thread counts.
+/// Execute with the columnar engine and the legacy interpreter. Successful
+/// results must be byte-identical across both engines; when a query errors,
+/// both engines must error.
 fn assert_engines_agree(db: &Database, sql: &str, label: &str) {
     let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
-    let columnar = db.execute_sql(
-        sql,
-        ExecOptions::new(ExecStrategy::Planned).with_threads(TEST_THREADS),
-    );
+    let columnar = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Planned));
     match (&legacy, &columnar) {
         (Ok(l), Ok(c)) => assert_eq!(l, c, "legacy vs columnar disagree on {label}: {sql}"),
         (Err(_), Err(_)) => {}
         (l, c) => panic!("ok/err divergence on {label} query {sql}: legacy={l:?} columnar={c:?}"),
     }
-    // Thread-count determinism, including error identity.
-    let columnar_serial = db.execute_sql(sql, ExecOptions::serial());
-    assert_eq!(
-        columnar_serial, columnar,
-        "parallel columnar diverges from serial columnar on {label}: {sql}"
-    );
 }
 
 fn assert_corpus_differential(kind: BenchmarkKind, query_count: usize, seed: u64) {
@@ -140,7 +125,7 @@ proptest! {
 
 /// One scaled corpus run: the hash-join and multi-batch columnar paths
 /// (exercised for real at Medium scale, with inputs large enough to split
-/// into multiple batches/morsels) must agree with the oracles row-for-row.
+/// into multiple batches) must agree with the oracle row-for-row.
 #[test]
 fn planned_matches_interpreter_on_scaled_corpus() {
     let corpus = GeneratedBenchmark::generate_scaled(
@@ -211,9 +196,9 @@ const EDGE_TEXT: [&str; 8] = [
 
 /// A two-table database stocked with NULL-heavy booleans, ±2^53-boundary
 /// integers, i64 extremes, and separator-bearing text. The proptest suites
-/// use the small size (fast inline execution, many seeds); the scaled test
-/// below uses a size past the morsel threshold so the same corner data
-/// also flows through the multi-morsel parallel operators.
+/// use the small size (fast execution, many seeds); the scaled test below
+/// uses a larger size so the same corner data meets realistic group, join
+/// and duplicate counts.
 fn edge_db() -> Database {
     edge_db_sized(48)
 }
@@ -560,12 +545,12 @@ proptest! {
     }
 }
 
-/// The corner-case data at a size past the morsel threshold (512 rows), so
-/// three-valued predicates, exact integer keys, and separator-bearing text
-/// flow through the *multi-morsel* parallel Filter/Project/Join/Aggregate
-/// paths — the 48-row proptest corpus above runs inline and never splits.
+/// The corner-case data at 640 rows per table, so three-valued predicates,
+/// exact integer keys, and separator-bearing text flow through
+/// Filter/Project/Join/Aggregate with hundreds of duplicates, groups and
+/// unmatched outer-join rows — far more than the 48-row proptest corpus.
 #[test]
-fn corner_corpus_agrees_through_multi_morsel_operators() {
+fn corner_corpus_agrees_on_larger_tables() {
     let db = edge_db_sized(640);
     let mut mix = Mix(0x600d);
     let queries = [
@@ -598,10 +583,10 @@ fn corner_corpus_agrees_through_multi_morsel_operators() {
     for sql in &queries {
         assert_engines_agree(&db, sql, "scaled-edge");
     }
-    // Outer joins whose unmatched-right tracking spans several left-row
-    // morsels: non-equi ON clauses run as nested loops, equi keys as hash
-    // joins. `a.ID = b.BIG` matches only a handful of rows, so both sides
-    // keep hundreds of unmatched rows while the output stays small.
+    // Outer joins with hundreds of unmatched rows on each side: non-equi
+    // ON clauses run as nested loops, equi keys as hash joins.
+    // `a.ID = b.BIG` matches only a handful of rows, so both sides keep
+    // hundreds of unmatched rows while the output stays small.
     let outer_joins = [
         (
             "SELECT a.ID, b.ID FROM EDGE_A a RIGHT JOIN EDGE_B b ON a.ID < b.ID - 600 ORDER BY a.ID, b.ID",
@@ -634,14 +619,14 @@ fn corner_corpus_agrees_through_multi_morsel_operators() {
     }
 }
 
-/// Regression: a query error raised inside one morsel of a multi-morsel
-/// parallel run must surface as the same clean `Err` serial execution
-/// reports — never a panic. The scheduler once checked the shared failure
-/// flag *after* claiming a morsel slot, so a worker could abandon a slot
-/// that precedes the earliest error and crash result collection; repeated
-/// rounds give thread timing a chance to hit any such window.
+/// A query error raised mid-table must surface as the same clean `Err` in
+/// both engines — never a panic — and, run as many items of a `batch_map`
+/// pool, as the same first error a serial loop reports. Repeated rounds
+/// give thread timing a chance to hit a window where a worker abandons a
+/// slot before the earliest error.
 #[test]
 fn parallel_query_errors_match_serial_cleanly() {
+    use benchpress_suite::storage::batch_map;
     let mut db = Database::new("overflow");
     db.create_table(TableSchema::new(
         "WIDE",
@@ -651,8 +636,7 @@ fn parallel_query_errors_match_serial_cleanly() {
         ],
     ))
     .expect("schema");
-    // 4096 rows split into many morsels; the first overflow site sits
-    // mid-table so the failing morsel has predecessors still in flight.
+    // 4096 rows over four batches; the first overflow site sits mid-table.
     let rows: Vec<Vec<Value>> = (0..4096i64)
         .map(|i| {
             let big = if i >= 1500 && i % 700 == 0 {
@@ -667,15 +651,120 @@ fn parallel_query_errors_match_serial_cleanly() {
     let sql = "SELECT ID, BIG + 1 FROM WIDE";
     let serial = db
         .execute_sql(sql, ExecOptions::serial())
-        .expect_err("serial planned must report the overflow");
+        .expect_err("planned must report the overflow");
+    let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
+    assert_eq!(
+        legacy,
+        Err(serial.clone()),
+        "engines report different errors"
+    );
+    // Three items succeed; every later item overflows.
+    let items: Vec<&str> = (0..16)
+        .map(|i| if i < 3 { "SELECT ID FROM WIDE" } else { sql })
+        .collect();
     for round in 0..25 {
-        let parallel = db
-            .execute_sql(sql, ExecOptions::default().with_threads(8))
-            .expect_err("parallel planned must report the overflow, not panic");
+        let parallel = batch_map(8, items.len(), |i| {
+            db.execute_sql(items[i], ExecOptions::serial())
+        })
+        .expect_err("the batch must report the overflow, not panic");
         assert_eq!(
             parallel, serial,
-            "round {round}: planned error must be deterministic"
+            "round {round}: batch error must be deterministic"
         );
+    }
+}
+
+fn parse(sql: &str) -> benchpress_suite::sql::Query {
+    benchpress_suite::sql::parse_query(sql).expect("parses")
+}
+
+/// A column that no scope binds is rejected before execution by both
+/// engines, wherever it sits — over an empty table, in an unreached
+/// `CASE` arm, inside a correlated subquery that never runs — as SQLite
+/// and PostgreSQL reject it at prepare. A subquery whose *table* does not
+/// resolve stays lazy in both: it fails only if evaluated.
+#[test]
+fn unknown_columns_fail_before_execution_in_both_engines() {
+    use benchpress_suite::storage::{compile_query, CompileOptions};
+    let mut empty = Database::new("empty");
+    empty
+        .create_table(TableSchema::new(
+            "E",
+            vec![
+                Column::new("ID", DataType::Integer).primary_key(),
+                Column::new("V", DataType::Integer),
+            ],
+        ))
+        .expect("schema");
+    let edge = edge_db();
+    let static_errors: [(&Database, &str); 9] = [
+        // No row ever reaches the reference.
+        (&empty, "SELECT ID FROM E WHERE NOPE = 1"),
+        (&empty, "SELECT NOPE FROM E"),
+        (
+            &empty,
+            "SELECT e.ID FROM E e JOIN E f ON e.ID = f.ID AND f.NOPE > 0",
+        ),
+        (
+            &empty,
+            "SELECT V, COUNT(*) FROM E GROUP BY V HAVING MAX(NOPE) > 1",
+        ),
+        (&empty, "SELECT ID FROM E ORDER BY NOPE + 1"),
+        // An unreached CASE arm.
+        (
+            &edge,
+            "SELECT CASE WHEN 1 = 0 THEN NOPE ELSE ID END FROM EDGE_A",
+        ),
+        // Inside correlated subqueries: the enclosing scope does not bind
+        // the name either, even where the subquery never runs.
+        (
+            &edge,
+            "SELECT ID FROM EDGE_A a WHERE EXISTS \
+             (SELECT 1 FROM EDGE_B b WHERE b.GRP = a.GRP AND b.ID = a.NOPE)",
+        ),
+        (
+            &empty,
+            "SELECT ID FROM E e WHERE V IN (SELECT f.V FROM E f WHERE f.ID = e.NOPE)",
+        ),
+        (
+            &edge,
+            "SELECT ID, (SELECT MAX(b.ID) FROM EDGE_B b WHERE b.GRP = a.GRP AND NOPE = 1) \
+             FROM EDGE_A a WHERE 1 = 0",
+        ),
+    ];
+    for (db, sql) in static_errors {
+        let compiled = compile_query(&db.snapshot(), &parse(sql), CompileOptions::default());
+        assert!(
+            matches!(compiled, Err(StorageError::UnknownColumn(_))),
+            "compiler accepts {sql}"
+        );
+        for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
+            let result = db.execute_sql(sql, ExecOptions::new(strategy));
+            assert!(
+                matches!(result, Err(StorageError::UnknownColumn(_))),
+                "{strategy:?} runs {sql}: {result:?}"
+            );
+        }
+    }
+    // Correlated references an enclosing scope binds still run, and agree.
+    for sql in [
+        "SELECT ID FROM EDGE_A a WHERE EXISTS \
+         (SELECT 1 FROM EDGE_B b WHERE b.GRP = a.GRP AND b.ID < a.ID) ORDER BY ID",
+        "SELECT ID FROM EDGE_A a WHERE BIG IN \
+         (SELECT b.BIG FROM EDGE_B b WHERE b.TXT = a.TXT AND EXISTS \
+          (SELECT 1 FROM EDGE_A c WHERE c.GRP = a.GRP AND c.ID = b.ID)) ORDER BY ID",
+    ] {
+        assert!(
+            edge.execute_sql(sql, ExecOptions::default()).is_ok(),
+            "{sql}"
+        );
+        assert_engines_agree(&edge, sql, "correlated");
+    }
+    // An unplannable subquery stays lazy, whatever columns it names.
+    let lazy = "SELECT ID FROM E WHERE EXISTS (SELECT NOPE FROM MISSING)";
+    for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
+        let result = empty.execute_sql(lazy, ExecOptions::new(strategy));
+        assert!(result.is_ok(), "{strategy:?}: {result:?}");
     }
 }
 
@@ -752,8 +841,7 @@ fn join_order_db() -> Database {
 
 /// The reordered-joins oracle: compile `sql` with the cost-based join
 /// reorderer and pinned to syntactic order, and require byte-identical
-/// behavior — results *and* errors — at thread counts 1 and 4, plus
-/// Ok/Err parity (and result equality on success) with the legacy
+/// behavior — results *and* errors — plus Ok/Err parity (and result equality on success) with the legacy
 /// interpreter, which never reorders anything. The cost-based plan must
 /// also pass the static verifier (whose join-binding invariant is
 /// association-order-independent). Failure messages print both plans'
@@ -798,30 +886,18 @@ fn assert_join_orders_agree(db: &Database, sql: &str) {
             .join("\n"),
         cost_based.explain(&snapshot)
     );
-    let mut serial_result = None;
-    for threads in [1usize, TEST_THREADS] {
-        let options = ExecOptions::default().with_threads(threads);
-        let from_cost = exec_compiled(&snapshot, &cost_based, options);
-        let from_syntactic = exec_compiled(&snapshot, &syntactic, options);
-        assert_eq!(
-            from_cost,
-            from_syntactic,
-            "cost-based vs syntactic diverge at {threads} thread(s) on {sql}\n\
-             cost-based plan:\n{}\nsyntactic plan:\n{}",
-            cost_based.explain(&snapshot),
-            syntactic.explain(&snapshot)
-        );
-        if let Some(serial) = &serial_result {
-            assert_eq!(
-                serial, &from_cost,
-                "thread count changes the reordered plan's outcome on {sql}"
-            );
-        } else {
-            serial_result = Some(from_cost);
-        }
-    }
+    let from_cost = exec_compiled(&snapshot, &cost_based, ExecOptions::default());
+    let from_syntactic = exec_compiled(&snapshot, &syntactic, ExecOptions::default());
+    assert_eq!(
+        from_cost,
+        from_syntactic,
+        "cost-based vs syntactic diverge on {sql}\n\
+         cost-based plan:\n{}\nsyntactic plan:\n{}",
+        cost_based.explain(&snapshot),
+        syntactic.explain(&snapshot)
+    );
     let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
-    match (legacy, serial_result.expect("both thread counts ran")) {
+    match (legacy, from_cost) {
         (Ok(l), Ok(c)) => assert_eq!(
             l,
             c,
@@ -891,8 +967,8 @@ proptest! {
     /// Reordered joins are invisible: for seed-driven 3- and 4-table
     /// equi-join chains (pathological and benign syntactic orders, tail
     /// filters, overflow projections), the cost-based compilation must be
-    /// byte-identical to the syntactic one — serial and parallel, errors
-    /// included — and agree with the legacy interpreter.
+    /// byte-identical to the syntactic one, errors included, and agree
+    /// with the legacy interpreter.
     #[test]
     fn reordered_joins_are_byte_identical_across_compilations(seed in 0u64..1_000_000) {
         let db = join_order_db();
@@ -931,8 +1007,8 @@ fn pathological_chain_is_cost_based_reordered() {
 
 /// Every way to run a query must agree, for every corpus query: the
 /// database's text convenience, `Snapshot::execute`, a prepared query and
-/// the plan cache return byte-identical results — planned at threads 1 and
-/// 4, and legacy — including error identity. The columnar ≡ legacy oracle
+/// the plan cache return byte-identical results — planned and legacy —
+/// including error identity. The columnar ≡ legacy oracle
 /// applies unchanged to the snapshot path, and the cache's always-on
 /// verifier checks each distinct compiled text exactly once, cleanly.
 #[test]
@@ -945,7 +1021,6 @@ fn snapshot_reads_match_borrowed_reads_on_every_engine() {
     let mut compiled = std::collections::BTreeSet::new();
     let engines = [
         ExecOptions::serial(),
-        ExecOptions::serial().with_threads(TEST_THREADS),
         ExecOptions::new(ExecStrategy::Legacy),
     ];
     for entry in &corpus.log {
