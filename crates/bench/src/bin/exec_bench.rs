@@ -269,9 +269,8 @@ fn plans_side<'a>(
     plans: &'a [PhysQueryPlan],
 ) -> Side<'a> {
     side(key, 5, move || {
-        let serial = ExecOptions::serial();
         for plan in plans {
-            black_box(exec_compiled(snapshot, plan, serial).expect("executes"));
+            black_box(exec_compiled(snapshot, plan).expect("executes"));
         }
     })
 }
@@ -458,7 +457,7 @@ fn point_lookups(large: &GeneratedBenchmark) -> Lookups {
         let [fast, scan] = [true, false].map(|fast| compile(fast).expect("compiles"));
         let paths = [&fast, &scan].map(|plan| plan.access_paths().index_scan);
         assert_eq!(paths, [1, 0], "{sql}: wrong access paths");
-        let exec = |plan| exec_compiled(&snapshot, plan, ExecOptions::serial());
+        let exec = |plan| exec_compiled(&snapshot, plan);
         let indexed = exec(&fast).expect("lookup executes");
         assert_eq!(
             Ok(&indexed),
@@ -512,10 +511,7 @@ fn join_order() -> (Snapshot, [PhysQueryPlan; 2], usize) {
     let reordered = plans[1].optimizer_stats().cost_based >= 1;
     assert!(reordered, "not reordered:\n{}", explain[1]);
     // Association-only reordering preserves output order exactly.
-    let serial = ExecOptions::serial();
-    let [syntactic, cost_based] = plans
-        .each_ref()
-        .map(|p| exec_compiled(&snapshot, p, serial));
+    let [syntactic, cost_based] = plans.each_ref().map(|p| exec_compiled(&snapshot, p));
     let legacy = snapshot.execute(&query, ExecOptions::new(ExecStrategy::Legacy));
     let agree = syntactic == cost_based && cost_based == legacy;
     assert!(agree, "join orders differ:\n{}\n{}", explain[0], explain[1]);

@@ -7,7 +7,7 @@
 //! retrievable example for later queries, and every piece of domain
 //! knowledge captured once is reused automatically in future prompts.
 
-use bp_embed::{DocumentKind, VectorStore};
+use bp_embed::{DocumentKind, Embedding, VectorStore};
 use bp_llm::FewShotExample;
 use serde::{Deserialize, Serialize};
 
@@ -88,10 +88,18 @@ impl KnowledgeBase {
         &self.priorities
     }
 
-    /// Retrieve the `k` most similar prior annotations for a SQL unit.
-    pub fn retrieve_examples(&self, sql: &str, k: usize) -> Vec<FewShotExample> {
+    /// Embed a SQL unit for [`KnowledgeBase::retrieve_examples`] and
+    /// [`KnowledgeBase::retrieve_knowledge`], so both retrievals share one
+    /// embedding.
+    pub fn embed(&self, sql: &str) -> Embedding {
+        self.store.embedder().embed(sql)
+    }
+
+    /// Retrieve the `k` most similar prior annotations for an embedded SQL
+    /// unit.
+    pub fn retrieve_examples(&self, unit: &Embedding, k: usize) -> Vec<FewShotExample> {
         self.store
-            .search(sql, k, Some(DocumentKind::Annotation))
+            .search_embedded(unit, k, Some(DocumentKind::Annotation))
             .into_iter()
             .filter_map(|hit| {
                 let document = self.store.get(hit.id)?;
@@ -104,12 +112,12 @@ impl KnowledgeBase {
             .collect()
     }
 
-    /// Retrieve the knowledge notes most relevant to a SQL unit (used when a
-    /// project has accumulated many notes and the prompt should include only
-    /// the pertinent ones).
-    pub fn retrieve_knowledge(&self, sql: &str, k: usize) -> Vec<String> {
+    /// Retrieve the knowledge notes most relevant to an embedded SQL unit
+    /// (used when a project has accumulated many notes and the prompt
+    /// should include only the pertinent ones).
+    pub fn retrieve_knowledge(&self, unit: &Embedding, k: usize) -> Vec<String> {
         self.store
-            .search(sql, k, Some(DocumentKind::Knowledge))
+            .search_embedded(unit, k, Some(DocumentKind::Knowledge))
             .into_iter()
             .filter_map(|hit| self.store.get(hit.id).map(|d| d.text.clone()))
             .collect()
@@ -125,7 +133,7 @@ mod tests {
         let mut kb = KnowledgeBase::new();
         assert!(kb.is_cold());
         assert!(kb
-            .retrieve_examples("SELECT COUNT(*) FROM students", 3)
+            .retrieve_examples(&kb.embed("SELECT COUNT(*) FROM students"), 3)
             .is_empty());
         kb.add_annotation(
             "SELECT COUNT(*) FROM students",
@@ -134,7 +142,8 @@ mod tests {
         kb.add_annotation("SELECT name FROM buildings", "List the building names");
         assert!(!kb.is_cold());
         assert_eq!(kb.annotation_count(), 2);
-        let examples = kb.retrieve_examples("SELECT COUNT(DISTINCT id) FROM students", 2);
+        let unit = kb.embed("SELECT COUNT(DISTINCT id) FROM students");
+        let examples = kb.retrieve_examples(&unit, 2);
         assert_eq!(examples.len(), 2);
         assert!(examples[0].sql.contains("students"));
         assert!(examples[0].similarity >= examples[1].similarity);
@@ -152,7 +161,7 @@ mod tests {
             kb.knowledge_texts()[0],
             "J-term: The one-month January term"
         );
-        let relevant = kb.retrieve_knowledge("SELECT * FROM MOIRA_LIST", 1);
+        let relevant = kb.retrieve_knowledge(&kb.embed("SELECT * FROM MOIRA_LIST"), 1);
         assert_eq!(relevant.len(), 1);
         assert!(relevant[0].contains("Moira"));
     }
@@ -162,6 +171,7 @@ mod tests {
         let mut kb = KnowledgeBase::new();
         kb.add_knowledge("students", "students are people enrolled at MIT");
         // Knowledge notes must not come back as few-shot examples.
-        assert!(kb.retrieve_examples("SELECT * FROM students", 3).is_empty());
+        let unit = kb.embed("SELECT * FROM students");
+        assert!(kb.retrieve_examples(&unit, 3).is_empty());
     }
 }

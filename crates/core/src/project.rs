@@ -193,16 +193,13 @@ impl Project {
     }
 
     /// Schema context for a unit: the `CREATE TABLE` statements of the tables
-    /// the unit references (resolved by parsing, the way the paper uses
-    /// sqlglot), falling back to the whole catalog when nothing resolves.
-    fn schema_context(&self, unit_sql: &str) -> Vec<String> {
+    /// the unit's parsed query references (the way the paper uses sqlglot),
+    /// falling back to the whole catalog when nothing resolves.
+    fn schema_context(&self, unit: &bp_sql::Query) -> Vec<String> {
         let mut context = Vec::new();
-        if let Ok(query) = bp_sql::parse_query(unit_sql) {
-            let analysis = bp_sql::analyze(&query);
-            for table in &analysis.tables {
-                if let Some(schema) = self.database.catalog().table(table) {
-                    context.push(schema.to_create_table_sql());
-                }
+        for table in &bp_sql::analyze(unit).tables {
+            if let Some(schema) = self.database.catalog().table(table) {
+                context.push(schema.to_create_table_sql());
             }
         }
         if context.is_empty() {
@@ -241,10 +238,11 @@ impl Project {
         let mut units = Vec::with_capacity(decomposition.units.len());
         for unit in &decomposition.units {
             // Step 4: context retrieval (examples + schema + knowledge).
+            let embedded = self.knowledge.embed(&unit.sql);
             let examples = self
                 .knowledge
-                .retrieve_examples(&unit.sql, self.config.top_k_examples);
-            let schema_context = self.schema_context(&unit.sql);
+                .retrieve_examples(&embedded, self.config.top_k_examples);
+            let schema_context = self.schema_context(&unit.query);
             let mut prompt_builder = PromptBuilder::new(unit.sql.clone());
             for ddl in &schema_context {
                 prompt_builder = prompt_builder.schema_table(ddl.clone());
@@ -256,7 +254,7 @@ impl Project {
                     example.similarity,
                 );
             }
-            for note in self.knowledge.retrieve_knowledge(&unit.sql, 3) {
+            for note in self.knowledge.retrieve_knowledge(&embedded, 3) {
                 prompt_builder = prompt_builder.knowledge(note);
             }
             for priority in self.knowledge.priorities() {

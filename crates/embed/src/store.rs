@@ -245,7 +245,21 @@ impl VectorStore {
         if k == 0 {
             return Vec::new();
         }
-        let query = self.embedder.embed(query);
+        self.search_embedded(&self.embedder.embed(query), k, kind)
+    }
+
+    /// [`VectorStore::search`] for a query already embedded with
+    /// [`VectorStore::embedder`], so one text searched several times (or
+    /// in several kinds) is embedded once.
+    pub fn search_embedded(
+        &self,
+        query: &Embedding,
+        k: usize,
+        kind: Option<DocumentKind>,
+    ) -> Vec<SearchHit> {
+        if k == 0 {
+            return Vec::new();
+        }
         let query_norm = query.norm();
         let lanes = match kind {
             Some(kind) => std::slice::from_ref(&self.lanes[kind.slot()]),
@@ -253,7 +267,7 @@ impl VectorStore {
         };
         let mut hits = Vec::with_capacity(lanes.iter().map(|l| l.ids.len()).sum());
         for lane in lanes {
-            lane.score_into(&query, query_norm, &mut hits);
+            lane.score_into(query, query_norm, &mut hits);
         }
         if k < hits.len() {
             hits.select_nth_unstable_by(k - 1, hit_order);
@@ -428,11 +442,13 @@ mod tests {
             }
             prop_assert_eq!(store.len(), live.len());
             let n = live.len();
+            let embedded = store.embedder().embed(&query);
             for kind in [None].into_iter().chain(KINDS.map(Some)) {
                 for k in [0, 1, 3, n, n + 5] {
                     let got = store.search(&query, k, kind);
                     let want = reference_search(&live, &query, k, kind);
                     assert_bitwise_eq(&got, &want);
+                    assert_bitwise_eq(&store.search_embedded(&embedded, k, kind), &want);
                 }
             }
         }

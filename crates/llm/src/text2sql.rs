@@ -201,9 +201,11 @@ pub fn evaluate_execution_accuracy(
 /// engine, the default); differential checks of the grader itself can pin
 /// [`bp_storage::ExecStrategy::Legacy`] (the interpreter oracle). All workers share
 /// `cache`, so each distinct SQL text (every gold query, and every
-/// prediction that reproduces one) is parsed, planned and compiled once,
-/// and long-lived services (and repeated study runs over the same corpus)
-/// reuse compiled plans across calls. That holds only while the distinct
+/// prediction that reproduces one) is parsed, planned, compiled and
+/// executed once — the prepared query keeps its result for later calls
+/// (see [`bp_storage::PreparedQuery::execute`]) — and long-lived services
+/// (and repeated study runs over the same corpus) reuse compiled plans and
+/// their results across calls. That holds only while the distinct
 /// texts of everything graded through `cache` fit its capacity: past it,
 /// LRU eviction makes a later lookup prepare the same text again (the
 /// report never changes, only the work). A
@@ -218,7 +220,7 @@ pub fn evaluate_execution_accuracy(
 /// construction: each item's RNG is independently seeded from `(seed, gold
 /// SQL, index)`, query execution is deterministic, and per-item outcomes
 /// are merged in input order. Cache sharing never changes the report —
-/// only how often compilation happens.
+/// only how often compilation and execution happen.
 pub fn evaluate_execution_accuracy_cached(
     profile: &ModelProfile,
     items: &[EvalItem],
@@ -728,6 +730,51 @@ mod tests {
                 "{} grades differently in a shared cache",
                 model.name()
             );
+        }
+    }
+
+    /// A shared cache hands every model the gold results an earlier model's
+    /// calls kept, so a sweep must grade each model exactly as a cache of
+    /// its own does, whichever worker ran a query first.
+    #[test]
+    fn shared_cache_sweep_matches_fresh_caches_at_every_thread_count() {
+        let (db, items) = figure1_sweep_items();
+        let models = [
+            ModelKind::Gpt4o,
+            ModelKind::Llama70B,
+            ModelKind::Llama8B,
+            ModelKind::ContextModel,
+        ];
+        let seed = 23;
+        let alone: Vec<_> = models
+            .iter()
+            .map(|model| {
+                let fresh = PlanCache::with_default_capacity();
+                let options = ExecOptions::serial();
+                evaluate_execution_accuracy_cached(
+                    &model.profile(),
+                    &items,
+                    &db,
+                    seed,
+                    options,
+                    &fresh,
+                )
+            })
+            .collect();
+        for threads in [1, 4] {
+            let options = ExecOptions::default().with_threads(threads);
+            let shared = PlanCache::with_default_capacity();
+            for (model, alone) in models.iter().zip(&alone) {
+                let swept = evaluate_execution_accuracy_cached(
+                    &model.profile(),
+                    &items,
+                    &db,
+                    seed,
+                    options,
+                    &shared,
+                );
+                assert_eq!(&swept, alone, "{} at threads={threads}", model.name());
+            }
         }
     }
 

@@ -200,12 +200,14 @@ pub fn grade_sql(
 /// [`grade_sql`] with execution routed through a shared [`PlanCache`]
 /// against a pinned [`Snapshot`] — the shape batch graders want: every
 /// distinct SQL text (each original query, and each regeneration that
-/// reproduces one) is parsed, planned and compiled once per corpus sweep
-/// instead of once per comparison, and all comparisons in a sweep read one
-/// consistent database state however fast a writer streams inserts.
+/// reproduces one) is parsed, planned, compiled and executed once per
+/// corpus sweep instead of once per comparison, and all comparisons in a
+/// sweep read one consistent database state however fast a writer streams
+/// inserts.
 ///
 /// The outcome is identical to [`grade_sql`] with the same data: caching
-/// changes how often compilation happens, never what is graded.
+/// changes how often compilation and execution happen, never what is
+/// graded.
 pub fn grade_cached(
     original_sql: &str,
     regenerated_sql: &str,

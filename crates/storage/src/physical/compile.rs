@@ -481,6 +481,10 @@ impl<'a> Compiler<'a> {
     }
 
     /// Recognise `col IN (uncorrelated subquery)` as a hash-index probe.
+    /// `conjunct` is the filter's whole predicate. Once the subquery has
+    /// compiled, a declined probe (a correlated or CTE-bound subquery)
+    /// returns the ordinary scan + filter pair built around that same
+    /// subplan, so the subquery compiles, and tallies its scans, once.
     fn try_in_subquery_probe(
         &mut self,
         name: &str,
@@ -514,10 +518,24 @@ impl<'a> Compiler<'a> {
         }
         let plan = match self.plan_subquery(subquery) {
             Ok(logical) => match self.compile_subplan(&logical, bindings)? {
+                plan if plan.cacheable => plan,
                 // Correlated or CTE-entangled subqueries cannot probe:
                 // their result depends on the enclosing scope.
-                plan if plan.cacheable => plan,
-                _ => return Ok(None),
+                plan => {
+                    self.full_scans += 1;
+                    return Ok(Some(PhysNode::Filter {
+                        input: Box::new(PhysNode::ScanTable {
+                            name: name.to_string(),
+                            cols: None,
+                        }),
+                        predicate: PhysExpr::InSubquery {
+                            expr: Box::new(self.compile_expr(needle, bindings)?),
+                            plan: Box::new(plan),
+                            negated: false,
+                        },
+                        bindings: bindings.to_vec(),
+                    }));
+                }
             },
             // Planning failures stay lazy, exactly like the scalar path:
             // execution raises them only when the probe actually runs (an

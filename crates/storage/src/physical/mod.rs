@@ -196,16 +196,11 @@ fn est_to_u64(rows: f64) -> u64 {
     }
 }
 
-/// Execute an already-compiled physical plan on the calling thread (a
-/// compiled plan is always planned, so `options` has nothing to choose).
+/// Execute an already-compiled physical plan on the calling thread.
 /// The plan must have been compiled against `db` (ordinals and table names
 /// are resolved at compile time); [`crate::prepared::PreparedQuery`]
 /// enforces that pairing by owning the snapshot it compiled against.
-pub fn exec_compiled(
-    db: &Snapshot,
-    plan: &PhysQueryPlan,
-    _options: ExecOptions,
-) -> StorageResult<QueryResult> {
+pub fn exec_compiled(db: &Snapshot, plan: &PhysQueryPlan) -> StorageResult<QueryResult> {
     let ctx = RunCtx {
         db,
         frame: None,
@@ -863,6 +858,41 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn declined_in_subquery_probe_tallies_each_scan_once() {
+        let mut db = Database::new("probe");
+        for name in ["a", "b"] {
+            db.create_table(TableSchema::new(
+                name,
+                vec![
+                    Column::new("id", DataType::Integer).primary_key(),
+                    Column::new("k", DataType::Integer),
+                ],
+            ))
+            .expect("schema");
+            db.insert_into(
+                name,
+                (0..20i64).map(|i| vec![Value::Int(i), Value::Int(i % 4)]),
+            )
+            .expect("rows");
+        }
+        let snapshot = db.snapshot();
+        // Correlated, so the probe declines and the filter fallback runs
+        // the subquery per row: one full scan of `a`, one of `b`.
+        let sql = "SELECT id FROM a WHERE k IN (SELECT b.k FROM b WHERE b.id = a.id)";
+        let query = bp_sql::parse_query(sql).expect("parse");
+        let plan = compile_query(&snapshot, &query, CompileOptions::default()).expect("compile");
+        assert_eq!(
+            plan.access_paths(),
+            AccessPathStats {
+                index_scan: 0,
+                full_scan: 2
+            }
+        );
+        let legacy = snapshot.execute(&query, ExecOptions::new(ExecStrategy::Legacy));
+        assert_eq!(exec_compiled(&snapshot, &plan), legacy);
+    }
+
     /// The in-crate indexed ≡ scanned oracle: every fast-path shape,
     /// compiled with and without index lowering, must produce byte-identical
     /// results (errors included) — over data stocked
@@ -965,8 +995,8 @@ mod tests {
                 0,
                 "forced-full-scan compile must not touch an index for {sql}"
             );
-            let indexed = exec_compiled(&snapshot, &fast, ExecOptions::default());
-            let scanned = exec_compiled(&snapshot, &slow, ExecOptions::default());
+            let indexed = exec_compiled(&snapshot, &fast);
+            let scanned = exec_compiled(&snapshot, &slow);
             assert_eq!(indexed, scanned, "indexed vs scanned diverge on {sql}");
         }
     }

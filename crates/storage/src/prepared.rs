@@ -1,14 +1,15 @@
 //! Prepared queries and the LRU plan cache — the parse-once /
-//! execute-many layer behind inter-query batch evaluation.
+//! run-once layer behind inter-query batch evaluation.
 //!
 //! Grading a corpus executes thousands of queries, and many of them share
 //! SQL text (every item's gold query, and every prediction that reproduces
 //! its gold). The per-query pipeline cost — lex + parse, logical planning +
 //! rewrites, ordinal resolution and subquery compilation — is pure overhead
-//! after the first time a given SQL text is seen. [`PreparedQuery`] runs
-//! that pipeline once and keeps the compiled physical plan; [`PlanCache`]
-//! memoizes prepared queries by SQL text with LRU eviction, and is `Sync`
-//! so one cache can serve every worker of a
+//! after the first time a given SQL text is seen, and so is re-running a
+//! plan whose snapshot cannot change. [`PreparedQuery`] runs that pipeline
+//! once and keeps both the compiled physical plan and its result;
+//! [`PlanCache`] memoizes prepared queries by SQL text with LRU eviction,
+//! and is `Sync` so one cache can serve every worker of a
 //! [`batch_map`](crate::batch_map) fan-out.
 //!
 //! Both types are **borrow-free**: a [`PreparedQuery`] owns the
@@ -41,9 +42,10 @@ use crate::snapshot::Snapshot;
 use serde::{Deserialize, Serialize};
 
 /// A query prepared against a pinned [`Snapshot`]: parsed **once** at
-/// prepare time, planned + compiled **once** at the first planned
-/// execution, executable any number of times (and from any number of
-/// threads) with [`PreparedQuery::execute`] — always against the pinned
+/// prepare time, planned + compiled **once** at the first planned call,
+/// and — for results up to 4,096 cells — run **once** by the
+/// planned engine, however many times (and from however many threads)
+/// [`PreparedQuery::execute`] is called. Every call reads the pinned
 /// snapshot, so results are byte-identical no matter what concurrent
 /// writers do to the database the snapshot came from.
 ///
@@ -59,7 +61,8 @@ use serde::{Deserialize, Serialize};
 /// across executions — safe because the owned snapshot is immutable, and a
 /// deliberate win for batch grading (a `WHERE x > (SELECT AVG(..) ..)`
 /// gold query computes its subquery once for the whole corpus, not once
-/// per item).
+/// per item). The planned outcome itself is memoized the same way; see
+/// [`PreparedQuery::execute`].
 pub struct PreparedQuery {
     snapshot: Snapshot,
     sql: String,
@@ -82,6 +85,22 @@ pub struct PreparedQuery {
     /// optimizer's reorder/fallback tally to a counter sink — like
     /// verification, the optimizer runs per *compile*.
     optimizer_taken: AtomicBool,
+    /// The planned engine's outcome, filled by the first planned call:
+    /// `Some` holds it for later calls to clone, `None` records that the
+    /// result exceeded `MEMO_MAX_CELLS`, so every call re-runs the plan.
+    planned: OnceLock<Option<StorageResult<QueryResult>>>,
+}
+
+/// The largest planned result, in cells (rows × columns), that a
+/// [`PreparedQuery`] keeps for later calls. A larger result is returned
+/// and not kept. Results grading sees are small: over a seed-2026
+/// `text2sql_eval` run of the pipeline benchmark the largest is 9,598
+/// cells, the 99.9th percentile 2,730 and the 99th 192, so this bound
+/// keeps almost every result while capping what one cached entry can hold.
+const MEMO_MAX_CELLS: usize = 4096;
+
+fn cells(result: &QueryResult) -> usize {
+    result.rows.len().saturating_mul(result.columns.len())
 }
 
 impl PreparedQuery {
@@ -99,6 +118,7 @@ impl PreparedQuery {
             verification: OnceLock::new(),
             verification_taken: AtomicBool::new(false),
             optimizer_taken: AtomicBool::new(false),
+            planned: OnceLock::new(),
         })
     }
 
@@ -240,14 +260,49 @@ impl PreparedQuery {
     }
 
     /// Execute the prepared query against its pinned snapshot.
-    /// [`ExecStrategy::Planned`] runs the (lazily) compiled physical plan;
+    ///
+    /// [`ExecStrategy::Planned`] runs the (lazily) compiled physical plan
+    /// **at most once**: the first call keeps its outcome, `Ok` or `Err`,
+    /// and every later call returns a clone of it. A worker racing on a
+    /// query no call has run yet waits for the first run instead of
+    /// repeating it. The memo is exact, not a heuristic, because:
+    ///
+    /// * the query owns its pinned snapshot, which never changes;
+    /// * one query always runs on the calling thread, so
+    ///   [`ExecOptions::threads`] cannot change its result;
+    /// * [`StorageError`] is a deterministic `Clone` value, so a kept
+    ///   error is the error a re-run would raise.
+    ///
+    /// Any future [`ExecOptions`] field that can change a result (a row
+    /// budget such as a `max_rows` limit, say) must become part of the
+    /// memo's validity. A result over 4,096 cells (rows × columns) is
+    /// returned and not kept, and every call re-runs it.
+    ///
     /// [`ExecStrategy::Legacy`] re-interprets the stored AST with the
-    /// tree-walking oracle (which has no compiled form), so differential
-    /// checks of a batch pipeline can still pin the oracle. Both read the
-    /// same snapshot.
+    /// tree-walking oracle on every call and never reads or fills the memo,
+    /// so differential checks of a batch pipeline still run both engines
+    /// independently.
     pub fn execute(&self, options: ExecOptions) -> StorageResult<QueryResult> {
         match options.strategy {
-            ExecStrategy::Planned => exec_compiled(&self.snapshot, self.compiled()?, options),
+            ExecStrategy::Planned => {
+                let run = || exec_compiled(&self.snapshot, self.compiled()?);
+                let mut unkept = None;
+                let memo = self.planned.get_or_init(|| {
+                    let outcome = run();
+                    match &outcome {
+                        Ok(result) if cells(result) > MEMO_MAX_CELLS => {
+                            unkept = Some(outcome);
+                            None
+                        }
+                        _ => Some(outcome),
+                    }
+                });
+                match (unkept, memo) {
+                    (Some(outcome), _) => outcome,
+                    (None, Some(outcome)) => outcome.clone(),
+                    (None, None) => run(),
+                }
+            }
             ExecStrategy::Legacy => self.snapshot.execute(&self.query, options),
         }
     }
@@ -264,8 +319,13 @@ impl PreparedQuery {
 /// and no admission policy recovers the reuse a bound below the working
 /// set loses; at this bound every text is prepared once per sweep. One
 /// entry (plan, compiled form and cached subquery results) costs about
-/// 12–15 KB of resident memory, so a full cache stays under about 60 MB,
-/// which still bounds memory on adversarial inputs.
+/// 12–15 KB of resident memory, plus its kept planned result (see
+/// [`PreparedQuery::execute`]): at most 4,096 cells, at most 32 bytes per
+/// value and 24 per row, so under 230 KB before text payloads. Grading
+/// results are far smaller (99th percentile 192 cells; a full
+/// `text2sql_eval` run of the pipeline benchmark peaks at about 85 MB
+/// resident), but the adversarial worst case — 4,096 entries each holding
+/// a 4,096-cell result — is about 1 GB plus text.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
 
 /// Observable [`PlanCache`] behavior counters.
@@ -288,15 +348,16 @@ pub struct PlanCacheStats {
 }
 
 /// Cardinality-drift counters: the cost model's estimated output rows vs
-/// the rows executions actually produced, summed over every executed
-/// statement whose plan carried an estimate. The totals are the
+/// the rows executions actually produced, summed over every successful
+/// call whose plan carried an estimate (a call answered from a kept result
+/// counts like a fresh run). The totals are the
 /// observability hook for the statistics layer — a healthy cost model
 /// keeps the two sums the same order of magnitude; a drifting one shows up
 /// here long before it shows up as a bad join order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CardinalityStats {
-    /// Executions that carried an estimate (legacy runs, failed compiles
-    /// and unestimated plan shapes contribute nothing).
+    /// Calls that carried an estimate (legacy runs, failed compiles and
+    /// unestimated plan shapes contribute nothing).
     pub estimated_executions: u64,
     /// Sum of the cost model's estimated output rows over those executions.
     pub estimated_rows: u64,
@@ -347,15 +408,16 @@ struct CacheInner {
 /// saturated at `u64::MAX` pins its sum there instead of wrapping.
 #[derive(Default)]
 struct Counters {
-    /// Per execution: the split reflects *executed* work, and only the
-    /// caller knows whether (and how many times) a returned plan ran.
+    /// Per call: the split counts the plan's accesses once for every call
+    /// that asked for its result, whether the call ran the plan or read
+    /// the prepared query's kept result, so it is the same at every thread
+    /// count.
     access: AccessPathStats,
     /// Per compile (take-once): `plans_verified` counts distinct compiles.
     verifier: VerifierStats,
     /// Per compile (take-once), like verification.
     optimizer: OptimizerStats,
-    /// Per execution: estimates are only as good as what re-running the
-    /// plan actually returns.
+    /// Per call, like the access split.
     cardinality: CardinalityStats,
 }
 
@@ -496,10 +558,13 @@ impl PlanCache {
 
     /// Run `sql` against `snapshot` through the cache: [`PlanCache::get`],
     /// [`PreparedQuery::execute`], then fold every execution-side counter
-    /// under one lock acquisition. Tallies are taken *after* execution so
-    /// lazily-compiled plans report, and on the error path too (a failing
-    /// residual predicate chose its access path at compile time all the
-    /// same); cardinality drift is folded only for successful executions.
+    /// under one lock acquisition, once per call. A call answered from the
+    /// prepared query's kept result folds exactly what a fresh run would,
+    /// so no counter depends on which call ran the plan. Tallies are taken
+    /// *after* the call so lazily-compiled plans report, and on the error
+    /// path too (a failing residual predicate chose its access path at
+    /// compile time all the same); cardinality drift is folded only for
+    /// successful calls.
     /// Parse errors return before anything is folded. Session reads
     /// ([`crate::AnnotationSession::execute_sql`]) and backtranslation
     /// grading (`bp_metrics::grade_cached`) both run through here.
@@ -538,9 +603,9 @@ impl PlanCache {
     }
 
     /// How many table accesses the executed statements answered from a
-    /// secondary index vs a full scan. Each execution re-counts its plan's
-    /// tally (cached plans included — the split reflects executed work, not
-    /// compile events).
+    /// secondary index vs a full scan. Each call re-counts its plan's tally
+    /// (cached plans and kept results included — the split counts calls,
+    /// not compile events or engine runs).
     pub fn access_stats(&self) -> AccessPathStats {
         self.lock().counters.access
     }
@@ -587,8 +652,8 @@ impl PlanCache {
         self.lock().counters.add_cardinality(estimated, actual_rows);
     }
 
-    /// Estimated vs actually-returned output rows, summed per *execution*
-    /// over every successful statement whose plan carried an estimate.
+    /// Estimated vs actually-returned output rows, summed per *call* over
+    /// every successful statement whose plan carried an estimate.
     pub fn cardinality_stats(&self) -> CardinalityStats {
         self.lock().counters.cardinality
     }
@@ -722,6 +787,65 @@ mod tests {
             .execute(ExecOptions::new(ExecStrategy::Planned))
             .expect("planned executes");
         assert!(prepared.plan.get().is_some());
+    }
+
+    #[test]
+    fn planned_calls_return_the_kept_result() {
+        let db = db();
+        let prepared = db.prepare("SELECT COUNT(*) FROM t").expect("parses");
+        assert!(prepared.planned.get().is_none(), "nothing runs at prepare");
+        let first = prepared.execute(ExecOptions::serial()).expect("executes");
+        assert_eq!(first.scalar(), Some(&Value::Int(50)));
+        assert_eq!(prepared.planned.get(), Some(&Some(Ok(first.clone()))));
+        assert_eq!(prepared.execute(ExecOptions::default()), Ok(first));
+        // Later calls read the slot, not the engine: a planted outcome is
+        // what they return.
+        let planted = db.prepare("SELECT MAX(v) FROM t").expect("parses");
+        let sentinel = QueryResult::empty(vec!["planted".into()]);
+        assert!(planted.planned.set(Some(Ok(sentinel.clone()))).is_ok());
+        assert_eq!(planted.execute(ExecOptions::serial()), Ok(sentinel));
+    }
+
+    #[test]
+    fn legacy_calls_never_read_or_fill_the_memo() {
+        let db = db();
+        let prepared = db.prepare("SELECT MAX(v) FROM t").expect("parses");
+        let legacy = ExecOptions::new(ExecStrategy::Legacy);
+        let result = prepared.execute(legacy).expect("interprets");
+        assert!(prepared.planned.get().is_none(), "Legacy filled the memo");
+        let sentinel = QueryResult::empty(vec!["planted".into()]);
+        assert!(prepared.planned.set(Some(Ok(sentinel))).is_ok());
+        assert_eq!(prepared.execute(legacy), Ok(result.clone()));
+        assert_eq!(result.scalar(), Some(&Value::Int(6)));
+    }
+
+    #[test]
+    fn results_over_the_bound_are_returned_and_not_kept() {
+        let db = db();
+        // 2,500 rows × 4 columns = 10,000 cells.
+        let prepared = db.prepare("SELECT * FROM t a, t b").expect("parses");
+        let direct = db
+            .execute_sql(prepared.sql(), ExecOptions::new(ExecStrategy::Legacy))
+            .expect("interprets");
+        assert!(cells(&direct) > MEMO_MAX_CELLS);
+        for _ in 0..2 {
+            assert_eq!(prepared.execute(ExecOptions::serial()), Ok(direct.clone()));
+            assert_eq!(prepared.planned.get(), Some(&None), "the result was kept");
+        }
+    }
+
+    #[test]
+    fn a_kept_error_is_returned_unchanged() {
+        let db = db();
+        // Plans fine, fails at run time: the scalar subquery has 50 rows.
+        let prepared = db
+            .prepare("SELECT (SELECT id FROM t) FROM t")
+            .expect("parses");
+        let first = prepared
+            .execute(ExecOptions::serial())
+            .expect_err("a multi-row scalar subquery fails");
+        assert_eq!(prepared.planned.get(), Some(&Some(Err(first.clone()))));
+        assert_eq!(prepared.execute(ExecOptions::serial()), Err(first));
     }
 
     #[test]

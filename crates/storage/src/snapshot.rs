@@ -104,7 +104,7 @@ impl Snapshot {
         match options.strategy {
             ExecStrategy::Planned => {
                 let physical = compile_query(self, query, CompileOptions::default())?;
-                exec_compiled(self, &physical, options)
+                exec_compiled(self, &physical)
             }
             ExecStrategy::Legacy => Executor::new(self).execute(query),
         }

@@ -18,7 +18,8 @@ use bp_storage::sync::atomic::{AtomicBool, Ordering};
 use bp_storage::sync::sanitize::{explore, replay, ViolationKind};
 use bp_storage::sync::{scope, Mutex};
 use bp_storage::{
-    batch_map, AnnotationService, Database, ExecOptions, PlanCache, Value, VerifierStats,
+    batch_map, AnnotationService, Database, ExecOptions, ExecStrategy, PlanCache, Value,
+    VerifierStats,
 };
 
 /// Base seed for the positive protocol sweeps; ci.sh overrides it per
@@ -268,6 +269,38 @@ fn take_once_verification_is_exactly_once_under_concurrent_draining() {
             }),
             "the single drain lost the tally"
         );
+    });
+    report.assert_clean();
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 5: workers racing on one cold PreparedQuery share its first run
+// ---------------------------------------------------------------------------
+
+#[test]
+fn cold_prepared_query_serves_racing_workers_one_result() {
+    let report = explore(sweep_seed() ^ 5, sweep_iters(), || {
+        let db = small_db();
+        // The uncorrelated subquery fills its own cache inside the plan,
+        // so the memo's first run nests further sync points.
+        let sql = "SELECT v, COUNT(*) FROM t WHERE id > (SELECT MIN(id) FROM t) \
+                   GROUP BY v ORDER BY v";
+        let prepared = db.prepare(sql).expect("prepares");
+        let expected = db
+            .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
+            .expect("interprets");
+        let results: Vec<_> = scope(|s| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| prepared.execute(ExecOptions::serial())))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        for result in results {
+            assert_eq!(result, Ok(expected.clone()), "a worker saw another result");
+        }
     });
     report.assert_clean();
 }

@@ -886,8 +886,8 @@ fn assert_join_orders_agree(db: &Database, sql: &str) {
             .join("\n"),
         cost_based.explain(&snapshot)
     );
-    let from_cost = exec_compiled(&snapshot, &cost_based, ExecOptions::default());
-    let from_syntactic = exec_compiled(&snapshot, &syntactic, ExecOptions::default());
+    let from_cost = exec_compiled(&snapshot, &cost_based);
+    let from_syntactic = exec_compiled(&snapshot, &syntactic);
     assert_eq!(
         from_cost,
         from_syntactic,
