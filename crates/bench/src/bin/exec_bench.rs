@@ -24,6 +24,7 @@ use std::convert::Infallible;
 use std::hint::black_box;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use bp_datasets::{BenchmarkKind, CorpusScale, GeneratedBenchmark};
@@ -319,6 +320,21 @@ fn pipeline_throughput(large: &GeneratedBenchmark, threads: usize) -> Entry<'_> 
     }
 }
 
+/// Insert one row into `table` of `service`, keyed by the next id of
+/// `next_id`.
+fn insert_row(service: &AnnotationService, table: &TableSchema, next_id: &AtomicI64) {
+    // Ids far above the corpus range never collide with a key.
+    let id = next_id.fetch_add(64, Ordering::Relaxed);
+    let row = table.columns.iter().enumerate();
+    let row = row.map(|(c, column)| match column.data_type {
+        DataType::Integer => Value::Int(id + c as i64),
+        DataType::Float => Value::Float(id as f64),
+        _ => Value::Text(format!("writer_{id}_{c}")),
+    });
+    let inserted = service.insert(&table.name, vec![row.collect()]);
+    inserted.expect("writer inserts");
+}
+
 /// Run `work` while a paced writer streams single-row inserts into `table`
 /// of `service`; returns its output and the rows streamed meanwhile.
 fn with_writer<T>(
@@ -332,16 +348,7 @@ fn with_writer<T>(
         let writer = scope.spawn(|| {
             let mut rows = 0;
             while !stop.load(Ordering::Relaxed) {
-                // Ids far above the corpus range never collide with a key.
-                let id = next_id.fetch_add(64, Ordering::Relaxed);
-                let row = table.columns.iter().enumerate();
-                let row = row.map(|(c, column)| match column.data_type {
-                    DataType::Integer => Value::Int(id + c as i64),
-                    DataType::Float => Value::Float(id as f64),
-                    _ => Value::Text(format!("writer_{id}_{c}")),
-                });
-                let inserted = service.insert(&table.name, vec![row.collect()]);
-                inserted.expect("writer inserts");
+                insert_row(service, table, next_id);
                 rows += 1;
                 std::thread::sleep(WRITER_PACE);
             }
@@ -356,9 +363,12 @@ fn with_writer<T>(
 }
 
 /// Session-based grading through the `AnnotationService`, alone vs while a
-/// writer streams inserts into its first table. The gated ratio is
-/// baseline / under-writer: the writer may cost at most 2×. Below 4 cores
-/// readers and writer time-slice one core, so the gate is not enforced.
+/// writer streams inserts into the table its statements read most. Each
+/// pass on either side follows a write to that table, so it invalidates
+/// the kept plans and results, re-prepares and re-runs its statements.
+/// The gated ratio is baseline / under-writer: the writer may cost at most
+/// 2×. Below 4 cores readers and writer time-slice one core, so the gate
+/// is not enforced.
 fn concurrent_read_write(
     service: &AnnotationService,
     log: Vec<String>,
@@ -366,11 +376,21 @@ fn concurrent_read_write(
 ) -> Entry<'_> {
     const STATEMENTS: usize = 32;
     let sqls: Vec<String> = log.iter().cycle().take(STATEMENTS).cloned().collect();
+    let reads = |name: &str| {
+        let reads_table = |sql: &&String| {
+            let tables = bp_sql::analyze(&parse(sql)).tables;
+            tables.iter().any(|t| t.eq_ignore_ascii_case(name))
+        };
+        sqls.iter().filter(reads_table).count()
+    };
     let snapshot = service.snapshot();
-    let table = snapshot.tables().next().expect("a table").schema.clone();
+    let tables = snapshot.tables();
+    let table = tables.max_by_key(|t| reads(&t.schema.name));
+    let table = table.expect("a table").schema.clone();
+    let table_name = table.name.clone();
     // Release the pin: a pinned table is copied on every insert.
     drop(snapshot);
-    let next_id = AtomicI64::new(100_000_000);
+    let next_id = Arc::new(AtomicI64::new(100_000_000));
     let serial = ExecOptions::serial();
     let ((batch, pinned), _) = with_writer(service, &table, &next_id, || {
         let session = service.open_session();
@@ -391,7 +411,21 @@ fn concurrent_read_write(
         });
         latencies.expect("latency collection is infallible")
     };
-    let baseline = pass.clone();
+    // Alone: one write, then the pass.
+    let baseline = {
+        let (pass, table, next_id) = (pass.clone(), table.clone(), Arc::clone(&next_id));
+        move || {
+            insert_row(service, &table, &next_id);
+            pass()
+        }
+    };
+    // The statements must read the written table: otherwise a pass after
+    // a write answers them from kept results and the entry times nothing
+    // the gate bounds.
+    let invalidations = || service.plan_cache().stats().invalidations;
+    let before = invalidations();
+    baseline();
+    let blind_passes = u64::from(invalidations() == before);
     let under_writer = move || {
         let (latencies, writer_rows) = with_writer(service, &table, &next_id, &pass);
         Observed(latencies, writer_rows)
@@ -418,9 +452,11 @@ fn concurrent_read_write(
         target_key: Some("ratio_target"),
         gate: Gate::MinCores(0.5, MIN_CORES),
         derived: Some(Box::new(derived)),
+        checks: vec![("passes after a write that invalidate no plan", blind_passes)],
         ..Entry::new(
             "concurrent_read_write",
-            facts!(scale: SCALE.name(), statements: STATEMENTS, threads: threads, cores: threads),
+            facts!(scale: SCALE.name(), statements: STATEMENTS, threads: threads, cores: threads,
+                   written_table: table_name),
         )
     }
 }

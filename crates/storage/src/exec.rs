@@ -13,10 +13,11 @@
 //! ([`crate::physical`], selected via
 //! [`ExecStrategy`](crate::physical::ExecStrategy)). Value-level semantics
 //! are shared with the planner through the crate-private `scalar` module,
-//! so the two engines cannot drift apart on scalar behavior. Name
-//! resolution is checked independently: a [`Binder`] pass over the AST
-//! rejects an unknown column before the first row is read, as the planned
-//! compiler does while it resolves ordinals.
+//! so the two engines cannot drift apart on scalar behavior. Static errors
+//! are checked independently: a [`Binder`] pass over the AST rejects an
+//! unknown table, column or function, a wrong argument count and a bare
+//! `*` before the first row is read, as the planned compiler does while it
+//! resolves ordinals.
 
 use std::collections::HashMap;
 
@@ -29,9 +30,9 @@ use crate::error::{StorageError, StorageResult};
 use crate::plan::{contains_aggregate, expand_projection, resolve_binding, ColumnBinding};
 use crate::result::QueryResult;
 use crate::scalar::{
-    canonical_function_name, cast_value, combine_set_operation, composite_key, eval_binary,
-    eval_unary_minus, finish_aggregate, is_aggregate_name, literal_value, map_text,
-    min_scalar_args, missing_arg_error, upper_eq,
+    canonical_function_name, cast_value, check_call, combine_set_operation, composite_key,
+    eval_binary, eval_unary_minus, finish_aggregate, is_aggregate_name, is_count_star,
+    literal_value, map_text, missing_arg_error, upper_eq,
 };
 use crate::snapshot::Snapshot;
 use crate::table::Row;
@@ -661,13 +662,15 @@ impl<'a> Executor<'a> {
 // Static name resolution
 // ---------------------------------------------------------------------
 
-/// Static name resolution, run before the interpreter reads a row: a column
-/// reference that no enclosing row scope binds is an
-/// [`StorageError::UnknownColumn`] (after any unknown table, which the
-/// planner reports first). It binds exactly what the planned compiler
-/// compiles: a subquery whose tables do not resolve stays lazy, aggregates
-/// bind their first argument, and calls that fail on their name or arity
-/// bind none.
+/// Static checks, run before the interpreter reads a row, in the order the
+/// planned compiler meets them: the statement's tables first, then each
+/// expression in turn, where a subquery's tables resolve before its own
+/// expressions. A column reference that no enclosing row scope binds is an
+/// [`StorageError::UnknownColumn`]; a call goes through the compiler's
+/// `check_call`; a bare `*` outside `COUNT(*)` is
+/// [`StorageError::Unsupported`]. The interpreter still resolves names and
+/// checks calls again as it evaluates; this pass only moves the failure
+/// before the first row.
 struct Binder<'a> {
     db: &'a Snapshot,
     /// Visible CTEs as (name, output columns), innermost last.
@@ -756,10 +759,14 @@ impl<'a> Binder<'a> {
                 }
                 _ => true,
             });
+        // HAVING in a query with no aggregate and no GROUP BY is ignored by
+        // both engines, so nothing in it is bound.
+        let aggregate_query = !select.group_by.is_empty()
+            || projection.iter().any(|(expr, _)| contains_aggregate(expr))
+            || select.having.as_ref().is_some_and(contains_aggregate);
+        let having = select.having.iter().filter(|_| aggregate_query);
         let exprs = select.selection.iter().chain(&select.group_by);
-        let exprs = exprs
-            .chain(&select.having)
-            .chain(projection.iter().map(|(e, _)| e));
+        let exprs = exprs.chain(having).chain(projection.iter().map(|(e, _)| e));
         for expr in exprs.chain(sort_exprs) {
             self.expr(expr, &bindings)?;
         }
@@ -806,7 +813,7 @@ impl<'a> Binder<'a> {
         match expr {
             Expr::Identifier(_) | Expr::CompoundIdentifier(_) => {
                 let Some(cr) = column_ref(expr) else {
-                    return Ok(());
+                    return Err(StorageError::UnknownColumn("<empty>".into()));
                 };
                 let qualifier = cr.qualifier.as_ref().map(|i| i.value.as_str());
                 let name = cr.column.value.as_str();
@@ -821,14 +828,11 @@ impl<'a> Binder<'a> {
                 }))
             }
             Expr::Function { name, args, .. } => {
-                let bound = match canonical_function_name(&name.value) {
-                    Some(f) if is_aggregate_name(f) => args.len().min(1),
-                    Some(f) if args.len() >= min_scalar_args(f) => args.len(),
-                    _ => 0,
-                };
-                args[..bound]
-                    .iter()
-                    .try_for_each(|arg| self.expr(arg, bindings))
+                let canonical = check_call(&name.value, args)?;
+                if is_count_star(canonical, args) {
+                    return Ok(());
+                }
+                args.iter().try_for_each(|arg| self.expr(arg, bindings))
             }
             Expr::Exists { subquery, .. } | Expr::Subquery(subquery) => {
                 self.subquery(subquery, bindings)
@@ -837,6 +841,9 @@ impl<'a> Binder<'a> {
                 self.expr(expr, bindings)?;
                 self.subquery(subquery, bindings)
             }
+            Expr::Wildcard => Err(StorageError::Unsupported(
+                "bare '*' outside COUNT(*) cannot be evaluated".into(),
+            )),
             _ => {
                 let mut result = Ok(());
                 expr.for_each_child(|child| {
@@ -849,15 +856,13 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Bind an expression subquery evaluated against rows of `bindings`,
-    /// unless its tables do not resolve (then it fails only if evaluated).
+    /// Bind an expression subquery evaluated against rows of `bindings`:
+    /// its tables first, then its expressions.
     fn subquery(&mut self, query: &Query, bindings: &[ColumnBinding]) -> StorageResult<()> {
         self.columns = false;
         let tables = self.query(query);
         self.columns = true;
-        if tables.is_err() {
-            return Ok(());
-        }
+        tables?;
         self.scopes.push(bindings.to_vec());
         let result = self.query(query);
         self.scopes.pop();
@@ -1182,8 +1187,7 @@ fn eval_aggregate(
     group: &[Row],
 ) -> StorageResult<Value> {
     // COUNT(*) counts rows directly.
-    let is_count_star = name == "COUNT" && matches!(args.first(), Some(Expr::Wildcard) | None);
-    if is_count_star {
+    if is_count_star(name, args) {
         return Ok(Value::Int(group.len() as i64));
     }
     let arg = require_arg(name, args, 0)?;

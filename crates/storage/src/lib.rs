@@ -554,10 +554,21 @@ mod executor_tests {
 
         #[test]
         fn aggregates_in_odd_positions() {
+            let db = campus_db();
             // Aggregate in WHERE: one-row-group semantics.
             assert_engines_agree("SELECT name FROM students WHERE SUM(gpa) > 3.0 ORDER BY name");
-            // HAVING without aggregates or GROUP BY is ignored by both engines.
-            assert_engines_agree("SELECT name FROM students HAVING gpa > 100");
+            // HAVING without aggregates or GROUP BY is ignored by both
+            // engines, names and calls in it included.
+            for sql in [
+                "SELECT name FROM students HAVING gpa > 100",
+                "SELECT name FROM students HAVING bogus > 1",
+                "SELECT name FROM students HAVING UNSUPPORTED_FN(gpa) > 1",
+            ] {
+                let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
+                let planned = db.execute_sql(sql, ExecOptions::default());
+                assert!(legacy.is_ok(), "{sql}: {legacy:?}");
+                assert_eq!(legacy, planned, "{sql}");
+            }
             // Aggregate-only HAVING forces a global group.
             assert_engines_agree("SELECT COUNT(*) FROM students HAVING COUNT(*) > 2");
         }
@@ -583,19 +594,44 @@ mod executor_tests {
             assert_engines_agree("SELECT UNSUPPORTED_FN(name) FROM students");
         }
 
-        /// The interpreter only raises expression errors when it actually
-        /// evaluates the expression; compilation must not fail earlier.
+        /// Static errors fail at prepare in both engines, wherever they sit:
+        /// over an empty input, in a dead `CASE` arm, in a skipped
+        /// `COALESCE` tail, inside a subquery that never runs. Run-time
+        /// errors stay lazy: only an evaluated expression raises one.
         #[test]
-        fn lazy_error_paths_agree() {
+        fn static_error_paths_agree() {
             let db = campus_db();
-            // Unevaluated bad expressions: empty input, dead CASE branch,
-            // lazily skipped COALESCE tail, unexecuted subquery.
+            let snapshot = db.snapshot();
             for sql in [
                 "SELECT UNSUPPORTED_FN(name) FROM students WHERE 1 = 0",
                 "SELECT CASE WHEN 1 = 0 THEN UNSUPPORTED_FN(name) ELSE 1 END FROM students",
                 "SELECT COALESCE(1, UNSUPPORTED_FN(name)) FROM students",
                 "SELECT CASE WHEN 1 = 0 THEN (SELECT x FROM missing) ELSE 2 END FROM students",
                 "SELECT SUBSTR(name) FROM students WHERE 1 = 0",
+                "SELECT name FROM students WHERE id IN (SELECT x FROM missing) AND 1 = 0",
+                "SELECT name FROM students WHERE bogus = 1 AND gpa > 100",
+                "SELECT s.name FROM students s JOIN enrollments e \
+                 ON s.id = e.student_id AND bogus = 1",
+                "SELECT dept, SUM(*) FROM students WHERE id > 100 GROUP BY dept",
+                "SELECT SUM(id, gpa) FROM students",
+            ] {
+                let query = bp_sql::parse_query(sql).unwrap();
+                let compiled = compile_query(&snapshot, &query, CompileOptions::default());
+                let Err(error) = compiled.map(drop) else {
+                    panic!("compiler accepts {sql}");
+                };
+                for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
+                    let result = db.execute_sql(sql, ExecOptions::new(strategy));
+                    assert_eq!(result, Err(error.clone()), "{strategy:?}: {sql}");
+                }
+            }
+            // Run-time errors are raised only where evaluation reaches them.
+            for sql in [
+                "SELECT 1 / 0 FROM students WHERE 1 = 0",
+                "SELECT CASE WHEN 1 = 0 THEN 1 / 0 ELSE 1 END FROM students",
+                "SELECT COALESCE(1, 1 / 0) FROM students",
+                "SELECT CASE WHEN 1 = 0 THEN (SELECT name FROM students) ELSE 2 END \
+                 FROM students",
             ] {
                 let legacy = db
                     .execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy))
@@ -605,24 +641,8 @@ mod executor_tests {
                     .unwrap();
                 assert_eq!(legacy, planned, "engines disagree on: {sql}");
             }
-            // Pushdown must not suppress errors the oracle raises: the
-            // erroring subquery runs on every row in the oracle even though
-            // `1 = 0` rejects them all.
-            assert_engines_agree(
-                "SELECT name FROM students WHERE id IN (SELECT x FROM missing) AND 1 = 0",
-            );
-            // An unresolvable reference in a residual conjunct (WHERE or
-            // join ON) is rejected before execution in both engines.
-            assert_engines_agree("SELECT name FROM students WHERE bogus = 1 AND gpa > 100");
-            assert_engines_agree(
-                "SELECT s.name FROM students s JOIN enrollments e \
-                 ON s.id = e.student_id AND bogus = 1",
-            );
-            // ...and the evaluated-error cases still error in both engines.
-            assert_engines_agree(
-                "SELECT CASE WHEN 1 = 1 THEN UNSUPPORTED_FN(name) ELSE 1 END FROM students",
-            );
-            assert_engines_agree("SELECT SUBSTR(name) FROM students");
+            assert_engines_agree("SELECT CASE WHEN 1 = 1 THEN 1 / 0 ELSE 1 END FROM students");
+            assert_engines_agree("SELECT (SELECT name FROM students) FROM students");
         }
 
         /// Joins (inner and outer), grouping, DISTINCT, correlated

@@ -51,7 +51,7 @@ use super::batch::{
     composite_eq, composite_hash, concat_dense, keys_nonnull, Batch, ColumnBuilder, ColumnVec,
     BATCH_ROWS, PAD_NULL,
 };
-use super::expr::{BatchEnv, PhysExpr};
+use super::expr::PhysExpr;
 use super::{
     compare_rows, dedup_rows, eval_count, exec_index_agg, exec_query_plan, finalize_agg_groups,
     index_scan_ids, join, top_k_rows, PhysNode, RunCtx,
@@ -163,17 +163,14 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             selection: None,
         }]),
         PhysNode::Filter {
-            input,
-            predicate,
-            bindings,
+            input, predicate, ..
         } => {
             let mut batches = exec_node_col(input, ctx)?;
             // Selection refinement: evaluate the predicate over each
             // batch's live rows and keep the physical indices where it is
             // TRUE. The columns themselves are untouched.
-            let env = BatchEnv { ctx, bindings };
             for batch in &mut batches {
-                let col = predicate.eval_batch(batch, &env)?;
+                let col = predicate.eval_batch(batch, ctx)?;
                 let (truth, nulls) = truth3_col(col.as_ref());
                 let sel = batch
                     .live_rows()
@@ -190,10 +187,9 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             items,
             visible,
             distinct,
-            bindings,
+            ..
         } => {
             let batches = exec_node_col(input, ctx)?;
-            let env = BatchEnv { ctx, bindings };
             let mut out = batches
                 .iter()
                 .map(|batch| {
@@ -201,7 +197,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
                         len: batch.live(),
                         columns: items
                             .iter()
-                            .map(|item| item.eval_batch(batch, &env))
+                            .map(|item| item.eval_batch(batch, ctx))
                             .collect::<StorageResult<Vec<_>>>()?,
                         selection: None,
                     })
@@ -270,8 +266,9 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             bindings,
         } => {
             let batches = exec_node_col(input, ctx)?;
+            let width = bindings.len();
             let mut rows =
-                columnar_hash_aggregate(&batches, group_by, having.as_ref(), items, bindings, ctx)?;
+                columnar_hash_aggregate(&batches, group_by, having.as_ref(), items, width, ctx)?;
             if *distinct {
                 dedup_rows(&mut rows, *visible);
             }
@@ -459,7 +456,6 @@ fn columnar_hash_join(
     let track_right = matches!(operator, JoinOperator::RightOuter | JoinOperator::FullOuter);
     let left_outer = matches!(operator, JoinOperator::LeftOuter | JoinOperator::FullOuter);
     let mut right_matched = vec![false; if track_right { right.len } else { 0 }];
-    let env = BatchEnv { ctx, bindings };
 
     let mut out = Vec::with_capacity(left_batches.len() + 1);
     for (bi, batch) in left_batches.iter().enumerate() {
@@ -509,7 +505,7 @@ fn columnar_hash_join(
                     columns,
                     selection: None,
                 };
-                let col = predicate.eval_batch(&candidates, &env)?;
+                let col = predicate.eval_batch(&candidates, ctx)?;
                 let (truth, nulls) = truth3_col(col.as_ref());
                 (0..pairs.len())
                     .map(|j| truth[j] && !nulls.get(j))
@@ -640,17 +636,16 @@ fn columnar_hash_aggregate(
     group_by: &[PhysExpr],
     having: Option<&PhysExpr>,
     items: &[PhysExpr],
-    bindings: &[ColumnBinding],
+    width: usize,
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Row>> {
-    let env = BatchEnv { ctx, bindings };
     // Evaluated key columns per batch, dense over the batch's live rows.
     let keys = batches
         .iter()
         .map(|batch| {
             group_by
                 .iter()
-                .map(|e| e.eval_batch(batch, &env))
+                .map(|e| e.eval_batch(batch, ctx))
                 .collect::<StorageResult<Vec<_>>>()
         })
         .collect::<StorageResult<Vec<_>>>()?;
@@ -687,5 +682,5 @@ fn columnar_hash_aggregate(
         // Aggregates over an empty input still produce one row.
         groups.push(Vec::new());
     }
-    finalize_agg_groups(&groups, having, items, bindings, ctx)
+    finalize_agg_groups(&groups, having, items, width, ctx)
 }

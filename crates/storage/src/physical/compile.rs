@@ -6,11 +6,14 @@
 //! subqueries recursively, and computes each subquery's cacheability
 //! (uncorrelated and free of reads from enclosing CTE scopes).
 //!
-//! A column reference that no enclosing row scope binds is a compile error
-//! ([`StorageError::UnknownColumn`]) wherever it sits, as SQLite and
-//! PostgreSQL reject such a statement at prepare.
+//! Every static error is a compile error wherever it sits, as SQLite and
+//! PostgreSQL reject such a statement at prepare: a column reference that
+//! no enclosing row scope binds ([`StorageError::UnknownColumn`]), an
+//! unknown function or a wrong argument count (`scalar::check_call`), a
+//! bare `*` outside `COUNT(*)`, and a subquery whose table does not
+//! resolve. A correlated reference compiles to the depth of the innermost
+//! enclosing scope that binds it and its ordinal there.
 
-use crate::sync::Mutex;
 use std::collections::{BTreeSet, HashMap};
 
 use bp_sql::{column_ref, split_conjuncts, Expr, Query};
@@ -20,9 +23,7 @@ use crate::plan::{
     and_join, benign, resolve_binding, sarg_column, sargable_atom, ColumnBinding, LogicalPlan,
     Planner, QueryPlan, SargAtom, Scan, ScanSource,
 };
-use crate::scalar::{
-    canonical_function_name, is_aggregate_name, literal_value, min_scalar_args, missing_arg_error,
-};
+use crate::scalar::{check_call, is_aggregate_name, is_count_star, literal_value};
 use crate::snapshot::Snapshot;
 use crate::table::Table;
 use crate::value::Value;
@@ -375,10 +376,10 @@ impl<'a> Compiler<'a> {
     ) -> StorageResult<Option<PhysNode>> {
         let conjuncts = split_conjuncts(predicate);
         // An `IN (subquery)` probe only applies when it is the *entire*
-        // predicate: with residual conjuncts per-row evaluation may skip the
-        // subquery for every row (short-circuiting on an earlier false
-        // conjunct), while the probe would run it eagerly — the two
-        // would disagree on which error, if any, surfaces.
+        // predicate: with residual conjuncts, per-row evaluation may raise
+        // another conjunct's run-time error before it runs the subquery,
+        // while the probe would run it first — the two would disagree on
+        // which run-time error, if any, surfaces.
         if let [only] = conjuncts.as_slice() {
             if let Some(node) = self.try_in_subquery_probe(name, only, bindings)? {
                 return Ok(Some(node));
@@ -516,32 +517,25 @@ impl<'a> Compiler<'a> {
         {
             return Ok(None);
         }
-        let plan = match self.plan_subquery(subquery) {
-            Ok(logical) => match self.compile_subplan(&logical, bindings)? {
-                plan if plan.cacheable => plan,
-                // Correlated or CTE-entangled subqueries cannot probe:
-                // their result depends on the enclosing scope.
-                plan => {
-                    self.full_scans += 1;
-                    return Ok(Some(PhysNode::Filter {
-                        input: Box::new(PhysNode::ScanTable {
-                            name: name.to_string(),
-                            cols: None,
-                        }),
-                        predicate: PhysExpr::InSubquery {
-                            expr: Box::new(self.compile_expr(needle, bindings)?),
-                            plan: Box::new(plan),
-                            negated: false,
-                        },
-                        bindings: bindings.to_vec(),
-                    }));
-                }
-            },
-            // Planning failures stay lazy, exactly like the scalar path:
-            // execution raises them only when the probe actually runs (an
-            // all-NULL needle column never does).
-            Err(e) => SubPlan::failing(e),
-        };
+        let logical = self.plan_subquery(subquery)?;
+        let plan = self.compile_subplan(&logical, bindings)?;
+        if !plan.cacheable {
+            // Correlated or CTE-entangled subqueries cannot probe: their
+            // result depends on the enclosing scope.
+            self.full_scans += 1;
+            return Ok(Some(PhysNode::Filter {
+                input: Box::new(PhysNode::ScanTable {
+                    name: name.to_string(),
+                    cols: None,
+                }),
+                predicate: PhysExpr::InSubquery {
+                    expr: Box::new(self.compile_expr(needle, bindings)?),
+                    plan: Box::new(plan),
+                    negated: false,
+                },
+                bindings: bindings.to_vec(),
+            }));
+        }
         self.index_scans += 1;
         Ok(Some(PhysNode::IndexScan {
             name: name.to_string(),
@@ -561,32 +555,30 @@ impl<'a> Compiler<'a> {
         match expr {
             Expr::Identifier(_) | Expr::CompoundIdentifier(_) => {
                 let Some(cr) = column_ref(expr) else {
-                    return Ok(PhysExpr::Fail(StorageError::UnknownColumn(
-                        "<empty>".into(),
-                    )));
+                    return Err(StorageError::UnknownColumn("<empty>".into()));
                 };
                 let qualifier = cr.qualifier.as_ref().map(|i| i.value.as_str());
                 let name = cr.column.value.as_str();
                 if let Some(idx) = resolve_binding(bindings, qualifier, name) {
                     return Ok(PhysExpr::Column(idx));
                 }
-                let display = match qualifier {
-                    Some(q) => format!("{q}.{name}"),
-                    None => name.to_string(),
-                };
-                let bound_outside = self
+                // The innermost enclosing scope that binds the name wins.
+                let outer = self
                     .scopes
                     .iter()
-                    .any(|scope| resolve_binding(scope, qualifier, name).is_some());
-                if !bound_outside {
-                    return Err(StorageError::UnknownColumn(display));
-                }
+                    .rev()
+                    .enumerate()
+                    .find_map(|(depth, scope)| {
+                        resolve_binding(scope, qualifier, name).map(|idx| (depth, idx))
+                    });
+                let Some((depth, idx)) = outer else {
+                    return Err(StorageError::UnknownColumn(match qualifier {
+                        Some(q) => format!("{q}.{name}"),
+                        None => name.to_string(),
+                    }));
+                };
                 self.contains_outer = true;
-                Ok(PhysExpr::Outer {
-                    qualifier: qualifier.map(|q| q.to_ascii_uppercase()),
-                    name: name.to_ascii_uppercase(),
-                    display,
-                })
+                Ok(PhysExpr::OuterColumn { depth, idx })
             }
             Expr::Literal(lit) => Ok(PhysExpr::Literal(literal_value(lit))),
             Expr::BinaryOp { left, op, right } => Ok(PhysExpr::Binary {
@@ -603,25 +595,12 @@ impl<'a> Compiler<'a> {
                 args,
                 distinct,
             } => {
-                // Function-level problems (unknown name, bad arity) only
-                // surface when the interpreter *evaluates* the call, so they
-                // compile to lazy `Fail` nodes, not compile errors.
-                let Some(canonical) = canonical_function_name(&name.value) else {
-                    return Ok(PhysExpr::Fail(StorageError::Unsupported(format!(
-                        "function {} is not supported",
-                        name.value.to_ascii_uppercase()
-                    ))));
-                };
+                let canonical = check_call(&name.value, args)?;
                 if is_aggregate_name(canonical) {
-                    let count_star =
-                        canonical == "COUNT" && matches!(args.first(), Some(Expr::Wildcard) | None);
-                    let arg = if count_star {
+                    let arg = if is_count_star(canonical, args) {
                         None
                     } else {
-                        let Some(arg0) = args.first() else {
-                            return Ok(PhysExpr::Fail(missing_arg_error(canonical, 0)));
-                        };
-                        Some(Box::new(self.compile_expr(arg0, bindings)?))
+                        Some(Box::new(self.compile_expr(&args[0], bindings)?))
                     };
                     Ok(PhysExpr::Aggregate {
                         name: canonical,
@@ -629,9 +608,6 @@ impl<'a> Compiler<'a> {
                         distinct: *distinct,
                     })
                 } else {
-                    if args.len() < min_scalar_args(canonical) {
-                        return Ok(PhysExpr::Fail(missing_arg_error(canonical, args.len())));
-                    }
                     let args = args
                         .iter()
                         .map(|a| self.compile_expr(a, bindings))
@@ -665,35 +641,29 @@ impl<'a> Compiler<'a> {
                     .map(|e| self.compile_expr(e, bindings).map(Box::new))
                     .transpose()?,
             }),
-            Expr::Exists { subquery, negated } => match self.plan_subquery(subquery) {
-                Ok(logical) => Ok(PhysExpr::Exists {
+            Expr::Exists { subquery, negated } => {
+                let logical = self.plan_subquery(subquery)?;
+                Ok(PhysExpr::Exists {
                     plan: Box::new(self.compile_subplan(&logical, bindings)?),
                     negated: *negated,
-                }),
-                Err(e) => Ok(PhysExpr::Fail(e)),
-            },
-            Expr::Subquery(subquery) => match self.plan_subquery(subquery) {
-                Ok(logical) => Ok(PhysExpr::ScalarSubquery {
+                })
+            }
+            Expr::Subquery(subquery) => {
+                let logical = self.plan_subquery(subquery)?;
+                Ok(PhysExpr::ScalarSubquery {
                     plan: Box::new(self.compile_subplan(&logical, bindings)?),
-                }),
-                Err(e) => Ok(PhysExpr::Fail(e)),
-            },
+                })
+            }
             Expr::InSubquery {
                 expr,
                 subquery,
                 negated,
             } => {
                 let needle = Box::new(self.compile_expr(expr, bindings)?);
-                let plan = match self.plan_subquery(subquery) {
-                    Ok(logical) => self.compile_subplan(&logical, bindings)?,
-                    // The interpreter evaluates the needle before running
-                    // the subquery, and returns NULL for a NULL needle
-                    // without ever touching the subquery — preserve that.
-                    Err(e) => SubPlan::failing(e),
-                };
+                let logical = self.plan_subquery(subquery)?;
                 Ok(PhysExpr::InSubquery {
                     expr: needle,
-                    plan: Box::new(plan),
+                    plan: Box::new(self.compile_subplan(&logical, bindings)?),
                     negated: *negated,
                 })
             }
@@ -738,15 +708,13 @@ impl<'a> Compiler<'a> {
                 data_type: *data_type,
             }),
             Expr::Nested(inner) => self.compile_expr(inner, bindings),
-            Expr::Wildcard => Ok(PhysExpr::Fail(StorageError::Unsupported(
+            Expr::Wildcard => Err(StorageError::Unsupported(
                 "bare '*' outside COUNT(*) cannot be evaluated".into(),
-            ))),
+            )),
         }
     }
 
-    /// Plan an expression subquery against the enclosing CTE frames. A
-    /// planning failure (an unknown table) stays lazy: callers turn it into
-    /// a node that raises it only when evaluated, as the interpreter does.
+    /// Plan an expression subquery against the enclosing CTE frames.
     fn plan_subquery(&self, query: &Query) -> StorageResult<QueryPlan> {
         Planner::with_frames(self.db, self.frames.clone()).plan(query)
     }
@@ -771,11 +739,7 @@ impl<'a> Compiler<'a> {
         self.contains_outer |= saved_outer;
         self.min_cte_depth = self.min_cte_depth.min(saved_depth);
 
-        Ok(SubPlan {
-            plan: Ok(result?),
-            cacheable,
-            cache: Mutex::new(None),
-        })
+        Ok(SubPlan::new(result?, cacheable))
     }
 }
 
@@ -826,9 +790,11 @@ fn index_agg_specs(items: &[Expr], bindings: &[ColumnBinding]) -> Option<Vec<Agg
             else {
                 return None;
             };
-            match canonical_function_name(&name.value)? {
+            // A call that fails `check_call` declines the fast path, so the
+            // hash aggregate's compile raises its error.
+            match check_call(&name.value, args).ok()? {
                 "COUNT" => {
-                    if matches!(args.first(), Some(Expr::Wildcard) | None) {
+                    if is_count_star("COUNT", args) {
                         // COUNT(*) ignores DISTINCT, matching both row
                         // and columnar evaluators.
                         Some(AggSpec::CountStar)

@@ -1,12 +1,13 @@
 //! Compiled expressions for the planned engine.
 //!
 //! At compile time ([`crate::physical::compile`]) every column reference in
-//! an expression is resolved **once** against the operator's input bindings
-//! and replaced by an ordinal ([`PhysExpr::Column`]); references that do not
-//! resolve locally become pre-normalized [`PhysExpr::Outer`] lookups walked
-//! through the chain of enclosing row scopes at evaluation time (correlated
-//! subqueries). This removes the per-cell `to_ascii_uppercase` + linear
-//! binding scan of the tree-walking interpreter.
+//! an expression is resolved **once** to an ordinal: into the operator's
+//! input row ([`PhysExpr::Column`]), or, for a correlated reference, into
+//! the row of an enclosing scope a fixed number of levels out
+//! ([`PhysExpr::OuterColumn`]). Every static error fails the compile, so
+//! evaluation never searches a binding list and raises only run-time
+//! errors (arithmetic, operand types, scalar-subquery cardinality, LIMIT
+//! values).
 //!
 //! Subqueries are planned and compiled once into [`SubPlan`]s. A subplan
 //! that provably depends on nothing outside itself (no outer column
@@ -19,7 +20,6 @@ use crate::sync::{Arc, Mutex};
 use bp_sql::{BinaryOperator, DataType, UnaryOperator};
 
 use crate::error::{StorageError, StorageResult};
-use crate::plan::ColumnBinding;
 use crate::result::QueryResult;
 use crate::scalar::{
     cast_value, eval_binary, eval_binary_cols, eval_neg_col, eval_unary_minus, finish_aggregate,
@@ -33,10 +33,8 @@ use super::{exec_query_plan, OuterEnv, PhysQueryPlan, RunCtx};
 
 /// A subquery compiled into its own physical plan.
 pub(crate) struct SubPlan {
-    /// The compiled plan, or the deferred planning error (an unknown table)
-    /// to raise if the subquery is ever actually executed (the interpreter
-    /// only fails when it reaches the subquery at evaluation time).
-    pub plan: Result<PhysQueryPlan, StorageError>,
+    /// The compiled plan.
+    pub plan: PhysQueryPlan,
     /// Whether the result is invariant across evaluations (uncorrelated and
     /// reading no enclosing CTEs) and may therefore be cached.
     pub cacheable: bool,
@@ -49,11 +47,11 @@ pub(crate) struct SubPlan {
 }
 
 impl SubPlan {
-    /// A subplan that raises `error` when executed.
-    pub(crate) fn failing(error: StorageError) -> Self {
+    /// A subplan with an empty result cache.
+    pub(crate) fn new(plan: PhysQueryPlan, cacheable: bool) -> Self {
         SubPlan {
-            plan: Err(error),
-            cacheable: false,
+            plan,
+            cacheable,
             cache: Mutex::new(None),
         }
     }
@@ -81,9 +79,7 @@ impl SubPlan {
     }
 
     fn run(&self, env: &EvalEnv<'_>) -> StorageResult<QueryResult> {
-        let plan = self.plan.as_ref().map_err(Clone::clone)?;
         let outer = OuterEnv {
-            bindings: env.bindings,
             row: env.row,
             parent: env.ctx.outer,
         };
@@ -91,7 +87,7 @@ impl SubPlan {
             outer: Some(&outer),
             ..*env.ctx
         };
-        exec_query_plan(plan, &ctx)
+        exec_query_plan(&self.plan, &ctx)
     }
 }
 
@@ -99,14 +95,11 @@ impl SubPlan {
 pub(crate) enum PhysExpr {
     /// Resolved column ordinal in the current row.
     Column(usize),
-    /// Correlated reference to an enclosing row scope: the compiler checks
-    /// that some scope binds it, and evaluation looks it up by name.
-    /// `qualifier`/`name` are pre-normalized; `display` preserves the
-    /// original spelling for error messages.
-    Outer {
-        qualifier: Option<String>,
-        name: String,
-        display: String,
+    /// Correlated reference: column `idx` of the enclosing row scope
+    /// `depth` levels out (0 = the row the innermost subquery runs for).
+    OuterColumn {
+        depth: usize,
+        idx: usize,
     },
     /// Constant.
     Literal(Value),
@@ -171,19 +164,12 @@ pub(crate) enum PhysExpr {
         expr: Box<PhysExpr>,
         data_type: DataType,
     },
-    /// A node whose compilation failed (unsupported function, bad arity,
-    /// unplannable subquery, ...). The error is raised only if the node is
-    /// actually *evaluated*, mirroring the interpreter, which never fails on
-    /// dead `CASE` branches, lazily skipped `COALESCE` tails, or projections
-    /// over empty inputs.
-    Fail(StorageError),
 }
 
 /// Evaluation environment: the runtime context plus the current row (and,
 /// in grouped evaluation, the rows of the current group).
 pub(crate) struct EvalEnv<'a> {
     pub ctx: &'a RunCtx<'a>,
-    pub bindings: &'a [ColumnBinding],
     pub row: &'a [Value],
     pub group: Option<&'a [Row]>,
 }
@@ -192,26 +178,10 @@ impl PhysExpr {
     pub(crate) fn eval(&self, env: &EvalEnv<'_>) -> StorageResult<Value> {
         match self {
             PhysExpr::Column(idx) => Ok(env.row.get(*idx).cloned().unwrap_or(Value::Null)),
-            PhysExpr::Outer {
-                qualifier,
-                name,
-                display,
-            } => {
-                let mut scope = env.ctx.outer;
-                while let Some(outer) = scope {
-                    let found = outer.bindings.iter().position(|b| {
-                        b.name == *name
-                            && match qualifier {
-                                Some(q) => b.qualifier.as_deref() == Some(q.as_str()),
-                                None => true,
-                            }
-                    });
-                    if let Some(idx) = found {
-                        return Ok(outer.row.get(idx).cloned().unwrap_or(Value::Null));
-                    }
-                    scope = outer.parent;
-                }
-                Err(StorageError::UnknownColumn(display.clone()))
+            PhysExpr::OuterColumn { depth, idx } => {
+                let scope = (0..*depth).fold(env.ctx.outer, |scope, _| scope?.parent);
+                let value = scope.and_then(|outer| outer.row.get(*idx));
+                Ok(value.cloned().unwrap_or(Value::Null))
             }
             PhysExpr::Literal(v) => Ok(v.clone()),
             PhysExpr::Binary { left, op, right } => {
@@ -372,7 +342,6 @@ impl PhysExpr {
                 let v = expr.eval(env)?;
                 Ok(cast_value(v, *data_type))
             }
-            PhysExpr::Fail(error) => Err(error.clone()),
         }
     }
 
@@ -389,24 +358,24 @@ impl PhysExpr {
     /// kernels; subqueries, CASE, scalar functions, IN and aggregates take
     /// the per-row fallback so their lazy/short-circuit evaluation order is
     /// untouched. Evaluation is restricted to selected rows by
-    /// construction, so a filtered-out row can never raise an error the row
-    /// engine would not raise.
+    /// construction, so a filtered-out row can never raise a run-time error
+    /// the row engine would not raise.
     pub(crate) fn eval_batch(
         &self,
         batch: &Batch,
-        env: &BatchEnv<'_>,
+        ctx: &RunCtx<'_>,
     ) -> StorageResult<Arc<ColumnVec>> {
         let n = batch.live();
         match self {
             PhysExpr::Column(idx) => Ok(batch.column_live(*idx)),
             PhysExpr::Literal(v) => Ok(Arc::new(ColumnVec::broadcast(v, n))),
             PhysExpr::Binary { left, op, right } => {
-                let l = left.eval_batch(batch, env)?;
-                let r = right.eval_batch(batch, env)?;
+                let l = left.eval_batch(batch, ctx)?;
+                let r = right.eval_batch(batch, ctx)?;
                 Ok(Arc::new(eval_binary_cols(&l, *op, &r)?))
             }
             PhysExpr::Unary { op, expr } => {
-                let c = expr.eval_batch(batch, env)?;
+                let c = expr.eval_batch(batch, ctx)?;
                 match op {
                     UnaryOperator::Not => {
                         let (truth, mask) = truth3_col(&c);
@@ -420,12 +389,12 @@ impl PhysExpr {
                 }
             }
             PhysExpr::IsNull { expr, negated } => {
-                let c = expr.eval_batch(batch, env)?;
+                let c = expr.eval_batch(batch, ctx)?;
                 let vals = (0..n).map(|i| c.is_null(i) != *negated).collect();
                 Ok(Arc::new(ColumnVec::Bool(vals, NullMask::new(n))))
             }
             PhysExpr::Cast { expr, data_type } => {
-                let c = expr.eval_batch(batch, env)?;
+                let c = expr.eval_batch(batch, ctx)?;
                 let mut out = ColumnBuilder::with_capacity(n);
                 for i in 0..n {
                     out.push(cast_value(c.value(i), *data_type));
@@ -440,9 +409,9 @@ impl PhysExpr {
             } => {
                 // The row path always evaluates all three operands, so
                 // evaluating them as whole columns is unobservable.
-                let v = expr.eval_batch(batch, env)?;
-                let lo = low.eval_batch(batch, env)?;
-                let hi = high.eval_batch(batch, env)?;
+                let v = expr.eval_batch(batch, ctx)?;
+                let lo = low.eval_batch(batch, ctx)?;
+                let hi = high.eval_batch(batch, ctx)?;
                 let mut vals = Vec::with_capacity(n);
                 let mut mask = NullMask::new(n);
                 for i in 0..n {
@@ -463,8 +432,8 @@ impl PhysExpr {
                 pattern,
                 negated,
             } => {
-                let v = expr.eval_batch(batch, env)?;
-                let p = pattern.eval_batch(batch, env)?;
+                let v = expr.eval_batch(batch, ctx)?;
+                let p = pattern.eval_batch(batch, ctx)?;
                 let mut out = ColumnBuilder::with_capacity(n);
                 for i in 0..n {
                     let (vv, pv) = (v.value(i), p.value(i));
@@ -476,33 +445,20 @@ impl PhysExpr {
                 }
                 Ok(Arc::new(out.finish()))
             }
-            PhysExpr::Outer { .. } => {
-                // An outer reference is constant across the batch: it
-                // resolves through the enclosing row scopes, never through
-                // the batch itself. Zero live rows evaluate nothing (the
-                // row path would not reach the expression either).
-                if n == 0 {
-                    return Ok(Arc::new(ColumnVec::Any(Vec::new())));
-                }
+            PhysExpr::OuterColumn { .. } => {
+                // An outer reference is constant across the batch: it reads
+                // an enclosing scope's row, never the batch itself.
                 let row_env = EvalEnv {
-                    ctx: env.ctx,
-                    bindings: env.bindings,
+                    ctx,
                     row: &[],
                     group: None,
                 };
                 let v = self.eval(&row_env)?;
                 Ok(Arc::new(ColumnVec::broadcast(&v, n)))
             }
-            PhysExpr::Fail(error) => {
-                if n == 0 {
-                    Ok(Arc::new(ColumnVec::Any(Vec::new())))
-                } else {
-                    Err(error.clone())
-                }
-            }
             // Subqueries, CASE, COALESCE-style functions, IN and aggregates
             // keep their per-row (lazy) evaluation order.
-            _ => self.eval_batch_fallback(batch, env),
+            _ => self.eval_batch_fallback(batch, ctx),
         }
     }
 
@@ -514,8 +470,7 @@ impl PhysExpr {
     /// dispatch arms exactly.
     pub(crate) fn vectorizable(&self) -> bool {
         match self {
-            PhysExpr::Column(_) | PhysExpr::Literal(_) | PhysExpr::Outer { .. } => true,
-            PhysExpr::Fail(_) => true,
+            PhysExpr::Column(_) | PhysExpr::Literal(_) | PhysExpr::OuterColumn { .. } => true,
             PhysExpr::Binary { left, right, .. } => left.vectorizable() && right.vectorizable(),
             PhysExpr::Unary { expr, .. }
             | PhysExpr::IsNull { expr, .. }
@@ -579,11 +534,10 @@ impl PhysExpr {
                 f(pattern);
             }
             PhysExpr::Column(_)
-            | PhysExpr::Outer { .. }
+            | PhysExpr::OuterColumn { .. }
             | PhysExpr::Literal(_)
             | PhysExpr::Exists { .. }
-            | PhysExpr::ScalarSubquery { .. }
-            | PhysExpr::Fail(_) => {}
+            | PhysExpr::ScalarSubquery { .. } => {}
         }
     }
 
@@ -603,14 +557,13 @@ impl PhysExpr {
     fn eval_batch_fallback(
         &self,
         batch: &Batch,
-        env: &BatchEnv<'_>,
+        ctx: &RunCtx<'_>,
     ) -> StorageResult<Arc<ColumnVec>> {
         let mut out = ColumnBuilder::with_capacity(batch.live());
         for i in batch.live_rows() {
             let row = batch.gather_row(i);
             let row_env = EvalEnv {
-                ctx: env.ctx,
-                bindings: env.bindings,
+                ctx,
                 row: &row,
                 group: None,
             };
@@ -618,13 +571,6 @@ impl PhysExpr {
         }
         Ok(Arc::new(out.finish()))
     }
-}
-
-/// Batch-level evaluation environment: the runtime context plus the input
-/// bindings (the batch itself carries the data).
-pub(crate) struct BatchEnv<'a> {
-    pub ctx: &'a RunCtx<'a>,
-    pub bindings: &'a [ColumnBinding],
 }
 
 fn eval_scalar_fn(name: &str, args: &[PhysExpr], env: &EvalEnv<'_>) -> StorageResult<Value> {
@@ -717,7 +663,6 @@ fn eval_aggregate(
     for row in group {
         let row_env = EvalEnv {
             ctx: env.ctx,
-            bindings: env.bindings,
             row,
             group: None,
         };
@@ -742,7 +687,8 @@ mod tests {
     }
 
     fn subplan() -> Box<SubPlan> {
-        Box::new(SubPlan::failing(StorageError::UnknownTable("U".into())))
+        let plan = PhysQueryPlan::of(super::super::PhysNode::ScanEmpty, &[]);
+        Box::new(SubPlan::new(plan, false))
     }
 
     /// Every shape with children numbers them `Column(0..)` in source

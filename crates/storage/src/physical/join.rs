@@ -54,7 +54,6 @@ pub(super) fn nested_loop_join(
                 Some(on) => {
                     let env = EvalEnv {
                         ctx,
-                        bindings,
                         row: &combined,
                         group: None,
                     };

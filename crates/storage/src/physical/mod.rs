@@ -8,7 +8,10 @@
 //!
 //! * joins equi-key pairs with a **hash join** instead of a nested loop;
 //! * resolves column names **once at compile time** to ordinals instead of
-//!   uppercasing and scanning bindings per cell;
+//!   uppercasing and scanning bindings per cell — a correlated reference
+//!   too, as a (scope depth, ordinal) pair — and raises every static error
+//!   (unknown column, table, function or arity, bare `*`) before a row is
+//!   read;
 //! * chains CTE scopes by **parent pointer** instead of cloning
 //!   materialized CTE results into every subquery;
 //! * **caches uncorrelated subquery results** instead of re-executing them
@@ -265,6 +268,22 @@ impl PhysQueryPlan {
     }
 }
 
+#[cfg(test)]
+impl PhysQueryPlan {
+    /// A hand-built plan around `root`, for verifier and evaluator tests.
+    pub(crate) fn of(root: PhysNode, columns: &[&str]) -> Self {
+        PhysQueryPlan {
+            ctes: Vec::new(),
+            root,
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            ordered: false,
+            access: AccessPathStats::default(),
+            est_rows: None,
+            optimizer: crate::cost::OptimizerStats::default(),
+        }
+    }
+}
+
 /// How an [`PhysNode::IndexScan`] resolves its matching row ids. The
 /// compiler emits no variant on a NaN-poisoned column
 /// (`ColumnIndex::has_nan`): NaN breaks the coincidence between
@@ -286,7 +305,8 @@ pub(crate) enum IndexAccess {
     /// and hash-probe its first column. Executed lazily — only when the
     /// column has a non-NULL value — because the per-row evaluator runs the
     /// subquery only upon reaching a non-NULL needle, and a query whose
-    /// needles are all NULL must never surface the subquery's errors.
+    /// needles are all NULL must never surface the subquery's run-time
+    /// errors. The subquery runs with an empty outer row.
     InSubquery { col: usize, plan: Box<SubPlan> },
 }
 
@@ -307,9 +327,10 @@ pub(crate) enum AggSpec {
     Max(usize),
 }
 
-/// A compiled physical operator. Operators that evaluate expressions carry
-/// their input bindings so that subqueries evaluated inside them can expose
-/// the current row to correlated references.
+/// A compiled physical operator. Operators that evaluate expressions keep
+/// the input bindings the compiler resolved their names against; execution
+/// reads only their count, and the verifier checks them against the input
+/// arity and the join children's bindings.
 pub(crate) enum PhysNode {
     ScanTable {
         name: String,
@@ -431,9 +452,9 @@ impl CteFrame<'_> {
     }
 }
 
-/// An enclosing row scope for correlated subquery evaluation.
+/// An enclosing row scope for correlated subquery evaluation: the row a
+/// subquery runs for, chained to the scopes around it.
 pub(crate) struct OuterEnv<'a> {
-    pub(crate) bindings: &'a [ColumnBinding],
     pub(crate) row: &'a [Value],
     pub(crate) parent: Option<&'a OuterEnv<'a>>,
 }
@@ -515,13 +536,12 @@ pub(crate) fn index_scan_ids(
             let idx = table.secondary_index(*col);
             // Lazy like the per-row evaluator: with no non-NULL needle in
             // the column (including the empty table), the subquery — and
-            // any deferred compile error inside it — never runs.
+            // any run-time error inside it — never runs.
             if idx.null_count() == rows.len() {
                 return Ok(Vec::new());
             }
             let env = EvalEnv {
                 ctx,
-                bindings: &[],
                 row: &[],
                 group: None,
             };
@@ -660,15 +680,15 @@ pub(crate) fn top_k_rows(rows: Vec<Row>, keys: &[SortKey], skip: usize, take: us
 }
 
 /// The last phase of hash aggregation: evaluate HAVING and the output
-/// expressions per group, in (first-seen) group order.
+/// expressions per group, in (first-seen) group order. `width` is the input
+/// arity (an empty global group's representative row is that many NULLs).
 pub(crate) fn finalize_agg_groups(
     groups: &[Vec<Row>],
     having: Option<&PhysExpr>,
     items: &[PhysExpr],
-    bindings: &[ColumnBinding],
+    width: usize,
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Row>> {
-    let width = bindings.len();
     let mut out = Vec::with_capacity(groups.len());
     for group_rows in groups {
         let representative = group_rows
@@ -677,7 +697,6 @@ pub(crate) fn finalize_agg_groups(
             .unwrap_or_else(|| vec![Value::Null; width]);
         let env = EvalEnv {
             ctx,
-            bindings,
             row: &representative,
             group: Some(group_rows),
         };
@@ -700,7 +719,6 @@ pub(crate) fn finalize_agg_groups(
 pub(crate) fn eval_count(expr: &PhysExpr, ctx: &RunCtx<'_>) -> StorageResult<usize> {
     let env = EvalEnv {
         ctx,
-        bindings: &[],
         row: &[],
         group: None,
     };

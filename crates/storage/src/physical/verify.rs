@@ -10,7 +10,9 @@
 //!
 //! * every compiled column ordinal is in bounds for its operator's input
 //!   arity (including `LIMIT`/`OFFSET` expressions, which are compiled in
-//!   an empty scope and may therefore never contain a resolved column);
+//!   an empty scope and may therefore never contain a resolved column), and
+//!   every correlated reference names an enclosing scope and an ordinal in
+//!   bounds for that scope's arity;
 //! * projection-pruned scans appear only where the compiler may legally
 //!   place them, and every consumer expression is vectorizable and reads
 //!   only unpruned columns (a pruned "loud placeholder" slot read by a
@@ -223,8 +225,9 @@ pub enum PlanViolation {
         found: String,
     },
     /// An operator's name-resolution bindings don't cover its input arity
-    /// (correlated subqueries resolve outer references positionally
-    /// through these bindings, so the lengths must agree exactly).
+    /// (the compiler resolved the operator's names, correlated ones
+    /// included, against these bindings, so the lengths must agree
+    /// exactly).
     BindingWidthMismatch {
         /// Operator path from the plan root.
         path: String,
@@ -253,6 +256,21 @@ pub enum PlanViolation {
         /// The number of projected items.
         items: usize,
     },
+    /// A correlated column reference points past the rows around it: no
+    /// enclosing scope sits `depth` levels out (`arity` 0), or `ordinal` is
+    /// out of bounds for that scope's arity. The subquery of an `IN
+    /// (subquery)` index probe runs with an empty outer row, so any
+    /// reference to its innermost scope is out of bounds.
+    OuterColumnOutOfBounds {
+        /// Operator path from the plan root.
+        path: String,
+        /// How many scopes out the reference reads.
+        depth: usize,
+        /// The offending ordinal in that scope's row.
+        ordinal: usize,
+        /// The arity of the scope `depth` levels out.
+        arity: usize,
+    },
     /// A plan promises more output columns than its root operator
     /// produces.
     OutputWidthMismatch {
@@ -270,6 +288,7 @@ impl PlanViolation {
     pub fn path(&self) -> &str {
         match self {
             PlanViolation::ColumnOutOfBounds { path, .. }
+            | PlanViolation::OuterColumnOutOfBounds { path, .. }
             | PlanViolation::PrunedColumnRead { path, .. }
             | PlanViolation::BadPruneMask { path, .. }
             | PlanViolation::UnknownTable { path, .. }
@@ -298,6 +317,15 @@ impl fmt::Display for PlanViolation {
             } => write!(
                 f,
                 "{path}: column ordinal {ordinal} out of bounds for input arity {arity}"
+            ),
+            PlanViolation::OuterColumnOutOfBounds {
+                path,
+                depth,
+                ordinal,
+                arity,
+            } => write!(
+                f,
+                "{path}: outer column {ordinal} at depth {depth} out of bounds for scope arity {arity}"
             ),
             PlanViolation::PrunedColumnRead { path, ordinal } => write!(
                 f,
@@ -450,14 +478,14 @@ pub struct VerifierStats {
 /// Verify a compiled physical plan against the snapshot it was compiled
 /// for. Returns every invariant breach found (empty = the plan is sound).
 /// Walks CTE plans, set-operation branches, nested plans and every
-/// expression subquery; subqueries whose compilation failed (lazy `Fail`
-/// plans) are skipped — deferred compile errors are legal.
+/// expression subquery.
 pub fn verify_plan(db: &Snapshot, plan: &PhysQueryPlan) -> Vec<PlanViolation> {
     let mut v = Verifier {
         db,
         violations: Vec::new(),
         path: vec!["root".to_string()],
         frames: Vec::new(),
+        scopes: Vec::new(),
     };
     v.check_plan(plan);
     v.violations
@@ -489,6 +517,9 @@ struct Verifier<'a> {
     path: Vec<String>,
     /// CTE scopes, innermost last: name → output arity.
     frames: Vec<HashMap<String, usize>>,
+    /// Arities of the row scopes enclosing the current subquery, innermost
+    /// last: what a correlated reference may read.
+    scopes: Vec<usize>,
 }
 
 impl Verifier<'_> {
@@ -813,7 +844,8 @@ impl Verifier<'_> {
             self.check_not_nan(table, col);
         }
         if let IndexAccess::InSubquery { plan, .. } = access {
-            self.check_subplan(plan);
+            // The probe runs its subquery with an empty outer row.
+            self.check_subplan(plan, 0);
         }
     }
 
@@ -1041,36 +1073,49 @@ impl Verifier<'_> {
         }
     }
 
-    fn check_subplan(&mut self, plan: &SubPlan) {
-        // A failed compilation is a *lazy* error, raised only if the
-        // subquery is evaluated — legal, and nothing to verify.
-        if let Ok(sub) = &plan.plan {
-            self.path.push("subquery".into());
-            self.check_plan(sub);
-            self.path.pop();
-        }
+    /// Verify a subquery that runs for rows of arity `row_arity`.
+    fn check_subplan(&mut self, plan: &SubPlan, row_arity: usize) {
+        self.path.push("subquery".into());
+        self.scopes.push(row_arity);
+        self.check_plan(&plan.plan);
+        self.scopes.pop();
+        self.path.pop();
     }
 
     /// Walk an expression: check each resolved column against the input
-    /// arity, then the node's children, then the subplan it holds (if
-    /// any). Runtime type errors are legal semantics, so nothing about an
-    /// expression's type is checked here.
+    /// arity and each correlated one against its enclosing scope, then the
+    /// node's children, then the subplan it holds (if any). Runtime type
+    /// errors are legal semantics, so nothing about an expression's type is
+    /// checked here.
     fn check_expr(&mut self, expr: &PhysExpr, arity: usize) {
-        if let PhysExpr::Column(idx) = expr {
-            if *idx >= arity {
+        match *expr {
+            PhysExpr::Column(idx) if idx >= arity => {
                 self.report(PlanViolation::ColumnOutOfBounds {
                     path: self.path(),
-                    ordinal: *idx,
+                    ordinal: idx,
                     arity,
                 });
             }
+            PhysExpr::OuterColumn { depth, idx } => {
+                let scope = self.scopes.len().checked_sub(depth + 1);
+                let scope_arity = scope.map_or(0, |scope| self.scopes[scope]);
+                if idx >= scope_arity {
+                    self.report(PlanViolation::OuterColumnOutOfBounds {
+                        path: self.path(),
+                        depth,
+                        ordinal: idx,
+                        arity: scope_arity,
+                    });
+                }
+            }
+            _ => {}
         }
         expr.for_each_child(|child| self.check_expr(child, arity));
         if let PhysExpr::Exists { plan, .. }
         | PhysExpr::ScalarSubquery { plan }
         | PhysExpr::InSubquery { plan, .. } = expr
         {
-            self.check_subplan(plan);
+            self.check_subplan(plan, arity);
         }
     }
 }
@@ -1291,8 +1336,6 @@ impl LogicalVerifier<'_> {
 mod tests {
     use super::*;
     use crate::database::Database;
-    use crate::error::StorageError;
-    use crate::physical::AccessPathStats;
     use crate::plan::ColumnBinding;
     use crate::schema::{Column, TableSchema};
     use bp_sql::JoinOperator;
@@ -1330,18 +1373,6 @@ mod tests {
             .collect()
     }
 
-    fn plan_of(root: PhysNode, columns: &[&str]) -> PhysQueryPlan {
-        PhysQueryPlan {
-            ctes: Vec::new(),
-            root,
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            ordered: false,
-            access: AccessPathStats::default(),
-            est_rows: None,
-            optimizer: crate::cost::OptimizerStats::default(),
-        }
-    }
-
     fn scan_t() -> PhysNode {
         PhysNode::ScanTable {
             name: "T".into(),
@@ -1354,7 +1385,7 @@ mod tests {
         let db = db();
         // A projection reading column 7 of a 3-column scan: the classic
         // miscompile a corpus only catches if an engine panics.
-        let corrupt = plan_of(
+        let corrupt = PhysQueryPlan::of(
             PhysNode::Project {
                 input: Box::new(scan_t()),
                 items: vec![PhysExpr::Column(7)],
@@ -1387,7 +1418,7 @@ mod tests {
         // A hash-point probe of a text key against the Integer key column:
         // total_cmp never orders these into the same family, so the
         // compiler must have fallen back to scan + filter.
-        let corrupt = plan_of(
+        let corrupt = PhysQueryPlan::of(
             PhysNode::IndexScan {
                 name: "T".into(),
                 access: IndexAccess::Point {
@@ -1421,7 +1452,7 @@ mod tests {
         // rejected: point, IN-list, IN-subquery and range scans, and index
         // aggregates (COUNT included).
         let scan = |access: IndexAccess| {
-            plan_of(
+            PhysQueryPlan::of(
                 PhysNode::IndexScan {
                     name: "T".into(),
                     access,
@@ -1431,7 +1462,7 @@ mod tests {
             )
         };
         let agg = |spec: AggSpec| {
-            plan_of(
+            PhysQueryPlan::of(
                 PhysNode::IndexAgg {
                     name: "T".into(),
                     specs: vec![spec],
@@ -1458,9 +1489,10 @@ mod tests {
                 "in-subquery",
                 scan(IndexAccess::InSubquery {
                     col: 2,
-                    plan: Box::new(SubPlan::failing(StorageError::Unsupported(
-                        "never runs".into(),
-                    ))),
+                    plan: Box::new(SubPlan::new(
+                        PhysQueryPlan::of(PhysNode::ScanEmpty, &[]),
+                        false,
+                    )),
                 }),
             ),
             (
@@ -1513,11 +1545,90 @@ mod tests {
     }
 
     #[test]
+    fn rejects_outer_columns_past_their_scopes() {
+        let db = db();
+        let snapshot = db.snapshot();
+        let outer = |depth, idx| PhysExpr::OuterColumn { depth, idx };
+        // `SELECT <item>` with no FROM, as a subplan.
+        let select = |item: PhysExpr| {
+            let root = PhysNode::Project {
+                input: Box::new(PhysNode::ScanEmpty),
+                items: vec![item],
+                visible: 1,
+                distinct: false,
+                bindings: bindings(0),
+            };
+            Box::new(SubPlan::new(PhysQueryPlan::of(root, &["x"]), false))
+        };
+        // `SELECT (<subplan>) FROM t`: the subplan runs for rows of arity 3.
+        let scalar_over_t = |plan: Box<SubPlan>| {
+            let root = PhysNode::Project {
+                input: Box::new(scan_t()),
+                items: vec![PhysExpr::ScalarSubquery { plan }],
+                visible: 1,
+                distinct: false,
+                bindings: bindings(3),
+            };
+            PhysQueryPlan::of(root, &["s"])
+        };
+        // `SELECT * FROM t WHERE v IN (<subplan>)` as an index probe, whose
+        // subplan runs with an empty outer row.
+        let probe = |plan: Box<SubPlan>| {
+            let root = PhysNode::IndexScan {
+                name: "T".into(),
+                access: IndexAccess::InSubquery { col: 1, plan },
+                cols: None,
+            };
+            PhysQueryPlan::of(root, &["id", "v", "f"])
+        };
+        // (label, plan, depth, ordinal, arity of the scope it names).
+        let cases = [
+            (
+                "depth past the scopes",
+                scalar_over_t(select(outer(1, 0))),
+                1,
+                0,
+                0,
+            ),
+            (
+                "ordinal past the arity",
+                scalar_over_t(select(outer(0, 3))),
+                0,
+                3,
+                3,
+            ),
+            (
+                "depth 0 in an index probe",
+                probe(select(outer(0, 0))),
+                0,
+                0,
+                0,
+            ),
+        ];
+        for (label, corrupt, depth, ordinal, arity) in cases {
+            let violations = verify_plan(&snapshot, &corrupt);
+            assert!(
+                matches!(
+                    violations.as_slice(),
+                    [PlanViolation::OuterColumnOutOfBounds { depth: d, ordinal: o, arity: a, .. }]
+                        if (*d, *o, *a) == (depth, ordinal, arity)
+                ),
+                "{label}: expected one OuterColumnOutOfBounds, got:\n{}",
+                render_violations(&violations)
+            );
+        }
+        // The last column of the row the subplan runs for is in bounds.
+        let sound = scalar_over_t(select(outer(0, 2)));
+        let violations = verify_plan(&snapshot, &sound);
+        assert!(violations.is_empty(), "{}", render_violations(&violations));
+    }
+
+    #[test]
     fn rejects_mismatched_join_key_arity() {
         let db = db();
         // Two left keys against one right key: the build/probe encodings
         // would zip unequal-length key tuples.
-        let corrupt = plan_of(
+        let corrupt = PhysQueryPlan::of(
             PhysNode::HashJoin {
                 left: Box::new(scan_t()),
                 right: Box::new(scan_t()),
@@ -1545,7 +1656,7 @@ mod tests {
             render_violations(&violations)
         );
         // Empty key lists are a miscompile too (must be a nested-loop join).
-        let empty = plan_of(
+        let empty = PhysQueryPlan::of(
             PhysNode::HashJoin {
                 left: Box::new(scan_t()),
                 right: Box::new(scan_t()),
@@ -1636,7 +1747,7 @@ mod tests {
         // The scan decodes only column 0, but the projection reads column 1
         // — at runtime the columnar engine would hand it a loud
         // placeholder.
-        let corrupt = plan_of(
+        let corrupt = PhysQueryPlan::of(
             PhysNode::Project {
                 input: Box::new(PhysNode::ScanTable {
                     name: "T".into(),
@@ -1658,7 +1769,7 @@ mod tests {
             render_violations(&violations)
         );
         // A pruned scan outside a projection context is equally malformed.
-        let stray = plan_of(
+        let stray = PhysQueryPlan::of(
             PhysNode::Sort {
                 input: Box::new(PhysNode::ScanTable {
                     name: "T".into(),
@@ -1681,7 +1792,7 @@ mod tests {
         let db = db();
         let snapshot = db.snapshot();
         // Unknown table.
-        let ghost = plan_of(
+        let ghost = PhysQueryPlan::of(
             PhysNode::ScanTable {
                 name: "GHOST".into(),
                 cols: None,
@@ -1692,7 +1803,7 @@ mod tests {
             .iter()
             .any(|v| matches!(v, PlanViolation::UnknownTable { .. })));
         // right_width that disagrees with the right input's arity.
-        let lying_join = plan_of(
+        let lying_join = PhysQueryPlan::of(
             PhysNode::NestedLoopJoin {
                 left: Box::new(scan_t()),
                 right: Box::new(scan_t()),
@@ -1712,12 +1823,12 @@ mod tests {
             }
         )));
         // A plan that promises more output columns than its root produces.
-        let wide = plan_of(scan_t(), &["a", "b", "c", "d"]);
+        let wide = PhysQueryPlan::of(scan_t(), &["a", "b", "c", "d"]);
         assert!(verify_plan(&snapshot, &wide)
             .iter()
             .any(|v| matches!(v, PlanViolation::OutputWidthMismatch { .. })));
         // Sort key past the input arity.
-        let bad_sort = plan_of(
+        let bad_sort = PhysQueryPlan::of(
             PhysNode::Sort {
                 input: Box::new(scan_t()),
                 keys: vec![SortKey {

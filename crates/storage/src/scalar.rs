@@ -10,7 +10,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use bp_sql::{BinaryOperator, Literal};
+use bp_sql::{BinaryOperator, Expr, Literal};
 
 use crate::error::{StorageError, StorageResult};
 use crate::physical::batch::{ColumnBuilder, ColumnVec, NullMask};
@@ -323,13 +323,37 @@ pub(crate) fn finish_aggregate(
     }
 }
 
-/// The fewest arguments a canonical scalar function accepts; a call with
-/// fewer raises [`missing_arg_error`] when evaluated.
-pub(crate) fn min_scalar_args(canonical: &str) -> usize {
-    match canonical {
-        "UPPER" | "LOWER" | "LENGTH" | "LEN" | "ABS" | "ROUND" => 1,
-        "SUBSTR" | "SUBSTRING" => 2,
-        _ => 0,
+/// Whether a call to the canonical function `canonical` counts rows:
+/// `COUNT(*)` or `COUNT()`.
+pub(crate) fn is_count_star(canonical: &str, args: &[Expr]) -> bool {
+    canonical == "COUNT" && matches!(args, [Expr::Wildcard] | [])
+}
+
+/// Resolve a call's function name and check its argument count, as SQLite
+/// does at prepare; both engines run this before reading a row. An unknown
+/// name is [`StorageError::Unsupported`]. An aggregate takes exactly one
+/// argument ([`is_count_star`] calls aside), and a scalar function at least
+/// the arguments it reads; any other count is a [`StorageError::TypeError`].
+pub(crate) fn check_call(name: &str, args: &[Expr]) -> StorageResult<&'static str> {
+    let Some(canonical) = canonical_function_name(name) else {
+        return Err(StorageError::Unsupported(format!(
+            "function {} is not supported",
+            name.to_ascii_uppercase()
+        )));
+    };
+    let (fewest, most) = match canonical {
+        _ if is_count_star(canonical, args) => (0, 1),
+        _ if is_aggregate_name(canonical) => (1, 1),
+        "UPPER" | "LOWER" | "LENGTH" | "LEN" | "ABS" | "ROUND" => (1, usize::MAX),
+        "SUBSTR" | "SUBSTRING" => (2, usize::MAX),
+        _ => (0, usize::MAX),
+    };
+    match args.len() {
+        n if n < fewest => Err(missing_arg_error(canonical, n)),
+        n if n > most => Err(StorageError::TypeError(format!(
+            "{canonical} expects exactly {most} argument, got {n}"
+        ))),
+        _ => Ok(canonical),
     }
 }
 

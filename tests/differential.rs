@@ -41,9 +41,9 @@ fn assert_corpus_differential(kind: BenchmarkKind, query_count: usize, seed: u64
 }
 
 /// Every plan the compiler emits for a corpus — at both fast-path settings
-/// — must pass the static verifier with zero violations. Compile failures
-/// are skipped (deferred plan errors are legal); compiled plans must be
-/// sound.
+/// — must pass the static verifier with zero violations. A statement with
+/// a static error fails to compile and has no plan to verify; every plan
+/// that compiles must be sound.
 fn assert_corpus_verifies(kind: BenchmarkKind, query_count: usize, seed: u64) {
     use benchpress_suite::storage::{compile_query, verify_plan, CompileOptions};
     let corpus = GeneratedBenchmark::generate(kind, query_count, seed);
@@ -681,8 +681,8 @@ fn parse(sql: &str) -> benchpress_suite::sql::Query {
 /// A column that no scope binds is rejected before execution by both
 /// engines, wherever it sits — over an empty table, in an unreached
 /// `CASE` arm, inside a correlated subquery that never runs — as SQLite
-/// and PostgreSQL reject it at prepare. A subquery whose *table* does not
-/// resolve stays lazy in both: it fails only if evaluated.
+/// and PostgreSQL reject it at prepare. So is a subquery whose *table*
+/// does not resolve, even where it never runs.
 #[test]
 fn unknown_columns_fail_before_execution_in_both_engines() {
     use benchpress_suite::storage::{compile_query, CompileOptions};
@@ -760,11 +760,148 @@ fn unknown_columns_fail_before_execution_in_both_engines() {
         );
         assert_engines_agree(&edge, sql, "correlated");
     }
-    // An unplannable subquery stays lazy, whatever columns it names.
-    let lazy = "SELECT ID FROM E WHERE EXISTS (SELECT NOPE FROM MISSING)";
+    // An unplannable subquery fails on its table, before its columns.
+    let missing = "SELECT ID FROM E WHERE EXISTS (SELECT NOPE FROM MISSING)";
+    let compiled = compile_query(
+        &empty.snapshot(),
+        &parse(missing),
+        CompileOptions::default(),
+    );
+    assert!(
+        matches!(compiled, Err(StorageError::UnknownTable(_))),
+        "compiler accepts {missing}"
+    );
     for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
-        let result = empty.execute_sql(lazy, ExecOptions::new(strategy));
-        assert!(result.is_ok(), "{strategy:?}: {result:?}");
+        let result = empty.execute_sql(missing, ExecOptions::new(strategy));
+        assert!(
+            matches!(result, Err(StorageError::UnknownTable(_))),
+            "{strategy:?}: {result:?}"
+        );
+    }
+}
+
+/// The edge tables, an empty `E (ID, V)`, and `T (ID, G, NAME)` holding
+/// IDs 0–3 with `G = ID % 2` and `NAME = 'g' || G`.
+fn static_db() -> Database {
+    let mut db = edge_db();
+    db.create_table(TableSchema::new(
+        "E",
+        vec![
+            Column::new("ID", DataType::Integer).primary_key(),
+            Column::new("V", DataType::Text),
+        ],
+    ))
+    .expect("E schema");
+    db.create_table(TableSchema::new(
+        "T",
+        vec![
+            Column::new("ID", DataType::Integer).primary_key(),
+            Column::new("G", DataType::Integer),
+            Column::new("NAME", DataType::Text),
+        ],
+    ))
+    .expect("T schema");
+    let rows = (0..4i64).map(|i| {
+        let g = i % 2;
+        vec![Value::Int(i), Value::Int(g), Value::Text(format!("g{g}"))]
+    });
+    db.insert_into("T", rows).expect("T rows");
+    db
+}
+
+/// Every static error fails at prepare in both engines, with the same
+/// error variant, before a row is read: in a statement over zero groups,
+/// an unreached `CASE` arm, a skipped `COALESCE` tail, an empty input, a
+/// subquery that never runs, and an aggregate given two arguments. SQLite
+/// rejects each of these statements at prepare.
+#[test]
+fn static_errors_fail_before_execution_in_both_engines() {
+    use benchpress_suite::storage::{compile_query, CompileOptions};
+    use std::mem::discriminant;
+    let db = static_db();
+    let snapshot = db.snapshot();
+    for sql in [
+        "SELECT G, SUM(*) FROM T WHERE ID > 100 GROUP BY G",
+        "SELECT CASE WHEN 1 = 0 THEN NOPE_FN(ID) ELSE ID END FROM T",
+        "SELECT COALESCE(ID, NOPE_FN(ID)) FROM T",
+        "SELECT SUBSTR(V) FROM E",
+        "SELECT ID FROM T WHERE 1 = 0 AND EXISTS (SELECT 1 FROM MISSING)",
+        "SELECT SUM(ID, NOPE) FROM T",
+        "SELECT COUNT(ID, G) FROM T",
+    ] {
+        let compiled = compile_query(&snapshot, &parse(sql), CompileOptions::default());
+        let Err(error) = compiled else {
+            panic!("compiler accepts {sql}");
+        };
+        for strategy in [ExecStrategy::Planned, ExecStrategy::Legacy] {
+            let result = db.execute_sql(sql, ExecOptions::new(strategy));
+            assert!(
+                result
+                    .as_ref()
+                    .is_err_and(|e| discriminant(e) == discriminant(&error)),
+                "{strategy:?} on {sql}: {result:?}, compiler: {error:?}"
+            );
+        }
+    }
+    // The one-argument forms run, and agree.
+    let sql = "SELECT SUM(ID), COUNT(ID), COUNT(*) FROM T";
+    let result = db.execute_sql(sql, ExecOptions::default()).expect("runs");
+    assert_eq!(
+        result.rows,
+        vec![vec![Value::Int(6), Value::Int(4), Value::Int(4)]]
+    );
+    assert_engines_agree(&db, sql, "aggregates");
+}
+
+/// A correlated reference compiles to (scope depth, ordinal) once. Each
+/// shape below runs in both engines and agrees: a reference two scopes
+/// out, a name both enclosing scopes bind (the innermost wins), a
+/// correlated subquery in `HAVING` (which reads the group's first row),
+/// and one in a join's residual predicate (hash and nested-loop).
+#[test]
+fn correlated_references_resolve_to_their_scope() {
+    let db = static_db();
+    let run = |sql: &str| {
+        assert_engines_agree(&db, sql, "correlated");
+        db.execute_sql(sql, ExecOptions::default())
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+    };
+    // Two scopes out: `a.ID` inside the innermost subquery.
+    let two_out = run("SELECT ID FROM EDGE_A a WHERE EXISTS \
+         (SELECT 1 FROM EDGE_B b WHERE b.GRP = a.GRP AND EXISTS \
+          (SELECT 1 FROM T c WHERE c.ID = a.ID % 4 AND c.G = b.ID % 2)) ORDER BY ID");
+    assert!(!two_out.rows.is_empty());
+    // `GRP` is bound by `b` (one scope out) and `a` (two out); `b` wins.
+    let shadowed = |grp: &str| {
+        run(&format!(
+            "SELECT ID FROM EDGE_A a WHERE EXISTS \
+             (SELECT 1 FROM EDGE_B b WHERE b.TXT = a.TXT AND EXISTS \
+              (SELECT 1 FROM T c WHERE c.NAME = {grp})) ORDER BY ID"
+        ))
+    };
+    let unqualified = shadowed("GRP");
+    assert_eq!(unqualified, shadowed("b.GRP"));
+    assert_ne!(unqualified, shadowed("a.GRP"), "the shapes must differ");
+    // HAVING: the subquery reads the group's first row.
+    for sql in [
+        "SELECT GRP, COUNT(*) FROM EDGE_A a GROUP BY GRP HAVING EXISTS \
+         (SELECT 1 FROM EDGE_B b WHERE b.GRP = a.GRP AND b.ID < a.ID) ORDER BY GRP",
+        "SELECT GRP, COUNT(*) FROM EDGE_A a GROUP BY GRP HAVING COUNT(*) > \
+         (SELECT COUNT(*) FROM EDGE_B b WHERE b.GRP = a.GRP) ORDER BY GRP",
+        "SELECT a.GRP, (SELECT MAX(b.ID) FROM EDGE_B b WHERE b.ID < a.ID) \
+         FROM EDGE_A a GROUP BY a.GRP ORDER BY a.GRP",
+    ] {
+        run(sql);
+    }
+    // Join residuals reading both join sides from inside a subquery.
+    for sql in [
+        "SELECT a.ID, b.ID FROM EDGE_A a JOIN EDGE_B b ON a.GRP = b.GRP AND EXISTS \
+         (SELECT 1 FROM T c WHERE c.ID = b.ID % 4 AND c.G = a.ID % 2) ORDER BY a.ID, b.ID",
+        "SELECT a.ID, b.ID FROM EDGE_A a LEFT JOIN EDGE_B b ON a.ID < b.ID AND b.ID < 12 \
+         AND b.ID IN (SELECT c.ID + a.ID FROM T c) ORDER BY a.ID, b.ID",
+    ] {
+        let result = run(sql);
+        assert!(!result.rows.is_empty(), "{sql}");
     }
 }
 
