@@ -7,7 +7,7 @@
 //! sides, baseline then contender, each with the JSON key of its time and
 //! its timed runs per round. A side's time is the lower median of its timed
 //! runs after one untimed warm-up; a two-sided entry records `baseline /
-//! contender` under its ratio key and keeps the best of its rounds. Every
+//! contender` under its ratio key and keeps the median of its rounds. Every
 //! byte-identity check runs while its entry is built, before any timing.
 //!
 //! Gate kinds: `Always(target)` is enforced on every machine;
@@ -62,7 +62,7 @@ const JO_SQL: &str = "SELECT jo_a.id, jo_b.id, jo_c.z FROM jo_a \
                       JOIN jo_b ON jo_a.x = jo_b.x JOIN jo_c ON jo_b.y = jo_c.y";
 
 type Facts = Vec<(&'static str, Json)>;
-type Derive<'a> = Box<dyn Fn(&Best) -> Facts + 'a>;
+type Derive<'a> = Box<dyn Fn(&Round) -> Facts + 'a>;
 
 /// How an entry's ratio is judged.
 enum Gate {
@@ -95,7 +95,7 @@ struct Entry<'a> {
     /// `gate_applied`, `measure_rounds` and `meets_target`.
     target_key: Option<&'static str>,
     gate: Gate,
-    /// Facts computed from the best round, recorded after the ratio.
+    /// Facts computed from the kept round, recorded after the ratio.
     derived: Option<Derive<'a>>,
     /// `(label, count)` pairs that must be zero on every machine.
     checks: Vec<(&'static str, u64)>,
@@ -118,10 +118,9 @@ impl Entry<'_> {
     }
 }
 
-/// The best round: each side's time, the ratio, and what the last side's
-/// timed runs (never its warm-up) observed.
-#[derive(Default)]
-struct Best {
+/// One round: each side's time, the ratio, and what the last side's timed
+/// runs (never its warm-up) observed.
+struct Round {
     ms: Vec<f64>,
     ratio: f64,
     observed: Observed,
@@ -138,16 +137,18 @@ fn side<'a, T: 'a>(key: &'static str, runs: usize, mut body: impl FnMut() -> T +
 
 /// Time and judge one entry against the millisecond clock `now`: in each
 /// round every side runs once untimed, then `runs` times timed, and the
-/// round with the best ratio is kept. Prints one line per gate and count;
-/// returns the entry's JSON and their outcomes (`None`: not enforced).
+/// round whose ratio is the (lower) median of the rounds is kept, so noise
+/// cannot lift a gate the way keeping the best round would. Prints one
+/// line per gate and count; returns the entry's JSON and their outcomes
+/// (`None`: not enforced).
 fn run(mut entry: Entry<'_>, cores: usize, now: &dyn Fn() -> f64) -> (Json, Vec<Option<bool>>) {
     let (target, applied) = match entry.gate {
         Gate::Always(target) => (Some(target), true),
         Gate::MinCores(target, min) => (Some(target), cores >= min),
         Gate::Info => (None, false),
     };
-    let mut best = Best::default();
-    for round in 1..=entry.rounds {
+    let mut rounds = Vec::with_capacity(entry.rounds);
+    for _ in 0..entry.rounds.max(1) {
         let (mut ms, mut observed) = (Vec::new(), Observed::default());
         for (_, runs, body) in &mut entry.sides {
             body();
@@ -167,18 +168,22 @@ fn run(mut entry: Entry<'_>, cores: usize, now: &dyn Fn() -> f64) -> (Json, Vec<
             [baseline, contender] => baseline / contender.max(1e-6),
             _ => 0.0,
         };
-        if round == 1 || ratio > best.ratio {
-            (best.ms, best.ratio, best.observed) = (ms, ratio, observed);
-        }
+        rounds.push(Round {
+            ms,
+            ratio,
+            observed,
+        });
     }
+    rounds.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
+    let kept = rounds.swap_remove((rounds.len() - 1) / 2);
     let mut facts = entry.facts;
-    for ((key, ..), ms) in entry.sides.iter().zip(&best.ms) {
+    for ((key, ..), ms) in entry.sides.iter().zip(&kept.ms) {
         facts.push((key, ms.to_value()));
     }
-    if best.ms.len() == 2 {
-        facts.push((entry.ratio_key, best.ratio.to_value()));
+    if kept.ms.len() == 2 {
+        facts.push((entry.ratio_key, kept.ratio.to_value()));
     }
-    facts.extend(entry.derived.map_or(Vec::new(), |derive| derive(&best)));
+    facts.extend(entry.derived.map_or(Vec::new(), |derive| derive(&kept)));
     let mut outcomes = Vec::new();
     let mut report = |line: String, outcome: Option<bool>| {
         let verdict = match outcome {
@@ -190,13 +195,13 @@ fn run(mut entry: Entry<'_>, cores: usize, now: &dyn Fn() -> f64) -> (Json, Vec<
         outcomes.push(outcome);
     };
     if let Some(target) = target {
-        let (meets, rounds) = (applied.then_some(best.ratio >= target), entry.rounds);
+        let (meets, rounds) = (applied.then_some(kept.ratio >= target), entry.rounds);
         if let Some(key) = entry.target_key {
             facts.push((key, target.to_value()));
             facts
                 .extend(facts!(gate_applied: applied, measure_rounds: rounds, meets_target: meets));
         }
-        let ratio = format!("{} {:.2}x", entry.ratio_key, best.ratio);
+        let ratio = format!("{} {:.2}x", entry.ratio_key, kept.ratio);
         report(format!("{ratio}, target {target}x"), meets);
     }
     for (label, count) in entry.checks {
@@ -432,14 +437,14 @@ fn concurrent_read_write(
     };
     // The service's counters cover the whole entry; invalidations are the
     // recompiles the writer forced.
-    let derived = move |best: &Best| {
+    let derived = move |round: &Round| {
         let cache = service.plan_cache();
         let (cache, access) = (cache.stats(), cache.access_stats());
-        let latencies = &best.observed.0;
-        let qps = STATEMENTS as f64 / (best.ms[1] / 1e3).max(1e-9);
+        let latencies = &round.observed.0;
+        let qps = STATEMENTS as f64 / (round.ms[1] / 1e3).max(1e-9);
         let p99 = bp_metrics::percentile(latencies, 99.0);
         facts!(grading_qps_under_writer: qps, p99_latency_ms: p99, latency_samples: latencies.len(),
-               writer_rows: best.observed.1, cache_hits: cache.hits, cache_misses: cache.misses,
+               writer_rows: round.observed.1, cache_hits: cache.hits, cache_misses: cache.misses,
                cache_invalidations: cache.invalidations, access_index_scans: access.index_scan,
                access_full_scans: access.full_scan)
     };
@@ -579,8 +584,8 @@ fn plan_verification<'a>(medium: &GeneratedBenchmark, lookups: &'a Lookups) -> E
         workload.chain(lookup).sum::<usize>()
     };
     let violations = verify_all();
-    let derived = move |best: &Best| {
-        let per_plan_us = best.ms[0] * 1e3 / plans as f64;
+    let derived = move |round: &Round| {
+        let per_plan_us = round.ms[0] * 1e3 / plans as f64;
         facts!(per_plan_us: per_plan_us, violations: violations, meets_target: Json::Null)
     };
     Entry {
@@ -761,7 +766,7 @@ mod tests {
             ],
             rounds: ms[0].len(),
             gate,
-            derived: Some(Box::new(|best| facts!(samples: best.observed.0.len()))),
+            derived: Some(Box::new(|round| facts!(samples: round.observed.0.len()))),
             ..Entry::new("fake", Vec::new())
         };
         run(entry, cores, &|| clock.get())
@@ -791,15 +796,16 @@ mod tests {
     }
 
     #[test]
-    fn best_of_n_keeps_the_best_round_and_only_its_timed_runs() {
+    fn median_of_n_keeps_the_median_round_and_only_its_timed_runs() {
+        // Ratios 2, 10 and 6: the median round is the last, not the best.
         let (json, _) = judge(
             [&[20.0, 20.0, 24.0], &[10.0, 2.0, 4.0]],
             Gate::Always(1.0),
             1,
         );
-        assert_eq!(json.get("baseline_ms"), Some(&Json::Float(20.0)));
-        assert_eq!(json.get("contender_ms"), Some(&Json::Float(2.0)));
-        assert_eq!(json.get("speedup"), Some(&Json::Float(10.0)));
+        assert_eq!(json.get("baseline_ms"), Some(&Json::Float(24.0)));
+        assert_eq!(json.get("contender_ms"), Some(&Json::Float(4.0)));
+        assert_eq!(json.get("speedup"), Some(&Json::Float(6.0)));
         assert_eq!(json.get("measure_rounds"), Some(&Json::UInt(3)));
         // The contender's two timed runs; its warm-up observed a latency
         // too, but does not count.

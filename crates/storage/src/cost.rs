@@ -83,41 +83,38 @@ pub struct OptimizerStats {
     pub syntactic_fallback: u64,
 }
 
-/// Estimated selectivity of a sargable atom directly against a base table —
-/// the compile-time flavour of [`Estimator::atom_selectivity`] used by the
-/// access-path arbiter, where the table is already in hand and the atom's
-/// column ordinal is a table ordinal.
-pub(crate) fn table_atom_selectivity(table: &crate::table::Table, atom: &SargAtom) -> f64 {
-    let stats = table.stats();
+/// Estimated selectivity of a sargable atom over `stats` = (statistics of
+/// the atom's column, row count of the table they describe); `None` when the
+/// column has no statistics, so the fixed guesses apply. The one rule behind
+/// the planner's filter estimates, the access-path arbiter and `explain()`'s
+/// index-scan estimates.
+pub(crate) fn atom_selectivity(stats: Option<(&ColumnStats, usize)>, atom: &SargAtom) -> f64 {
     match atom {
-        SargAtom::Point { col, key } => {
+        SargAtom::Point { key, .. } => {
             if key.is_null() {
                 return 0.0; // NULL never matches an equality.
             }
             stats
-                .column(*col)
-                .map(|cs| cs.point_selectivity(stats.row_count))
+                .map(|(cs, rows)| cs.point_selectivity(rows))
                 .unwrap_or(DEFAULT_POINT_SELECTIVITY)
         }
-        SargAtom::Range { col, lower, upper } => stats
-            .column(*col)
-            .map(|cs| {
+        SargAtom::Range { lower, upper, .. } => stats
+            .map(|(cs, rows)| {
                 cs.range_selectivity(
-                    stats.row_count,
+                    rows,
                     lower.as_ref().map(|(v, _)| v),
                     upper.as_ref().map(|(v, _)| v),
                 )
             })
             .unwrap_or(DEFAULT_PREDICATE_SELECTIVITY),
-        SargAtom::InList { col, keys } => {
+        SargAtom::InList { keys, .. } => {
             let distinct: std::collections::HashSet<String> = keys
                 .iter()
                 .filter(|k| !k.is_null())
                 .map(Value::group_key)
                 .collect();
             let point = stats
-                .column(*col)
-                .map(|cs| cs.point_selectivity(stats.row_count))
+                .map(|(cs, rows)| cs.point_selectivity(rows))
                 .unwrap_or(DEFAULT_POINT_SELECTIVITY);
             (distinct.len() as f64 * point).clamp(0.0, 1.0)
         }
@@ -257,47 +254,12 @@ impl<'a> Estimator<'a> {
                 }
             }
             _ => match sargable_atom(predicate, input.bindings()) {
-                Some(atom) => self.atom_selectivity(&atom, input),
+                Some(atom) => {
+                    let stats = self.column_stats(input, atom.col());
+                    atom_selectivity(stats.as_ref().map(|(cs, rows)| (cs, *rows)), &atom)
+                }
                 None => DEFAULT_PREDICATE_SELECTIVITY,
             },
-        }
-    }
-
-    /// Estimated selectivity of a sargable atom over the rows of `input`.
-    /// Also the quantity the access-path arbitration in the physical
-    /// compiler ranks index candidates by.
-    pub(crate) fn atom_selectivity(&self, atom: &SargAtom, input: &LogicalPlan) -> f64 {
-        match atom {
-            SargAtom::Point { col, key } => {
-                if key.is_null() {
-                    return 0.0; // NULL never matches an equality.
-                }
-                self.column_stats(input, *col)
-                    .map(|(cs, rows)| cs.point_selectivity(rows))
-                    .unwrap_or(DEFAULT_POINT_SELECTIVITY)
-            }
-            SargAtom::Range { col, lower, upper } => self
-                .column_stats(input, *col)
-                .map(|(cs, rows)| {
-                    cs.range_selectivity(
-                        rows,
-                        lower.as_ref().map(|(v, _)| v),
-                        upper.as_ref().map(|(v, _)| v),
-                    )
-                })
-                .unwrap_or(DEFAULT_PREDICATE_SELECTIVITY),
-            SargAtom::InList { col, keys } => {
-                let distinct: std::collections::HashSet<String> = keys
-                    .iter()
-                    .filter(|k| !k.is_null())
-                    .map(Value::group_key)
-                    .collect();
-                let point = self
-                    .column_stats(input, *col)
-                    .map(|(cs, rows)| cs.point_selectivity(rows))
-                    .unwrap_or(DEFAULT_POINT_SELECTIVITY);
-                (distinct.len() as f64 * point).clamp(0.0, 1.0)
-            }
         }
     }
 

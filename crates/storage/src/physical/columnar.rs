@@ -42,7 +42,6 @@ use std::collections::HashMap;
 use bp_sql::JoinOperator;
 
 use crate::error::{StorageError, StorageResult};
-use crate::plan::ColumnBinding;
 use crate::scalar::{combine_set_operation, truth3_col};
 use crate::table::Row;
 use crate::value::Value;
@@ -146,11 +145,11 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             let rows = exec_index_agg(name, specs, ctx)?;
             Ok(rows_to_batches(&rows, specs.len()))
         }
-        PhysNode::ScanCte { name } => {
-            let result = ctx
-                .frame
-                .and_then(|f| f.get(name))
-                .ok_or_else(|| StorageError::UnknownTable(name.clone()))?;
+        PhysNode::ScanCte { depth, idx } => {
+            // Only a miscompile misses; the verifier reports `CteOutOfBounds`.
+            let result = ctx.frame.and_then(|f| f.get(*depth, *idx)).ok_or_else(|| {
+                StorageError::PlanVerification(format!("no CTE {idx} in the plan {depth} out"))
+            })?;
             Ok(rows_to_batches(&result.rows, result.columns.len()))
         }
         PhysNode::ScanDerived { plan } => {
@@ -215,7 +214,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             left_keys,
             right_keys,
             residual,
-            bindings,
+            width,
             right_width,
             build_left,
         } => {
@@ -228,7 +227,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
                 left_keys,
                 right_keys,
                 residual.as_ref(),
-                bindings,
+                *width,
                 *right_width,
                 *build_left,
                 ctx,
@@ -239,7 +238,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             right,
             operator,
             on,
-            bindings,
+            width,
             right_width,
         } => {
             // Non-equi and cross joins are rare: reuse the row operator.
@@ -250,11 +249,11 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
                 &right_rows,
                 *operator,
                 on.as_ref(),
-                bindings,
+                *width,
                 *right_width,
                 ctx,
             )?;
-            Ok(rows_to_batches(&rows, bindings.len()))
+            Ok(rows_to_batches(&rows, *width))
         }
         PhysNode::HashAggregate {
             input,
@@ -263,10 +262,10 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             items,
             visible,
             distinct,
-            bindings,
+            input_width,
         } => {
             let batches = exec_node_col(input, ctx)?;
-            let width = bindings.len();
+            let width = *input_width;
             let mut rows =
                 columnar_hash_aggregate(&batches, group_by, having.as_ref(), items, width, ctx)?;
             if *distinct {
@@ -404,12 +403,12 @@ fn columnar_hash_join(
     left_keys: &[usize],
     right_keys: &[usize],
     residual: Option<&PhysExpr>,
-    bindings: &[ColumnBinding],
+    width: usize,
     right_width: usize,
     build_left: bool,
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Batch>> {
-    let left_width = bindings.len() - right_width;
+    let left_width = width - right_width;
     let right = flatten_batches(right_batches, right_width);
     let right_key_cols: Vec<&ColumnVec> = right_keys
         .iter()
@@ -493,7 +492,7 @@ fn columnar_hash_join(
             Some(predicate) => {
                 let lidx: Vec<u32> = pairs.iter().map(|p| p.0).collect();
                 let ridx: Vec<u32> = pairs.iter().map(|p| p.1).collect();
-                let mut columns = Vec::with_capacity(bindings.len());
+                let mut columns = Vec::with_capacity(width);
                 for c in 0..left_width {
                     columns.push(Arc::new(batch.columns[c].gather(&lidx)));
                 }
@@ -537,7 +536,7 @@ fn columnar_hash_join(
             }
         }
 
-        let mut columns = Vec::with_capacity(bindings.len());
+        let mut columns = Vec::with_capacity(width);
         for c in 0..left_width {
             columns.push(Arc::new(batch.columns[c].gather(&lidx)));
         }
@@ -556,7 +555,7 @@ fn columnar_hash_join(
             .filter(|&ri| !right_matched[ri as usize])
             .collect();
         if !unmatched.is_empty() {
-            let mut columns = Vec::with_capacity(bindings.len());
+            let mut columns = Vec::with_capacity(width);
             for _ in 0..left_width {
                 columns.push(Arc::new(ColumnVec::Any(vec![Value::Null; unmatched.len()])));
             }

@@ -1,10 +1,12 @@
 //! Lowering from logical plans to physical operator trees.
 //!
-//! Compilation resolves every column reference to an ordinal exactly once
-//! (see [`super::expr`]), chooses hash vs nested-loop joins from the
-//! logical plan's extracted equi-keys, plans + compiles expression
-//! subqueries recursively, and computes each subquery's cacheability
-//! (uncorrelated and free of reads from enclosing CTE scopes).
+//! Compilation resolves every name exactly once: a column reference to an
+//! ordinal (see [`super::expr`]), a CTE reference to the (plan depth,
+//! position) of its definition. It records widths, not binding lists,
+//! chooses hash vs nested-loop joins from the logical plan's extracted
+//! equi-keys, plans + compiles expression subqueries recursively, and
+//! computes each subquery's cacheability (uncorrelated and free of reads
+//! from enclosing CTE scopes).
 //!
 //! Every static error is a compile error wherever it sits, as SQLite and
 //! PostgreSQL reject such a statement at prepare: a column reference that
@@ -14,14 +16,14 @@
 //! resolve. A correlated reference compiles to the depth of the innermost
 //! enclosing scope that binds it and its ordinal there.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use bp_sql::{column_ref, split_conjuncts, Expr, Query};
 
 use crate::error::{StorageError, StorageResult};
 use crate::plan::{
-    and_join, benign, resolve_binding, sarg_column, sargable_atom, ColumnBinding, LogicalPlan,
-    Planner, QueryPlan, SargAtom, Scan, ScanSource,
+    and_join, benign, resolve_binding, sarg_column, sargable_atom, ColumnBinding, CteScope,
+    LogicalPlan, Planner, QueryPlan, SargAtom, Scan, ScanSource,
 };
 use crate::scalar::{check_call, is_aggregate_name, is_count_star, literal_value};
 use crate::snapshot::Snapshot;
@@ -34,9 +36,10 @@ use super::{AccessPathStats, AggSpec, IndexAccess, PhysNode, PhysQueryPlan};
 
 pub(crate) struct Compiler<'a> {
     db: &'a Snapshot,
-    /// CTE name frames mirrored from the planner: name → output columns.
-    /// Needed to plan subqueries discovered inside expressions.
-    frames: Vec<HashMap<String, Vec<String>>>,
+    /// One CTE scope per plan being compiled, innermost last, mirroring
+    /// the planner's: a CTE scan resolves here to (frames out, position),
+    /// and subqueries discovered inside expressions are planned against it.
+    frames: Vec<CteScope>,
     /// Row scopes of the expressions enclosing the subquery being
     /// compiled, outermost first: where a correlated reference may bind.
     scopes: Vec<Vec<ColumnBinding>>,
@@ -94,7 +97,7 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_query_plan(&mut self, plan: &QueryPlan) -> StorageResult<PhysQueryPlan> {
-        self.frames.push(HashMap::new());
+        self.frames.push(Vec::new());
         let result = self.compile_query_plan_inner(plan);
         self.frames.pop();
         result
@@ -107,7 +110,7 @@ impl<'a> Compiler<'a> {
             self.frames
                 .last_mut()
                 .expect("frame pushed by compile_query_plan")
-                .insert(name.clone(), sub.columns.clone());
+                .push((name.clone(), sub.columns.clone()));
             ctes.push((name.clone(), phys));
         }
         let root = self.compile_node(&plan.root)?;
@@ -134,7 +137,19 @@ impl<'a> Compiler<'a> {
                 }
                 ScanSource::Cte { name, depth } => {
                     self.min_cte_depth = self.min_cte_depth.min(*depth);
-                    Ok(PhysNode::ScanCte { name: name.clone() })
+                    // Innermost frame first, and within a frame the last
+                    // definition: the planner's shadowing rule.
+                    let (depth, idx) = self
+                        .frames
+                        .iter()
+                        .rev()
+                        .enumerate()
+                        .find_map(|(depth, frame)| {
+                            let idx = frame.iter().rposition(|(cte, _)| cte == name)?;
+                            Some((depth, idx))
+                        })
+                        .ok_or_else(|| StorageError::UnknownTable(name.clone()))?;
+                    Ok(PhysNode::ScanCte { depth, idx })
                 }
                 ScanSource::Derived(sub) => Ok(PhysNode::ScanDerived {
                     plan: Box::new(self.compile_query_plan(sub)?),
@@ -142,24 +157,23 @@ impl<'a> Compiler<'a> {
                 ScanSource::Empty => Ok(PhysNode::ScanEmpty),
             },
             LogicalPlan::Filter { input, predicate } => {
-                let bindings = input.bindings().to_vec();
+                let bindings = input.bindings();
                 if self.fast_paths {
                     if let LogicalPlan::Scan(Scan {
                         source: ScanSource::Table(name),
                         ..
                     }) = input.as_ref()
                     {
-                        if let Some(node) = self.try_index_filter(name, predicate, &bindings)? {
+                        if let Some(node) = self.try_index_filter(name, predicate, bindings)? {
                             return Ok(node);
                         }
                     }
                 }
                 let compiled_input = self.compile_node(input)?;
-                let predicate = self.compile_expr(predicate, &bindings)?;
+                let predicate = self.compile_expr(predicate, bindings)?;
                 Ok(PhysNode::Filter {
                     input: Box::new(compiled_input),
                     predicate,
-                    bindings,
                 })
             }
             LogicalPlan::Join {
@@ -170,27 +184,26 @@ impl<'a> Compiler<'a> {
                 residual,
                 bindings,
             } => {
-                let right_width = right.bindings().len();
+                let (width, right_width) = (bindings.len(), right.bindings().len());
                 let compiled_left = self.compile_node(left)?;
                 let compiled_right = self.compile_node(right)?;
-                let bindings = bindings.clone();
                 if equi_keys.is_empty() {
                     let on = residual
                         .as_ref()
-                        .map(|e| self.compile_expr(e, &bindings))
+                        .map(|e| self.compile_expr(e, bindings))
                         .transpose()?;
                     Ok(PhysNode::NestedLoopJoin {
                         left: Box::new(compiled_left),
                         right: Box::new(compiled_right),
                         operator: *operator,
                         on,
-                        bindings,
+                        width,
                         right_width,
                     })
                 } else {
                     let residual = residual
                         .as_ref()
-                        .map(|e| self.compile_expr(e, &bindings))
+                        .map(|e| self.compile_expr(e, bindings))
                         .transpose()?;
                     let (left_keys, right_keys) = equi_keys.iter().copied().unzip();
                     // Cost-based build-side selection: build the hash table
@@ -210,7 +223,7 @@ impl<'a> Compiler<'a> {
                         left_keys,
                         right_keys,
                         residual,
-                        bindings,
+                        width,
                         right_width,
                         build_left,
                     })
@@ -222,11 +235,11 @@ impl<'a> Compiler<'a> {
                 names,
                 distinct,
             } => {
-                let bindings = input.bindings().to_vec();
+                let bindings = input.bindings();
                 let mut compiled_input = self.compile_node(input)?;
                 let items = items
                     .iter()
-                    .map(|e| self.compile_expr(e, &bindings))
+                    .map(|e| self.compile_expr(e, bindings))
                     .collect::<StorageResult<Vec<_>>>()?;
                 if self.fast_paths {
                     prune_scan_columns(&mut compiled_input, &items);
@@ -236,7 +249,6 @@ impl<'a> Compiler<'a> {
                     items,
                     visible: names.len(),
                     distinct: *distinct,
-                    bindings,
                 })
             }
             LogicalPlan::Aggregate {
@@ -247,7 +259,7 @@ impl<'a> Compiler<'a> {
                 names,
                 distinct,
             } => {
-                let bindings = input.bindings().to_vec();
+                let bindings = input.bindings();
                 if self.fast_paths
                     && group_by.is_empty()
                     && having.is_none()
@@ -259,7 +271,7 @@ impl<'a> Compiler<'a> {
                         ..
                     }) = input.as_ref()
                     {
-                        if let Some(specs) = index_agg_specs(items, &bindings) {
+                        if let Some(specs) = index_agg_specs(items, bindings) {
                             // A NaN-poisoned spec column declines the whole
                             // fast path: the hash aggregate is the exact
                             // semantics.
@@ -286,15 +298,15 @@ impl<'a> Compiler<'a> {
                 let compiled_input = self.compile_node(input)?;
                 let group_by = group_by
                     .iter()
-                    .map(|e| self.compile_expr(e, &bindings))
+                    .map(|e| self.compile_expr(e, bindings))
                     .collect::<StorageResult<Vec<_>>>()?;
                 let having = having
                     .as_ref()
-                    .map(|e| self.compile_expr(e, &bindings))
+                    .map(|e| self.compile_expr(e, bindings))
                     .transpose()?;
                 let items = items
                     .iter()
-                    .map(|e| self.compile_expr(e, &bindings))
+                    .map(|e| self.compile_expr(e, bindings))
                     .collect::<StorageResult<Vec<_>>>()?;
                 Ok(PhysNode::HashAggregate {
                     input: Box::new(compiled_input),
@@ -303,7 +315,7 @@ impl<'a> Compiler<'a> {
                     items,
                     visible: names.len(),
                     distinct: *distinct,
-                    bindings,
+                    input_width: bindings.len(),
                 })
             }
             LogicalPlan::Sort { input, keys } => Ok(PhysNode::Sort {
@@ -422,9 +434,11 @@ impl<'a> Compiler<'a> {
             .collect();
         let chosen = if self.cost_based {
             let mut best: Option<(usize, f64)> = None;
+            let stats = table.stats();
             for &i in &preference {
                 if let Some(atom) = &atoms[i] {
-                    let sel = crate::cost::table_atom_selectivity(table, atom);
+                    let column = stats.column(atom.col()).map(|cs| (cs, stats.row_count));
+                    let sel = crate::cost::atom_selectivity(column, atom);
                     if best.is_none_or(|(_, s)| sel < s) {
                         best = Some((i, sel));
                     }
@@ -441,13 +455,8 @@ impl<'a> Compiler<'a> {
         let Some(chosen) = chosen else {
             return Ok(None);
         };
-        let (col, access) = match atoms[chosen].clone().expect("chosen atom exists") {
-            SargAtom::Point { col, key } => (col, IndexAccess::Point { col, key }),
-            SargAtom::Range { col, lower, upper } => {
-                (col, IndexAccess::Range { col, lower, upper })
-            }
-            SargAtom::InList { col, keys } => (col, IndexAccess::InList { col, keys }),
-        };
+        let atom = atoms[chosen].clone().expect("chosen atom exists");
+        let col = atom.col();
         // NaN breaks the coincidence between index order / `group_key`
         // equality and the scan kernels, and the executor has no fallback:
         // a NaN-poisoned column keeps the scan + filter plan.
@@ -457,7 +466,7 @@ impl<'a> Compiler<'a> {
         self.index_scans += 1;
         let scan = PhysNode::IndexScan {
             name: name.to_string(),
-            access,
+            access: IndexAccess::Atom(atom),
             cols: None,
         };
         // Conjuncts the index does not answer stay as a residual filter
@@ -474,7 +483,6 @@ impl<'a> Compiler<'a> {
                 Ok(Some(PhysNode::Filter {
                     input: Box::new(scan),
                     predicate,
-                    bindings: bindings.to_vec(),
                 }))
             }
             None => Ok(Some(scan)),
@@ -533,7 +541,6 @@ impl<'a> Compiler<'a> {
                     plan: Box::new(plan),
                     negated: false,
                 },
-                bindings: bindings.to_vec(),
             }));
         }
         self.index_scans += 1;

@@ -6,7 +6,8 @@
 //! build sides — annotated with the cost model's per-node estimated row
 //! counts. The estimates are re-derived here from the same table statistics
 //! the optimizer read, so the rendering shows *why* a choice was made, not
-//! just which one.
+//! just which one. A CTE scan compiles to an ordinal; its name is read back
+//! from the CTE lists of the plans the renderer walks through.
 //!
 //! The renderer is the debugging surface for the optimizer test suites:
 //! differential and benchmark assertions include `explain()` output in their
@@ -46,20 +47,34 @@ impl PhysQueryPlan {
             let _ = write!(out, " actual_rows={actual}");
         }
         out.push('\n');
+        let mut out = Out {
+            text: out,
+            frames: Vec::new(),
+        };
         render_plan(self, db, 0, &mut out);
-        out
+        out.text
     }
 }
 
-fn render_plan(plan: &PhysQueryPlan, db: &Snapshot, depth: usize, out: &mut String) {
+/// The rendering so far, and the CTE lists of the plans enclosing the node
+/// being rendered, innermost last: what a [`PhysNode::ScanCte`] ordinal
+/// names.
+struct Out<'p> {
+    text: String,
+    frames: Vec<&'p [(String, PhysQueryPlan)]>,
+}
+
+fn render_plan<'p>(plan: &'p PhysQueryPlan, db: &Snapshot, depth: usize, out: &mut Out<'p>) {
+    out.frames.push(&plan.ctes);
     for (name, cte) in &plan.ctes {
         line(out, depth, &format!("cte {name}"));
         render_plan(cte, db, depth + 1, out);
     }
     render_node(&plan.root, db, depth, out);
+    out.frames.pop();
 }
 
-fn render_node(node: &PhysNode, db: &Snapshot, depth: usize, out: &mut String) {
+fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Out<'p>) {
     let est = match node_est(node, db) {
         Some(rows) => format!(" est={}", rows.round().max(0.0)),
         None => String::new(),
@@ -86,7 +101,12 @@ fn render_node(node: &PhysNode, db: &Snapshot, depth: usize, out: &mut String) {
                 &format!("IndexAgg {name} specs={}", specs.len()),
             );
         }
-        PhysNode::ScanCte { name } => line(out, depth, &format!("ScanCte {name}")),
+        PhysNode::ScanCte { depth: up, idx } => {
+            let frame = out.frames.iter().rev().nth(*up);
+            let name = frame.and_then(|ctes| ctes.get(*idx));
+            let name = name.map_or("?", |(name, _)| name.as_str());
+            line(out, depth, &format!("ScanCte {name}"));
+        }
         PhysNode::ScanDerived { plan } => {
             line(out, depth, "ScanDerived");
             render_plan(plan, db, depth + 1, out);
@@ -198,12 +218,12 @@ fn render_node(node: &PhysNode, db: &Snapshot, depth: usize, out: &mut String) {
     }
 }
 
-fn line(out: &mut String, depth: usize, text: &str) {
+fn line(out: &mut Out<'_>, depth: usize, text: &str) {
     for _ in 0..depth {
-        out.push_str("  ");
+        out.text.push_str("  ");
     }
-    out.push_str(text);
-    out.push('\n');
+    out.text.push_str(text);
+    out.text.push('\n');
 }
 
 fn mask(cols: &Option<Vec<usize>>) -> String {
@@ -221,13 +241,15 @@ fn mask(cols: &Option<Vec<usize>>) -> String {
 
 fn render_access(access: &IndexAccess) -> String {
     match access {
-        IndexAccess::Point { col, .. } => format!("Point(col {col})"),
-        IndexAccess::Range { col, lower, upper } => format!(
+        IndexAccess::Atom(SargAtom::Point { col, .. }) => format!("Point(col {col})"),
+        IndexAccess::Atom(SargAtom::Range { col, lower, upper }) => format!(
             "Range(col {col}, {}..{})",
             if lower.is_some() { "lo" } else { "" },
             if upper.is_some() { "hi" } else { "" }
         ),
-        IndexAccess::InList { col, keys } => format!("InList(col {col}, {} keys)", keys.len()),
+        IndexAccess::Atom(SargAtom::InList { col, keys }) => {
+            format!("InList(col {col}, {} keys)", keys.len())
+        }
         IndexAccess::InSubquery { col, .. } => format!("InSubquery(col {col})"),
     }
 }
@@ -240,25 +262,13 @@ fn node_est(node: &PhysNode, db: &Snapshot) -> Option<f64> {
     match node {
         PhysNode::ScanTable { name, .. } => Some(db.table(name)?.row_count() as f64),
         PhysNode::IndexScan { name, access, .. } => {
-            let table = db.table(name)?;
-            let rows = table.row_count() as f64;
-            let atom = match access {
-                IndexAccess::Point { col, key } => SargAtom::Point {
-                    col: *col,
-                    key: key.clone(),
-                },
-                IndexAccess::Range { col, lower, upper } => SargAtom::Range {
-                    col: *col,
-                    lower: lower.clone(),
-                    upper: upper.clone(),
-                },
-                IndexAccess::InList { col, keys } => SargAtom::InList {
-                    col: *col,
-                    keys: keys.clone(),
-                },
-                IndexAccess::InSubquery { .. } => return None,
+            let IndexAccess::Atom(atom) = access else {
+                return None;
             };
-            Some(rows * cost::table_atom_selectivity(table, &atom))
+            let table = db.table(name)?;
+            let stats = table.stats();
+            let column = stats.column(atom.col()).map(|cs| (cs, stats.row_count));
+            Some(table.row_count() as f64 * cost::atom_selectivity(column, atom))
         }
         PhysNode::IndexAgg { .. } => Some(1.0),
         PhysNode::Filter { input, .. } => {
@@ -274,9 +284,9 @@ fn node_est(node: &PhysNode, db: &Snapshot) -> Option<f64> {
         PhysNode::NestedLoopJoin { left, right, .. } => {
             Some(node_est(left, db)? * node_est(right, db)?)
         }
-        PhysNode::HashAggregate { input, .. } => {
-            Some((node_est(input, db)? / 10.0).max(1.0).floor())
-        }
+        // As `cost::Estimator::rows`: one row without GROUP BY, else 10:1.
+        PhysNode::HashAggregate { group_by, .. } if group_by.is_empty() => Some(1.0),
+        PhysNode::HashAggregate { input, .. } => Some((node_est(input, db)? / 10.0).max(1.0)),
         PhysNode::Project { input, .. }
         | PhysNode::Sort { input, .. }
         | PhysNode::TopK { input, .. }
@@ -334,5 +344,48 @@ mod tests {
             with_actual.contains("actual_rows=41"),
             "actual row count in header:\n{with_actual}"
         );
+    }
+
+    #[test]
+    fn aggregate_root_estimate_matches_the_header() {
+        let mut db = Database::new("explain-agg");
+        db.create_table(TableSchema::new(
+            "t",
+            vec![
+                Column::new("id", DataType::Integer).primary_key(),
+                Column::new("v", DataType::Integer),
+            ],
+        ))
+        .unwrap();
+        db.insert_into(
+            "t",
+            (0..4096).map(|i| vec![Value::Int(i), Value::Int(i % 64)]),
+        )
+        .unwrap();
+        let snapshot = db.snapshot();
+        // No GROUP BY (one row), and GROUP BY over 4,096 and 1,024 input
+        // rows (409.6 and 102.4: the estimate rounds, like the header).
+        for sql in [
+            "SELECT COUNT(*) FROM t WHERE v + 1 > 3",
+            "SELECT v, COUNT(*) FROM t GROUP BY v",
+            "SELECT v, COUNT(*) FROM t WHERE v + 1 > 3 GROUP BY v",
+        ] {
+            let query = parse_query(sql).unwrap();
+            let plan = compile_query(&snapshot, &query, CompileOptions::default()).unwrap();
+            let rendered = plan.explain(&snapshot);
+            let mut lines = rendered.lines();
+            let header = lines.next().unwrap();
+            let root = lines.next().unwrap();
+            assert!(root.starts_with("HashAggregate"), "{sql}:\n{rendered}");
+            let field = |line: &str, key: &str| {
+                let value = line.split(key).nth(1).unwrap_or_default();
+                value.split(' ').next().unwrap_or_default().to_string()
+            };
+            assert_eq!(
+                field(header, "est_rows="),
+                field(root, " est="),
+                "{sql}:\n{rendered}"
+            );
+        }
     }
 }

@@ -9,7 +9,6 @@
 use bp_sql::JoinOperator;
 
 use crate::error::StorageResult;
-use crate::plan::ColumnBinding;
 use crate::table::Row;
 use crate::value::Value;
 
@@ -37,7 +36,7 @@ pub(super) fn nested_loop_join(
     right_rows: &[Row],
     operator: JoinOperator,
     on: Option<&PhysExpr>,
-    bindings: &[ColumnBinding],
+    width: usize,
     right_width: usize,
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Row>> {
@@ -73,7 +72,7 @@ pub(super) fn nested_loop_join(
         }
     }
     if track_right {
-        let left_width = bindings.len() - right_width;
+        let left_width = width - right_width;
         for (ri, rrow) in right_rows.iter().enumerate() {
             if !right_matched[ri] {
                 rows.push(pad_left(left_width, rrow));

@@ -12,8 +12,9 @@
 //!   too, as a (scope depth, ordinal) pair — and raises every static error
 //!   (unknown column, table, function or arity, bare `*`) before a row is
 //!   read;
-//! * chains CTE scopes by **parent pointer** instead of cloning
-//!   materialized CTE results into every subquery;
+//! * reads a CTE by **(plan depth, position)**, through frames chained by
+//!   parent pointer, instead of cloning materialized CTE results into
+//!   every subquery;
 //! * **caches uncorrelated subquery results** instead of re-executing them
 //!   per row;
 //! * evaluates pushed-down filters before joins instead of after.
@@ -36,12 +37,12 @@ mod join;
 pub(crate) mod parallel;
 pub(crate) mod verify;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use bp_sql::{Query, SetOperator};
 
 use crate::error::{StorageError, StorageResult};
-use crate::plan::{ColumnBinding, Planner, SortKey};
+use crate::plan::{Planner, SargAtom, SortKey};
 use crate::result::QueryResult;
 use crate::scalar::composite_key;
 use crate::snapshot::Snapshot;
@@ -152,7 +153,8 @@ impl Default for CompileOptions {
 /// the returned [`PhysQueryPlan`]. [`CompileOptions`] toggles the
 /// result-invisible plan transformations, so tests and benchmarks can pin
 /// (and time) the *same* query with index fast paths or cost-based join
-/// ordering switched off, without relying on a second engine.
+/// ordering switched off, without relying on a second engine. A logical
+/// plan that [`verify_logical`] rejects fails with `PlanVerification`.
 pub fn compile_query(
     db: &Snapshot,
     query: &Query,
@@ -160,23 +162,22 @@ pub fn compile_query(
 ) -> StorageResult<PhysQueryPlan> {
     let mut planner = Planner::new(db).with_cost_based(options.cost_based);
     let logical = planner.plan(query)?;
-    // Debug builds verify every plan both before and after compilation, so
-    // the whole test suite — the differential corpora in particular —
-    // doubles as a verifier stress test (see `ci.sh`'s gate notes).
-    #[cfg(debug_assertions)]
-    {
-        let violations = verify::verify_logical(db, &logical);
-        assert!(
-            violations.is_empty(),
-            "planner emitted an invalid logical plan:\n{}\nplan:\n{logical}",
-            verify::render_violations(&violations),
-        );
+    // Verified in every build: the logical plan is the last place the names
+    // exist, so its checks (the join-binding invariant) cannot move later.
+    let violations = verify::verify_logical(db, &logical);
+    if !violations.is_empty() {
+        return Err(StorageError::PlanVerification(verify::render_violations(
+            &violations,
+        )));
     }
     let mut plan = Compiler::with_options(db, options).compile(&logical)?;
     plan.optimizer = planner.optimizer_stats();
     plan.est_rows = Some(est_to_u64(
         crate::cost::Estimator::new(db).query_rows(&logical),
     ));
+    // Debug builds also verify the compiled plan, so the whole test suite —
+    // the differential corpora in particular — doubles as a verifier
+    // stress test (see `ci.sh`'s gate notes).
     #[cfg(debug_assertions)]
     {
         let violations = verify::verify_plan(db, &plan);
@@ -290,17 +291,9 @@ impl PhysQueryPlan {
 /// `total_cmp` order / `group_key` equality and the scan kernels' per-row
 /// semantics, so such a column keeps the scan + filter plan instead.
 pub(crate) enum IndexAccess {
-    /// `col = literal`: hash-index point lookup.
-    Point { col: usize, key: Value },
-    /// `col </<=/>/>= literal` or `col BETWEEN lit AND lit`: ordered-index
-    /// range scan. Both bounds always originate from a *single* conjunct.
-    Range {
-        col: usize,
-        lower: Option<(Value, bool)>,
-        upper: Option<(Value, bool)>,
-    },
-    /// `col IN (literals)`: hash-index multi-probe.
-    InList { col: usize, keys: Vec<Value> },
+    /// A sargable conjunct: a hash-index point lookup or multi-probe, or an
+    /// ordered-index range scan.
+    Atom(SargAtom),
     /// `col IN (uncorrelated subquery)`: run the subquery (at most) once
     /// and hash-probe its first column. Executed lazily — only when the
     /// column has a non-NULL value — because the per-row evaluator runs the
@@ -327,10 +320,9 @@ pub(crate) enum AggSpec {
     Max(usize),
 }
 
-/// A compiled physical operator. Operators that evaluate expressions keep
-/// the input bindings the compiler resolved their names against; execution
-/// reads only their count, and the verifier checks them against the input
-/// arity and the join children's bindings.
+/// A compiled physical operator. It resolves no name: columns and CTEs are
+/// ordinals, widths are numbers, and the names stay in the logical plan,
+/// where [`verify_logical`] checks them.
 pub(crate) enum PhysNode {
     ScanTable {
         name: String,
@@ -355,8 +347,11 @@ pub(crate) enum PhysNode {
         name: String,
         specs: Vec<AggSpec>,
     },
+    /// The materialized result of CTE `idx` of the plan `depth` plans out
+    /// (0 = the plan this node belongs to).
     ScanCte {
-        name: String,
+        depth: usize,
+        idx: usize,
     },
     ScanDerived {
         plan: Box<PhysQueryPlan>,
@@ -365,14 +360,14 @@ pub(crate) enum PhysNode {
     Filter {
         input: Box<PhysNode>,
         predicate: PhysExpr,
-        bindings: Vec<ColumnBinding>,
     },
     NestedLoopJoin {
         left: Box<PhysNode>,
         right: Box<PhysNode>,
         operator: bp_sql::JoinOperator,
         on: Option<PhysExpr>,
-        bindings: Vec<ColumnBinding>,
+        /// Output width: the left input's arity plus `right_width`.
+        width: usize,
         right_width: usize,
     },
     HashJoin {
@@ -382,7 +377,7 @@ pub(crate) enum PhysNode {
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
         residual: Option<PhysExpr>,
-        bindings: Vec<ColumnBinding>,
+        width: usize,
         right_width: usize,
         /// Build the hash table on the *left* input instead of the right —
         /// chosen by the compiler when the cost model estimates the left
@@ -395,7 +390,6 @@ pub(crate) enum PhysNode {
         items: Vec<PhysExpr>,
         visible: usize,
         distinct: bool,
-        bindings: Vec<ColumnBinding>,
     },
     HashAggregate {
         input: Box<PhysNode>,
@@ -404,7 +398,8 @@ pub(crate) enum PhysNode {
         items: Vec<PhysExpr>,
         visible: usize,
         distinct: bool,
-        bindings: Vec<ColumnBinding>,
+        /// Input arity: an empty global group's row is that many NULLs.
+        input_width: usize,
     },
     Sort {
         input: Box<PhysNode>,
@@ -438,17 +433,21 @@ pub(crate) enum PhysNode {
 // Runtime context
 // ---------------------------------------------------------------------
 
-/// One level of materialized CTE results, chained by parent pointer.
+/// One executing plan's materialized CTE results, in definition order,
+/// chained by parent pointer to the enclosing plans' frames.
 pub(crate) struct CteFrame<'a> {
-    local: &'a HashMap<String, QueryResult>,
+    local: &'a [QueryResult],
     parent: Option<&'a CteFrame<'a>>,
 }
 
 impl CteFrame<'_> {
-    fn get(&self, name: &str) -> Option<&QueryResult> {
-        self.local
-            .get(name)
-            .or_else(|| self.parent.and_then(|p| p.get(name)))
+    /// CTE `idx` of the frame `depth` frames out.
+    fn get(&self, depth: usize, idx: usize) -> Option<&QueryResult> {
+        let mut frame = self;
+        for _ in 0..depth {
+            frame = frame.parent?;
+        }
+        frame.local.get(idx)
     }
 }
 
@@ -475,8 +474,9 @@ pub(crate) fn exec_query_plan(
     plan: &PhysQueryPlan,
     ctx: &RunCtx<'_>,
 ) -> StorageResult<QueryResult> {
-    let mut local: HashMap<String, QueryResult> = HashMap::new();
-    for (name, sub) in &plan.ctes {
+    // Each CTE runs over the results before it, then the root over all.
+    let mut local = Vec::with_capacity(plan.ctes.len());
+    let mut rows = loop {
         let frame = CteFrame {
             local: &local,
             parent: ctx.frame,
@@ -485,18 +485,14 @@ pub(crate) fn exec_query_plan(
             frame: Some(&frame),
             ..*ctx
         };
-        let result = exec_query_plan(sub, &sub_ctx)?;
-        local.insert(name.clone(), result);
-    }
-    let frame = CteFrame {
-        local: &local,
-        parent: ctx.frame,
+        match plan.ctes.get(local.len()) {
+            Some((_, sub)) => {
+                let result = exec_query_plan(sub, &sub_ctx)?;
+                local.push(result);
+            }
+            None => break columnar::exec_node_rows(&plan.root, &sub_ctx)?,
+        }
     };
-    let sub_ctx = RunCtx {
-        frame: Some(&frame),
-        ..*ctx
-    };
-    let mut rows = columnar::exec_node_rows(&plan.root, &sub_ctx)?;
     // Strip hidden sort-key columns.
     let visible = plan.columns.len();
     for row in &mut rows {
@@ -524,14 +520,20 @@ pub(crate) fn index_scan_ids(
 ) -> StorageResult<Vec<u32>> {
     let rows = table.rows();
     match access {
-        IndexAccess::Point { col, key } => Ok(table.secondary_index(*col).point(key).to_vec()),
-        IndexAccess::Range { col, lower, upper } => Ok(table.secondary_index(*col).range(
-            rows,
-            *col,
-            lower.as_ref().map(|(v, i)| (v, *i)),
-            upper.as_ref().map(|(v, i)| (v, *i)),
-        )),
-        IndexAccess::InList { col, keys } => Ok(table.secondary_index(*col).probe(keys.iter())),
+        IndexAccess::Atom(SargAtom::Point { col, key }) => {
+            Ok(table.secondary_index(*col).point(key).to_vec())
+        }
+        IndexAccess::Atom(SargAtom::Range { col, lower, upper }) => {
+            Ok(table.secondary_index(*col).range(
+                rows,
+                *col,
+                lower.as_ref().map(|(v, i)| (v, *i)),
+                upper.as_ref().map(|(v, i)| (v, *i)),
+            ))
+        }
+        IndexAccess::Atom(SargAtom::InList { col, keys }) => {
+            Ok(table.secondary_index(*col).probe(keys.iter()))
+        }
         IndexAccess::InSubquery { col, plan } => {
             let idx = table.secondary_index(*col);
             // Lazy like the per-row evaluator: with no non-NULL needle in

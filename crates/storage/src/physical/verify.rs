@@ -12,7 +12,8 @@
 //!   arity (including `LIMIT`/`OFFSET` expressions, which are compiled in
 //!   an empty scope and may therefore never contain a resolved column), and
 //!   every correlated reference names an enclosing scope and an ordinal in
-//!   bounds for that scope's arity;
+//!   bounds for that scope's arity, and every CTE scan names an enclosing
+//!   plan and a CTE that plan has already materialized;
 //! * projection-pruned scans appear only where the compiler may legally
 //!   place them, and every consumer expression is vectorizable and reads
 //!   only unpruned columns (a pruned "loud placeholder" slot read by a
@@ -26,9 +27,12 @@
 //!   equality diverge from the scan kernels' per-row semantics — the
 //!   executor has no fallback, so this precondition is what keeps it exact;
 //! * join and aggregate structure is sound: hash-join key lists have equal
-//!   non-zero arity with in-bounds ordinals on each side, output bindings
-//!   cover exactly the combined input arity, sort keys are in bounds, and
-//!   `visible` never exceeds the projected item count.
+//!   non-zero arity with in-bounds ordinals on each side, every recorded
+//!   width (a join's output and right widths, an aggregate's input width)
+//!   equals the arity its inputs produce, sort keys are in bounds, and
+//!   `visible` never exceeds the projected item count;
+//! * names agree where they still exist, in the logical plan: a join's
+//!   output bindings are its children's bindings, concatenated.
 //!
 //! Both walkers carry only each operator's output *arity* up the tree: no
 //! check needs more than a column's position, and the probe-family check
@@ -39,18 +43,20 @@
 //! is allowed — required — to emit plans for. The verifier rejects only
 //! trees the compiler can never produce from legal SQL.
 //!
-//! Wiring: [`super::compile_query`] asserts both passes on every
-//! compile in debug builds (so the whole differential suite doubles as a
-//! verifier stress test), [`crate::prepared::PreparedQuery`] runs
-//! [`verify_plan`] always-on at first compile inside the plan cache, and
-//! the public entry points below serve external callers and tests.
+//! Wiring: [`super::compile_query`] runs [`verify_logical`] on every
+//! compile in every build and fails with
+//! [`crate::StorageError::PlanVerification`], and asserts [`verify_plan`]
+//! in debug builds (so the whole differential suite doubles as a verifier
+//! stress test); [`crate::prepared::PreparedQuery`] runs [`verify_plan`]
+//! always-on at first compile inside the plan cache, and the public entry
+//! points below serve external callers and tests.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use bp_sql::DataType;
 
-use crate::plan::{ColumnBinding, LogicalPlan, QueryPlan, Scan, ScanSource, SortKey};
+use crate::plan::{ColumnBinding, LogicalPlan, QueryPlan, SargAtom, Scan, ScanSource, SortKey};
 use crate::snapshot::Snapshot;
 use crate::value::Value;
 
@@ -140,12 +146,23 @@ pub enum PlanViolation {
         /// The unresolved table name.
         name: String,
     },
-    /// A CTE scan names a CTE no enclosing plan defines.
+    /// A logical CTE scan names a CTE no enclosing plan defines.
     UnknownCte {
         /// Operator path from the plan root.
         path: String,
         /// The unresolved CTE name.
         name: String,
+    },
+    /// A physical CTE scan reads past the CTEs around it: no plan sits
+    /// `depth` plans out, or that plan has not materialized CTE `idx` by the
+    /// time the scan runs.
+    CteOutOfBounds {
+        /// Operator path from the plan root.
+        path: String,
+        /// How many plans out the scan reads.
+        depth: usize,
+        /// The CTE's position in that plan's CTE list.
+        idx: usize,
     },
     /// An index access path targets a column ordinal outside the table's
     /// schema.
@@ -209,11 +226,12 @@ pub enum PlanViolation {
         /// The width the join recorded.
         found: usize,
     },
-    /// A join's output bindings are not the concatenation of its children's
-    /// bindings. Every join algorithm emits left columns then right columns,
-    /// so this must hold for *any* association tree over the same leaf
-    /// sequence — it is the join-order-independent invariant that catches a
-    /// reorder which rewired children without rebuilding bindings to match.
+    /// A logical join's output bindings are not the concatenation of its
+    /// children's bindings. Every join algorithm emits left columns then
+    /// right columns, so this must hold for *any* association tree over the
+    /// same leaf sequence — it is the join-order-independent invariant that
+    /// catches a reorder which rewired children without rebuilding bindings
+    /// to match.
     JoinBindingMismatch {
         /// Operator path from the plan root.
         path: String,
@@ -224,14 +242,13 @@ pub enum PlanViolation {
         /// The join's binding at that position (rendered).
         found: String,
     },
-    /// An operator's name-resolution bindings don't cover its input arity
-    /// (the compiler resolved the operator's names, correlated ones
-    /// included, against these bindings, so the lengths must agree
-    /// exactly).
+    /// An operator's recorded width disagrees with the arity its inputs
+    /// produce: a logical scan's or join's name bindings, or a physical
+    /// join's output `width` or aggregate's `input_width`.
     BindingWidthMismatch {
         /// Operator path from the plan root.
         path: String,
-        /// Number of bindings recorded.
+        /// The recorded width (the binding count, in a logical plan).
         bindings: usize,
         /// The operator's input arity.
         arity: usize,
@@ -293,6 +310,7 @@ impl PlanViolation {
             | PlanViolation::BadPruneMask { path, .. }
             | PlanViolation::UnknownTable { path, .. }
             | PlanViolation::UnknownCte { path, .. }
+            | PlanViolation::CteOutOfBounds { path, .. }
             | PlanViolation::IndexColumnOutOfBounds { path, .. }
             | PlanViolation::IndexOnNanColumn { path, .. }
             | PlanViolation::TypeConfusedComparison { path, .. }
@@ -339,6 +357,9 @@ impl fmt::Display for PlanViolation {
             }
             PlanViolation::UnknownCte { path, name } => {
                 write!(f, "{path}: unknown CTE {name}")
+            }
+            PlanViolation::CteOutOfBounds { path, depth, idx } => {
+                write!(f, "{path}: no CTE {idx} in the plan {depth} out")
             }
             PlanViolation::IndexColumnOutOfBounds {
                 path,
@@ -394,7 +415,7 @@ impl fmt::Display for PlanViolation {
                 arity,
             } => write!(
                 f,
-                "{path}: {bindings} name bindings over an input of arity {arity}"
+                "{path}: width {bindings} recorded over an input of arity {arity}"
             ),
             PlanViolation::SortKeyOutOfBounds {
                 path,
@@ -421,28 +442,6 @@ impl fmt::Display for PlanViolation {
                 "{path}: plan promises {columns} output columns but the root produces {arity}"
             ),
         }
-    }
-}
-
-/// Render one binding as it appears in a violation message.
-fn render_binding(b: &ColumnBinding) -> String {
-    match &b.qualifier {
-        Some(q) => format!("{q}.{}", b.name),
-        None => b.name.clone(),
-    }
-}
-
-/// The output bindings a physical node carries, when its variant records
-/// them verbatim: filters pass their input's bindings through unchanged and
-/// joins record their concatenated output — exactly the shapes a reordered
-/// spine is rebuilt from. Other variants (projections compute new columns,
-/// scans carry none) return `None` and are skipped by the concat check.
-fn node_bindings(node: &PhysNode) -> Option<&[ColumnBinding]> {
-    match node {
-        PhysNode::Filter { bindings, .. }
-        | PhysNode::HashJoin { bindings, .. }
-        | PhysNode::NestedLoopJoin { bindings, .. } => Some(bindings),
-        _ => None,
     }
 }
 
@@ -492,10 +491,11 @@ pub fn verify_plan(db: &Snapshot, plan: &PhysQueryPlan) -> Vec<PlanViolation> {
 }
 
 /// Verify a logical plan before compilation: scan binding widths match
-/// their sources, join bindings cover both inputs, equi-key and sort-key
-/// ordinals are in bounds, and projection name lists never exceed their
-/// items. Expressions are still raw AST at this layer, so expression-level
-/// checks live in [`verify_plan`].
+/// their sources, a join's bindings are exactly its children's,
+/// concatenated, equi-key and sort-key ordinals are in bounds, and
+/// projection name lists never exceed their items. Expressions are still
+/// raw AST at this layer, so expression-level checks live in
+/// [`verify_plan`].
 pub fn verify_logical(db: &Snapshot, plan: &QueryPlan) -> Vec<PlanViolation> {
     let mut v = LogicalVerifier {
         db,
@@ -515,8 +515,9 @@ struct Verifier<'a> {
     db: &'a Snapshot,
     violations: Vec<PlanViolation>,
     path: Vec<String>,
-    /// CTE scopes, innermost last: name → output arity.
-    frames: Vec<HashMap<String, usize>>,
+    /// One frame per enclosing plan, innermost last: the output arities of
+    /// the CTEs that plan has materialized so far, in definition order.
+    frames: Vec<Vec<usize>>,
     /// Arities of the row scopes enclosing the current subquery, innermost
     /// last: what a correlated reference may read.
     scopes: Vec<usize>,
@@ -534,7 +535,7 @@ impl Verifier<'_> {
     /// Verify one (sub-)plan and return its visible output arity
     /// (truncated to the declared column list, exactly like execution).
     fn check_plan(&mut self, plan: &PhysQueryPlan) -> usize {
-        self.frames.push(HashMap::new());
+        self.frames.push(Vec::new());
         for (name, sub) in &plan.ctes {
             self.path.push(format!("cte({name})"));
             let arity = self.check_plan(sub);
@@ -542,7 +543,7 @@ impl Verifier<'_> {
             self.frames
                 .last_mut()
                 .expect("frame pushed above")
-                .insert(name.clone(), arity);
+                .push(arity);
         }
         let root_arity = self.check_node(&plan.root, 0);
         if plan.columns.len() > root_arity {
@@ -583,18 +584,15 @@ impl Verifier<'_> {
                 self.path.pop();
                 out
             }
-            PhysNode::ScanCte { name } => {
-                let found = self
-                    .frames
-                    .iter()
-                    .rev()
-                    .find_map(|frame| frame.get(name))
-                    .copied();
+            PhysNode::ScanCte { depth, idx } => {
+                let frame = self.frames.iter().rev().nth(*depth);
+                let found = frame.and_then(|ctes| ctes.get(*idx)).copied();
                 found.unwrap_or_else(|| {
                     self.path.push("ScanCte".into());
-                    let v = PlanViolation::UnknownCte {
+                    let v = PlanViolation::CteOutOfBounds {
                         path: self.path(),
-                        name: name.clone(),
+                        depth: *depth,
+                        idx: *idx,
                     };
                     self.report(v);
                     self.path.pop();
@@ -608,14 +606,9 @@ impl Verifier<'_> {
                 arity
             }
             PhysNode::ScanEmpty => 0,
-            PhysNode::Filter {
-                input,
-                predicate,
-                bindings,
-            } => {
+            PhysNode::Filter { input, predicate } => {
                 self.path.push("Filter".into());
                 let arity = self.check_node(input, prune_levels.saturating_sub(1));
-                self.check_bindings(bindings.len(), arity);
                 self.check_expr(predicate, arity);
                 self.path.pop();
                 arity
@@ -624,13 +617,13 @@ impl Verifier<'_> {
                 left,
                 right,
                 on,
-                bindings,
+                width,
                 right_width,
                 ..
             } => {
                 self.path.push("NestedLoopJoin".into());
                 let out =
-                    self.check_join_common(left, right, on.as_ref(), bindings, *right_width, None);
+                    self.check_join_common(left, right, on.as_ref(), *width, *right_width, None);
                 self.path.pop();
                 out
             }
@@ -640,7 +633,7 @@ impl Verifier<'_> {
                 left_keys,
                 right_keys,
                 residual,
-                bindings,
+                width,
                 right_width,
                 ..
             } => {
@@ -649,7 +642,7 @@ impl Verifier<'_> {
                     left,
                     right,
                     residual.as_ref(),
-                    bindings,
+                    *width,
                     *right_width,
                     Some((left_keys, right_keys)),
                 );
@@ -660,12 +653,10 @@ impl Verifier<'_> {
                 input,
                 items,
                 visible,
-                bindings,
                 ..
             } => {
                 self.path.push("Project".into());
                 let arity = self.check_node(input, 2);
-                self.check_bindings(bindings.len(), arity);
                 if *visible > items.len() {
                     self.report(PlanViolation::VisibleOutOfBounds {
                         path: self.path(),
@@ -686,12 +677,12 @@ impl Verifier<'_> {
                 having,
                 items,
                 visible,
-                bindings,
+                input_width,
                 ..
             } => {
                 self.path.push("HashAggregate".into());
                 let arity = self.check_node(input, 0);
-                self.check_bindings(bindings.len(), arity);
+                self.check_width(*input_width, arity);
                 if *visible > items.len() {
                     self.report(PlanViolation::VisibleOutOfBounds {
                         path: self.path(),
@@ -821,9 +812,9 @@ impl Verifier<'_> {
         };
         let arity = t.schema.column_count();
         let (col, keys): (usize, Vec<&Value>) = match access {
-            IndexAccess::Point { col, key } => (*col, vec![key]),
-            IndexAccess::InList { col, keys } => (*col, keys.iter().collect()),
-            IndexAccess::Range { col, lower, upper } => (
+            IndexAccess::Atom(SargAtom::Point { col, key }) => (*col, vec![key]),
+            IndexAccess::Atom(SargAtom::InList { col, keys }) => (*col, keys.iter().collect()),
+            IndexAccess::Atom(SargAtom::Range { col, lower, upper }) => (
                 *col,
                 lower.iter().chain(upper.iter()).map(|(v, _)| v).collect(),
             ),
@@ -923,7 +914,7 @@ impl Verifier<'_> {
         left: &PhysNode,
         right: &PhysNode,
         residual: Option<&PhysExpr>,
-        bindings: &[ColumnBinding],
+        width: usize,
         right_width: usize,
         keys: Option<(&[usize], &[usize])>,
     ) -> usize {
@@ -941,28 +932,7 @@ impl Verifier<'_> {
             });
         }
         let combined = left_arity + right_arity;
-        self.check_bindings(bindings.len(), combined);
-        // Join-order-independent output-binding invariant: every join
-        // algorithm emits left columns then right columns, so the output
-        // bindings must be the concatenation of the children's bindings for
-        // any association tree — the check that catches a reordered plan
-        // whose bindings were not rebuilt to match the rewired children.
-        for (child, offset) in [(left, 0), (right, left_arity)] {
-            let Some(child_bindings) = node_bindings(child) else {
-                continue;
-            };
-            for (i, cb) in child_bindings.iter().enumerate() {
-                if bindings.get(offset + i).is_some_and(|b| b != cb) {
-                    self.report(PlanViolation::JoinBindingMismatch {
-                        path: self.path(),
-                        ordinal: offset + i,
-                        expected: render_binding(cb),
-                        found: render_binding(&bindings[offset + i]),
-                    });
-                    break; // one mismatch per side explains the breach
-                }
-            }
-        }
+        self.check_width(width, combined);
         if let Some((left_keys, right_keys)) = keys {
             if left_keys.len() != right_keys.len() || left_keys.is_empty() {
                 self.report(PlanViolation::JoinKeyArityMismatch {
@@ -996,11 +966,11 @@ impl Verifier<'_> {
         combined
     }
 
-    fn check_bindings(&mut self, bindings: usize, arity: usize) {
-        if bindings != arity {
+    fn check_width(&mut self, width: usize, arity: usize) {
+        if width != arity {
             self.report(PlanViolation::BindingWidthMismatch {
                 path: self.path(),
-                bindings,
+                bindings: width,
                 arity,
             });
         }
@@ -1236,6 +1206,30 @@ impl LogicalVerifier<'_> {
                     };
                     self.report(v);
                 }
+                // Join-order-independent output-binding invariant: every
+                // join algorithm emits left columns then right columns, so
+                // the output bindings must be the children's, concatenated,
+                // for any association tree — the check that catches a
+                // reordered plan whose bindings were not rebuilt to match
+                // the rewired children.
+                let render = |b: &ColumnBinding| match &b.qualifier {
+                    Some(q) => format!("{q}.{}", b.name),
+                    None => b.name.clone(),
+                };
+                for (child, offset) in [(left, 0), (right, left_width)] {
+                    for (i, cb) in child.bindings().iter().enumerate() {
+                        if bindings.get(offset + i).is_some_and(|b| b != cb) {
+                            let v = PlanViolation::JoinBindingMismatch {
+                                path: self.path(),
+                                ordinal: offset + i,
+                                expected: render(cb),
+                                found: render(&bindings[offset + i]),
+                            };
+                            self.report(v);
+                            break; // one mismatch per side explains the breach
+                        }
+                    }
+                }
                 for &(l, r) in equi_keys {
                     if l >= left_width {
                         let v = PlanViolation::ColumnOutOfBounds {
@@ -1364,15 +1358,6 @@ mod tests {
         db
     }
 
-    fn bindings(n: usize) -> Vec<ColumnBinding> {
-        (0..n)
-            .map(|i| ColumnBinding {
-                qualifier: None,
-                name: format!("C{i}"),
-            })
-            .collect()
-    }
-
     fn scan_t() -> PhysNode {
         PhysNode::ScanTable {
             name: "T".into(),
@@ -1391,7 +1376,6 @@ mod tests {
                 items: vec![PhysExpr::Column(7)],
                 visible: 1,
                 distinct: false,
-                bindings: bindings(3),
             },
             &["x"],
         );
@@ -1421,10 +1405,10 @@ mod tests {
         let corrupt = PhysQueryPlan::of(
             PhysNode::IndexScan {
                 name: "T".into(),
-                access: IndexAccess::Point {
+                access: IndexAccess::Atom(SargAtom::Point {
                     col: 0,
                     key: Value::Text("seven".into()),
-                },
+                }),
                 cols: None,
             },
             &["id", "v", "f"],
@@ -1473,17 +1457,17 @@ mod tests {
         let cases = [
             (
                 "point",
-                scan(IndexAccess::Point {
+                scan(IndexAccess::Atom(SargAtom::Point {
                     col: 2,
                     key: Value::Float(0.5),
-                }),
+                })),
             ),
             (
                 "in-list",
-                scan(IndexAccess::InList {
+                scan(IndexAccess::Atom(SargAtom::InList {
                     col: 2,
                     keys: vec![Value::Float(0.5), Value::Float(1.5)],
-                }),
+                })),
             ),
             (
                 "in-subquery",
@@ -1497,11 +1481,11 @@ mod tests {
             ),
             (
                 "range",
-                scan(IndexAccess::Range {
+                scan(IndexAccess::Atom(SargAtom::Range {
                     col: 2,
                     lower: Some((Value::Float(0.0), true)),
                     upper: None,
-                }),
+                })),
             ),
             ("index-agg min", agg(AggSpec::Min(2))),
             (
@@ -1524,15 +1508,15 @@ mod tests {
         }
         // The same shapes on the NaN-free Integer column are sound.
         let clean = [
-            scan(IndexAccess::Range {
+            scan(IndexAccess::Atom(SargAtom::Range {
                 col: 1,
                 lower: Some((Value::Int(0), true)),
                 upper: None,
-            }),
-            scan(IndexAccess::Point {
+            })),
+            scan(IndexAccess::Atom(SargAtom::Point {
                 col: 1,
                 key: Value::Int(10),
-            }),
+            })),
             agg(AggSpec::Count {
                 col: 1,
                 distinct: true,
@@ -1556,7 +1540,6 @@ mod tests {
                 items: vec![item],
                 visible: 1,
                 distinct: false,
-                bindings: bindings(0),
             };
             Box::new(SubPlan::new(PhysQueryPlan::of(root, &["x"]), false))
         };
@@ -1567,7 +1550,6 @@ mod tests {
                 items: vec![PhysExpr::ScalarSubquery { plan }],
                 visible: 1,
                 distinct: false,
-                bindings: bindings(3),
             };
             PhysQueryPlan::of(root, &["s"])
         };
@@ -1636,7 +1618,7 @@ mod tests {
                 left_keys: vec![0, 1],
                 right_keys: vec![0],
                 residual: None,
-                bindings: bindings(6),
+                width: 6,
                 right_width: 3,
                 build_left: false,
             },
@@ -1664,7 +1646,7 @@ mod tests {
                 left_keys: vec![],
                 right_keys: vec![],
                 residual: None,
-                bindings: bindings(6),
+                width: 6,
                 right_width: 3,
                 build_left: false,
             },
@@ -1701,26 +1683,21 @@ mod tests {
             "SELECT a.id, c.id FROM a JOIN b ON a.x = b.id JOIN c ON b.y = c.id",
         )
         .unwrap();
-        let mut plan = crate::physical::compile_query(
-            &snapshot,
-            &query,
-            crate::physical::CompileOptions::default(),
-        )
-        .unwrap();
+        let mut planner = crate::plan::Planner::new(&snapshot);
+        let mut plan = planner.plan(&query).unwrap();
         assert_eq!(
-            plan.optimizer.cost_based, 1,
+            planner.optimizer_stats().cost_based,
+            1,
             "the three-leaf inner chain must go through the cost-based reorder"
         );
         assert!(
-            verify_plan(&snapshot, &plan).is_empty(),
+            verify_logical(&snapshot, &plan).is_empty(),
             "the real reordered plan verifies cleanly"
         );
-        fn first_join_bindings_mut(node: &mut PhysNode) -> Option<&mut Vec<ColumnBinding>> {
+        fn first_join_bindings_mut(node: &mut LogicalPlan) -> Option<&mut Vec<ColumnBinding>> {
             match node {
-                PhysNode::HashJoin { bindings, .. } | PhysNode::NestedLoopJoin { bindings, .. } => {
-                    Some(bindings)
-                }
-                PhysNode::Project { input, .. } | PhysNode::Filter { input, .. } => {
+                LogicalPlan::Join { bindings, .. } => Some(bindings),
+                LogicalPlan::Project { input, .. } | LogicalPlan::Filter { input, .. } => {
                     first_join_bindings_mut(input)
                 }
                 _ => None,
@@ -1728,10 +1705,10 @@ mod tests {
         }
         let join_bindings = first_join_bindings_mut(&mut plan.root).expect("plan contains a join");
         // Positions 2 and 3 sit over the inner join child in either
-        // association ((a⋈b)⋈c or a⋈(b⋈c)), so the swap always disagrees
-        // with a child that carries bindings.
+        // association ((a⋈b)⋈c or a⋈(b⋈c)), and over a scan child when
+        // that child is a leaf, so the swap always disagrees with a child.
         join_bindings.swap(2, 3);
-        let violations = verify_plan(&snapshot, &plan);
+        let violations = verify_logical(&snapshot, &plan);
         assert!(
             violations
                 .iter()
@@ -1739,6 +1716,56 @@ mod tests {
             "expected JoinBindingMismatch, got:\n{}",
             render_violations(&violations)
         );
+    }
+
+    #[test]
+    fn rejects_cte_references_past_their_frames() {
+        let db = db();
+        let snapshot = db.snapshot();
+        let cte = |depth, idx| PhysNode::ScanCte { depth, idx };
+        // `WITH c AS (<body>) <root>`. No plan promises an output column,
+        // so a bad reference (arity 0) reports nothing else.
+        let with = |body: PhysNode, root: PhysNode| {
+            let mut plan = PhysQueryPlan::of(root, &[]);
+            plan.ctes = vec![("C".into(), PhysQueryPlan::of(body, &[]))];
+            plan
+        };
+        let derived = |root: PhysNode| PhysNode::ScanDerived {
+            plan: Box::new(PhysQueryPlan::of(root, &[])),
+        };
+        // (label, plan, depth, idx of the out-of-bounds reference).
+        let cases = [
+            ("depth past the frames", with(scan_t(), cte(1, 0)), 1, 0),
+            (
+                "depth past the frames, from a derived table",
+                with(scan_t(), derived(cte(2, 0))),
+                2,
+                0,
+            ),
+            ("idx past the frame's CTEs", with(scan_t(), cte(0, 1)), 0, 1),
+            // A CTE body runs before its own result exists.
+            ("a CTE reading itself", with(cte(1, 0), cte(0, 0)), 1, 0),
+        ];
+        for (label, corrupt, depth, idx) in cases {
+            let violations = verify_plan(&snapshot, &corrupt);
+            assert!(
+                matches!(
+                    violations.as_slice(),
+                    [PlanViolation::CteOutOfBounds { depth: d, idx: i, .. }]
+                        if (*d, *i) == (depth, idx)
+                ),
+                "{label}: expected one CteOutOfBounds, got:\n{}",
+                render_violations(&violations)
+            );
+        }
+        // The same CTE read from its own plan and from a derived table.
+        for sound in [
+            with(scan_t(), cte(0, 0)),
+            with(scan_t(), derived(cte(1, 0))),
+        ] {
+            let violations = verify_plan(&snapshot, &sound);
+            assert!(violations.is_empty(), "{}", render_violations(&violations));
+        }
     }
 
     #[test]
@@ -1756,7 +1783,6 @@ mod tests {
                 items: vec![PhysExpr::Column(1)],
                 visible: 1,
                 distinct: false,
-                bindings: bindings(3),
             },
             &["v"],
         );
@@ -1809,7 +1835,7 @@ mod tests {
                 right: Box::new(scan_t()),
                 operator: JoinOperator::Cross,
                 on: None,
-                bindings: bindings(6),
+                width: 6,
                 right_width: 2,
             },
             &["a", "b", "c", "d", "e", "f"],
@@ -1822,6 +1848,43 @@ mod tests {
                 ..
             }
         )));
+        // An output width, or an aggregate's input width, that disagrees
+        // with the arity its inputs produce.
+        let wide_join = PhysQueryPlan::of(
+            PhysNode::NestedLoopJoin {
+                left: Box::new(scan_t()),
+                right: Box::new(scan_t()),
+                operator: JoinOperator::Cross,
+                on: None,
+                width: 5,
+                right_width: 3,
+            },
+            &["a"],
+        );
+        let narrow_agg = PhysQueryPlan::of(
+            PhysNode::HashAggregate {
+                input: Box::new(scan_t()),
+                group_by: Vec::new(),
+                having: None,
+                items: vec![PhysExpr::Literal(Value::Int(1))],
+                visible: 1,
+                distinct: false,
+                input_width: 2,
+            },
+            &["one"],
+        );
+        for (plan, width, arity) in [(wide_join, 5, 6), (narrow_agg, 2, 3)] {
+            let violations = verify_plan(&snapshot, &plan);
+            assert!(
+                matches!(
+                    violations.as_slice(),
+                    [PlanViolation::BindingWidthMismatch { bindings: w, arity: a, .. }]
+                        if (*w, *a) == (width, arity)
+                ),
+                "expected one BindingWidthMismatch, got:\n{}",
+                render_violations(&violations)
+            );
+        }
         // A plan that promises more output columns than its root produces.
         let wide = PhysQueryPlan::of(scan_t(), &["a", "b", "c", "d"]);
         assert!(verify_plan(&snapshot, &wide)

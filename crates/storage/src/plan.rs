@@ -314,12 +314,15 @@ pub struct QueryPlan {
 // Planner
 // ---------------------------------------------------------------------
 
+/// One plan's CTEs in definition order: normalized name and output column
+/// names. Lookups take the last definition of a name.
+pub(crate) type CteScope = Vec<(String, Vec<String>)>;
+
 /// Plans `bp-sql` queries against a storage snapshot's catalog.
 pub struct Planner<'a> {
     db: &'a Snapshot,
-    /// CTE name frames visible at the current planning point (outermost
-    /// first), mapping normalized CTE name → output column names.
-    frames: Vec<HashMap<String, Vec<String>>>,
+    /// CTE scopes visible at the current planning point (outermost first).
+    frames: Vec<CteScope>,
     /// Estimated row counts of planned CTEs, parallel to `frames`, feeding
     /// the cost model's `ScanSource::Cte` cardinalities.
     cte_rows: Vec<HashMap<String, f64>>,
@@ -347,7 +350,7 @@ impl<'a> Planner<'a> {
     /// layer 2 to plan subqueries found in expressions, so their CTE
     /// references resolve against the scopes of their enclosing query.
     /// (No cardinality context rides along: outer CTE estimates default.)
-    pub(crate) fn with_frames(db: &'a Snapshot, frames: Vec<HashMap<String, Vec<String>>>) -> Self {
+    pub(crate) fn with_frames(db: &'a Snapshot, frames: Vec<CteScope>) -> Self {
         let cte_rows = vec![HashMap::new(); frames.len()];
         Planner {
             db,
@@ -374,7 +377,7 @@ impl<'a> Planner<'a> {
 
     /// Plan a query into a logical plan.
     pub fn plan(&mut self, query: &Query) -> StorageResult<QueryPlan> {
-        self.frames.push(HashMap::new());
+        self.frames.push(Vec::new());
         self.cte_rows.push(HashMap::new());
         let result = self.plan_query_inner(query);
         self.frames.pop();
@@ -391,7 +394,7 @@ impl<'a> Planner<'a> {
                 self.frames
                     .last_mut()
                     .expect("frame pushed by plan()")
-                    .insert(name.clone(), sub.columns.clone());
+                    .push((name.clone(), sub.columns.clone()));
                 let rows =
                     crate::cost::Estimator::with_cte_rows(self.db, &self.cte_rows).query_rows(&sub);
                 if let Some(frame) = self.cte_rows.last_mut() {
@@ -643,7 +646,7 @@ impl<'a> Planner<'a> {
                     .unwrap_or_else(|| base.clone());
                 // CTEs shadow base tables; innermost scope wins.
                 for (depth, frame) in self.frames.iter().enumerate().rev() {
-                    if let Some(columns) = frame.get(&base) {
+                    if let Some((_, columns)) = frame.iter().rev().find(|(cte, _)| *cte == base) {
                         let bindings = columns
                             .iter()
                             .map(|c| ColumnBinding {
@@ -865,6 +868,17 @@ pub(crate) enum SargAtom {
         col: usize,
         keys: Vec<crate::value::Value>,
     },
+}
+
+impl SargAtom {
+    /// The column the atom constrains.
+    pub(crate) fn col(&self) -> usize {
+        match self {
+            SargAtom::Point { col, .. }
+            | SargAtom::Range { col, .. }
+            | SargAtom::InList { col, .. } => *col,
+        }
+    }
 }
 
 /// The column ordinal named by a bare (possibly parenthesized) column

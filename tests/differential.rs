@@ -905,6 +905,86 @@ fn correlated_references_resolve_to_their_scope() {
     }
 }
 
+/// A CTE scan compiles to (plan depth, position) once. Each shape below
+/// runs in both engines and agrees, and its planned plan verifies: a CTE
+/// read from a correlated subquery two plans down, a CTE that shadows a
+/// base table, a CTE that reads an earlier one, one name defined at two
+/// depths (the innermost wins), and a CTE read inside a derived table and
+/// inside both branches of a `UNION`.
+#[test]
+fn cte_references_resolve_to_their_plan() {
+    use benchpress_suite::storage::{compile_query, verify_plan, CompileOptions};
+    let db = static_db();
+    let snapshot = db.snapshot();
+    let run = |sql: &str| {
+        assert_engines_agree(&db, sql, "cte");
+        for fast_paths in [true, false] {
+            let options = CompileOptions {
+                fast_paths,
+                ..CompileOptions::default()
+            };
+            let plan = compile_query(&snapshot, &parse(sql), options)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let violations = verify_plan(&snapshot, &plan);
+            assert!(violations.is_empty(), "{sql}: {violations:?}");
+        }
+        let result = db
+            .execute_sql(sql, ExecOptions::default())
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+        result
+            .rows
+            .iter()
+            .map(|row| match row[..] {
+                [Value::Int(id), ..] => id,
+                _ => panic!("{sql}: {row:?}"),
+            })
+            .collect::<Vec<i64>>()
+    };
+    // Two plans down, from a subquery correlated with both scopes.
+    let two_down = run(
+        "WITH c AS (SELECT ID, G FROM T) SELECT ID FROM EDGE_A a WHERE EXISTS \
+         (SELECT 1 FROM EDGE_B b WHERE b.GRP = a.GRP AND EXISTS \
+          (SELECT 1 FROM c WHERE c.ID = b.ID % 4 AND c.G = a.ID % 2)) ORDER BY ID",
+    );
+    assert!(!two_down.is_empty());
+    // `T` inside the body is the base table; after it, the CTE.
+    assert_eq!(
+        run("WITH T AS (SELECT ID, G FROM T WHERE G = 1) SELECT ID FROM T ORDER BY ID"),
+        [1, 3]
+    );
+    // A later CTE reads an earlier one.
+    assert_eq!(
+        run(
+            "WITH a AS (SELECT ID, G FROM T WHERE ID > 0), b AS (SELECT ID FROM a WHERE G = 0) \
+             SELECT ID FROM b ORDER BY ID"
+        ),
+        [2]
+    );
+    // `c` at two depths: the subquery's own `c` wins inside it.
+    assert_eq!(
+        run(
+            "WITH c AS (SELECT ID FROM T WHERE G = 0) SELECT ID FROM c WHERE ID + 1 IN \
+             (WITH c AS (SELECT ID FROM T WHERE G = 1) SELECT ID FROM c) ORDER BY ID"
+        ),
+        [0, 2]
+    );
+    assert_eq!(
+        run(
+            "WITH c AS (SELECT ID FROM T WHERE G = 0) SELECT ID FROM c WHERE ID IN \
+             (WITH c AS (SELECT ID FROM T WHERE G = 1) SELECT ID FROM c) ORDER BY ID"
+        ),
+        Vec::<i64>::new()
+    );
+    // Inside a derived table, and inside both branches of a UNION.
+    assert_eq!(
+        run(
+            "WITH c AS (SELECT ID, G FROM T) SELECT d.ID FROM (SELECT ID FROM c WHERE G = 0) d \
+             UNION SELECT ID FROM c WHERE G = 1 ORDER BY 1"
+        ),
+        [0, 1, 2, 3]
+    );
+}
+
 // ---------------------------------------------------------------------
 // Cost-based join reordering: cost-based ≡ syntactic ≡ legacy
 // ---------------------------------------------------------------------
