@@ -7,8 +7,9 @@
 //! sides, baseline then contender, each with the JSON key of its time and
 //! its timed runs per round. A side's time is the lower median of its timed
 //! runs after one untimed warm-up; a two-sided entry records `baseline /
-//! contender` under its ratio key and keeps the median of its rounds. Every
-//! byte-identity check runs while its entry is built, before any timing.
+//! contender` under its ratio key and keeps its median round by that
+//! ratio, a one-sided entry its median round by time. Every byte-identity
+//! check runs while its entry is built, before any timing.
 //!
 //! Gate kinds: `Always(target)` is enforced on every machine;
 //! `MinCores(target, 4)` only on ≥4 cores, and below that the ratio is
@@ -137,10 +138,10 @@ fn side<'a, T: 'a>(key: &'static str, runs: usize, mut body: impl FnMut() -> T +
 
 /// Time and judge one entry against the millisecond clock `now`: in each
 /// round every side runs once untimed, then `runs` times timed, and the
-/// round whose ratio is the (lower) median of the rounds is kept, so noise
-/// cannot lift a gate the way keeping the best round would. Prints one
-/// line per gate and count; returns the entry's JSON and their outcomes
-/// (`None`: not enforced).
+/// (lower) median round is kept, by ratio for a two-sided entry and by
+/// time for a one-sided one, so noise cannot lift a gate the way keeping
+/// the best round would. Prints one line per gate and count; returns the
+/// entry's JSON and their outcomes (`None`: not enforced).
 fn run(mut entry: Entry<'_>, cores: usize, now: &dyn Fn() -> f64) -> (Json, Vec<Option<bool>>) {
     let (target, applied) = match entry.gate {
         Gate::Always(target) => (Some(target), true),
@@ -174,7 +175,12 @@ fn run(mut entry: Entry<'_>, cores: usize, now: &dyn Fn() -> f64) -> (Json, Vec<
             observed,
         });
     }
-    rounds.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
+    let order = |round: &Round| match round.ms[..] {
+        [_, _] => round.ratio,
+        [ms] => ms,
+        _ => 0.0,
+    };
+    rounds.sort_by(|a, b| order(a).total_cmp(&order(b)));
     let kept = rounds.swap_remove((rounds.len() - 1) / 2);
     let mut facts = entry.facts;
     for ((key, ..), ms) in entry.sides.iter().zip(&kept.ms) {
@@ -746,23 +752,25 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    /// Runs an entry whose sides advance a fake clock by fixed per-round
-    /// times; every run, warm-ups included, observes one latency.
+    /// A side of two timed runs that advances `clock` by `ms[round]` per
+    /// run; every run, its warm-up included, observes one latency.
+    fn ticking<'c>(clock: &'c Cell<f64>, key: &'static str, ms: &[f64]) -> Side<'c> {
+        let (ms, mut calls) = (ms.to_vec(), 0);
+        let body = move || {
+            clock.set(clock.get() + ms[calls / 3]);
+            calls += 1;
+            Observed(vec![1.0], 0)
+        };
+        (key, 2, Box::new(body))
+    }
+
+    /// Runs a two-sided entry on a fake clock, `ms[side][round]` per run.
     fn judge(ms: [&[f64]; 2], gate: Gate, cores: usize) -> (Json, Vec<Option<bool>>) {
         let clock = Cell::new(0.0);
-        let ticking = |key, ms: &[f64]| -> Side<'_> {
-            let (clock, ms, mut calls) = (&clock, ms.to_vec(), 0);
-            let body = move || {
-                clock.set(clock.get() + ms[calls / 3]);
-                calls += 1;
-                Observed(vec![1.0], 0)
-            };
-            (key, 2, Box::new(body))
-        };
         let entry = Entry {
             sides: vec![
-                ticking("baseline_ms", ms[0]),
-                ticking("contender_ms", ms[1]),
+                ticking(&clock, "baseline_ms", ms[0]),
+                ticking(&clock, "contender_ms", ms[1]),
             ],
             rounds: ms[0].len(),
             gate,
@@ -810,5 +818,16 @@ mod tests {
         // The contender's two timed runs; its warm-up observed a latency
         // too, but does not count.
         assert_eq!(json.get("samples"), Some(&Json::UInt(2)));
+    }
+
+    #[test]
+    fn one_sided_entries_keep_the_median_round_by_time() {
+        let clock = Cell::new(0.0);
+        let entry = Entry {
+            sides: vec![ticking(&clock, "pass_ms", &[30.0, 10.0, 20.0])],
+            ..Entry::new("one_sided", Vec::new())
+        };
+        let (json, _) = run(entry, 1, &|| clock.get());
+        assert_eq!(json.get("pass_ms"), Some(&Json::Float(20.0)));
     }
 }

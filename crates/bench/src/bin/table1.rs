@@ -3,23 +3,25 @@
 //! absolute values for Beaver (DW) and relative deltas for the others.
 
 use bp_bench::{f1, generate_all_benchmarks, print_header, HARNESS_SEED, QUERIES_PER_BENCHMARK};
-use bp_datasets::BenchmarkKind;
+use bp_datasets::{BenchmarkKind, GeneratedBenchmark};
 use bp_metrics::QueryComplexity;
+
+/// One row of Table 1: the complexity means over a corpus's SQL log.
+fn complexity(corpus: &GeneratedBenchmark) -> QueryComplexity {
+    let queries: Vec<_> = corpus
+        .log
+        .iter()
+        .map(|entry| bp_sql::parse_query(&entry.sql).expect("log entries parse"))
+        .collect();
+    QueryComplexity::from_queries(corpus.kind.name(), &queries)
+}
 
 fn main() {
     print_header("Table 1: query-level complexity metrics", "Table 1");
     let corpora = generate_all_benchmarks(QUERIES_PER_BENCHMARK, HARNESS_SEED);
 
     let complexity_of = |kind: BenchmarkKind| -> QueryComplexity {
-        let corpus = corpora.iter().find(|c| c.kind == kind).expect("generated");
-        let analyses: Vec<_> = corpus
-            .log
-            .iter()
-            .map(|entry| {
-                bp_sql::analyze(&bp_sql::parse_query(&entry.sql).expect("log entries parse"))
-            })
-            .collect();
-        QueryComplexity::from_analyses(kind.name(), &analyses)
+        complexity(corpora.iter().find(|c| c.kind == kind).expect("generated"))
     };
 
     let beaver = complexity_of(BenchmarkKind::Beaver);
@@ -80,4 +82,37 @@ fn main() {
     }
     println!("Shape check: every public benchmark should be ↓ vs Beaver on keywords, tables,");
     println!("columns, aggregations, and nestings (token counts may vary by corpus style).");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Table 1 as this program prints it. Each mean is a column total over
+    /// the corpus's 40 queries, divided by 40.
+    #[test]
+    fn rows_are_pinned_at_the_harness_seed() {
+        let row = |kind| {
+            complexity(&GeneratedBenchmark::generate(
+                kind,
+                QUERIES_PER_BENCHMARK,
+                HARNESS_SEED,
+            ))
+        };
+        let means = |totals: [usize; 6]| totals.map(|t| t as f64 / QUERIES_PER_BENCHMARK as f64);
+        let beaver = row(BenchmarkKind::Beaver);
+        let spider = row(BenchmarkKind::Spider);
+        assert_eq!(beaver.query_count, QUERIES_PER_BENCHMARK);
+        assert_eq!(beaver.as_row(), means([433, 1694, 82, 146, 65, 22]));
+        assert_eq!(spider.as_row(), means([209, 653, 51, 92, 14, 5]));
+        let deltas: Vec<_> = spider
+            .relative_to(&beaver)
+            .iter()
+            .map(|d| d.arrow_notation())
+            .collect();
+        assert_eq!(
+            deltas,
+            ["↓51.7%", "↓61.5%", "↓37.8%", "↓37.0%", "↓78.5%", "↓77.3%"]
+        );
+    }
 }

@@ -565,11 +565,11 @@ mod tests {
         let (_, spider) = workload(BenchmarkKind::Spider, 30, 3);
         let (_, beaver) = workload(BenchmarkKind::Beaver, 30, 3);
         let complexity = |entries: &[LogEntry]| {
-            let analyses: Vec<_> = entries
+            let queries: Vec<_> = entries
                 .iter()
-                .map(|e| bp_sql::analyze(&bp_sql::parse_query(&e.sql).unwrap()))
+                .map(|e| bp_sql::parse_query(&e.sql).unwrap())
                 .collect();
-            QueryComplexity::from_analyses("w", &analyses)
+            QueryComplexity::from_queries("w", &queries)
         };
         let spider_complexity = complexity(&spider);
         let beaver_complexity = complexity(&beaver);
@@ -577,6 +577,33 @@ mod tests {
         assert!(beaver_complexity.aggregations > spider_complexity.aggregations);
         assert!(beaver_complexity.tables > spider_complexity.tables);
         assert!(beaver_complexity.nestings > spider_complexity.nestings);
+    }
+
+    /// `bp_sql::analyze` reads only the AST, so it must not matter whether
+    /// a query was parsed from the generator's text or from its canonical
+    /// rendering. The rendering must also tokenize (Table 1 counts its
+    /// tokens) and be a fixed point of parse-then-render (a successful
+    /// prediction emits it as its SQL).
+    #[test]
+    fn canonical_rendering_preserves_structural_analysis() {
+        for kind in BenchmarkKind::all() {
+            for seed in [2026, 31337] {
+                let (_, entries) = workload(*kind, 40, seed);
+                for entry in &entries {
+                    let original = bp_sql::parse_query(&entry.sql).expect("parses");
+                    let rendered = original.to_string();
+                    bp_sql::tokenize(&rendered).expect("canonical rendering tokenizes");
+                    let reparsed = bp_sql::parse_query(&rendered).expect("rendering re-parses");
+                    assert_eq!(
+                        bp_sql::analyze(&reparsed),
+                        bp_sql::analyze(&original),
+                        "{kind:?} seed {seed}: {}",
+                        entry.sql
+                    );
+                    assert_eq!(reparsed.to_string(), rendered);
+                }
+            }
+        }
     }
 
     #[test]
@@ -600,11 +627,11 @@ mod tests {
             let query = bp_sql::parse_query(&entry.sql).unwrap();
             db.execute(&query).expect("multi-join executes");
         }
-        let analyses: Vec<_> = entries
+        let queries: Vec<_> = entries
             .iter()
-            .map(|e| bp_sql::analyze(&bp_sql::parse_query(&e.sql).unwrap()))
+            .map(|e| bp_sql::parse_query(&e.sql).unwrap())
             .collect();
-        let complexity = QueryComplexity::from_analyses("w", &analyses);
+        let complexity = QueryComplexity::from_queries("w", &queries);
         assert!(
             complexity.tables > 1.0,
             "join shapes should lift the mean table count above single-table, got {}",

@@ -2,7 +2,7 @@
 //! paper), including the relative-difference presentation the paper uses
 //! ("↓80.8%" means 80.8% lower than the Beaver data-warehouse baseline).
 
-use bp_sql::QueryAnalysis;
+use bp_sql::{analyze, canonical_token_counts, Query};
 use bp_storage::DatabaseProfile;
 use serde::{Deserialize, Serialize};
 
@@ -28,24 +28,38 @@ pub struct QueryComplexity {
 }
 
 impl QueryComplexity {
-    /// Aggregate per-query analyses into workload means.
-    pub fn from_analyses(workload: impl Into<String>, analyses: &[QueryAnalysis]) -> Self {
-        let n = analyses.len();
-        let mean = |f: &dyn Fn(&QueryAnalysis) -> f64| -> f64 {
-            if n == 0 {
-                0.0
-            } else {
-                analyses.iter().map(f).sum::<f64>() / n as f64
+    /// Workload means over `queries`: the structural columns from
+    /// [`bp_sql::analyze`], the lexical ones from
+    /// [`bp_sql::canonical_token_counts`].
+    pub fn from_queries(workload: impl Into<String>, queries: &[Query]) -> Self {
+        let mut sums = [0usize; 6];
+        for query in queries {
+            let analysis = analyze(query);
+            let (tokens, keywords) = canonical_token_counts(query);
+            let row = [
+                keywords,
+                tokens,
+                analysis.table_count(),
+                analysis.column_count(),
+                analysis.aggregate_count,
+                analysis.nesting_depth,
+            ];
+            for (sum, value) in sums.iter_mut().zip(row) {
+                *sum += value;
             }
-        };
+        }
+        let n = queries.len();
+        // An empty workload has all-zero sums, hence all-zero means.
+        let [keywords, tokens, tables, columns, aggregations, nestings] =
+            sums.map(|sum| sum as f64 / n.max(1) as f64);
         QueryComplexity {
             workload: workload.into(),
-            keywords: mean(&|a| a.keyword_count as f64),
-            tokens: mean(&|a| a.token_count as f64),
-            tables: mean(&|a| a.table_count() as f64),
-            columns: mean(&|a| a.column_count() as f64),
-            aggregations: mean(&|a| a.aggregate_count as f64),
-            nestings: mean(&|a| a.nesting_depth as f64),
+            keywords,
+            tokens,
+            tables,
+            columns,
+            aggregations,
+            nestings,
             query_count: n,
         }
     }
@@ -177,19 +191,17 @@ impl RelativeDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_sql::{analyze, parse_query};
+    use bp_sql::parse_query;
 
-    fn analyses(sqls: &[&str]) -> Vec<QueryAnalysis> {
-        sqls.iter()
-            .map(|s| analyze(&parse_query(s).unwrap()))
-            .collect()
+    fn queries(sqls: &[&str]) -> Vec<Query> {
+        sqls.iter().map(|s| parse_query(s).unwrap()).collect()
     }
 
     #[test]
     fn query_complexity_means() {
-        let c = QueryComplexity::from_analyses(
+        let c = QueryComplexity::from_queries(
             "demo",
-            &analyses(&[
+            &queries(&[
                 "SELECT a FROM t",
                 "SELECT a, b FROM t JOIN u ON t.id = u.id WHERE a > 1",
             ]),
@@ -202,7 +214,7 @@ mod tests {
 
     #[test]
     fn empty_workload_is_zeroed() {
-        let c = QueryComplexity::from_analyses("empty", &[]);
+        let c = QueryComplexity::from_queries("empty", &[]);
         assert_eq!(c.query_count, 0);
         assert_eq!(c.as_row(), [0.0; 6]);
     }

@@ -1,10 +1,17 @@
 //! Structural analysis of SQL queries.
 //!
-//! [`QueryAnalysis`] captures the query-level complexity statistics that the
-//! paper reports in Table 1 (#Keywords, #Tokens, #Tables, #Columns, #Agg,
-//! #Nestings) plus additional structural facts (joins, predicates, grouping,
-//! ordering, set operations) that the simulated LLM and the annotation
-//! accuracy scorer rely on.
+//! [`analyze`] walks a query's AST once and records structural facts: the
+//! tables and columns it references, aggregate calls, nesting depth, joins,
+//! predicates, grouping, ordering and set operations. The simulated LLM,
+//! the annotator model, decomposition and the plan cache's per-table
+//! invalidation read these facts, and Table 1 of the paper reports four of
+//! them as workload means (#Tables, #Columns, #Agg, #Nestings). It never
+//! renders or lexes the query, so its result does not depend on how the
+//! query text was formatted.
+//!
+//! Table 1's two lexical columns (#Keywords, #Tokens) come from
+//! [`canonical_token_counts`], which tokenizes the query's canonical
+//! rendering. Only Table 1 reads them.
 
 use crate::ast::*;
 use crate::lexer::tokenize;
@@ -15,12 +22,12 @@ use std::collections::BTreeSet;
 /// Structural summary of a single SQL query.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct QueryAnalysis {
-    /// Number of structural SQL keywords in the token stream.
-    pub keyword_count: usize,
-    /// Total number of lexical tokens.
-    pub token_count: usize,
-    /// Distinct base table names referenced anywhere in the query
-    /// (CTE names are excluded; they are intermediate results).
+    /// Distinct table names referenced anywhere in the query, normalized.
+    /// A reference to a CTE is recorded under the CTE's name like any other
+    /// table (the analyzer does not resolve WITH scopes), so this is a
+    /// superset of the base tables read. A prepared query's per-table
+    /// invalidation relies on it: a CTE name that shadows a base table
+    /// still counts as reading that table.
     pub tables: BTreeSet<String>,
     /// Distinct column names referenced anywhere in the query.
     pub columns: BTreeSet<String>,
@@ -90,36 +97,30 @@ impl QueryAnalysis {
     }
 }
 
-/// Analyze a query AST together with its original text (for token counts).
-pub fn analyze_query_text(query: &Query, sql_text: &str) -> QueryAnalysis {
-    let mut analysis = analyze_query(query);
-    fill_token_stats(&mut analysis, sql_text);
-    analysis
-}
-
-/// Analyze a parsed query. Token/keyword counts are computed from the
-/// canonical rendering of the query.
+/// Analyze a parsed query's structure with one walk over its AST.
 pub fn analyze(query: &Query) -> QueryAnalysis {
-    let rendered = query.to_string();
-    analyze_query_text(query, &rendered)
-}
-
-fn fill_token_stats(analysis: &mut QueryAnalysis, sql_text: &str) {
-    if let Ok(tokens) = tokenize(sql_text) {
-        analysis.token_count = tokens.len();
-        analysis.keyword_count = tokens
-            .iter()
-            .filter(|t| matches!(t, Token::Keyword(k) if k.is_structural()))
-            .count();
-    }
-}
-
-fn analyze_query(query: &Query) -> QueryAnalysis {
     let mut analysis = QueryAnalysis::default();
     walk_query(query, 0, &mut analysis);
     analysis.has_order_by = !query.order_by.is_empty();
     analysis.has_limit = query.limit.is_some();
     analysis
+}
+
+/// Table 1's lexical counts, `(tokens, keywords)`: the number of tokens in
+/// the query's canonical rendering, and how many of them are structural
+/// keywords ([`crate::Keyword::is_structural`]). Both are 0 if the
+/// rendering does not tokenize.
+pub fn canonical_token_counts(query: &Query) -> (usize, usize) {
+    match tokenize(&query.to_string()) {
+        Ok(tokens) => {
+            let keywords = tokens
+                .iter()
+                .filter(|t| matches!(t, Token::Keyword(k) if k.is_structural()))
+                .count();
+            (tokens.len(), keywords)
+        }
+        Err(_) => (0, 0),
+    }
 }
 
 fn walk_query(query: &Query, depth: usize, a: &mut QueryAnalysis) {
@@ -405,21 +406,22 @@ mod tests {
     use crate::parser::parse_query;
 
     fn analyze_sql(sql: &str) -> QueryAnalysis {
-        let query = parse_query(sql).expect("parse");
-        analyze_query_text(&query, sql)
+        analyze(&parse_query(sql).expect("parse"))
     }
 
     #[test]
     fn flat_query_statistics() {
-        let a = analyze_sql("SELECT name, gpa FROM students WHERE gpa > 3.5");
+        let q = parse_query("SELECT name, gpa FROM students WHERE gpa > 3.5").unwrap();
+        let a = analyze(&q);
         assert_eq!(a.table_count(), 1);
         assert_eq!(a.column_count(), 2);
         assert_eq!(a.aggregate_count, 0);
         assert_eq!(a.nesting_depth, 0);
         assert_eq!(a.predicate_count, 1);
         assert!(!a.has_group_by);
-        assert!(a.token_count > 5);
-        assert!(a.keyword_count >= 3); // SELECT FROM WHERE
+        let (tokens, keywords) = canonical_token_counts(&q);
+        assert!(tokens > 5);
+        assert!(keywords >= 3); // SELECT FROM WHERE
     }
 
     #[test]
@@ -449,10 +451,9 @@ mod tests {
         let a = analyze_sql("WITH c AS (SELECT a FROM t) SELECT * FROM c");
         assert_eq!(a.cte_count, 1);
         assert_eq!(a.nesting_depth, 1);
-        // CTE name `c` is referenced in FROM but `t` is the only base table...
-        // `c` appears as a table reference too; both are recorded since the
-        // analyzer does not resolve CTE scope. The caller can subtract CTE names.
-        assert!(a.tables.contains("T"));
+        // `t` is the only base table, but the reference to the CTE `c` is
+        // recorded too: the analyzer does not resolve CTE scope.
+        assert_eq!(a.tables, BTreeSet::from(["C".to_string(), "T".to_string()]));
     }
 
     #[test]
@@ -518,10 +519,9 @@ mod tests {
     }
 
     #[test]
-    fn analyze_uses_canonical_rendering() {
+    fn token_counts_use_canonical_rendering() {
         let q = parse_query("SELECT   a    FROM    t").unwrap();
-        let a = analyze(&q);
-        assert_eq!(a.token_count, 4);
+        assert_eq!(canonical_token_counts(&q), (4, 2));
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub mod recompose;
 pub mod token;
 
 pub use analyzer::{
-    analyze, analyze_query_text, collect_column_refs, column_ref, equi_join_keys, expr_subqueries,
-    split_conjuncts, ColumnRef, JoinKeyExtraction, QueryAnalysis,
+    analyze, canonical_token_counts, collect_column_refs, column_ref, equi_join_keys,
+    expr_subqueries, split_conjuncts, ColumnRef, JoinKeyExtraction, QueryAnalysis,
 };
 pub use ast::{
     BinaryOperator, ColumnDef, CreateTable, Cte, DataType, Expr, Ident, Join, JoinConstraint,

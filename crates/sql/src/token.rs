@@ -211,9 +211,10 @@ define_keywords! {
 }
 
 impl Keyword {
-    /// Keywords that introduce or shape query structure; used by the
-    /// analyzer to compute the "#Keywords" statistic the way query-log
-    /// complexity studies do (structural keywords only, not type names).
+    /// Keywords that introduce or shape query structure; used by
+    /// [`crate::canonical_token_counts`] to compute the "#Keywords"
+    /// statistic the way query-log complexity studies do (structural
+    /// keywords only, not type names).
     pub fn is_structural(&self) -> bool {
         use Keyword::*;
         matches!(

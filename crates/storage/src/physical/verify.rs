@@ -482,8 +482,8 @@ pub fn verify_plan(db: &Snapshot, plan: &PhysQueryPlan) -> Vec<PlanViolation> {
     let mut v = Verifier {
         db,
         violations: Vec::new(),
-        path: vec!["root".to_string()],
-        frames: Vec::new(),
+        path: vec![PathSeg::Op("root")],
+        cte_arities: Vec::new(),
         scopes: Vec::new(),
     };
     v.check_plan(plan);
@@ -500,7 +500,7 @@ pub fn verify_logical(db: &Snapshot, plan: &QueryPlan) -> Vec<PlanViolation> {
     let mut v = LogicalVerifier {
         db,
         violations: Vec::new(),
-        path: vec!["root".to_string()],
+        path: vec![PathSeg::Op("root")],
         frames: Vec::new(),
     };
     v.check_plan(plan);
@@ -511,21 +511,41 @@ pub fn verify_logical(db: &Snapshot, plan: &QueryPlan) -> Vec<PlanViolation> {
 // Physical walker
 // ---------------------------------------------------------------------
 
+/// One step of an operator path: an operator, or a CTE of the plan being
+/// walked. Steps borrow their text; [`render_path`] joins them only when a
+/// violation is reported.
+enum PathSeg<'a> {
+    Op(&'static str),
+    Cte(&'a str),
+}
+
+/// Join a path's steps with `.`, a CTE step as `cte(<name>)`.
+fn render_path(path: &[PathSeg<'_>]) -> String {
+    let steps: Vec<String> = path
+        .iter()
+        .map(|seg| match seg {
+            PathSeg::Op(op) => op.to_string(),
+            PathSeg::Cte(name) => format!("cte({name})"),
+        })
+        .collect();
+    steps.join(".")
+}
+
 struct Verifier<'a> {
     db: &'a Snapshot,
     violations: Vec<PlanViolation>,
-    path: Vec<String>,
+    path: Vec<PathSeg<'a>>,
     /// One frame per enclosing plan, innermost last: the output arities of
     /// the CTEs that plan has materialized so far, in definition order.
-    frames: Vec<Vec<usize>>,
+    cte_arities: Vec<Vec<usize>>,
     /// Arities of the row scopes enclosing the current subquery, innermost
     /// last: what a correlated reference may read.
     scopes: Vec<usize>,
 }
 
-impl Verifier<'_> {
+impl<'a> Verifier<'a> {
     fn path(&self) -> String {
-        self.path.join(".")
+        render_path(&self.path)
     }
 
     fn report(&mut self, violation: PlanViolation) {
@@ -534,13 +554,13 @@ impl Verifier<'_> {
 
     /// Verify one (sub-)plan and return its visible output arity
     /// (truncated to the declared column list, exactly like execution).
-    fn check_plan(&mut self, plan: &PhysQueryPlan) -> usize {
-        self.frames.push(Vec::new());
+    fn check_plan(&mut self, plan: &'a PhysQueryPlan) -> usize {
+        self.cte_arities.push(Vec::new());
         for (name, sub) in &plan.ctes {
-            self.path.push(format!("cte({name})"));
+            self.path.push(PathSeg::Cte(name));
             let arity = self.check_plan(sub);
             self.path.pop();
-            self.frames
+            self.cte_arities
                 .last_mut()
                 .expect("frame pushed above")
                 .push(arity);
@@ -553,7 +573,7 @@ impl Verifier<'_> {
                 arity: root_arity,
             });
         }
-        self.frames.pop();
+        self.cte_arities.pop();
         plan.columns.len().min(root_arity)
     }
 
@@ -563,32 +583,32 @@ impl Verifier<'_> {
     /// input 2 (scan directly below, or through exactly one filter), a
     /// filter passes its allowance down minus one, everything else grants
     /// 0.
-    fn check_node(&mut self, node: &PhysNode, prune_levels: usize) -> usize {
+    fn check_node(&mut self, node: &'a PhysNode, prune_levels: usize) -> usize {
         match node {
             PhysNode::ScanTable { name, cols } => {
-                self.path.push("ScanTable".into());
+                self.path.push(PathSeg::Op("ScanTable"));
                 let arity = self.check_table_scan(name, cols.as_deref(), prune_levels);
                 self.path.pop();
                 arity
             }
             PhysNode::IndexScan { name, access, cols } => {
-                self.path.push("IndexScan".into());
+                self.path.push(PathSeg::Op("IndexScan"));
                 let arity = self.check_table_scan(name, cols.as_deref(), prune_levels);
                 self.check_index_access(name, access);
                 self.path.pop();
                 arity
             }
             PhysNode::IndexAgg { name, specs } => {
-                self.path.push("IndexAgg".into());
+                self.path.push(PathSeg::Op("IndexAgg"));
                 let out = self.check_index_agg(name, specs);
                 self.path.pop();
                 out
             }
             PhysNode::ScanCte { depth, idx } => {
-                let frame = self.frames.iter().rev().nth(*depth);
+                let frame = self.cte_arities.iter().rev().nth(*depth);
                 let found = frame.and_then(|ctes| ctes.get(*idx)).copied();
                 found.unwrap_or_else(|| {
-                    self.path.push("ScanCte".into());
+                    self.path.push(PathSeg::Op("ScanCte"));
                     let v = PlanViolation::CteOutOfBounds {
                         path: self.path(),
                         depth: *depth,
@@ -600,14 +620,14 @@ impl Verifier<'_> {
                 })
             }
             PhysNode::ScanDerived { plan } => {
-                self.path.push("ScanDerived".into());
+                self.path.push(PathSeg::Op("ScanDerived"));
                 let arity = self.check_plan(plan);
                 self.path.pop();
                 arity
             }
             PhysNode::ScanEmpty => 0,
             PhysNode::Filter { input, predicate } => {
-                self.path.push("Filter".into());
+                self.path.push(PathSeg::Op("Filter"));
                 let arity = self.check_node(input, prune_levels.saturating_sub(1));
                 self.check_expr(predicate, arity);
                 self.path.pop();
@@ -621,7 +641,7 @@ impl Verifier<'_> {
                 right_width,
                 ..
             } => {
-                self.path.push("NestedLoopJoin".into());
+                self.path.push(PathSeg::Op("NestedLoopJoin"));
                 let out =
                     self.check_join_common(left, right, on.as_ref(), *width, *right_width, None);
                 self.path.pop();
@@ -637,7 +657,7 @@ impl Verifier<'_> {
                 right_width,
                 ..
             } => {
-                self.path.push("HashJoin".into());
+                self.path.push(PathSeg::Op("HashJoin"));
                 let out = self.check_join_common(
                     left,
                     right,
@@ -655,7 +675,7 @@ impl Verifier<'_> {
                 visible,
                 ..
             } => {
-                self.path.push("Project".into());
+                self.path.push(PathSeg::Op("Project"));
                 let arity = self.check_node(input, 2);
                 if *visible > items.len() {
                     self.report(PlanViolation::VisibleOutOfBounds {
@@ -680,7 +700,7 @@ impl Verifier<'_> {
                 input_width,
                 ..
             } => {
-                self.path.push("HashAggregate".into());
+                self.path.push(PathSeg::Op("HashAggregate"));
                 let arity = self.check_node(input, 0);
                 self.check_width(*input_width, arity);
                 if *visible > items.len() {
@@ -697,7 +717,7 @@ impl Verifier<'_> {
                 items.len()
             }
             PhysNode::Sort { input, keys } => {
-                self.path.push("Sort".into());
+                self.path.push(PathSeg::Op("Sort"));
                 let arity = self.check_node(input, 0);
                 self.check_sort_keys(keys, arity);
                 self.path.pop();
@@ -709,7 +729,7 @@ impl Verifier<'_> {
                 limit,
                 offset,
             } => {
-                self.path.push("TopK".into());
+                self.path.push(PathSeg::Op("TopK"));
                 let arity = self.check_node(input, 0);
                 self.check_sort_keys(keys, arity);
                 for expr in std::iter::once(limit).chain(offset) {
@@ -723,7 +743,7 @@ impl Verifier<'_> {
                 limit,
                 offset,
             } => {
-                self.path.push("Limit".into());
+                self.path.push(PathSeg::Op("Limit"));
                 let arity = self.check_node(input, 0);
                 // LIMIT/OFFSET are compiled in an empty scope: identifiers
                 // resolve to outer references, never to columns, so any
@@ -739,16 +759,16 @@ impl Verifier<'_> {
                 // A width mismatch between the branches is a *legal runtime
                 // error* (differential-tested), so only the branches
                 // themselves are verified here.
-                self.path.push("SetOp.left".into());
+                self.path.push(PathSeg::Op("SetOp.left"));
                 let arity = self.check_plan(left);
                 self.path.pop();
-                self.path.push("SetOp.right".into());
+                self.path.push(PathSeg::Op("SetOp.right"));
                 self.check_plan(right);
                 self.path.pop();
                 arity
             }
             PhysNode::Nested(plan) => {
-                self.path.push("Nested".into());
+                self.path.push(PathSeg::Op("Nested"));
                 let arity = self.check_plan(plan);
                 self.path.pop();
                 arity
@@ -806,7 +826,7 @@ impl Verifier<'_> {
 
     /// Index fast-path preconditions: in-bounds column, family-compatible
     /// probe keys, and no index path of any kind on a NaN-poisoned column.
-    fn check_index_access(&mut self, table: &str, access: &IndexAccess) {
+    fn check_index_access(&mut self, table: &str, access: &'a IndexAccess) {
         let Some(t) = self.db.table(table) else {
             return; // UnknownTable already reported by check_table_scan.
         };
@@ -911,17 +931,17 @@ impl Verifier<'_> {
 
     fn check_join_common(
         &mut self,
-        left: &PhysNode,
-        right: &PhysNode,
-        residual: Option<&PhysExpr>,
+        left: &'a PhysNode,
+        right: &'a PhysNode,
+        residual: Option<&'a PhysExpr>,
         width: usize,
         right_width: usize,
         keys: Option<(&[usize], &[usize])>,
     ) -> usize {
-        self.path.push("left".into());
+        self.path.push(PathSeg::Op("left"));
         let left_arity = self.check_node(left, 0);
         self.path.pop();
-        self.path.push("right".into());
+        self.path.push(PathSeg::Op("right"));
         let right_arity = self.check_node(right, 0);
         self.path.pop();
         if right_width != right_arity {
@@ -994,7 +1014,7 @@ impl Verifier<'_> {
     /// every consumer expression must be vectorizable — the batch fallback
     /// materializes whole rows and would read placeholder slots — and may
     /// read only unpruned columns.
-    fn check_prune_consumers(&mut self, input: &PhysNode, items: &[PhysExpr]) {
+    fn check_prune_consumers(&mut self, input: &'a PhysNode, items: &'a [PhysExpr]) {
         let (mask, predicate) = match input {
             PhysNode::ScanTable { cols: Some(m), .. }
             | PhysNode::IndexScan { cols: Some(m), .. } => (m, None),
@@ -1044,8 +1064,8 @@ impl Verifier<'_> {
     }
 
     /// Verify a subquery that runs for rows of arity `row_arity`.
-    fn check_subplan(&mut self, plan: &SubPlan, row_arity: usize) {
-        self.path.push("subquery".into());
+    fn check_subplan(&mut self, plan: &'a SubPlan, row_arity: usize) {
+        self.path.push(PathSeg::Op("subquery"));
         self.scopes.push(row_arity);
         self.check_plan(&plan.plan);
         self.scopes.pop();
@@ -1057,7 +1077,7 @@ impl Verifier<'_> {
     /// node's children, then the subplan it holds (if any). Runtime type
     /// errors are legal semantics, so nothing about an expression's type is
     /// checked here.
-    fn check_expr(&mut self, expr: &PhysExpr, arity: usize) {
+    fn check_expr(&mut self, expr: &'a PhysExpr, arity: usize) {
         match *expr {
             PhysExpr::Column(idx) if idx >= arity => {
                 self.report(PlanViolation::ColumnOutOfBounds {
@@ -1097,30 +1117,30 @@ impl Verifier<'_> {
 struct LogicalVerifier<'a> {
     db: &'a Snapshot,
     violations: Vec<PlanViolation>,
-    path: Vec<String>,
+    path: Vec<PathSeg<'a>>,
     /// CTE scopes, innermost last: name → output width.
-    frames: Vec<HashMap<String, usize>>,
+    frames: Vec<HashMap<&'a str, usize>>,
 }
 
-impl LogicalVerifier<'_> {
+impl<'a> LogicalVerifier<'a> {
     fn path(&self) -> String {
-        self.path.join(".")
+        render_path(&self.path)
     }
 
     fn report(&mut self, violation: PlanViolation) {
         self.violations.push(violation);
     }
 
-    fn check_plan(&mut self, plan: &QueryPlan) -> usize {
+    fn check_plan(&mut self, plan: &'a QueryPlan) -> usize {
         self.frames.push(HashMap::new());
         for (name, sub) in &plan.ctes {
-            self.path.push(format!("cte({name})"));
+            self.path.push(PathSeg::Cte(name));
             let width = self.check_plan(sub);
             self.path.pop();
             self.frames
                 .last_mut()
                 .expect("frame pushed above")
-                .insert(name.clone(), width);
+                .insert(name, width);
         }
         let root_width = self.check_node(&plan.root);
         if plan.columns.len() > root_width {
@@ -1134,10 +1154,10 @@ impl LogicalVerifier<'_> {
         plan.columns.len().min(root_width)
     }
 
-    fn check_node(&mut self, node: &LogicalPlan) -> usize {
+    fn check_node(&mut self, node: &'a LogicalPlan) -> usize {
         match node {
             LogicalPlan::Scan(Scan { source, bindings }) => {
-                self.path.push("Scan".into());
+                self.path.push(PathSeg::Op("Scan"));
                 let expected = match source {
                     ScanSource::Table(name) => match self.db.table(name) {
                         Some(table) => Some(table.schema.column_count()),
@@ -1155,7 +1175,7 @@ impl LogicalVerifier<'_> {
                             .frames
                             .iter()
                             .rev()
-                            .find_map(|frame| frame.get(name))
+                            .find_map(|frame| frame.get(name.as_str()))
                             .copied();
                         if found.is_none() {
                             let v = PlanViolation::UnknownCte {
@@ -1183,7 +1203,7 @@ impl LogicalVerifier<'_> {
                 bindings.len()
             }
             LogicalPlan::Filter { input, .. } => {
-                self.path.push("Filter".into());
+                self.path.push(PathSeg::Op("Filter"));
                 let width = self.check_node(input);
                 self.path.pop();
                 width
@@ -1195,7 +1215,7 @@ impl LogicalVerifier<'_> {
                 bindings,
                 ..
             } => {
-                self.path.push("Join".into());
+                self.path.push(PathSeg::Op("Join"));
                 let left_width = self.check_node(left);
                 let right_width = self.check_node(right);
                 if bindings.len() != left_width + right_width {
@@ -1263,14 +1283,13 @@ impl LogicalVerifier<'_> {
                 names,
                 ..
             } => {
-                self.path.push(
+                self.path.push(PathSeg::Op(
                     if matches!(node, LogicalPlan::Project { .. }) {
                         "Project"
                     } else {
                         "Aggregate"
-                    }
-                    .into(),
-                );
+                    },
+                ));
                 self.check_node(input);
                 if names.len() > items.len() {
                     let v = PlanViolation::VisibleOutOfBounds {
@@ -1284,7 +1303,7 @@ impl LogicalVerifier<'_> {
                 items.len()
             }
             LogicalPlan::Sort { input, keys } => {
-                self.path.push("Sort".into());
+                self.path.push(PathSeg::Op("Sort"));
                 let width = self.check_node(input);
                 for key in keys {
                     if let Some(ordinal) = key.ordinal {
@@ -1302,22 +1321,22 @@ impl LogicalVerifier<'_> {
                 width
             }
             LogicalPlan::Limit { input, .. } => {
-                self.path.push("Limit".into());
+                self.path.push(PathSeg::Op("Limit"));
                 let width = self.check_node(input);
                 self.path.pop();
                 width
             }
             LogicalPlan::SetOp { left, right, .. } => {
-                self.path.push("SetOp.left".into());
+                self.path.push(PathSeg::Op("SetOp.left"));
                 let left_width = self.check_plan(left);
                 self.path.pop();
-                self.path.push("SetOp.right".into());
+                self.path.push(PathSeg::Op("SetOp.right"));
                 self.check_plan(right);
                 self.path.pop();
                 left_width
             }
             LogicalPlan::Nested(sub) => {
-                self.path.push("Nested".into());
+                self.path.push(PathSeg::Op("Nested"));
                 let width = self.check_plan(sub);
                 self.path.pop();
                 width
@@ -1733,26 +1752,45 @@ mod tests {
         let derived = |root: PhysNode| PhysNode::ScanDerived {
             plan: Box::new(PhysQueryPlan::of(root, &[])),
         };
-        // (label, plan, depth, idx of the out-of-bounds reference).
+        // (label, plan, depth, idx and path of the out-of-bounds reference).
         let cases = [
-            ("depth past the frames", with(scan_t(), cte(1, 0)), 1, 0),
+            (
+                "depth past the frames",
+                with(scan_t(), cte(1, 0)),
+                1,
+                0,
+                "root.ScanCte",
+            ),
             (
                 "depth past the frames, from a derived table",
                 with(scan_t(), derived(cte(2, 0))),
                 2,
                 0,
+                "root.ScanDerived.ScanCte",
             ),
-            ("idx past the frame's CTEs", with(scan_t(), cte(0, 1)), 0, 1),
+            (
+                "idx past the frame's CTEs",
+                with(scan_t(), cte(0, 1)),
+                0,
+                1,
+                "root.ScanCte",
+            ),
             // A CTE body runs before its own result exists.
-            ("a CTE reading itself", with(cte(1, 0), cte(0, 0)), 1, 0),
+            (
+                "a CTE reading itself",
+                with(cte(1, 0), cte(0, 0)),
+                1,
+                0,
+                "root.cte(C).ScanCte",
+            ),
         ];
-        for (label, corrupt, depth, idx) in cases {
+        for (label, corrupt, depth, idx, path) in cases {
             let violations = verify_plan(&snapshot, &corrupt);
             assert!(
                 matches!(
                     violations.as_slice(),
-                    [PlanViolation::CteOutOfBounds { depth: d, idx: i, .. }]
-                        if (*d, *i) == (depth, idx)
+                    [v @ PlanViolation::CteOutOfBounds { depth: d, idx: i, .. }]
+                        if (*d, *i) == (depth, idx) && v.path() == path
                 ),
                 "{label}: expected one CteOutOfBounds, got:\n{}",
                 render_violations(&violations)
