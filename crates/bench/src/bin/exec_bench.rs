@@ -567,9 +567,10 @@ fn join_order() -> (Snapshot, [PhysQueryPlan; 2], usize) {
 }
 
 /// Per-plan cost of the verifier the prepared-query path runs on every
-/// compile: one pass over the Medium workload's plans at both fast-path
-/// settings plus the point-lookup plans. Its violation count must be zero:
-/// anything else means the compiler shipped a miscompile.
+/// compile, over the Medium workload's plans at both fast-path settings
+/// plus the point-lookup plans: the median round of 11, each round the
+/// median of 5 passes. Its violation count must be zero: anything else
+/// means the compiler shipped a miscompile.
 fn plan_verification<'a>(medium: &GeneratedBenchmark, lookups: &'a Lookups) -> Entry<'a> {
     let snapshot = medium.database.snapshot();
     let mut workload = Vec::new();
@@ -594,12 +595,18 @@ fn plan_verification<'a>(medium: &GeneratedBenchmark, lookups: &'a Lookups) -> E
         let per_plan_us = round.ms[0] * 1e3 / plans as f64;
         facts!(per_plan_us: per_plan_us, violations: violations, meets_target: Json::Null)
     };
+    // One pass takes well under a millisecond, so a single round swings
+    // about 2x between runs; the median of many rounds does not.
+    let rounds = 11;
     Entry {
         sides: vec![side("pass_ms", 5, verify_all)],
-        rounds: 1,
+        rounds,
         derived: Some(Box::new(derived)),
         checks: vec![("plan verifier violations", violations as u64)],
-        ..Entry::new("plan_verification", facts!(plans: plans))
+        ..Entry::new(
+            "plan_verification",
+            facts!(plans: plans, measure_rounds: rounds),
+        )
     }
 }
 

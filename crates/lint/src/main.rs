@@ -40,8 +40,10 @@
 //! `#[cfg(test)]` modules and `#[test]` functions are masked out by brace
 //! tracking, and the rules match tokens in what remains. No type
 //! inference: `hash-iter` resolves receivers by collecting identifiers
-//! bound to `HashMap`/`HashSet` within the same file, which is exact for
-//! this codebase's idiom (locals and struct fields annotated or
+//! bound to `HashMap`/`HashSet`: a local only in the `fn` that binds it, a
+//! struct field file-wide except inside another struct that declares a
+//! same-named field of another type (and that struct's `impl` blocks) —
+//! exact for this codebase's idiom (locals and struct fields annotated or
 //! constructed in place).
 
 use std::collections::BTreeMap;
@@ -431,13 +433,144 @@ fn find_sync_shim(clean: &str, src: &str, file: &str, tests: &[(usize, usize)]) 
     findings
 }
 
-/// Collect identifiers bound to `HashMap`/`HashSet` in this file: `let`
-/// bindings and struct fields, by annotation (`name: HashMap<…>`, possibly
-/// through wrappers like `Mutex<HashMap<…>>`) or in-place construction
-/// (`name = HashMap::new()`).
-fn hash_bound_names(clean: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in clean.lines() {
+/// One brace block of the sanitized text: `start` is where its header
+/// begins (just past the previous `;`, `{` or `}`), `open` its `{`, `end`
+/// one past its `}`.
+struct Block {
+    start: usize,
+    open: usize,
+    end: usize,
+}
+
+/// Every brace block of the sanitized text, in closing order.
+fn blocks(clean: &str) -> Vec<Block> {
+    let mut stack = Vec::new();
+    let mut out = Vec::new();
+    for (i, b) in clean.bytes().enumerate() {
+        match b {
+            b'{' => stack.push(i),
+            b'}' => {
+                if let Some(open) = stack.pop() {
+                    let start = clean[..open].rfind([';', '{', '}']).map_or(0, |p| p + 1);
+                    out.push(Block {
+                        start,
+                        open,
+                        end: i + 1,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The identifiers of a block's header, in order.
+fn header_words(clean: &str, block: &Block) -> Vec<String> {
+    clean[block.start..block.open]
+        .split(|c: char| !is_ident_char(c))
+        .filter(|w| !w.is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Where one `HashMap`/`HashSet` binding may be read: anywhere in
+/// `within` that is not in `except`.
+struct Scope {
+    within: Vec<(usize, usize)>,
+    except: Vec<(usize, usize)>,
+}
+
+impl Scope {
+    fn contains(&self, offset: usize) -> bool {
+        in_regions(&self.within, offset) && !in_regions(&self.except, offset)
+    }
+}
+
+/// The name a `struct` block's header declares, if it is one.
+fn struct_name(words: &[String]) -> Option<&String> {
+    let at = words.iter().position(|w| w == "struct")?;
+    words.get(at + 1)
+}
+
+/// Where the binding `name` declared at `offset` may be read. A local or
+/// parameter is visible in the innermost `fn` around it. A struct field is
+/// visible file-wide (it may be read from any function), except inside
+/// another struct that declares a field of the same name with another
+/// type, and that struct's `impl` blocks.
+fn binding_scope(clean: &str, blocks: &[Block], offset: usize, name: &str) -> Scope {
+    let file = vec![(0, clean.len())];
+    let mut around: Vec<&Block> = blocks
+        .iter()
+        .filter(|b| b.start <= offset && offset < b.end)
+        .collect();
+    around.sort_by_key(|b| b.end - b.start);
+    let owner = around
+        .first()
+        .and_then(|b| struct_name(&header_words(clean, b)).cloned());
+    let Some(owner) = owner else {
+        let fun = around
+            .iter()
+            .find(|b| header_words(clean, b).iter().any(|w| w == "fn"));
+        let within = fun.map_or(file, |f| vec![(f.start, f.end)]);
+        return Scope {
+            within,
+            except: Vec::new(),
+        };
+    };
+    let others: Vec<String> = blocks
+        .iter()
+        .filter_map(|b| {
+            let other = struct_name(&header_words(clean, b))?.clone();
+            let shadows = other != owner && declares_other_field(&clean[b.open..b.end], name);
+            shadows.then_some(other)
+        })
+        .collect();
+    let except = blocks
+        .iter()
+        .filter(|b| {
+            let words = header_words(clean, b);
+            let is_impl = words.iter().any(|w| w == "impl") && !words.iter().any(|w| w == "fn");
+            others.iter().any(|other| {
+                struct_name(&words) == Some(other) || (is_impl && words.contains(other))
+            })
+        })
+        .map(|b| (b.start, b.end))
+        .collect();
+    Scope {
+        within: file,
+        except,
+    }
+}
+
+/// Whether a struct body declares a field `name` whose type is neither a
+/// `HashMap` nor a `HashSet`.
+fn declares_other_field(body: &str, name: &str) -> bool {
+    body.lines().any(|line| {
+        let field = line.trim_start();
+        let field = field.strip_prefix("pub(crate) ").unwrap_or(field);
+        let field = field.strip_prefix("pub ").unwrap_or(field);
+        field
+            .strip_prefix(name)
+            .and_then(|rest| rest.trim_start().strip_prefix(':'))
+            .is_some_and(|ty| {
+                !ty.starts_with(':') && !ty.contains("HashMap") && !ty.contains("HashSet")
+            })
+    })
+}
+
+/// Collect identifiers bound to `HashMap`/`HashSet` in this file, each with
+/// the scopes of its bindings (see [`binding_scope`]):
+/// `let` bindings, parameters and struct fields, by annotation (`name:
+/// HashMap<…>`, possibly through wrappers like `Mutex<HashMap<…>>`) or
+/// in-place construction (`name = HashMap::new()`).
+fn hash_bound_names(clean: &str) -> Vec<(String, Vec<Scope>)> {
+    let blocks = blocks(clean);
+    let mut names: BTreeMap<String, Vec<Scope>> = BTreeMap::new();
+    let mut line_start = 0;
+    for line in clean.split_inclusive('\n') {
+        let offset = line_start;
+        line_start += line.len();
         let trimmed = line.trim_start();
         if trimmed.starts_with("use ") || trimmed.starts_with("pub use ") {
             continue;
@@ -476,25 +609,27 @@ fn hash_bound_names(clean: &str) -> Vec<String> {
                 && !name.chars().next().is_some_and(|c| c.is_ascii_digit())
                 && name != "mut"
             {
-                names.push(name);
+                let scope = binding_scope(clean, &blocks, offset + pos, &name);
+                names.entry(name).or_default().push(scope);
             }
         }
     }
-    names.sort_unstable();
-    names.dedup();
-    names
+    names.into_iter().collect()
 }
 
 /// `hash-iter`: iteration over identifiers bound to `HashMap`/`HashSet`.
 fn find_hash_iter(clean: &str, src: &str, file: &str, tests: &[(usize, usize)]) -> Vec<Finding> {
     let names = hash_bound_names(clean);
     let mut findings = Vec::new();
-    for name in &names {
+    for (name, scopes) in &names {
         let mut from = 0;
         while let Some(pos) = clean[from..].find(name.as_str()) {
             let offset = from + pos;
             from = offset + name.len();
-            if !token_at(clean, offset, name) || in_regions(tests, offset) {
+            if !token_at(clean, offset, name)
+                || in_regions(tests, offset)
+                || !scopes.iter().any(|scope| scope.contains(offset))
+            {
                 continue;
             }
             let after = offset + name.len();
@@ -880,6 +1015,50 @@ mod tests {
         let findings = find_hash_iter(&clean, src, "f.rs", &[]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].line, 5);
+    }
+
+    #[test]
+    fn hash_iter_scopes_a_field_to_its_struct() {
+        // Two structs share a field name: iterating the `Vec` one is fine,
+        // iterating the `HashMap` one is not.
+        let src = "struct Walker {\n    frames: Vec<u32>,\n}\n\
+                   impl Walker {\n    fn all(&self) { for f in self.frames.iter() { use_(f); } }\n}\n\
+                   struct Index {\n    frames: HashMap<String, u32>,\n}\n\
+                   impl Index {\n    fn all(&self) { for f in self.frames.iter() { use_(f); } }\n}\n";
+        let clean = sanitize(src);
+        let findings = find_hash_iter(&clean, src, "f.rs", &[]);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![11], "only the HashMap field's iteration");
+    }
+
+    #[test]
+    fn hash_iter_follows_a_field_outside_its_impl() {
+        // A free fn, another type's impl and a destructuring all read the
+        // `HashMap` field; only `Walker`'s own `Vec` field is exempt.
+        let src = "struct Index {\n    frames: HashMap<String, u32>,\n}\n\
+                   struct Walker {\n    frames: Vec<u32>,\n}\n\
+                   fn dump(i: &Index) { for f in i.frames.iter() { use_(f); } }\n\
+                   impl Report {\n    fn of(i: &Index) { i.frames.values().count(); }\n}\n\
+                   fn parts(i: Index) {\n    let Index { frames } = i;\n    frames.keys();\n}\n\
+                   #[allow(dead_code)]\nimpl Walker {\n    fn all(&self) { self.frames.iter(); }\n}\n";
+        let clean = sanitize(src);
+        let findings = find_hash_iter(&clean, src, "f.rs", &[]);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![7, 9, 13]);
+    }
+
+    #[test]
+    fn hash_iter_scopes_a_local_to_its_fn() {
+        let src = "fn a() {\n    let seen: HashSet<u32> = HashSet::new();\n    for s in &seen { use_(s); }\n}\n\
+                   fn b(seen: &[u32]) {\n    for s in seen.iter() { use_(s); }\n}\n";
+        let clean = sanitize(src);
+        let findings = find_hash_iter(&clean, src, "f.rs", &[]);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            vec![3],
+            "the slice parameter of `b` is not the set of `a`"
+        );
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub use sql2nl::{
     NlCandidate, CANDIDATES_PER_QUERY,
 };
 pub use text2sql::{
-    evaluate_execution_accuracy, evaluate_execution_accuracy_cached, predict_sql, EvalItem,
-    ExecutionAccuracyReport, Text2SqlPrediction, WorkloadDifficulty,
+    evaluate_execution_accuracy, evaluate_execution_accuracy_cached, predict_item, predict_sql,
+    EvalItem, ExecutionAccuracyReport, Text2SqlPrediction, WorkloadDifficulty,
 };
 
 #[cfg(test)]

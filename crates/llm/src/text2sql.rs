@@ -274,7 +274,6 @@ fn grade_item(
     cache: &PlanCache,
     options: ExecOptions,
 ) -> ItemOutcome {
-    let mut rng = item_rng(seed, item, index);
     // Gold side first: an item whose gold SQL cannot run was never a fair
     // test of the model, whatever its prediction would have done.
     let gold = match cache.get(snapshot, &item.gold_sql) {
@@ -285,13 +284,7 @@ fn grade_item(
         Ok(result) => result,
         Err(_) => return ItemOutcome::GoldInvalid,
     };
-    let prediction = predict_sql(
-        profile,
-        gold.query(),
-        item.difficulty,
-        snapshot.catalog(),
-        &mut rng,
-    );
+    let prediction = predict_item(profile, item, index, gold.query(), snapshot.catalog(), seed);
     let predicted_result = match cache
         .get(snapshot, &prediction.sql)
         .and_then(|p| p.execute(options))
@@ -304,6 +297,21 @@ fn grade_item(
     } else {
         ItemOutcome::Incorrect
     }
+}
+
+/// The prediction `profile` makes for item `index` of a workload graded
+/// with `seed`: exactly the SQL [`evaluate_execution_accuracy_cached`]
+/// executes for it. `gold` is the item's parsed gold SQL.
+pub fn predict_item(
+    profile: &ModelProfile,
+    item: &EvalItem,
+    index: usize,
+    gold: &Query,
+    catalog: &Catalog,
+    seed: u64,
+) -> Text2SqlPrediction {
+    let mut rng = item_rng(seed, item, index);
+    predict_sql(profile, gold, item.difficulty, catalog, &mut rng)
 }
 
 /// The RNG an item's prediction draws from, independently seeded from

@@ -457,6 +457,19 @@ mod tests {
     }
 
     #[test]
+    fn tables_are_collected_from_every_clause() {
+        let a = analyze_sql(
+            "WITH c AS (SELECT a FROM t1) SELECT (SELECT MAX(b) FROM t2) FROM c \
+             JOIN (SELECT * FROM t3) d ON d.x IN (SELECT x FROM t4) \
+             WHERE EXISTS (SELECT 1 FROM t5) GROUP BY d.y \
+             HAVING COUNT(*) > (SELECT COUNT(*) FROM t6) \
+             UNION SELECT a FROM t7 ORDER BY 1",
+        );
+        let expected = ["C", "T1", "T2", "T3", "T4", "T5", "T6", "T7"];
+        assert_eq!(a.tables, expected.map(String::from).into());
+    }
+
+    #[test]
     fn join_counting() {
         let a = analyze_sql(
             "SELECT * FROM a JOIN b ON a.x = b.x LEFT JOIN c ON b.y = c.y JOIN d ON d.z = c.z",

@@ -230,7 +230,7 @@ impl ColumnVec {
         b.finish()
     }
 
-    /// Decode one column of a row slice (projection-pruned scans decode
+    /// Decode one column of a row slice (column-pruned scans decode
     /// column-by-column instead of whole batches).
     pub(crate) fn from_rows_column(rows: &[Row], col: usize) -> ColumnVec {
         ColumnVec::from_values(rows.iter().map(move |r| r.get(col).unwrap_or(&Value::Null)))

@@ -6,7 +6,8 @@
 //! chooses hash vs nested-loop joins from the logical plan's extracted
 //! equi-keys, plans + compiles expression subqueries recursively, and
 //! computes each subquery's cacheability (uncorrelated and free of reads
-//! from enclosing CTE scopes).
+//! from enclosing CTE scopes). A last top-down pass over each compiled
+//! plan prunes the columns no operator reads (see [`prune`]).
 //!
 //! Every static error is a compile error wherever it sits, as SQLite and
 //! PostgreSQL reject such a statement at prepare: a column reference that
@@ -49,8 +50,8 @@ pub(crate) struct Compiler<'a> {
     /// Minimum CTE definition depth referenced since the current subplan
     /// boundary (`usize::MAX` = none).
     min_cte_depth: usize,
-    /// Whether to emit index-backed access paths (`false` forces full
-    /// scans — the differential baseline).
+    /// Whether to emit index-backed access paths and prune unread columns
+    /// (`false` forces whole full scans — the differential baseline).
     fast_paths: bool,
     /// Whether statistics drive physical choices (build-side selection,
     /// access-path arbitration). `false` is the syntactic baseline: fixed
@@ -113,7 +114,12 @@ impl<'a> Compiler<'a> {
                 .push((name.clone(), sub.columns.clone()));
             ctes.push((name.clone(), phys));
         }
-        let root = self.compile_node(&plan.root)?;
+        let mut root = self.compile_node(&plan.root)?;
+        if self.fast_paths {
+            // The plan's output is read whole; pruning stops at the plan
+            // boundary, so nested plans were pruned when they compiled.
+            prune(&mut root, None);
+        }
         Ok(PhysQueryPlan {
             ctes,
             root,
@@ -199,6 +205,7 @@ impl<'a> Compiler<'a> {
                         on,
                         width,
                         right_width,
+                        cols: None,
                     })
                 } else {
                     let residual = residual
@@ -226,6 +233,7 @@ impl<'a> Compiler<'a> {
                         width,
                         right_width,
                         build_left,
+                        cols: None,
                     })
                 }
             }
@@ -236,14 +244,11 @@ impl<'a> Compiler<'a> {
                 distinct,
             } => {
                 let bindings = input.bindings();
-                let mut compiled_input = self.compile_node(input)?;
+                let compiled_input = self.compile_node(input)?;
                 let items = items
                     .iter()
                     .map(|e| self.compile_expr(e, bindings))
                     .collect::<StorageResult<Vec<_>>>()?;
-                if self.fast_paths {
-                    prune_scan_columns(&mut compiled_input, &items);
-                }
                 Ok(PhysNode::Project {
                     input: Box::new(compiled_input),
                     items,
@@ -742,11 +747,12 @@ impl<'a> Compiler<'a> {
         self.scopes.push(bindings.to_vec());
         let result = self.compile_query_plan(logical);
         self.scopes.pop();
-        let cacheable = !self.contains_outer && self.min_cte_depth >= entry_depth;
+        let correlated = self.contains_outer;
+        let cacheable = !correlated && self.min_cte_depth >= entry_depth;
         self.contains_outer |= saved_outer;
         self.min_cte_depth = self.min_cte_depth.min(saved_depth);
 
-        Ok(SubPlan::new(result?, cacheable))
+        Ok(SubPlan::new(result?, cacheable, correlated))
     }
 }
 
@@ -821,36 +827,228 @@ fn index_agg_specs(items: &[Expr], bindings: &[ColumnBinding]) -> Option<Vec<Agg
         .collect()
 }
 
-/// Narrow a scan directly under a projection (optionally through one
-/// filter) so the columnar engine decodes only the columns the projection
-/// and filter actually touch. Applies only when every consumer expression
-/// is vectorizable: the batch fallback path materialises whole rows and
-/// would read the pruned placeholder slots.
-fn prune_scan_columns(node: &mut PhysNode, items: &[PhysExpr]) {
-    if !items.iter().all(PhysExpr::vectorizable) {
-        return;
-    }
-    let mut needed = BTreeSet::new();
-    for item in items {
-        item.collect_columns(&mut needed);
-    }
-    let slot = match node {
-        PhysNode::ScanTable { cols, .. } => cols,
-        PhysNode::IndexScan { cols, .. } => cols,
-        PhysNode::Filter {
-            input, predicate, ..
-        } => {
-            if !predicate.vectorizable() {
-                return;
-            }
-            predicate.collect_columns(&mut needed);
-            match input.as_mut() {
-                PhysNode::ScanTable { cols, .. } => cols,
-                PhysNode::IndexScan { cols, .. } => cols,
-                _ => return,
-            }
+// ---------------------------------------------------------------------
+// Column pruning
+// ---------------------------------------------------------------------
+
+/// The ordinals of a node's unpruned output that its pruned output keeps,
+/// ascending: position `i` holds unpruned ordinal `layout[i]`. `None` is
+/// the whole output, in place.
+type Layout = Option<Vec<usize>>;
+
+/// Top-down column pruning: narrow `node` so that it emits at least the
+/// output ordinals in `need` (`None` = all of them), remap every ordinal
+/// its operators read to their inputs' narrowed layouts, and return the
+/// layout it emits. Scans decode, and joins gather, only what is needed;
+/// filters, sorts and limits pass their input's layout through. A
+/// projection or aggregate reads only the columns its expressions name
+/// and emits its items whole. Plan boundaries (CTE, derived, nested and
+/// set-operation plans, index aggregates) are never narrowed.
+///
+/// An operator whose expressions hold a correlated subplan keeps its
+/// input whole: the subplan reads the row it runs for by unpruned
+/// ordinals. A node given `need = None` always returns `None`.
+fn prune(node: &mut PhysNode, need: Option<BTreeSet<usize>>) -> Layout {
+    match node {
+        PhysNode::ScanTable { cols, .. } | PhysNode::IndexScan { cols, .. } => {
+            *cols = need.map(|need| need.into_iter().collect());
+            cols.clone()
         }
-        _ => return,
+        PhysNode::Filter { input, predicate } => {
+            let layout = prune(input, widen(need, [&*predicate]));
+            remap(predicate, &layout);
+            layout
+        }
+        PhysNode::Sort { input, keys } | PhysNode::TopK { input, keys, .. } => {
+            let need = need.map(|mut need| {
+                need.extend(keys.iter().filter_map(|k| k.ordinal));
+                need
+            });
+            let layout = prune(input, need);
+            for key in keys {
+                key.ordinal = key.ordinal.map(|o| position(&layout, o));
+            }
+            layout
+        }
+        PhysNode::Limit { input, .. } => prune(input, need),
+        PhysNode::Project { input, items, .. } => {
+            let layout = prune(input, reads(items.iter()));
+            items.iter_mut().for_each(|item| remap(item, &layout));
+            None
+        }
+        PhysNode::HashAggregate {
+            input,
+            group_by,
+            having,
+            items,
+            input_width,
+            ..
+        } => {
+            let layout = prune(input, reads(group_by.iter().chain(&*having).chain(&*items)));
+            for expr in group_by.iter_mut().chain(having).chain(items) {
+                remap(expr, &layout);
+            }
+            if let Some(layout) = &layout {
+                *input_width = layout.len();
+            }
+            None
+        }
+        PhysNode::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            residual,
+            width,
+            right_width,
+            cols,
+            ..
+        } => prune_join(
+            JoinView {
+                left,
+                right,
+                keys: Some((left_keys, right_keys)),
+                on: residual,
+                width,
+                right_width,
+                cols,
+            },
+            need,
+        ),
+        PhysNode::NestedLoopJoin {
+            left,
+            right,
+            on,
+            width,
+            right_width,
+            cols,
+            ..
+        } => prune_join(
+            JoinView {
+                left,
+                right,
+                keys: None,
+                on,
+                width,
+                right_width,
+                cols,
+            },
+            need,
+        ),
+        PhysNode::IndexAgg { .. }
+        | PhysNode::ScanCte { .. }
+        | PhysNode::ScanDerived { .. }
+        | PhysNode::ScanEmpty
+        | PhysNode::SetOp { .. }
+        | PhysNode::Nested(_) => None,
+    }
+}
+
+/// The fields of a join that pruning reads and rewrites: both kinds'
+/// inputs, condition, widths and emit mask, and a hash join's keys.
+struct JoinView<'a> {
+    left: &'a mut PhysNode,
+    right: &'a mut PhysNode,
+    keys: Option<(&'a mut Vec<usize>, &'a mut Vec<usize>)>,
+    on: &'a mut Option<PhysExpr>,
+    width: &'a mut usize,
+    right_width: &'a mut usize,
+    cols: &'a mut Option<Vec<usize>>,
+}
+
+/// Prune a join: each input must supply its share of `need`, its join
+/// keys and what the join condition reads. The joined row is the two
+/// narrowed inputs side by side; the join emits only the `need` ordinals
+/// of it.
+fn prune_join(join: JoinView<'_>, need: Option<BTreeSet<usize>>) -> Layout {
+    let split = *join.width - *join.right_width;
+    // The condition is evaluated on the joined row before the emit step, so
+    // its columns are read from the inputs but not emitted.
+    let read = widen(need.clone(), join.on.iter());
+    let (left_keys, right_keys) = match &join.keys {
+        Some((left, right)) => (left.as_slice(), right.as_slice()),
+        None => (&[][..], &[][..]),
     };
-    *slot = Some(needed.into_iter().collect());
+    let left_need = read.as_ref().map(|read| {
+        let own = read.range(..split).copied();
+        own.chain(left_keys.iter().copied()).collect()
+    });
+    let right_need = read.as_ref().map(|read| {
+        let own = read.range(split..).map(|o| o - split);
+        own.chain(right_keys.iter().copied()).collect()
+    });
+    let left_layout = prune(join.left, left_need);
+    let right_layout = prune(join.right, right_need);
+    if let Some((left_keys, right_keys)) = join.keys {
+        for key in left_keys.iter_mut() {
+            *key = position(&left_layout, *key);
+        }
+        for key in right_keys.iter_mut() {
+            *key = position(&right_layout, *key);
+        }
+    }
+    let combined: Layout = match (&left_layout, &right_layout) {
+        (None, None) => None,
+        _ => {
+            let left = left_layout.unwrap_or_else(|| (0..split).collect());
+            let right = right_layout.unwrap_or_else(|| (0..*join.right_width).collect());
+            *join.right_width = right.len();
+            Some(
+                left.into_iter()
+                    .chain(right.into_iter().map(|o| o + split))
+                    .collect(),
+            )
+        }
+    };
+    if let Some(on) = join.on {
+        remap(on, &combined);
+    }
+    if let Some(combined) = &combined {
+        *join.width = combined.len();
+    }
+    let need = need?;
+    if need.len() < *join.width {
+        *join.cols = Some(need.iter().map(|&o| position(&combined, o)).collect());
+    }
+    Some(need.into_iter().collect())
+}
+
+/// Where unpruned ordinal `o` sits in `layout`. An ordinal the layout
+/// lacks maps one past its end, so the verifier reports the miscompile as
+/// out of bounds rather than execution reading the wrong column.
+fn position(layout: &Layout, o: usize) -> usize {
+    match layout {
+        None => o,
+        Some(layout) => layout.binary_search(&o).unwrap_or(layout.len()),
+    }
+}
+
+/// Rewrite the `Column` ordinals of `expr` onto its input's `layout`.
+fn remap(expr: &mut PhysExpr, layout: &Layout) {
+    if layout.is_some() {
+        expr.remap_columns(&|o| position(layout, o));
+    }
+}
+
+/// The input ordinals `exprs` read, or `None` (the whole input) when one
+/// of them holds a correlated subplan.
+fn reads<'e>(exprs: impl IntoIterator<Item = &'e PhysExpr>) -> Option<BTreeSet<usize>> {
+    let mut cols = BTreeSet::new();
+    for expr in exprs {
+        if expr.holds_correlated_subplan() {
+            return None;
+        }
+        expr.collect_columns(&mut cols);
+    }
+    Some(cols)
+}
+
+/// `need` plus the ordinals `exprs` read (`None` stays `None`).
+fn widen<'e>(
+    need: Option<BTreeSet<usize>>,
+    exprs: impl IntoIterator<Item = &'e PhysExpr>,
+) -> Option<BTreeSet<usize>> {
+    let mut need = need?;
+    need.extend(reads(exprs)?);
+    Some(need)
 }

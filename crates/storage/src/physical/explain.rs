@@ -2,11 +2,13 @@
 //!
 //! [`PhysQueryPlan::explain`] prints the operator tree with the choices the
 //! optimizer actually made — access paths (index point/range/IN probes vs
-//! full scans), join order after any cost-based re-association, and hash-join
-//! build sides — annotated with the cost model's per-node estimated row
-//! counts. The estimates are re-derived here from the same table statistics
-//! the optimizer read, so the rendering shows *why* a choice was made, not
-//! just which one. A CTE scan compiles to an ordinal; its name is read back
+//! full scans), join order after any cost-based re-association, hash-join
+//! build sides, and what column pruning left: the columns each scan decodes
+//! (`cols=[…]`) and the width each join and aggregate emits (`width=`) —
+//! annotated with the cost model's per-node estimated row counts. The
+//! estimates are re-derived here from the same table statistics the
+//! optimizer read, so the rendering shows *why* a choice was made, not just
+//! which one. A CTE scan compiles to an ordinal; its name is read back
 //! from the CTE lists of the plans the renderer walks through.
 //!
 //! The renderer is the debugging surface for the optimizer test suites:
@@ -120,12 +122,18 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
             left,
             right,
             operator,
+            width,
+            cols,
             ..
         } => {
             line(
                 out,
                 depth,
-                &format!("NestedLoopJoin {}{est}", operator.as_sql()),
+                &format!(
+                    "NestedLoopJoin {} width={}{est}",
+                    operator.as_sql(),
+                    emitted_width(cols, *width)
+                ),
             );
             render_node(left, db, depth + 1, out);
             render_node(right, db, depth + 1, out);
@@ -137,6 +145,8 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
             left_keys,
             right_keys,
             build_left,
+            width,
+            cols,
             ..
         } => {
             let keys: Vec<String> = left_keys
@@ -148,10 +158,11 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
                 out,
                 depth,
                 &format!(
-                    "HashJoin {} build={} keys=[{}]{est}",
+                    "HashJoin {} build={} keys=[{}] width={}{est}",
                     operator.as_sql(),
                     if *build_left { "left" } else { "right" },
                     keys.join(","),
+                    emitted_width(cols, *width),
                 ),
             );
             render_node(left, db, depth + 1, out);
@@ -176,12 +187,20 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
             render_node(input, db, depth + 1, out);
         }
         PhysNode::HashAggregate {
-            input, group_by, ..
+            input,
+            group_by,
+            items,
+            input_width,
+            ..
         } => {
             line(
                 out,
                 depth,
-                &format!("HashAggregate group_by={}{est}", group_by.len()),
+                &format!(
+                    "HashAggregate group_by={} input_width={input_width} width={}{est}",
+                    group_by.len(),
+                    items.len()
+                ),
             );
             render_node(input, db, depth + 1, out);
         }
@@ -224,6 +243,12 @@ fn line(out: &mut Out<'_>, depth: usize, text: &str) {
     }
     out.text.push_str(text);
     out.text.push('\n');
+}
+
+/// The number of columns a join emits: its pruning mask's, or its whole
+/// joined row's.
+fn emitted_width(cols: &Option<Vec<usize>>, width: usize) -> String {
+    cols.as_ref().map_or(width, Vec::len).to_string()
 }
 
 fn mask(cols: &Option<Vec<usize>>) -> String {

@@ -38,6 +38,9 @@ pub(crate) struct SubPlan {
     /// Whether the result is invariant across evaluations (uncorrelated and
     /// reading no enclosing CTEs) and may therefore be cached.
     pub cacheable: bool,
+    /// Whether anything inside reads an enclosing row scope
+    /// (`OuterColumn`, at any depth).
+    pub correlated: bool,
     /// Cached result for cacheable subplans (per compiled plan, i.e. per
     /// top-level execution). A `Mutex` rather than a `RefCell` so one
     /// compiled plan can serve every [`batch_map`](super::batch_map) worker
@@ -48,10 +51,11 @@ pub(crate) struct SubPlan {
 
 impl SubPlan {
     /// A subplan with an empty result cache.
-    pub(crate) fn new(plan: PhysQueryPlan, cacheable: bool) -> Self {
+    pub(crate) fn new(plan: PhysQueryPlan, cacheable: bool, correlated: bool) -> Self {
         SubPlan {
             plan,
             cacheable,
+            correlated,
             cache: Mutex::new(None),
         }
     }
@@ -462,27 +466,6 @@ impl PhysExpr {
         }
     }
 
-    /// Whether [`PhysExpr::eval_batch`] evaluates this expression (and every
-    /// subexpression) without the per-row gather fallback. Projection
-    /// pruning keys on this: the vectorized kernels touch exactly the
-    /// columns named by [`PhysExpr::collect_columns`], while the fallback's
-    /// `gather_row` materializes *every* column. Must mirror `eval_batch`'s
-    /// dispatch arms exactly.
-    pub(crate) fn vectorizable(&self) -> bool {
-        match self {
-            PhysExpr::Column(_) | PhysExpr::Literal(_) | PhysExpr::OuterColumn { .. } => true,
-            PhysExpr::Binary { left, right, .. } => left.vectorizable() && right.vectorizable(),
-            PhysExpr::Unary { expr, .. }
-            | PhysExpr::IsNull { expr, .. }
-            | PhysExpr::Cast { expr, .. } => expr.vectorizable(),
-            PhysExpr::Between {
-                expr, low, high, ..
-            } => expr.vectorizable() && low.vectorizable() && high.vectorizable(),
-            PhysExpr::Like { expr, pattern, .. } => expr.vectorizable() && pattern.vectorizable(),
-            _ => false,
-        }
-    }
-
     /// Call `f` on each direct sub-expression, in source order (for `CASE`:
     /// operand, then each WHEN/THEN pair, then ELSE). Subplans are never
     /// entered: `InSubquery` yields only its tested expression.
@@ -541,15 +524,94 @@ impl PhysExpr {
         }
     }
 
-    /// Record every input-column ordinal this expression reads, assuming a
-    /// vectorized evaluation. Non-vectorizable shapes take the gather
-    /// fallback, which reads every column, so pruning callers must reject
-    /// them via [`PhysExpr::vectorizable`] before trusting this set.
+    /// [`PhysExpr::for_each_child`] with mutable access, in the same order.
+    pub(crate) fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut PhysExpr)) {
+        match self {
+            PhysExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            PhysExpr::Unary { expr, .. }
+            | PhysExpr::InSubquery { expr, .. }
+            | PhysExpr::IsNull { expr, .. }
+            | PhysExpr::Cast { expr, .. } => f(expr),
+            PhysExpr::ScalarFn { args, .. } => args.iter_mut().for_each(f),
+            PhysExpr::Aggregate { arg, .. } => {
+                if let Some(arg) = arg {
+                    f(arg);
+                }
+            }
+            PhysExpr::Case {
+                operand,
+                conditions,
+                else_result,
+            } => {
+                if let Some(operand) = operand {
+                    f(operand);
+                }
+                for (cond, result) in conditions {
+                    f(cond);
+                    f(result);
+                }
+                if let Some(else_result) = else_result {
+                    f(else_result);
+                }
+            }
+            PhysExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            PhysExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            PhysExpr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            PhysExpr::Column(_)
+            | PhysExpr::OuterColumn { .. }
+            | PhysExpr::Literal(_)
+            | PhysExpr::Exists { .. }
+            | PhysExpr::ScalarSubquery { .. } => {}
+        }
+    }
+
+    /// Record every input-column ordinal this expression reads. Subplans
+    /// are not entered: what they read of this row is an `OuterColumn`,
+    /// flagged by [`PhysExpr::holds_correlated_subplan`].
     pub(crate) fn collect_columns(&self, out: &mut std::collections::BTreeSet<usize>) {
         if let PhysExpr::Column(idx) = self {
             out.insert(*idx);
         }
         self.for_each_child(|child| child.collect_columns(out));
+    }
+
+    /// Whether this expression holds a subplan that reads an enclosing row
+    /// at any depth: such a subplan reads the row it runs for by its
+    /// unpruned ordinals.
+    pub(crate) fn holds_correlated_subplan(&self) -> bool {
+        let own = match self {
+            PhysExpr::Exists { plan, .. }
+            | PhysExpr::ScalarSubquery { plan }
+            | PhysExpr::InSubquery { plan, .. } => plan.correlated,
+            _ => false,
+        };
+        let mut child = false;
+        self.for_each_child(|c| child |= c.holds_correlated_subplan());
+        own || child
+    }
+
+    /// Rewrite every `Column` ordinal through `map`. Subplans are not
+    /// entered: their `Column`s read their own inputs.
+    pub(crate) fn remap_columns(&mut self, map: &impl Fn(usize) -> usize) {
+        if let PhysExpr::Column(idx) = self {
+            *idx = map(*idx);
+        }
+        self.for_each_child_mut(|child| child.remap_columns(map));
     }
 
     /// Per-row fallback: gather each live row and evaluate with the row
@@ -688,14 +750,14 @@ mod tests {
 
     fn subplan() -> Box<SubPlan> {
         let plan = PhysQueryPlan::of(super::super::PhysNode::ScanEmpty, &[]);
-        Box::new(SubPlan::new(plan, false))
+        Box::new(SubPlan::new(plan, false, false))
     }
 
     /// Every shape with children numbers them `Column(0..)` in source
-    /// order; subplans and leaves yield nothing.
+    /// order, through both visitors; subplans and leaves yield nothing.
     #[test]
     fn for_each_child_yields_direct_children_in_source_order() {
-        let cases = vec![
+        let mut cases = vec![
             (
                 PhysExpr::Binary {
                     left: boxed(0),
@@ -800,13 +862,19 @@ mod tests {
             (PhysExpr::Literal(Value::Int(1)), 0),
             (col(7), 0),
         ];
-        for (i, (expr, expected)) in cases.iter().enumerate() {
+        for (i, (expr, expected)) in cases.iter_mut().enumerate() {
             let mut children = Vec::new();
             expr.for_each_child(|child| match child {
                 PhysExpr::Column(c) => children.push(*c),
                 _ => panic!("case {i}: unexpected non-column child"),
             });
             assert_eq!(children, (0..*expected).collect::<Vec<_>>(), "case {i}");
+            let mut mut_children = Vec::new();
+            expr.for_each_child_mut(|child| match child {
+                PhysExpr::Column(c) => mut_children.push(*c),
+                _ => panic!("case {i}: unexpected non-column child"),
+            });
+            assert_eq!(mut_children, children, "case {i}: mutable visit order");
         }
     }
 }

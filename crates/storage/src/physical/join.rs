@@ -30,16 +30,22 @@ fn pad_right(lrow: &Row, width: usize) -> Row {
 /// Nested-loop join: every (left, right) pair in left-row-major order is
 /// kept when `on` holds (or unconditionally when `on` is `None`); LEFT/FULL
 /// pad unmatched left rows in place, and RIGHT/FULL append the unmatched
-/// right rows, in right-row order, after all pairs.
+/// right rows, in right-row order, after all pairs. `on` reads the joined
+/// row (`widths` = its width and its right part's); a kept row emits only
+/// the ordinals in `cols`, when given.
 pub(super) fn nested_loop_join(
     left_rows: &[Row],
     right_rows: &[Row],
     operator: JoinOperator,
     on: Option<&PhysExpr>,
-    width: usize,
-    right_width: usize,
+    (width, right_width): (usize, usize),
+    cols: Option<&[usize]>,
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Row>> {
+    let emit = |row: Row| match cols {
+        Some(cols) => cols.iter().map(|&c| row[c].clone()).collect(),
+        None => row,
+    };
     let track_right = matches!(operator, JoinOperator::RightOuter | JoinOperator::FullOuter);
     let mut right_matched = vec![false; if track_right { right_rows.len() } else { 0 }];
     let mut rows = Vec::new();
@@ -64,18 +70,18 @@ pub(super) fn nested_loop_join(
                 if track_right {
                     right_matched[ri] = true;
                 }
-                rows.push(combined);
+                rows.push(emit(combined));
             }
         }
         if !matched && matches!(operator, JoinOperator::LeftOuter | JoinOperator::FullOuter) {
-            rows.push(pad_right(lrow, right_width));
+            rows.push(emit(pad_right(lrow, right_width)));
         }
     }
     if track_right {
         let left_width = width - right_width;
         for (ri, rrow) in right_rows.iter().enumerate() {
             if !right_matched[ri] {
-                rows.push(pad_left(left_width, rrow));
+                rows.push(emit(pad_left(left_width, rrow)));
             }
         }
     }

@@ -17,7 +17,9 @@
 //!   every subquery;
 //! * **caches uncorrelated subquery results** instead of re-executing them
 //!   per row;
-//! * evaluates pushed-down filters before joins instead of after.
+//! * evaluates pushed-down filters before joins instead of after;
+//! * carries only the columns the plan reads: scans decode, and joins
+//!   gather, just those, and aggregates group narrow rows.
 //!
 //! The compiled plan executes over **columnar batches** (see the `batch`
 //! and `columnar` submodules): typed column vectors with null bitmaps,
@@ -123,14 +125,16 @@ impl ExecOptions {
 /// that the differential suites pin as result-invisible:
 ///
 /// * `fast_paths = false` forces every access back to a full scan (no
-///   index-backed paths) — the access-path baseline.
+///   index-backed paths) and keeps every operator's output whole (no
+///   column pruning) — the access-path baseline.
 /// * `cost_based = false` keeps every join in syntactic order, builds hash
 ///   joins on their right input, and chooses index atoms by fixed shape
 ///   preference — the *syntactic baseline* the `join_order_workload`
 ///   benchmark times the cost model against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
-    /// Emit index-backed access paths (default `true`).
+    /// Emit index-backed access paths and prune unread columns (default
+    /// `true`).
     pub fast_paths: bool,
     /// Statistics-driven join reordering, build-side selection and
     /// access-path arbitration (default `true`).
@@ -326,9 +330,9 @@ pub(crate) enum AggSpec {
 pub(crate) enum PhysNode {
     ScanTable {
         name: String,
-        /// Projection-pruned column mask (sorted ordinals), set by the
-        /// compiler when everything evaluated over this scan's batches is
-        /// vectorizable: the columnar engine decodes only these columns.
+        /// The table columns the plan reads, ascending, set by the
+        /// compiler's column pruning: the scan decodes and emits only
+        /// these, in this order (`None` = every column).
         cols: Option<Vec<usize>>,
     },
     /// An index-backed table scan: the access path resolves the matching
@@ -338,7 +342,7 @@ pub(crate) enum PhysNode {
     IndexScan {
         name: String,
         access: IndexAccess,
-        /// Projection-pruned column mask; see [`PhysNode::ScanTable`].
+        /// Emitted table columns; see [`PhysNode::ScanTable`].
         cols: Option<Vec<usize>>,
     },
     /// Global aggregates over a bare table answered from the secondary
@@ -366,9 +370,13 @@ pub(crate) enum PhysNode {
         right: Box<PhysNode>,
         operator: bp_sql::JoinOperator,
         on: Option<PhysExpr>,
-        /// Output width: the left input's arity plus `right_width`.
+        /// Width of a joined row: the left input's arity plus
+        /// `right_width`. `on` reads this row.
         width: usize,
         right_width: usize,
+        /// The joined-row ordinals the join emits, ascending, set by the
+        /// compiler's column pruning (`None` = all `width`).
+        cols: Option<Vec<usize>>,
     },
     HashJoin {
         left: Box<PhysNode>,
@@ -384,6 +392,8 @@ pub(crate) enum PhysNode {
         /// input smaller. Output is byte-identical either way (left-major,
         /// matches in right-row order); only the build/probe roles swap.
         build_left: bool,
+        /// Emitted joined-row ordinals; see [`PhysNode::NestedLoopJoin`].
+        cols: Option<Vec<usize>>,
     },
     Project {
         input: Box<PhysNode>,

@@ -14,10 +14,10 @@
 //!   every correlated reference names an enclosing scope and an ordinal in
 //!   bounds for that scope's arity, and every CTE scan names an enclosing
 //!   plan and a CTE that plan has already materialized;
-//! * projection-pruned scans appear only where the compiler may legally
-//!   place them, and every consumer expression is vectorizable and reads
-//!   only unpruned columns (a pruned "loud placeholder" slot read by a
-//!   live expression is a verifier error here, not a runtime panic);
+//! * column-pruning masks (a scan's table columns, a join's emitted
+//!   joined-row columns) are strictly ascending and in range, and a pruned
+//!   operator's arity is its mask's length, so an ordinal that reads past
+//!   a too-narrow input is out of bounds here, not a runtime panic;
 //! * index fast paths meet their preconditions: the accessed column
 //!   exists, probe keys share the declared column's type family (the
 //!   compiler declines family-confused probes — see
@@ -120,19 +120,8 @@ pub enum PlanViolation {
         /// The input arity it must stay below.
         arity: usize,
     },
-    /// A live expression over a projection-pruned scan reads a column the
-    /// compiler pruned out — at runtime the columnar engine would hand it
-    /// a loud placeholder.
-    PrunedColumnRead {
-        /// Operator path from the plan root.
-        path: String,
-        /// The pruned ordinal that is still read.
-        ordinal: usize,
-    },
-    /// A pruned scan mask is malformed (unsorted / out of range) or the
-    /// scan sits somewhere the compiler never prunes (pruning applies only
-    /// directly under a projection, optionally through one filter, with
-    /// every consumer expression vectorizable).
+    /// A column-pruning mask (a scan's or a join's) is not strictly
+    /// ascending, or names a column its operator does not have.
     BadPruneMask {
         /// Operator path from the plan root.
         path: String,
@@ -306,7 +295,6 @@ impl PlanViolation {
         match self {
             PlanViolation::ColumnOutOfBounds { path, .. }
             | PlanViolation::OuterColumnOutOfBounds { path, .. }
-            | PlanViolation::PrunedColumnRead { path, .. }
             | PlanViolation::BadPruneMask { path, .. }
             | PlanViolation::UnknownTable { path, .. }
             | PlanViolation::UnknownCte { path, .. }
@@ -345,12 +333,8 @@ impl fmt::Display for PlanViolation {
                 f,
                 "{path}: outer column {ordinal} at depth {depth} out of bounds for scope arity {arity}"
             ),
-            PlanViolation::PrunedColumnRead { path, ordinal } => write!(
-                f,
-                "{path}: live expression reads column {ordinal}, which the scan pruned"
-            ),
             PlanViolation::BadPruneMask { path, detail } => {
-                write!(f, "{path}: bad projection-pruning mask: {detail}")
+                write!(f, "{path}: bad column-pruning mask: {detail}")
             }
             PlanViolation::UnknownTable { path, name } => {
                 write!(f, "{path}: unknown table {name}")
@@ -565,7 +549,7 @@ impl<'a> Verifier<'a> {
                 .expect("frame pushed above")
                 .push(arity);
         }
-        let root_arity = self.check_node(&plan.root, 0);
+        let root_arity = self.check_node(&plan.root);
         if plan.columns.len() > root_arity {
             self.report(PlanViolation::OutputWidthMismatch {
                 path: self.path(),
@@ -577,23 +561,18 @@ impl<'a> Verifier<'a> {
         plan.columns.len().min(root_arity)
     }
 
-    /// Verify one operator and return its output arity. `prune_levels` is
-    /// the number of remaining operator levels through which a
-    /// projection-pruned scan is still legal: a projection grants its
-    /// input 2 (scan directly below, or through exactly one filter), a
-    /// filter passes its allowance down minus one, everything else grants
-    /// 0.
-    fn check_node(&mut self, node: &'a PhysNode, prune_levels: usize) -> usize {
+    /// Verify one operator and return its output arity.
+    fn check_node(&mut self, node: &'a PhysNode) -> usize {
         match node {
             PhysNode::ScanTable { name, cols } => {
                 self.path.push(PathSeg::Op("ScanTable"));
-                let arity = self.check_table_scan(name, cols.as_deref(), prune_levels);
+                let arity = self.check_table_scan(name, cols.as_deref());
                 self.path.pop();
                 arity
             }
             PhysNode::IndexScan { name, access, cols } => {
                 self.path.push(PathSeg::Op("IndexScan"));
-                let arity = self.check_table_scan(name, cols.as_deref(), prune_levels);
+                let arity = self.check_table_scan(name, cols.as_deref());
                 self.check_index_access(name, access);
                 self.path.pop();
                 arity
@@ -628,7 +607,7 @@ impl<'a> Verifier<'a> {
             PhysNode::ScanEmpty => 0,
             PhysNode::Filter { input, predicate } => {
                 self.path.push(PathSeg::Op("Filter"));
-                let arity = self.check_node(input, prune_levels.saturating_sub(1));
+                let arity = self.check_node(input);
                 self.check_expr(predicate, arity);
                 self.path.pop();
                 arity
@@ -639,11 +618,13 @@ impl<'a> Verifier<'a> {
                 on,
                 width,
                 right_width,
+                cols,
                 ..
             } => {
                 self.path.push(PathSeg::Op("NestedLoopJoin"));
-                let out =
+                let joined =
                     self.check_join_common(left, right, on.as_ref(), *width, *right_width, None);
+                let out = self.check_mask(cols.as_deref(), joined, "the joined row");
                 self.path.pop();
                 out
             }
@@ -655,10 +636,11 @@ impl<'a> Verifier<'a> {
                 residual,
                 width,
                 right_width,
+                cols,
                 ..
             } => {
                 self.path.push(PathSeg::Op("HashJoin"));
-                let out = self.check_join_common(
+                let joined = self.check_join_common(
                     left,
                     right,
                     residual.as_ref(),
@@ -666,6 +648,7 @@ impl<'a> Verifier<'a> {
                     *right_width,
                     Some((left_keys, right_keys)),
                 );
+                let out = self.check_mask(cols.as_deref(), joined, "the joined row");
                 self.path.pop();
                 out
             }
@@ -676,7 +659,7 @@ impl<'a> Verifier<'a> {
                 ..
             } => {
                 self.path.push(PathSeg::Op("Project"));
-                let arity = self.check_node(input, 2);
+                let arity = self.check_node(input);
                 if *visible > items.len() {
                     self.report(PlanViolation::VisibleOutOfBounds {
                         path: self.path(),
@@ -684,7 +667,6 @@ impl<'a> Verifier<'a> {
                         items: items.len(),
                     });
                 }
-                self.check_prune_consumers(input, items);
                 for item in items {
                     self.check_expr(item, arity);
                 }
@@ -701,7 +683,7 @@ impl<'a> Verifier<'a> {
                 ..
             } => {
                 self.path.push(PathSeg::Op("HashAggregate"));
-                let arity = self.check_node(input, 0);
+                let arity = self.check_node(input);
                 self.check_width(*input_width, arity);
                 if *visible > items.len() {
                     self.report(PlanViolation::VisibleOutOfBounds {
@@ -718,7 +700,7 @@ impl<'a> Verifier<'a> {
             }
             PhysNode::Sort { input, keys } => {
                 self.path.push(PathSeg::Op("Sort"));
-                let arity = self.check_node(input, 0);
+                let arity = self.check_node(input);
                 self.check_sort_keys(keys, arity);
                 self.path.pop();
                 arity
@@ -730,7 +712,7 @@ impl<'a> Verifier<'a> {
                 offset,
             } => {
                 self.path.push(PathSeg::Op("TopK"));
-                let arity = self.check_node(input, 0);
+                let arity = self.check_node(input);
                 self.check_sort_keys(keys, arity);
                 for expr in std::iter::once(limit).chain(offset) {
                     self.check_expr(expr, 0);
@@ -744,7 +726,7 @@ impl<'a> Verifier<'a> {
                 offset,
             } => {
                 self.path.push(PathSeg::Op("Limit"));
-                let arity = self.check_node(input, 0);
+                let arity = self.check_node(input);
                 // LIMIT/OFFSET are compiled in an empty scope: identifiers
                 // resolve to outer references, never to columns, so any
                 // `Column` here is a miscompile (flagged as out of bounds
@@ -776,15 +758,9 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Schema lookup + prune-mask validation shared by table and index
-    /// scans. Returns the scan's output arity (always full table arity:
-    /// pruned slots still occupy their position as placeholders).
-    fn check_table_scan(
-        &mut self,
-        name: &str,
-        cols: Option<&[usize]>,
-        prune_levels: usize,
-    ) -> usize {
+    /// Schema lookup + mask validation shared by table and index scans.
+    /// Returns the scan's output arity: its mask's length when pruned.
+    fn check_table_scan(&mut self, name: &str, cols: Option<&[usize]>) -> usize {
         let Some(table) = self.db.table(name) else {
             let v = PlanViolation::UnknownTable {
                 path: self.path(),
@@ -794,34 +770,31 @@ impl<'a> Verifier<'a> {
             return 0;
         };
         let arity = table.schema.column_count();
-        if let Some(mask) = cols {
-            if prune_levels == 0 {
-                let v = PlanViolation::BadPruneMask {
-                    path: self.path(),
-                    detail: "pruned scan is not directly under a projection \
-                             (optionally through one filter)"
-                        .to_string(),
-                };
-                self.report(v);
-            }
-            if !mask.windows(2).all(|w| w[0] < w[1]) {
-                let v = PlanViolation::BadPruneMask {
-                    path: self.path(),
-                    detail: format!("mask {mask:?} is not strictly ascending"),
-                };
-                self.report(v);
-            }
-            for &c in mask {
-                if c >= arity {
-                    let v = PlanViolation::BadPruneMask {
-                        path: self.path(),
-                        detail: format!("mask names column {c}, but the table has {arity} columns"),
-                    };
-                    self.report(v);
-                }
-            }
+        self.check_mask(cols, arity, "the table")
+    }
+
+    /// A pruning mask over an operator's `arity` unpruned columns (`what`
+    /// names them) must be strictly ascending and in range. Returns the
+    /// emitted arity: the mask's length, or `arity` without one.
+    fn check_mask(&mut self, cols: Option<&[usize]>, arity: usize, what: &str) -> usize {
+        let Some(mask) = cols else {
+            return arity;
+        };
+        if !mask.windows(2).all(|w| w[0] < w[1]) {
+            let v = PlanViolation::BadPruneMask {
+                path: self.path(),
+                detail: format!("mask {mask:?} is not strictly ascending"),
+            };
+            self.report(v);
         }
-        arity
+        if let Some(&c) = mask.iter().find(|&&c| c >= arity) {
+            let v = PlanViolation::BadPruneMask {
+                path: self.path(),
+                detail: format!("mask names column {c}, but {what} has {arity} columns"),
+            };
+            self.report(v);
+        }
+        mask.len()
     }
 
     /// Index fast-path preconditions: in-bounds column, family-compatible
@@ -939,10 +912,10 @@ impl<'a> Verifier<'a> {
         keys: Option<(&[usize], &[usize])>,
     ) -> usize {
         self.path.push(PathSeg::Op("left"));
-        let left_arity = self.check_node(left, 0);
+        let left_arity = self.check_node(left);
         self.path.pop();
         self.path.push(PathSeg::Op("right"));
-        let right_arity = self.check_node(right, 0);
+        let right_arity = self.check_node(right);
         self.path.pop();
         if right_width != right_arity {
             self.report(PlanViolation::JoinWidthMismatch {
@@ -1006,59 +979,6 @@ impl<'a> Verifier<'a> {
                         arity,
                     });
                 }
-            }
-        }
-    }
-
-    /// If `input` is a pruned scan (directly, or through one filter),
-    /// every consumer expression must be vectorizable — the batch fallback
-    /// materializes whole rows and would read placeholder slots — and may
-    /// read only unpruned columns.
-    fn check_prune_consumers(&mut self, input: &'a PhysNode, items: &'a [PhysExpr]) {
-        let (mask, predicate) = match input {
-            PhysNode::ScanTable { cols: Some(m), .. }
-            | PhysNode::IndexScan { cols: Some(m), .. } => (m, None),
-            PhysNode::Filter {
-                input: inner,
-                predicate,
-                ..
-            } => match inner.as_ref() {
-                PhysNode::ScanTable { cols: Some(m), .. }
-                | PhysNode::IndexScan { cols: Some(m), .. } => (m, Some(predicate)),
-                _ => return,
-            },
-            _ => return,
-        };
-        let mut needed = std::collections::BTreeSet::new();
-        for item in items {
-            if !item.vectorizable() {
-                let v = PlanViolation::BadPruneMask {
-                    path: self.path(),
-                    detail: "non-vectorizable consumer expression over a pruned scan".to_string(),
-                };
-                self.report(v);
-                return;
-            }
-            item.collect_columns(&mut needed);
-        }
-        if let Some(predicate) = predicate {
-            if !predicate.vectorizable() {
-                let v = PlanViolation::BadPruneMask {
-                    path: self.path(),
-                    detail: "non-vectorizable filter predicate over a pruned scan".to_string(),
-                };
-                self.report(v);
-                return;
-            }
-            predicate.collect_columns(&mut needed);
-        }
-        for ordinal in needed {
-            if !mask.contains(&ordinal) {
-                let v = PlanViolation::PrunedColumnRead {
-                    path: self.path(),
-                    ordinal,
-                };
-                self.report(v);
             }
         }
     }
@@ -1495,6 +1415,7 @@ mod tests {
                     plan: Box::new(SubPlan::new(
                         PhysQueryPlan::of(PhysNode::ScanEmpty, &[]),
                         false,
+                        false,
                     )),
                 }),
             ),
@@ -1560,7 +1481,7 @@ mod tests {
                 visible: 1,
                 distinct: false,
             };
-            Box::new(SubPlan::new(PhysQueryPlan::of(root, &["x"]), false))
+            Box::new(SubPlan::new(PhysQueryPlan::of(root, &["x"]), false, true))
         };
         // `SELECT (<subplan>) FROM t`: the subplan runs for rows of arity 3.
         let scalar_over_t = |plan: Box<SubPlan>| {
@@ -1640,6 +1561,7 @@ mod tests {
                 width: 6,
                 right_width: 3,
                 build_left: false,
+                cols: None,
             },
             &["a", "b", "c", "d", "e", "f"],
         );
@@ -1668,6 +1590,7 @@ mod tests {
                 width: 6,
                 right_width: 3,
                 build_left: false,
+                cols: None,
             },
             &["a", "b", "c", "d", "e", "f"],
         );
@@ -1807,48 +1730,94 @@ mod tests {
     }
 
     #[test]
-    fn rejects_live_reads_of_pruned_scan_slots() {
+    fn rejects_reads_past_a_too_narrow_input() {
         let db = db();
-        // The scan decodes only column 0, but the projection reads column 1
-        // — at runtime the columnar engine would hand it a loud
-        // placeholder.
+        let snapshot = db.snapshot();
+        let narrow_scan = |cols: Vec<usize>| PhysNode::ScanTable {
+            name: "T".into(),
+            cols: Some(cols),
+        };
+        // The scan emits only column 0, but the projection reads ordinal
+        // 1 of it: the plan's arity check catches the too-narrow scan.
         let corrupt = PhysQueryPlan::of(
             PhysNode::Project {
-                input: Box::new(PhysNode::ScanTable {
-                    name: "T".into(),
-                    cols: Some(vec![0]),
-                }),
+                input: Box::new(narrow_scan(vec![0])),
                 items: vec![PhysExpr::Column(1)],
                 visible: 1,
                 distinct: false,
             },
             &["v"],
         );
-        let violations = verify_plan(&db.snapshot(), &corrupt);
+        let violations = verify_plan(&snapshot, &corrupt);
         assert!(
-            violations
-                .iter()
-                .any(|v| matches!(v, PlanViolation::PrunedColumnRead { ordinal: 1, .. })),
-            "expected PrunedColumnRead, got:\n{}",
+            matches!(
+                violations.as_slice(),
+                [PlanViolation::ColumnOutOfBounds {
+                    ordinal: 1,
+                    arity: 1,
+                    ..
+                }]
+            ),
+            "expected one ColumnOutOfBounds, got:\n{}",
             render_violations(&violations)
         );
-        // A pruned scan outside a projection context is equally malformed.
-        let stray = PhysQueryPlan::of(
-            PhysNode::Sort {
-                input: Box::new(PhysNode::ScanTable {
-                    name: "T".into(),
-                    cols: Some(vec![0]),
-                }),
+        // A join that emits one column of its joined row, read at ordinal
+        // 1 by a sort above it.
+        let join = |cols: Vec<usize>| PhysNode::HashJoin {
+            left: Box::new(narrow_scan(vec![0, 1])),
+            right: Box::new(narrow_scan(vec![0])),
+            operator: JoinOperator::Inner,
+            left_keys: vec![0],
+            right_keys: vec![0],
+            residual: None,
+            width: 3,
+            right_width: 1,
+            build_left: false,
+            cols: Some(cols),
+        };
+        let sorted = |cols: Vec<usize>| {
+            let root = PhysNode::Sort {
+                input: Box::new(join(cols)),
                 keys: vec![SortKey {
-                    ordinal: Some(0),
+                    ordinal: Some(1),
                     asc: true,
                 }],
-            },
-            &["id", "v", "f"],
+            };
+            PhysQueryPlan::of(root, &[])
+        };
+        let violations = verify_plan(&snapshot, &sorted(vec![2]));
+        assert!(
+            matches!(
+                violations.as_slice(),
+                [PlanViolation::SortKeyOutOfBounds {
+                    ordinal: 1,
+                    arity: 1,
+                    ..
+                }]
+            ),
+            "expected one SortKeyOutOfBounds, got:\n{}",
+            render_violations(&violations)
         );
-        assert!(verify_plan(&db.snapshot(), &stray)
-            .iter()
-            .any(|v| matches!(v, PlanViolation::BadPruneMask { .. })));
+        // Pruned scans and joins are legal under any operator, a sort
+        // included, as long as every ordinal stays in bounds.
+        let violations = verify_plan(&snapshot, &sorted(vec![0, 2]));
+        assert!(violations.is_empty(), "{}", render_violations(&violations));
+        // Masks must be strictly ascending and name existing columns.
+        for bad in [
+            PhysQueryPlan::of(narrow_scan(vec![1, 0]), &[]),
+            PhysQueryPlan::of(narrow_scan(vec![0, 3]), &[]),
+            sorted(vec![2, 0]),
+            sorted(vec![0, 3]),
+        ] {
+            let violations = verify_plan(&snapshot, &bad);
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| matches!(v, PlanViolation::BadPruneMask { .. })),
+                "expected BadPruneMask, got:\n{}",
+                render_violations(&violations)
+            );
+        }
     }
 
     #[test]
@@ -1875,6 +1844,7 @@ mod tests {
                 on: None,
                 width: 6,
                 right_width: 2,
+                cols: None,
             },
             &["a", "b", "c", "d", "e", "f"],
         );
@@ -1896,6 +1866,7 @@ mod tests {
                 on: None,
                 width: 5,
                 right_width: 3,
+                cols: None,
             },
             &["a"],
         );

@@ -55,7 +55,7 @@ impl<T> Clone for Derived<T> {
 }
 
 /// The columnar decode, cached per `(batch, column)` cell so a scan can
-/// decode **only the columns the plan references** (projection pruning)
+/// decode **only the columns the plan reads** (column pruning)
 /// while every decoded column is still built once per table version.
 type ColumnGrid = Vec<ColumnSlots>;
 
@@ -327,17 +327,13 @@ impl Table {
         Ok(())
     }
 
-    /// The table's rows decoded into fixed-size columnar [`Batch`]es,
-    /// restricted to the columns in `cols` (projection pruning; `None`
-    /// decodes all). Each `(batch, column)` cell is decoded once per table
-    /// version (any write starts a fresh cache, whether it copied the
-    /// payload or reset it in place) and shared with every scan by
-    /// refcount. The batches are dense (no selection), with boundaries
-    /// fixed by [`BATCH_ROWS`]. Pruned slots are filled with a shared empty
-    /// placeholder column — loudly wrong (out-of-bounds panic) if a
-    /// consumer the plan analysis missed ever touches one — unless an
-    /// earlier scan already decoded the real column, in which case the
-    /// cached decode rides along for free.
+    /// The table's rows decoded into fixed-size columnar [`Batch`]es of
+    /// the columns in `cols`, in that order (column pruning; `None` decodes
+    /// all). Each `(batch, column)` cell is decoded once per table version
+    /// (any write starts a fresh cache, whether it copied the payload or
+    /// reset it in place) and shared with every scan by refcount. The
+    /// batches are dense (no selection), with boundaries fixed by
+    /// [`BATCH_ROWS`]; an empty `cols` still carries each batch's row count.
     pub(crate) fn columnar_batches_for(&self, cols: Option<&[usize]>) -> Vec<Batch> {
         let width = self.schema.column_count();
         let chunks = self.data.rows.chunks(BATCH_ROWS);
@@ -347,27 +343,22 @@ impl Table {
                 .map(|_| (0..width).map(|_| OnceLock::new()).collect())
                 .collect()
         });
-        let needed = |c: usize| cols.is_none_or(|cols| cols.contains(&c));
-        let placeholder = Arc::new(ColumnVec::Any(Vec::new()));
         chunks
             .zip(grid)
-            .map(|(chunk, slots)| Batch {
-                len: chunk.len(),
-                columns: (0..width)
-                    .map(|c| {
-                        if needed(c) {
-                            slots[c]
-                                .get_or_init(|| Arc::new(ColumnVec::from_rows_column(chunk, c)))
-                                .clone()
-                        } else {
-                            slots[c]
-                                .get()
-                                .cloned()
-                                .unwrap_or_else(|| placeholder.clone())
-                        }
-                    })
-                    .collect(),
-                selection: None,
+            .map(|(chunk, slots)| {
+                let decode = |c: usize| {
+                    slots[c]
+                        .get_or_init(|| Arc::new(ColumnVec::from_rows_column(chunk, c)))
+                        .clone()
+                };
+                Batch {
+                    len: chunk.len(),
+                    columns: match cols {
+                        Some(cols) => cols.iter().map(|&c| decode(c)).collect(),
+                        None => (0..width).map(decode).collect(),
+                    },
+                    selection: None,
+                }
             })
             .collect()
     }
@@ -765,17 +756,21 @@ mod tests {
         let mut t = table();
         t.insert_all((0..4i64).map(|i| vec![i.into(), format!("r{i}").into(), (i as f64).into()]))
             .unwrap();
-        let pruned = t.columnar_batches_for(Some(&[0]));
+        // Only the requested columns, in the requested order.
+        let pruned = t.columnar_batches_for(Some(&[0, 2]));
         assert_eq!(pruned.len(), 1);
-        assert_eq!(pruned[0].columns[0].len(), 4, "requested column decoded");
-        assert_eq!(pruned[0].columns[1].len(), 0, "pruned column is empty");
-        assert_eq!(pruned[0].columns[2].len(), 0, "pruned column is empty");
+        assert_eq!(pruned[0].len, 4);
+        assert_eq!(pruned[0].columns.len(), 2, "only requested columns");
+        assert_eq!(pruned[0].gather_row(3), vec![3.into(), 3.0.into()]);
+        // No column at all still counts the rows (`COUNT(*)` over a scan).
+        let counted = t.columnar_batches_for(Some(&[]));
+        assert_eq!((counted[0].len, counted[0].columns.len()), (4, 0));
         // A later full decode fills the remaining cells and reuses the
-        // already-decoded column by refcount.
+        // already-decoded columns by refcount.
         let full = t.columnar_batches_for(None);
         assert!(Arc::ptr_eq(&pruned[0].columns[0], &full[0].columns[0]));
+        assert!(Arc::ptr_eq(&pruned[0].columns[1], &full[0].columns[2]));
         assert_eq!(full[0].columns[1].len(), 4);
-        assert_eq!(full[0].columns[2].len(), 4);
     }
 
     #[test]

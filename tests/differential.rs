@@ -4,8 +4,8 @@
 //! (Spider, Bird, Fiben, Beaver) — is executed **two ways**:
 //! `ExecStrategy::Planned` (the columnar batch engine, the default) and
 //! `ExecStrategy::Legacy` (the tree-walking interpreter, the oracle).
-//! Successful results must be *identical*: same columns, same rows in the
-//! same order, same ordered flag — or both engines must fail. Seed-driven
+//! Outcomes must be *identical*: same columns, same rows in the same order,
+//! same ordered flag — or the same error from both engines. Seed-driven
 //! generators target what the corpus
 //! generator never emits: NULL-heavy boolean predicates (three-valued
 //! logic), large-magnitude integers (±2^53 neighborhood, `i64::MIN`/`MAX`),
@@ -20,17 +20,15 @@ use benchpress_suite::storage::{
 };
 use proptest::prelude::*;
 
-/// Execute with the columnar engine and the legacy interpreter. Successful
-/// results must be byte-identical across both engines; when a query errors,
-/// both engines must error.
+/// Execute with the columnar engine and the legacy interpreter. The two
+/// outcomes must be byte-identical: the same result, or the same error.
 fn assert_engines_agree(db: &Database, sql: &str, label: &str) {
     let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
     let columnar = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Planned));
-    match (&legacy, &columnar) {
-        (Ok(l), Ok(c)) => assert_eq!(l, c, "legacy vs columnar disagree on {label}: {sql}"),
-        (Err(_), Err(_)) => {}
-        (l, c) => panic!("ok/err divergence on {label} query {sql}: legacy={l:?} columnar={c:?}"),
-    }
+    assert_eq!(
+        legacy, columnar,
+        "legacy vs columnar disagree on {label}: {sql}"
+    );
 }
 
 fn assert_corpus_differential(kind: BenchmarkKind, query_count: usize, seed: u64) {
@@ -1363,5 +1361,312 @@ fn prepared_queries_survive_a_streaming_writer() {
             err.to_string().contains("NOWHERE") || err.to_string().contains("nowhere"),
             "unexpected first error at {threads} threads: {err}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Column pruning: planned with and without pruning, and legacy
+// ---------------------------------------------------------------------
+
+/// A star schema: `FACT` references three dimensions, some fact keys match
+/// no dimension row and some dimension rows match no fact (outer-join
+/// padding on both sides), and `FACT` spans two batches.
+fn star_db() -> Database {
+    let mut db = Database::new("star");
+    let int = |name: &str| Column::new(name, DataType::Integer);
+    let text = |name: &str| Column::new(name, DataType::Text);
+    let tables = [
+        (
+            "FACT",
+            vec![
+                int("ID").primary_key(),
+                int("D1"),
+                int("D2"),
+                int("D3"),
+                int("AMT"),
+                text("NOTE"),
+            ],
+        ),
+        (
+            "DIM1",
+            vec![int("ID").primary_key(), text("NAME"), int("CAT")],
+        ),
+        ("DIM2", vec![int("ID").primary_key(), text("LBL"), int("W")]),
+        ("DIM3", vec![int("ID").primary_key(), text("CODE")]),
+    ];
+    for (name, columns) in tables {
+        db.create_table(TableSchema::new(name, columns))
+            .expect("star schema");
+    }
+    let mut mix = Mix(0x57a2);
+    let facts: Vec<Vec<Value>> = (0..1500i64)
+        .map(|i| {
+            let key = |mix: &mut Mix, n: usize| match mix.below(10) {
+                0 => Value::Null,
+                _ => Value::Int(mix.below(n) as i64),
+            };
+            vec![
+                Value::Int(i),
+                key(&mut mix, 14),
+                key(&mut mix, 9),
+                key(&mut mix, 5),
+                Value::Int(mix.below(100) as i64),
+                Value::Text(format!("n{}", mix.below(7))),
+            ]
+        })
+        .collect();
+    db.insert_into("FACT", facts).expect("fact rows");
+    db.insert_into(
+        "DIM1",
+        (0..12i64).map(|i| {
+            let name = Value::Text(format!("name{}", i % 5));
+            vec![Value::Int(i), name, Value::Int(i % 3)]
+        }),
+    )
+    .expect("dim1 rows");
+    db.insert_into(
+        "DIM2",
+        (0..11i64).map(|i| {
+            let w = if i % 4 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 5)
+            };
+            vec![Value::Int(i), Value::Text(format!("l{}", i % 3)), w]
+        }),
+    )
+    .expect("dim2 rows");
+    db.insert_into(
+        "DIM3",
+        (0..4i64).map(|i| vec![Value::Int(i), Value::Text(format!("c{i}"))]),
+    )
+    .expect("dim3 rows");
+    db
+}
+
+/// Run `sql` three ways — planned with column pruning (the default),
+/// planned with `fast_paths` off (no pruning, no index paths) and legacy —
+/// and require byte-identical outcomes, errors included. Returns the
+/// pruned plan's `explain()`, or `None` when it does not compile.
+fn assert_pruning_invisible(db: &Database, sql: &str) -> Option<String> {
+    use benchpress_suite::storage::{compile_query, exec_compiled, CompileOptions, PhysQueryPlan};
+    type Compiled = Result<PhysQueryPlan, StorageError>;
+    let snapshot = db.snapshot();
+    let query = parse(sql);
+    let compile = |fast_paths| {
+        let options = CompileOptions {
+            fast_paths,
+            ..CompileOptions::default()
+        };
+        compile_query(&snapshot, &query, options)
+    };
+    let (pruned, whole) = (compile(true), compile(false));
+    let run = |plan: &Compiled| match plan {
+        Ok(plan) => exec_compiled(&snapshot, plan),
+        Err(e) => Err(e.clone()),
+    };
+    let explain = |plan: &Compiled| {
+        plan.as_ref()
+            .map_or_else(|_| "<no plan>".to_string(), |p| p.explain(&snapshot))
+    };
+    let outcome = run(&pruned);
+    assert_eq!(
+        outcome,
+        run(&whole),
+        "pruned vs unpruned disagree on {sql}\npruned:\n{}\nunpruned:\n{}",
+        explain(&pruned),
+        explain(&whole)
+    );
+    let legacy = db.execute_sql(sql, ExecOptions::new(ExecStrategy::Legacy));
+    assert_eq!(
+        outcome,
+        legacy,
+        "pruned vs legacy disagree on {sql}\npruned:\n{}",
+        explain(&pruned)
+    );
+    pruned.ok().map(|plan| plan.explain(&snapshot))
+}
+
+/// Every join, aggregate and boundary shape column pruning touches gives
+/// the same answer pruned, unpruned and in the legacy oracle.
+#[test]
+fn column_pruning_is_invisible_across_shapes() {
+    let db = star_db();
+    let star = "FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID JOIN DIM2 d2 ON f.D2 = d2.ID \
+                JOIN DIM3 d3 ON f.D3 = d3.ID";
+    let shapes = [
+        // Star joins.
+        format!("SELECT f.AMT, d1.NAME, d2.LBL, d3.CODE {star} ORDER BY f.ID"),
+        format!("SELECT d3.CODE {star} WHERE d2.W > 2 ORDER BY f.ID"),
+        format!("SELECT d1.NAME, SUM(f.AMT) {star} GROUP BY d1.NAME ORDER BY d1.NAME"),
+        format!("SELECT f.ID {star} WHERE f.ID = 7"),
+        // Outer-join padding on each side.
+        "SELECT f.ID, d1.NAME FROM FACT f LEFT JOIN DIM1 d1 ON f.D1 = d1.ID ORDER BY f.ID".into(),
+        "SELECT d1.CAT FROM FACT f RIGHT JOIN DIM1 d1 ON f.D1 = d1.ID".into(),
+        "SELECT f.AMT, d2.LBL FROM FACT f FULL OUTER JOIN DIM2 d2 ON f.D2 = d2.ID".into(),
+        "SELECT COUNT(d1.NAME), COUNT(*) FROM FACT f LEFT JOIN DIM1 d1 ON f.D1 = d1.ID".into(),
+        "SELECT d2.LBL, COUNT(f.ID) FROM FACT f RIGHT JOIN DIM2 d2 ON f.D2 = d2.ID \
+         GROUP BY d2.LBL ORDER BY d2.LBL"
+            .into(),
+        // Join residuals.
+        "SELECT f.ID FROM FACT f JOIN DIM2 d2 ON f.D2 = d2.ID AND f.AMT > d2.W * 20 ORDER BY f.ID"
+            .into(),
+        "SELECT f.ID, d2.LBL FROM FACT f LEFT JOIN DIM2 d2 ON f.D2 = d2.ID AND d2.W < 3".into(),
+        // Nested-loop joins: non-equi, cross, and outer.
+        "SELECT f.ID, d3.CODE FROM FACT f JOIN DIM3 d3 ON f.AMT < d3.ID WHERE f.ID < 40".into(),
+        "SELECT d1.NAME, d3.CODE FROM DIM1 d1 CROSS JOIN DIM3 d3".into(),
+        "SELECT COUNT(*) FROM DIM1 d1 CROSS JOIN DIM2 d2".into(),
+        "SELECT d1.NAME FROM DIM1 d1 LEFT JOIN DIM3 d3 ON d1.CAT > d3.ID".into(),
+        "SELECT d3.CODE FROM DIM1 d1 RIGHT JOIN DIM3 d3 ON d1.CAT > d3.ID + 1".into(),
+        "SELECT d2.W, d3.CODE FROM DIM2 d2 FULL OUTER JOIN DIM3 d3 ON d2.W < d3.ID".into(),
+        // Zero required columns, and aggregates only in HAVING.
+        format!("SELECT COUNT(*) {star}"),
+        "SELECT COUNT(*) FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID WHERE d1.ID < 0".into(),
+        "SELECT MAX(f.AMT) FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID WHERE d1.ID < 0".into(),
+        "SELECT d1.CAT FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID GROUP BY d1.CAT \
+         HAVING SUM(f.AMT) > 100 ORDER BY d1.CAT"
+            .into(),
+        // ORDER BY an unselected column, Top-K, DISTINCT.
+        "SELECT d1.NAME FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID ORDER BY f.AMT DESC, f.ID".into(),
+        "SELECT d1.NAME FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID ORDER BY f.NOTE, f.ID LIMIT 7"
+            .into(),
+        format!("SELECT DISTINCT d1.CAT, d2.LBL {star}"),
+        // Row-at-a-time expressions over narrowed rows.
+        "SELECT CASE WHEN d1.CAT > 1 THEN UPPER(d1.NAME) ELSE f.NOTE END, \
+         COALESCE(d2.LBL, 'none') FROM FACT f LEFT JOIN DIM1 d1 ON f.D1 = d1.ID \
+         LEFT JOIN DIM2 d2 ON f.D2 = d2.ID WHERE f.NOTE IN ('n1', 'n2') ORDER BY f.ID"
+            .into(),
+        // A run-time error over a narrowed join.
+        "SELECT f.AMT / (d2.W - d2.W) FROM FACT f JOIN DIM2 d2 ON f.D2 = d2.ID".into(),
+        // Correlated EXISTS, IN and scalar subqueries, in every operator
+        // that evaluates expressions.
+        "SELECT d1.NAME FROM DIM1 d1 WHERE EXISTS \
+         (SELECT 1 FROM FACT f WHERE f.D1 = d1.ID AND f.AMT > 90)"
+            .into(),
+        "SELECT f.ID FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID WHERE EXISTS \
+         (SELECT 1 FROM DIM2 d2 WHERE d2.ID = f.D2 AND d2.W > d1.CAT) ORDER BY f.ID"
+            .into(),
+        "SELECT f.ID FROM FACT f WHERE f.D2 IN \
+         (SELECT d2.ID FROM DIM2 d2 WHERE d2.W = f.D3) ORDER BY f.ID"
+            .into(),
+        "SELECT d1.NAME, (SELECT MAX(d2.W) FROM DIM2 d2 WHERE d2.ID = f.D2) \
+         FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID ORDER BY f.ID"
+            .into(),
+        "SELECT d1.CAT, COUNT(*) FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID GROUP BY d1.CAT \
+         HAVING COUNT(*) > (SELECT COUNT(*) FROM DIM2 d2 WHERE d2.W = d1.CAT)"
+            .into(),
+        "SELECT f.ID FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID \
+         AND EXISTS (SELECT 1 FROM DIM3 d3 WHERE d3.ID = f.D3 AND d3.ID <> d1.CAT)"
+            .into(),
+        "SELECT f.ID FROM FACT f JOIN DIM2 d2 ON f.D2 = d2.ID \
+         WHERE d2.W > (SELECT AVG(W) FROM DIM2) ORDER BY f.ID"
+            .into(),
+        // CTEs, derived tables and set operations.
+        "WITH big AS (SELECT f.ID, f.D1, f.AMT FROM FACT f WHERE f.AMT > 20) \
+         SELECT d1.NAME, COUNT(*) FROM big JOIN DIM1 d1 ON big.D1 = d1.ID \
+         GROUP BY d1.NAME ORDER BY d1.NAME"
+            .into(),
+        "SELECT s.NAME FROM (SELECT d1.NAME, d1.CAT, d1.ID FROM DIM1 d1) s \
+         JOIN FACT f ON f.D1 = s.ID WHERE s.CAT = 1 ORDER BY f.ID"
+            .into(),
+        "SELECT d1.NAME FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID WHERE f.AMT > 80 \
+         UNION SELECT d2.LBL FROM FACT f JOIN DIM2 d2 ON f.D2 = d2.ID"
+            .into(),
+        "SELECT f.D1 FROM FACT f JOIN DIM2 d2 ON f.D2 = d2.ID \
+         EXCEPT SELECT d1.ID FROM DIM1 d1 JOIN FACT f ON f.D1 = d1.ID WHERE f.AMT > 50"
+            .into(),
+    ];
+    for sql in &shapes {
+        assert_pruning_invisible(&db, sql);
+    }
+    let explain = |sql: &str| assert_pruning_invisible(&db, sql).expect("the shape compiles");
+    // The pass did narrow: the star join's scans decode only what the
+    // plan reads, and `COUNT(*)` over it aggregates zero-width rows.
+    let projection = explain(&shapes[0]);
+    for scan in [
+        "ScanTable FACT cols=[0,1,2,3,4]",
+        "ScanTable DIM1 cols=[0,1]",
+    ] {
+        assert!(projection.contains(scan), "{scan}:\n{projection}");
+    }
+    let count_star = explain(&format!("SELECT COUNT(*) {star}"));
+    assert!(count_star.contains("input_width=0 width=1"), "{count_star}");
+    // A join condition's columns are read from the inputs but not emitted.
+    let residual = explain(
+        "SELECT f.ID FROM FACT f JOIN DIM2 d2 ON f.D2 = d2.ID AND f.AMT > d2.W * 20 ORDER BY f.ID",
+    );
+    for line in ["JOIN width=1", "FACT cols=[0,2,4]", "DIM2 cols=[0,2]"] {
+        assert!(residual.contains(line), "{line}:\n{residual}");
+    }
+    // A correlated subquery over the join keeps the join's inputs whole.
+    let correlated = explain(
+        "SELECT f.ID FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID WHERE EXISTS \
+         (SELECT 1 FROM DIM2 d2 WHERE d2.ID = f.D2 AND d2.W > d1.CAT) ORDER BY f.ID",
+    );
+    assert!(!correlated.contains("cols="), "{correlated}");
+}
+
+/// The gold SQL of a 200-item corpus and every Figure 1 model's prediction
+/// for it, exactly as the grader sees them (unparseable texts included), at
+/// evaluation seed `seed`. Tables hold an eighth of their Laptop-scale
+/// rows, as in the pipeline benchmark's grading workload, so the
+/// interpreter's nested loops stay quick on the predictions that drop a
+/// join's filter.
+fn figure1_statements(kind: BenchmarkKind, seed: u64) -> (GeneratedBenchmark, Vec<String>) {
+    use benchpress_suite::datasets::{generate_database, generate_workload, lexicon_for};
+    use benchpress_suite::llm::{predict_item, ModelKind};
+    let mut profile = kind.profile();
+    profile.rows_per_table = (profile.rows_per_table / 8).max(8);
+    let database = generate_database(&profile, seed);
+    let lexicon = lexicon_for(kind);
+    let log = generate_workload(&database, &profile, &lexicon, 200, seed ^ 0xbeef);
+    let corpus = GeneratedBenchmark {
+        kind,
+        profile,
+        database,
+        log,
+        lexicon,
+    };
+    let snapshot = corpus.database.snapshot();
+    let models = [
+        ModelKind::Gpt4o,
+        ModelKind::Llama70B,
+        ModelKind::Llama8B,
+        ModelKind::ContextModel,
+    ];
+    let mut statements = Vec::new();
+    for (index, item) in corpus.eval_items().iter().enumerate() {
+        statements.push(item.gold_sql.clone());
+        let Ok(gold) = benchpress_suite::sql::parse_query(&item.gold_sql) else {
+            continue;
+        };
+        for model in models {
+            let prediction = predict_item(
+                &model.profile(),
+                item,
+                index,
+                &gold,
+                snapshot.catalog(),
+                seed,
+            );
+            statements.push(prediction.sql);
+        }
+    }
+    (corpus, statements)
+}
+
+/// Figure 1's predictions — the corrupted SQL the grader executes, not
+/// only gold — agree between the pruned planned engine and the legacy
+/// oracle, errors included: 4 corpora × 2 seeds × 200 items × 4 models.
+#[test]
+fn figure1_predictions_agree_in_both_engines() {
+    for seed in [2026, 31337] {
+        for kind in BenchmarkKind::all() {
+            let (corpus, statements) = figure1_statements(*kind, seed);
+            let mut seen = std::collections::HashSet::new();
+            for sql in statements.iter().filter(|sql| seen.insert(sql.as_str())) {
+                assert_engines_agree(&corpus.database, sql, "figure1");
+            }
+        }
     }
 }
