@@ -31,8 +31,8 @@ use crate::plan::{contains_aggregate, expand_projection, resolve_binding, Column
 use crate::result::QueryResult;
 use crate::scalar::{
     canonical_function_name, cast_value, check_call, combine_set_operation, composite_key,
-    eval_binary, eval_unary_minus, finish_aggregate, is_aggregate_name, is_count_star,
-    literal_value, map_text, missing_arg_error, upper_eq,
+    eval_binary, eval_scalar_fn, eval_unary_minus, finish_aggregate, is_aggregate_name,
+    is_count_star, literal_value, missing_arg_error, upper_eq,
 };
 use crate::snapshot::Snapshot;
 use crate::table::Row;
@@ -1098,80 +1098,7 @@ fn eval_function(
         };
         return eval_aggregate(ctx, canonical, args, distinct, &group);
     }
-    match canonical {
-        "UPPER" => {
-            let v = eval_expr(ctx, require_arg(canonical, args, 0)?)?;
-            Ok(map_text(v, |s| s.to_ascii_uppercase()))
-        }
-        "LOWER" => {
-            let v = eval_expr(ctx, require_arg(canonical, args, 0)?)?;
-            Ok(map_text(v, |s| s.to_ascii_lowercase()))
-        }
-        "LENGTH" | "LEN" => {
-            let v = eval_expr(ctx, require_arg(canonical, args, 0)?)?;
-            Ok(match v {
-                Value::Null => Value::Null,
-                other => Value::Int(other.to_string().len() as i64),
-            })
-        }
-        "ABS" => {
-            let v = eval_expr(ctx, require_arg(canonical, args, 0)?)?;
-            Ok(match v {
-                Value::Int(i) => Value::Int(i.abs()),
-                Value::Float(f) => Value::Float(f.abs()),
-                Value::Null => Value::Null,
-                other => {
-                    return Err(StorageError::TypeError(format!(
-                        "ABS({other}) is not numeric"
-                    )))
-                }
-            })
-        }
-        "ROUND" => {
-            let v = eval_expr(ctx, require_arg(canonical, args, 0)?)?;
-            let digits = match args.get(1) {
-                Some(d) => eval_expr(ctx, d)?.as_i64().unwrap_or(0),
-                None => 0,
-            };
-            Ok(match v.as_f64() {
-                Some(f) => {
-                    let factor = 10f64.powi(digits as i32);
-                    Value::Float((f * factor).round() / factor)
-                }
-                None => Value::Null,
-            })
-        }
-        "COALESCE" | "NVL" => {
-            for arg in args {
-                let v = eval_expr(ctx, arg)?;
-                if !v.is_null() {
-                    return Ok(v);
-                }
-            }
-            Ok(Value::Null)
-        }
-        "SUBSTR" | "SUBSTRING" => {
-            let v = eval_expr(ctx, require_arg(canonical, args, 0)?)?;
-            // Clamp (not truncate) past usize::MAX, mirroring the columnar
-            // engine's SUBSTR so the engines agree on every platform.
-            let start = usize::try_from(
-                eval_expr(ctx, require_arg(canonical, args, 1)?)?
-                    .as_i64()
-                    .unwrap_or(1)
-                    .max(1),
-            )
-            .unwrap_or(usize::MAX);
-            let len = match args.get(2) {
-                Some(l) => usize::try_from(eval_expr(ctx, l)?.as_i64().unwrap_or(0).max(0))
-                    .unwrap_or(usize::MAX),
-                None => usize::MAX,
-            };
-            Ok(map_text(v, |s| {
-                s.chars().skip(start - 1).take(len).collect::<String>()
-            }))
-        }
-        other => unreachable!("canonical scalar function {other} not dispatched"),
-    }
+    eval_scalar_fn(canonical, args.len(), |i| eval_expr(ctx, &args[i]))
 }
 
 fn require_arg<'e>(name: &str, args: &'e [Expr], index: usize) -> StorageResult<&'e Expr> {

@@ -12,9 +12,10 @@
 //!
 //! Everything not yet vectorized falls back without leaving the engine:
 //! expressions with subqueries/CASE/functions evaluate per row inside their
-//! batch (see [`PhysExpr::eval_batch`]), and blocking or rare operators
-//! (sort, set operations, non-equi joins, derived tables) convert batches
-//! to rows, reuse the row operators, and convert back.
+//! batch (see [`PhysExpr::eval_batch`]), and blocking operators (sort, set
+//! operations, derived tables) convert batches to rows, reuse the row
+//! operators, and convert back. Every join is the hash join: one without
+//! equi-keys (a cross join or a non-equi ON) runs it with empty key lists.
 //!
 //! Output order is the interpreter's: batches are visited in row order,
 //! join candidates are emitted left-row-major in right-row order, and
@@ -53,8 +54,8 @@ use super::batch::{
 };
 use super::expr::PhysExpr;
 use super::{
-    compare_rows, dedup_rows, eval_count, exec_index_agg, exec_query_plan, finalize_agg_groups,
-    index_scan_ids, join, top_k_rows, PhysNode, RunCtx,
+    compare_rows, eval_count, exec_index_agg, exec_query_plan, finalize_agg_groups, index_scan_ids,
+    top_k_rows, PhysNode, RunCtx,
 };
 
 /// Execute a node columnar-ly and materialize the live rows (the
@@ -236,32 +237,6 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
                 ctx,
             )
         }
-        PhysNode::NestedLoopJoin {
-            left,
-            right,
-            operator,
-            on,
-            width,
-            right_width,
-            cols,
-        } => {
-            // Non-equi and cross joins are rare: reuse the row operator.
-            let left_rows = exec_node_rows(left, ctx)?;
-            let right_rows = exec_node_rows(right, ctx)?;
-            let rows = join::nested_loop_join(
-                &left_rows,
-                &right_rows,
-                *operator,
-                on.as_ref(),
-                (*width, *right_width),
-                cols.as_deref(),
-                ctx,
-            )?;
-            Ok(rows_to_batches(
-                &rows,
-                cols.as_ref().map_or(*width, Vec::len),
-            ))
-        }
         PhysNode::HashAggregate {
             input,
             group_by,
@@ -273,12 +248,13 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
         } => {
             let batches = exec_node_col(input, ctx)?;
             let width = *input_width;
-            let mut rows =
+            let rows =
                 columnar_hash_aggregate(&batches, group_by, having.as_ref(), items, width, ctx)?;
+            let mut out = rows_to_batches(&rows, items.len());
             if *distinct {
-                dedup_rows(&mut rows, *visible);
+                dedup_batches(&mut out, *visible);
             }
-            Ok(rows_to_batches(&rows, items.len()))
+            Ok(out)
         }
         PhysNode::Sort { input, keys } => {
             let mut rows = exec_node_rows(input, ctx)?;
@@ -353,9 +329,9 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
     }
 }
 
-/// DISTINCT over the visible prefix of the projected batches: one
-/// sequential pass (batch order = row order) keying on column slices, no
-/// string materialization. Keeps first occurrences, like [`dedup_rows`].
+/// DISTINCT over the visible prefix of projected or aggregated batches:
+/// one sequential pass (batch order = row order) keying on column slices,
+/// no string materialization. Keeps first occurrences.
 fn dedup_batches(batches: &mut [Batch], visible: usize) {
     // Per-batch key-column refs, computed once (not per row/comparison).
     let key_cols: Vec<Vec<&ColumnVec>> = batches
@@ -397,6 +373,17 @@ fn dedup_batches(batches: &mut [Batch], visible: usize) {
 /// joined row (`widths` = its width and its right part's) — no composite
 /// key strings, no per-pair row concatenation. Candidate pairs are
 /// enumerated left-row-major with right candidates in build order.
+///
+/// A join without equi-keys (a cross join or a non-equi ON) is the same
+/// loop with empty key lists: every right row lands in the one empty-key
+/// bucket, so each left row's candidates are all right rows in right-row
+/// order — the nested loop's pair order, padding included.
+///
+/// Pairs stream. Without a residual each candidate goes straight into the
+/// output gather indices; with one, the residual runs over chunks of at
+/// most [`BATCH_ROWS`] candidate pairs, so a keyless join never holds its
+/// |L|×|R| candidates at once (the compiler never builds it left, whose
+/// candidate lists would hold them all).
 ///
 /// With `build_left` the bucket table is built over the left batches instead
 /// and the right rows probe it in right-row order, appending each right index
@@ -470,80 +457,53 @@ fn columnar_hash_join(
             .iter()
             .map(|&k| batch.columns[k].as_ref())
             .collect();
-
-        // Candidate pairs, left-row-major. Build-left reads precomputed
-        // per-left-row lists (already in right-row order); build-right
-        // hashes into the right-side bucket table.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut per_row: Vec<(u32, u32)> = Vec::new(); // (left phys, pair count)
+        let mut sink = JoinSink {
+            lidx: Vec::new(),
+            ridx: Vec::new(),
+            left_matched: vec![false; batch.len],
+            left_outer,
+            right_matched: &mut right_matched,
+        };
+        let mut pending = PendingPairs::default();
         for lphys in batch.live_rows() {
-            let start = pairs.len();
-            if let Some(matches) = &left_matches {
-                for &ri in &matches[left_offsets[bi] + lphys] {
-                    pairs.push((lphys as u32, ri));
+            // Build-left reads precomputed per-left-row lists (already in
+            // right-row order and key-equal); build-right hashes into the
+            // right-side bucket table and checks key equality.
+            let candidates: &[u32] = match &left_matches {
+                Some(matches) => &matches[left_offsets[bi] + lphys],
+                None if keys_nonnull(&left_key_cols, lphys) => table
+                    .get(&composite_hash(&left_key_cols, lphys))
+                    .map_or(&[], Vec::as_slice),
+                None => &[],
+            };
+            let lp = lphys as u32;
+            for &ri in candidates {
+                if left_matches.is_none()
+                    && !composite_eq(&left_key_cols, lphys, &right_key_cols, ri as usize)
+                {
+                    continue;
                 }
-            } else if keys_nonnull(&left_key_cols, lphys) {
-                if let Some(candidates) = table.get(&composite_hash(&left_key_cols, lphys)) {
-                    for &ri in candidates {
-                        if composite_eq(&left_key_cols, lphys, &right_key_cols, ri as usize) {
-                            pairs.push((lphys as u32, ri));
+                match residual {
+                    None => sink.pair(lp, ri),
+                    Some(predicate) => {
+                        pending.left.push(lp);
+                        pending.right.push(ri);
+                        if pending.left.len() == BATCH_ROWS {
+                            pending.flush(predicate, batch, &right, left_width, &mut sink, ctx)?;
                         }
                     }
                 }
             }
-            per_row.push((lphys as u32, (pairs.len() - start) as u32));
-        }
-
-        // Residual predicate over the candidate-pair batch.
-        let keep: Vec<bool> = match residual {
-            None => vec![true; pairs.len()],
-            Some(predicate) => {
-                let lidx: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-                let ridx: Vec<u32> = pairs.iter().map(|p| p.1).collect();
-                let mut columns = Vec::with_capacity(width);
-                for c in 0..left_width {
-                    columns.push(Arc::new(batch.columns[c].gather(&lidx)));
-                }
-                for c in 0..right_width {
-                    columns.push(Arc::new(right.columns[c].gather(&ridx)));
-                }
-                let candidates = Batch {
-                    len: pairs.len(),
-                    columns,
-                    selection: None,
-                };
-                let col = predicate.eval_batch(&candidates, ctx)?;
-                let (truth, nulls) = truth3_col(col.as_ref());
-                (0..pairs.len())
-                    .map(|j| truth[j] && !nulls.get(j))
-                    .collect()
-            }
-        };
-
-        // Output plan: kept pairs per left row in order; unmatched left
-        // rows pad NULLs on the right for LEFT/FULL joins.
-        let mut lidx: Vec<u32> = Vec::new();
-        let mut ridx: Vec<u32> = Vec::new();
-        let mut p = 0usize;
-        for &(lphys, count) in &per_row {
-            let mut matched = false;
-            for j in p..p + count as usize {
-                if keep[j] {
-                    matched = true;
-                    lidx.push(pairs[j].0);
-                    ridx.push(pairs[j].1);
-                    if track_right {
-                        right_matched[pairs[j].1 as usize] = true;
-                    }
-                }
-            }
-            p += count as usize;
-            if !matched && left_outer {
-                lidx.push(lphys);
-                ridx.push(PAD_NULL);
+            match residual {
+                None => sink.finish_row(lp),
+                Some(_) => pending.finished.push((lp, pending.left.len())),
             }
         }
+        if let Some(predicate) = residual {
+            pending.flush(predicate, batch, &right, left_width, &mut sink, ctx)?;
+        }
 
+        let (lidx, ridx) = (sink.lidx, sink.ridx);
         let columns = emit
             .iter()
             .map(|&c| match c.checked_sub(left_width) {
@@ -578,6 +538,104 @@ fn columnar_hash_join(
         }
     }
     Ok(out)
+}
+
+/// One left batch's join output as gather indices (left physical row,
+/// right row or [`PAD_NULL`]), in output order, plus the match flags that
+/// outer joins pad by.
+struct JoinSink<'m> {
+    lidx: Vec<u32>,
+    ridx: Vec<u32>,
+    /// Per physical row of the left batch: whether a pair has been kept.
+    left_matched: Vec<bool>,
+    left_outer: bool,
+    /// Per right row, for RIGHT/FULL joins; empty otherwise.
+    right_matched: &'m mut [bool],
+}
+
+impl JoinSink<'_> {
+    /// Emit a kept pair.
+    fn pair(&mut self, l: u32, r: u32) {
+        self.lidx.push(l);
+        self.ridx.push(r);
+        self.left_matched[l as usize] = true;
+        if let Some(matched) = self.right_matched.get_mut(r as usize) {
+            *matched = true;
+        }
+    }
+
+    /// Close a left row once all its candidates are decided: a LEFT/FULL
+    /// join pads an unmatched row with NULLs right after where its pairs
+    /// would be.
+    fn finish_row(&mut self, l: u32) {
+        if self.left_outer && !self.left_matched[l as usize] {
+            self.lidx.push(l);
+            self.ridx.push(PAD_NULL);
+        }
+    }
+}
+
+/// Candidate pairs awaiting the join residual (at most [`BATCH_ROWS`]),
+/// and the left rows whose candidates have all been queued, each with the
+/// number of pairs queued before its end.
+#[derive(Default)]
+struct PendingPairs {
+    left: Vec<u32>,
+    right: Vec<u32>,
+    finished: Vec<(u32, usize)>,
+}
+
+impl PendingPairs {
+    /// Evaluate `predicate` over the queued pairs of `batch` ⋈ `right`,
+    /// then hand `sink` the kept pairs and the finished rows in queue
+    /// order. A row's candidates may span chunks: its match flag lives in
+    /// the sink, so only the chunk holding its end pads it.
+    fn flush(
+        &mut self,
+        predicate: &PhysExpr,
+        batch: &Batch,
+        right: &Batch,
+        left_width: usize,
+        sink: &mut JoinSink<'_>,
+        ctx: &RunCtx<'_>,
+    ) -> StorageResult<()> {
+        let mut keep = Vec::new();
+        if !self.left.is_empty() {
+            let mut columns = Vec::with_capacity(left_width + right.columns.len());
+            for c in 0..left_width {
+                columns.push(Arc::new(batch.columns[c].gather(&self.left)));
+            }
+            for column in &right.columns {
+                columns.push(Arc::new(column.gather(&self.right)));
+            }
+            let candidates = Batch {
+                len: self.left.len(),
+                columns,
+                selection: None,
+            };
+            let col = predicate.eval_batch(&candidates, ctx)?;
+            let (truth, nulls) = truth3_col(col.as_ref());
+            keep = (0..self.left.len())
+                .map(|j| truth[j] && !nulls.get(j))
+                .collect();
+        }
+        let mut finished = self.finished.iter().peekable();
+        for (j, &kept) in keep.iter().enumerate() {
+            while let Some((l, _)) = finished.next_if(|&&(_, end)| end <= j) {
+                sink.finish_row(*l);
+            }
+            if kept {
+                sink.pair(self.left[j], self.right[j]);
+            }
+        }
+        for &(l, _) in finished {
+            sink.finish_row(l);
+        }
+        self.left.clear();
+        self.right.clear();
+        self.finished.clear();
+        Ok(())
+    }
 }
 
 /// Build-side-flipped candidate enumeration: bucket every live left row by

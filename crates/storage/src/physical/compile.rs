@@ -3,8 +3,9 @@
 //! Compilation resolves every name exactly once: a column reference to an
 //! ordinal (see [`super::expr`]), a CTE reference to the (plan depth,
 //! position) of its definition. It records widths, not binding lists,
-//! chooses hash vs nested-loop joins from the logical plan's extracted
-//! equi-keys, plans + compiles expression subqueries recursively, and
+//! compiles every join to a hash join on the logical plan's extracted
+//! equi-keys (none for a cross or non-equi join, whose whole ON is the
+//! residual), plans + compiles expression subqueries recursively, and
 //! computes each subquery's cacheability (uncorrelated and free of reads
 //! from enclosing CTE scopes). A last top-down pass over each compiled
 //! plan prunes the columns no operator reads (see [`prune`]).
@@ -193,49 +194,38 @@ impl<'a> Compiler<'a> {
                 let (width, right_width) = (bindings.len(), right.bindings().len());
                 let compiled_left = self.compile_node(left)?;
                 let compiled_right = self.compile_node(right)?;
-                if equi_keys.is_empty() {
-                    let on = residual
-                        .as_ref()
-                        .map(|e| self.compile_expr(e, bindings))
-                        .transpose()?;
-                    Ok(PhysNode::NestedLoopJoin {
-                        left: Box::new(compiled_left),
-                        right: Box::new(compiled_right),
-                        operator: *operator,
-                        on,
-                        width,
-                        right_width,
-                        cols: None,
-                    })
-                } else {
-                    let residual = residual
-                        .as_ref()
-                        .map(|e| self.compile_expr(e, bindings))
-                        .transpose()?;
-                    let (left_keys, right_keys) = equi_keys.iter().copied().unzip();
-                    // Cost-based build-side selection: build the hash table
-                    // on the smaller estimated input. Inner joins only (the
-                    // outer-join padding logic is side-specific), and output
-                    // is byte-identical either way — a wrong estimate can
-                    // only change speed, never answers.
-                    let build_left =
-                        self.cost_based && matches!(operator, bp_sql::JoinOperator::Inner) && {
-                            let est = crate::cost::Estimator::new(self.db);
-                            est.rows(left) < est.rows(right)
-                        };
-                    Ok(PhysNode::HashJoin {
-                        left: Box::new(compiled_left),
-                        right: Box::new(compiled_right),
-                        operator: *operator,
-                        left_keys,
-                        right_keys,
-                        residual,
-                        width,
-                        right_width,
-                        build_left,
-                        cols: None,
-                    })
-                }
+                // A join without equi-keys (a cross join or a non-equi ON)
+                // is a hash join with no keys and its whole ON as residual.
+                let residual = residual
+                    .as_ref()
+                    .map(|e| self.compile_expr(e, bindings))
+                    .transpose()?;
+                let (left_keys, right_keys) = equi_keys.iter().copied().unzip();
+                // Cost-based build-side selection: build the hash table on
+                // the smaller estimated input. Inner joins with keys only
+                // (the outer-join padding logic is side-specific, and a
+                // keyless build-left lists every right row per left row),
+                // and output is byte-identical either way — a wrong
+                // estimate can only change speed, never answers.
+                let build_left = self.cost_based
+                    && !equi_keys.is_empty()
+                    && matches!(operator, bp_sql::JoinOperator::Inner)
+                    && {
+                        let est = crate::cost::Estimator::new(self.db);
+                        est.rows(left) < est.rows(right)
+                    };
+                Ok(PhysNode::HashJoin {
+                    left: Box::new(compiled_left),
+                    right: Box::new(compiled_right),
+                    operator: *operator,
+                    left_keys,
+                    right_keys,
+                    residual,
+                    width,
+                    right_width,
+                    build_left,
+                    cols: None,
+                })
             }
             LogicalPlan::Project {
                 input,
@@ -903,38 +893,56 @@ fn prune(node: &mut PhysNode, need: Option<BTreeSet<usize>>) -> Layout {
             right_width,
             cols,
             ..
-        } => prune_join(
-            JoinView {
-                left,
-                right,
-                keys: Some((left_keys, right_keys)),
-                on: residual,
-                width,
-                right_width,
-                cols,
-            },
-            need,
-        ),
-        PhysNode::NestedLoopJoin {
-            left,
-            right,
-            on,
-            width,
-            right_width,
-            cols,
-            ..
-        } => prune_join(
-            JoinView {
-                left,
-                right,
-                keys: None,
-                on,
-                width,
-                right_width,
-                cols,
-            },
-            need,
-        ),
+        } => {
+            // Each input supplies its share of `need`, its join keys and
+            // what the residual reads. The residual is evaluated on the
+            // joined row before the emit step, so its columns are read from
+            // the inputs but not emitted.
+            let split = *width - *right_width;
+            let read = widen(need.clone(), residual.iter());
+            let left_need = read.as_ref().map(|read| {
+                let own = read.range(..split).copied();
+                own.chain(left_keys.iter().copied()).collect()
+            });
+            let right_need = read.as_ref().map(|read| {
+                let own = read.range(split..).map(|o| o - split);
+                own.chain(right_keys.iter().copied()).collect()
+            });
+            let left_layout = prune(left, left_need);
+            let right_layout = prune(right, right_need);
+            for key in left_keys.iter_mut() {
+                *key = position(&left_layout, *key);
+            }
+            for key in right_keys.iter_mut() {
+                *key = position(&right_layout, *key);
+            }
+            // The joined row is the two narrowed inputs side by side.
+            let combined: Layout = match (&left_layout, &right_layout) {
+                (None, None) => None,
+                _ => {
+                    let left = left_layout.unwrap_or_else(|| (0..split).collect());
+                    let right = right_layout.unwrap_or_else(|| (0..*right_width).collect());
+                    *right_width = right.len();
+                    Some(
+                        left.into_iter()
+                            .chain(right.into_iter().map(|o| o + split))
+                            .collect(),
+                    )
+                }
+            };
+            if let Some(residual) = residual {
+                remap(residual, &combined);
+            }
+            if let Some(combined) = &combined {
+                *width = combined.len();
+            }
+            // The join emits only the `need` ordinals of the joined row.
+            let need = need?;
+            if need.len() < *width {
+                *cols = Some(need.iter().map(|&o| position(&combined, o)).collect());
+            }
+            Some(need.into_iter().collect())
+        }
         PhysNode::IndexAgg { .. }
         | PhysNode::ScanCte { .. }
         | PhysNode::ScanDerived { .. }
@@ -942,75 +950,6 @@ fn prune(node: &mut PhysNode, need: Option<BTreeSet<usize>>) -> Layout {
         | PhysNode::SetOp { .. }
         | PhysNode::Nested(_) => None,
     }
-}
-
-/// The fields of a join that pruning reads and rewrites: both kinds'
-/// inputs, condition, widths and emit mask, and a hash join's keys.
-struct JoinView<'a> {
-    left: &'a mut PhysNode,
-    right: &'a mut PhysNode,
-    keys: Option<(&'a mut Vec<usize>, &'a mut Vec<usize>)>,
-    on: &'a mut Option<PhysExpr>,
-    width: &'a mut usize,
-    right_width: &'a mut usize,
-    cols: &'a mut Option<Vec<usize>>,
-}
-
-/// Prune a join: each input must supply its share of `need`, its join
-/// keys and what the join condition reads. The joined row is the two
-/// narrowed inputs side by side; the join emits only the `need` ordinals
-/// of it.
-fn prune_join(join: JoinView<'_>, need: Option<BTreeSet<usize>>) -> Layout {
-    let split = *join.width - *join.right_width;
-    // The condition is evaluated on the joined row before the emit step, so
-    // its columns are read from the inputs but not emitted.
-    let read = widen(need.clone(), join.on.iter());
-    let (left_keys, right_keys) = match &join.keys {
-        Some((left, right)) => (left.as_slice(), right.as_slice()),
-        None => (&[][..], &[][..]),
-    };
-    let left_need = read.as_ref().map(|read| {
-        let own = read.range(..split).copied();
-        own.chain(left_keys.iter().copied()).collect()
-    });
-    let right_need = read.as_ref().map(|read| {
-        let own = read.range(split..).map(|o| o - split);
-        own.chain(right_keys.iter().copied()).collect()
-    });
-    let left_layout = prune(join.left, left_need);
-    let right_layout = prune(join.right, right_need);
-    if let Some((left_keys, right_keys)) = join.keys {
-        for key in left_keys.iter_mut() {
-            *key = position(&left_layout, *key);
-        }
-        for key in right_keys.iter_mut() {
-            *key = position(&right_layout, *key);
-        }
-    }
-    let combined: Layout = match (&left_layout, &right_layout) {
-        (None, None) => None,
-        _ => {
-            let left = left_layout.unwrap_or_else(|| (0..split).collect());
-            let right = right_layout.unwrap_or_else(|| (0..*join.right_width).collect());
-            *join.right_width = right.len();
-            Some(
-                left.into_iter()
-                    .chain(right.into_iter().map(|o| o + split))
-                    .collect(),
-            )
-        }
-    };
-    if let Some(on) = join.on {
-        remap(on, &combined);
-    }
-    if let Some(combined) = &combined {
-        *join.width = combined.len();
-    }
-    let need = need?;
-    if need.len() < *join.width {
-        *join.cols = Some(need.iter().map(|&o| position(&combined, o)).collect());
-    }
-    Some(need.into_iter().collect())
 }
 
 /// Where unpruned ordinal `o` sits in `layout`. An ordinal the layout

@@ -5,7 +5,9 @@
 //! full scans), join order after any cost-based re-association, hash-join
 //! build sides, and what column pruning left: the columns each scan decodes
 //! (`cols=[…]`) and the width each join and aggregate emits (`width=`) —
-//! annotated with the cost model's per-node estimated row counts. The
+//! annotated with the cost model's per-node estimated row counts. The plans
+//! of `EXISTS`, `IN` and scalar subqueries, and an index probe's `IN`
+//! subquery, render nested under the operator that holds them. The
 //! estimates are re-derived here from the same table statistics the
 //! optimizer read, so the rendering shows *why* a choice was made, not just
 //! which one. A CTE scan compiles to an ordinal; its name is read back
@@ -25,6 +27,7 @@ use crate::cost;
 use crate::plan::SargAtom;
 use crate::snapshot::Snapshot;
 
+use super::expr::{PhysExpr, SubPlan};
 use super::{IndexAccess, PhysNode, PhysQueryPlan};
 
 impl PhysQueryPlan {
@@ -95,6 +98,9 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
                     mask(cols)
                 ),
             );
+            if let IndexAccess::InSubquery { plan, .. } = access {
+                render_subplan("InSubquery", plan, db, depth + 1, out);
+            }
         }
         PhysNode::IndexAgg { name, specs } => {
             line(
@@ -114,29 +120,10 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
             render_plan(plan, db, depth + 1, out);
         }
         PhysNode::ScanEmpty => line(out, depth, "ScanEmpty"),
-        PhysNode::Filter { input, .. } => {
+        PhysNode::Filter { input, predicate } => {
             line(out, depth, &format!("Filter{est}"));
+            render_subplans([predicate], db, depth + 1, out);
             render_node(input, db, depth + 1, out);
-        }
-        PhysNode::NestedLoopJoin {
-            left,
-            right,
-            operator,
-            width,
-            cols,
-            ..
-        } => {
-            line(
-                out,
-                depth,
-                &format!(
-                    "NestedLoopJoin {} width={}{est}",
-                    operator.as_sql(),
-                    emitted_width(cols, *width)
-                ),
-            );
-            render_node(left, db, depth + 1, out);
-            render_node(right, db, depth + 1, out);
         }
         PhysNode::HashJoin {
             left,
@@ -144,6 +131,7 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
             operator,
             left_keys,
             right_keys,
+            residual,
             build_left,
             width,
             cols,
@@ -165,6 +153,7 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
                     emitted_width(cols, *width),
                 ),
             );
+            render_subplans(residual, db, depth + 1, out);
             render_node(left, db, depth + 1, out);
             render_node(right, db, depth + 1, out);
         }
@@ -184,11 +173,13 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
                     if *distinct { " distinct" } else { "" }
                 ),
             );
+            render_subplans(items, db, depth + 1, out);
             render_node(input, db, depth + 1, out);
         }
         PhysNode::HashAggregate {
             input,
             group_by,
+            having,
             items,
             input_width,
             ..
@@ -202,18 +193,35 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
                     items.len()
                 ),
             );
+            render_subplans(
+                group_by.iter().chain(having).chain(items),
+                db,
+                depth + 1,
+                out,
+            );
             render_node(input, db, depth + 1, out);
         }
         PhysNode::Sort { input, keys } => {
             line(out, depth, &format!("Sort keys={}", keys.len()));
             render_node(input, db, depth + 1, out);
         }
-        PhysNode::TopK { input, keys, .. } => {
+        PhysNode::TopK {
+            input,
+            keys,
+            limit,
+            offset,
+        } => {
             line(out, depth, &format!("TopK keys={}", keys.len()));
+            render_subplans(std::iter::once(limit).chain(offset), db, depth + 1, out);
             render_node(input, db, depth + 1, out);
         }
-        PhysNode::Limit { input, .. } => {
+        PhysNode::Limit {
+            input,
+            limit,
+            offset,
+        } => {
             line(out, depth, "Limit");
+            render_subplans(limit.iter().chain(offset), db, depth + 1, out);
             render_node(input, db, depth + 1, out);
         }
         PhysNode::SetOp {
@@ -235,6 +243,43 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
             render_plan(plan, db, depth + 1, out);
         }
     }
+}
+
+/// Render the subquery plans inside an operator's expressions, in source
+/// order, each under a line naming its kind (and `correlated` when it
+/// reads an enclosing row).
+fn render_subplans<'p>(
+    exprs: impl IntoIterator<Item = &'p PhysExpr>,
+    db: &Snapshot,
+    depth: usize,
+    out: &mut Out<'p>,
+) {
+    fn walk<'p>(expr: &'p PhysExpr, db: &Snapshot, depth: usize, out: &mut Out<'p>) {
+        match expr {
+            PhysExpr::Exists { plan, .. } => render_subplan("Exists", plan, db, depth, out),
+            PhysExpr::ScalarSubquery { plan } => {
+                render_subplan("ScalarSubquery", plan, db, depth, out)
+            }
+            PhysExpr::InSubquery { plan, .. } => render_subplan("InSubquery", plan, db, depth, out),
+            _ => {}
+        }
+        expr.for_each_child(|child| walk(child, db, depth, out));
+    }
+    for expr in exprs {
+        walk(expr, db, depth, out);
+    }
+}
+
+fn render_subplan<'p>(
+    kind: &str,
+    sub: &'p SubPlan,
+    db: &Snapshot,
+    depth: usize,
+    out: &mut Out<'p>,
+) {
+    let correlated = if sub.correlated { " correlated" } else { "" };
+    line(out, depth, &format!("{kind}{correlated}"));
+    render_plan(&sub.plan, db, depth + 1, out);
 }
 
 fn line(out: &mut Out<'_>, depth: usize, text: &str) {
@@ -299,15 +344,22 @@ fn node_est(node: &PhysNode, db: &Snapshot) -> Option<f64> {
         PhysNode::Filter { input, .. } => {
             Some(node_est(input, db)? * cost::DEFAULT_PREDICATE_SELECTIVITY)
         }
-        PhysNode::HashJoin { left, right, .. } => {
+        PhysNode::HashJoin {
+            left,
+            right,
+            left_keys,
+            ..
+        } => {
             // Unique-key heuristic: |L ⋈ R| ≈ max(|L|, |R|) when the key is
             // unique on the smaller side — the common equi-join shape.
+            // Without keys every pair is a candidate.
             let l = node_est(left, db)?;
             let r = node_est(right, db)?;
-            Some(l.max(r))
-        }
-        PhysNode::NestedLoopJoin { left, right, .. } => {
-            Some(node_est(left, db)? * node_est(right, db)?)
+            Some(if left_keys.is_empty() {
+                l * r
+            } else {
+                l.max(r)
+            })
         }
         // As `cost::Estimator::rows`: one row without GROUP BY, else 10:1.
         PhysNode::HashAggregate { group_by, .. } if group_by.is_empty() => Some(1.0),
@@ -369,6 +421,93 @@ mod tests {
             with_actual.contains("actual_rows=41"),
             "actual row count in header:\n{with_actual}"
         );
+    }
+
+    #[test]
+    fn keyless_join_builds_right_even_when_left_is_smaller() {
+        let mut db = Database::new("explain-keyless");
+        for (name, n) in [("small", 8i64), ("large", 256i64)] {
+            db.create_table(TableSchema::new(
+                name,
+                vec![
+                    Column::new("id", DataType::Integer).primary_key(),
+                    Column::new("k", DataType::Integer),
+                ],
+            ))
+            .unwrap();
+            db.insert_into(name, (0..n).map(|i| vec![Value::Int(i), Value::Int(i % 8)]))
+                .unwrap();
+        }
+        let snapshot = db.snapshot();
+        let explain = |on: &str| {
+            let sql = format!("SELECT small.id, large.id FROM small JOIN large ON {on}");
+            let query = parse_query(&sql).unwrap();
+            let plan = compile_query(&snapshot, &query, CompileOptions::default()).unwrap();
+            plan.explain(&snapshot)
+        };
+        // With keys the cost model builds on the smaller (left) input;
+        // without keys a left build would list every right row per left
+        // row, so the join builds right.
+        let keyed = explain("small.k = large.k");
+        assert!(keyed.contains("build=left keys=[1=1]"), "{keyed}");
+        let keyless = explain("small.k < large.k");
+        assert!(keyless.contains("build=right keys=[]"), "{keyless}");
+        // Every pair is a candidate: 8 × 256.
+        assert!(keyless.contains("est=2048"), "{keyless}");
+    }
+
+    #[test]
+    fn explain_renders_subquery_plans_under_their_operator() {
+        let mut db = Database::new("explain-subplans");
+        for name in ["outer_t", "inner_t"] {
+            db.create_table(TableSchema::new(
+                name,
+                vec![
+                    Column::new("id", DataType::Integer).primary_key(),
+                    Column::new("k", DataType::Integer),
+                ],
+            ))
+            .unwrap();
+            db.insert_into(
+                name,
+                (0..16).map(|i| vec![Value::Int(i), Value::Int(i % 4)]),
+            )
+            .unwrap();
+        }
+        let snapshot = db.snapshot();
+        for (sql, kind) in [
+            (
+                "SELECT id FROM outer_t o WHERE EXISTS \
+                 (SELECT 1 FROM inner_t i WHERE i.k = o.k)",
+                "Exists correlated",
+            ),
+            (
+                "SELECT id, (SELECT MAX(k) FROM inner_t) FROM outer_t",
+                "ScalarSubquery",
+            ),
+            (
+                "SELECT id FROM outer_t WHERE k + 0 IN (SELECT k FROM inner_t)",
+                "InSubquery",
+            ),
+            (
+                "SELECT id FROM outer_t WHERE id IN (SELECT k FROM inner_t)",
+                "InSubquery",
+            ),
+        ] {
+            let query = parse_query(sql).unwrap();
+            let plan = compile_query(&snapshot, &query, CompileOptions::default()).unwrap();
+            let rendered = plan.explain(&snapshot);
+            let lines: Vec<&str> = rendered.lines().collect();
+            let at = lines.iter().position(|l| l.trim_start().starts_with(kind));
+            let at = at.unwrap_or_else(|| panic!("{sql}: no {kind} line:\n{rendered}"));
+            let indent = |l: &str| l.len() - l.trim_start().len();
+            // The subquery's own scan renders one level under its line.
+            let scan = lines[at + 1..]
+                .iter()
+                .find(|l| l.contains("INNER_T"))
+                .unwrap_or_else(|| panic!("{sql}: no INNER_T scan:\n{rendered}"));
+            assert!(indent(scan) > indent(lines[at]), "{sql}:\n{rendered}");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@ use bp_sql::{BinaryOperator, DataType, UnaryOperator};
 use crate::error::{StorageError, StorageResult};
 use crate::result::QueryResult;
 use crate::scalar::{
-    cast_value, eval_binary, eval_binary_cols, eval_neg_col, eval_unary_minus, finish_aggregate,
-    map_text, truth3_col,
+    cast_value, eval_binary, eval_binary_cols, eval_neg_col, eval_scalar_fn, eval_unary_minus,
+    finish_aggregate, truth3_col,
 };
 use crate::table::Row;
 use crate::value::{like_match, Value};
@@ -205,7 +205,9 @@ impl PhysExpr {
                     UnaryOperator::Plus => Ok(v),
                 }
             }
-            PhysExpr::ScalarFn { name, args } => eval_scalar_fn(name, args, env),
+            PhysExpr::ScalarFn { name, args } => {
+                eval_scalar_fn(name, args.len(), |i| args[i].eval(env))
+            }
             PhysExpr::Aggregate {
                 name,
                 arg,
@@ -632,81 +634,6 @@ impl PhysExpr {
             out.push(self.eval(&row_env)?);
         }
         Ok(Arc::new(out.finish()))
-    }
-}
-
-fn eval_scalar_fn(name: &str, args: &[PhysExpr], env: &EvalEnv<'_>) -> StorageResult<Value> {
-    match name {
-        "UPPER" => {
-            let v = args[0].eval(env)?;
-            Ok(map_text(v, |s| s.to_ascii_uppercase()))
-        }
-        "LOWER" => {
-            let v = args[0].eval(env)?;
-            Ok(map_text(v, |s| s.to_ascii_lowercase()))
-        }
-        "LENGTH" | "LEN" => {
-            let v = args[0].eval(env)?;
-            Ok(match v {
-                Value::Null => Value::Null,
-                other => Value::Int(other.to_string().len() as i64),
-            })
-        }
-        "ABS" => {
-            let v = args[0].eval(env)?;
-            Ok(match v {
-                Value::Int(i) => Value::Int(i.abs()),
-                Value::Float(f) => Value::Float(f.abs()),
-                Value::Null => Value::Null,
-                other => {
-                    return Err(StorageError::TypeError(format!(
-                        "ABS({other}) is not numeric"
-                    )))
-                }
-            })
-        }
-        "ROUND" => {
-            let v = args[0].eval(env)?;
-            let digits = match args.get(1) {
-                Some(d) => d.eval(env)?.as_i64().unwrap_or(0),
-                None => 0,
-            };
-            Ok(match v.as_f64() {
-                Some(f) => {
-                    let factor = 10f64.powi(digits as i32);
-                    Value::Float((f * factor).round() / factor)
-                }
-                None => Value::Null,
-            })
-        }
-        "COALESCE" | "NVL" => {
-            for arg in args {
-                let v = arg.eval(env)?;
-                if !v.is_null() {
-                    return Ok(v);
-                }
-            }
-            Ok(Value::Null)
-        }
-        "SUBSTR" | "SUBSTRING" => {
-            let v = args[0].eval(env)?;
-            // Checked conversions: the max() guards make the i64 non-negative,
-            // and values past usize::MAX clamp (off-the-end is off-the-end).
-            let start = usize::try_from(args[1].eval(env)?.as_i64().unwrap_or(1).max(1))
-                .unwrap_or(usize::MAX);
-            let len = match args.get(2) {
-                Some(l) => {
-                    usize::try_from(l.eval(env)?.as_i64().unwrap_or(0).max(0)).unwrap_or(usize::MAX)
-                }
-                None => usize::MAX,
-            };
-            Ok(map_text(v, |s| {
-                s.chars().skip(start - 1).take(len).collect::<String>()
-            }))
-        }
-        other => Err(StorageError::Unsupported(format!(
-            "function {other} is not supported"
-        ))),
     }
 }
 

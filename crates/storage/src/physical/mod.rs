@@ -6,7 +6,8 @@
 //! the resulting physical plan. Compared to the legacy tree-walking interpreter
 //! the planned engine:
 //!
-//! * joins equi-key pairs with a **hash join** instead of a nested loop;
+//! * joins equi-key pairs with a **hash join** instead of a nested loop
+//!   (a join without equi-keys is the same hash join with no keys);
 //! * resolves column names **once at compile time** to ordinals instead of
 //!   uppercasing and scanning bindings per cell — a correlated reference
 //!   too, as a (scope depth, ordinal) pair — and raises every static error
@@ -24,29 +25,25 @@
 //! The compiled plan executes over **columnar batches** (see the `batch`
 //! and `columnar` submodules): typed column vectors with null bitmaps,
 //! selection-vector filters, vectorized expression kernels, and
-//! column-slice join/group keys. Blocking and rare operators (sort, set
-//! operations, nested-loop joins, derived tables) reuse the row helpers in
-//! this module. The legacy interpreter behind [`ExecStrategy::Legacy`] is
-//! the independent oracle: both engines must produce identical
-//! [`QueryResult`]s (see the workspace `differential` proptest suite).
+//! column-slice join/group keys. Blocking operators (sort, set operations,
+//! derived tables) reuse the row helpers in this module. The legacy
+//! interpreter behind [`ExecStrategy::Legacy`] is the independent oracle:
+//! both engines must produce identical [`QueryResult`]s (see the workspace
+//! `differential` proptest suite).
 
 pub(crate) mod batch;
 mod columnar;
 mod compile;
 mod explain;
 mod expr;
-mod join;
 pub(crate) mod parallel;
 pub(crate) mod verify;
-
-use std::collections::HashSet;
 
 use bp_sql::{Query, SetOperator};
 
 use crate::error::{StorageError, StorageResult};
 use crate::plan::{Planner, SargAtom, SortKey};
 use crate::result::QueryResult;
-use crate::scalar::composite_key;
 use crate::snapshot::Snapshot;
 use crate::table::{Row, Table};
 use crate::value::Value;
@@ -365,34 +362,28 @@ pub(crate) enum PhysNode {
         input: Box<PhysNode>,
         predicate: PhysExpr,
     },
-    NestedLoopJoin {
-        left: Box<PhysNode>,
-        right: Box<PhysNode>,
-        operator: bp_sql::JoinOperator,
-        on: Option<PhysExpr>,
-        /// Width of a joined row: the left input's arity plus
-        /// `right_width`. `on` reads this row.
-        width: usize,
-        right_width: usize,
-        /// The joined-row ordinals the join emits, ascending, set by the
-        /// compiler's column pruning (`None` = all `width`).
-        cols: Option<Vec<usize>>,
-    },
     HashJoin {
         left: Box<PhysNode>,
         right: Box<PhysNode>,
         operator: bp_sql::JoinOperator,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
+        /// The join condition beyond the keys: the whole ON of a join
+        /// without keys. It reads the joined row.
         residual: Option<PhysExpr>,
+        /// Width of a joined row: the left input's arity plus
+        /// `right_width`.
         width: usize,
         right_width: usize,
         /// Build the hash table on the *left* input instead of the right —
         /// chosen by the compiler when the cost model estimates the left
         /// input smaller. Output is byte-identical either way (left-major,
         /// matches in right-row order); only the build/probe roles swap.
+        /// Never set without keys: every left row would list every right
+        /// row.
         build_left: bool,
-        /// Emitted joined-row ordinals; see [`PhysNode::NestedLoopJoin`].
+        /// The joined-row ordinals the join emits, ascending, set by the
+        /// compiler's column pruning (`None` = all `width`).
         cols: Option<Vec<usize>>,
     },
     Project {
@@ -605,14 +596,6 @@ pub(crate) fn exec_index_agg(
         })
         .collect();
     Ok(vec![out])
-}
-
-/// DISTINCT over the visible prefix of each row; keeps first occurrences.
-/// The composite key is encoded once per row and owned by the `HashSet`
-/// (no second encoding, no unit-value map).
-pub(crate) fn dedup_rows(rows: &mut Vec<Row>, visible: usize) {
-    let mut seen: HashSet<String> = HashSet::with_capacity(rows.len());
-    rows.retain(|row| seen.insert(composite_key(&row[..visible.min(row.len())])));
 }
 
 /// Compare two rows by sort keys, mirroring the engine's stable sort:

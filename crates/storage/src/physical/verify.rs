@@ -195,8 +195,7 @@ pub enum PlanViolation {
         /// The probe key's family.
         found: &'static str,
     },
-    /// A hash join's key lists differ in length, or are empty (an empty
-    /// key list must compile to a nested-loop join instead).
+    /// A hash join's key lists differ in length.
     JoinKeyArityMismatch {
         /// Operator path from the plan root.
         path: String,
@@ -612,22 +611,6 @@ impl<'a> Verifier<'a> {
                 self.path.pop();
                 arity
             }
-            PhysNode::NestedLoopJoin {
-                left,
-                right,
-                on,
-                width,
-                right_width,
-                cols,
-                ..
-            } => {
-                self.path.push(PathSeg::Op("NestedLoopJoin"));
-                let joined =
-                    self.check_join_common(left, right, on.as_ref(), *width, *right_width, None);
-                let out = self.check_mask(cols.as_deref(), joined, "the joined row");
-                self.path.pop();
-                out
-            }
             PhysNode::HashJoin {
                 left,
                 right,
@@ -640,14 +623,45 @@ impl<'a> Verifier<'a> {
                 ..
             } => {
                 self.path.push(PathSeg::Op("HashJoin"));
-                let joined = self.check_join_common(
-                    left,
-                    right,
-                    residual.as_ref(),
-                    *width,
-                    *right_width,
-                    Some((left_keys, right_keys)),
-                );
+                self.path.push(PathSeg::Op("left"));
+                let left_arity = self.check_node(left);
+                self.path.pop();
+                self.path.push(PathSeg::Op("right"));
+                let right_arity = self.check_node(right);
+                self.path.pop();
+                if *right_width != right_arity {
+                    self.report(PlanViolation::JoinWidthMismatch {
+                        path: self.path(),
+                        expected: right_arity,
+                        found: *right_width,
+                    });
+                }
+                let joined = left_arity + right_arity;
+                self.check_width(*width, joined);
+                // Key lists pair up; both are empty for a cross or non-equi
+                // join.
+                if left_keys.len() != right_keys.len() {
+                    self.report(PlanViolation::JoinKeyArityMismatch {
+                        path: self.path(),
+                        left: left_keys.len(),
+                        right: right_keys.len(),
+                    });
+                }
+                for (side, keys, arity) in [
+                    ("left_keys", left_keys, left_arity),
+                    ("right_keys", right_keys, right_arity),
+                ] {
+                    for &k in keys.iter().filter(|&&k| k >= arity) {
+                        self.report(PlanViolation::ColumnOutOfBounds {
+                            path: format!("{}.{side}", self.path()),
+                            ordinal: k,
+                            arity,
+                        });
+                    }
+                }
+                if let Some(residual) = residual {
+                    self.check_expr(residual, joined);
+                }
                 let out = self.check_mask(cols.as_deref(), joined, "the joined row");
                 self.path.pop();
                 out
@@ -900,63 +914,6 @@ impl<'a> Verifier<'a> {
             }
         }
         specs.len()
-    }
-
-    fn check_join_common(
-        &mut self,
-        left: &'a PhysNode,
-        right: &'a PhysNode,
-        residual: Option<&'a PhysExpr>,
-        width: usize,
-        right_width: usize,
-        keys: Option<(&[usize], &[usize])>,
-    ) -> usize {
-        self.path.push(PathSeg::Op("left"));
-        let left_arity = self.check_node(left);
-        self.path.pop();
-        self.path.push(PathSeg::Op("right"));
-        let right_arity = self.check_node(right);
-        self.path.pop();
-        if right_width != right_arity {
-            self.report(PlanViolation::JoinWidthMismatch {
-                path: self.path(),
-                expected: right_arity,
-                found: right_width,
-            });
-        }
-        let combined = left_arity + right_arity;
-        self.check_width(width, combined);
-        if let Some((left_keys, right_keys)) = keys {
-            if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-                self.report(PlanViolation::JoinKeyArityMismatch {
-                    path: self.path(),
-                    left: left_keys.len(),
-                    right: right_keys.len(),
-                });
-            }
-            for &k in left_keys {
-                if k >= left_arity {
-                    self.report(PlanViolation::ColumnOutOfBounds {
-                        path: format!("{}.left_keys", self.path()),
-                        ordinal: k,
-                        arity: left_arity,
-                    });
-                }
-            }
-            for &k in right_keys {
-                if k >= right_arity {
-                    self.report(PlanViolation::ColumnOutOfBounds {
-                        path: format!("{}.right_keys", self.path()),
-                        ordinal: k,
-                        arity: right_arity,
-                    });
-                }
-            }
-        }
-        if let Some(on) = residual {
-            self.check_expr(on, combined);
-        }
-        combined
     }
 
     fn check_width(&mut self, width: usize, arity: usize) {
@@ -1578,7 +1535,8 @@ mod tests {
             "expected JoinKeyArityMismatch, got:\n{}",
             render_violations(&violations)
         );
-        // Empty key lists are a miscompile too (must be a nested-loop join).
+        // Empty key lists pair up: a cross or non-equi join is a hash join
+        // with no keys.
         let empty = PhysQueryPlan::of(
             PhysNode::HashJoin {
                 left: Box::new(scan_t()),
@@ -1594,7 +1552,8 @@ mod tests {
             },
             &["a", "b", "c", "d", "e", "f"],
         );
-        assert!(!verify_plan(&db.snapshot(), &empty).is_empty());
+        let violations = verify_plan(&db.snapshot(), &empty);
+        assert!(violations.is_empty(), "{}", render_violations(&violations));
     }
 
     #[test]
@@ -1837,13 +1796,16 @@ mod tests {
             .any(|v| matches!(v, PlanViolation::UnknownTable { .. })));
         // right_width that disagrees with the right input's arity.
         let lying_join = PhysQueryPlan::of(
-            PhysNode::NestedLoopJoin {
+            PhysNode::HashJoin {
                 left: Box::new(scan_t()),
                 right: Box::new(scan_t()),
                 operator: JoinOperator::Cross,
-                on: None,
+                left_keys: vec![],
+                right_keys: vec![],
+                residual: None,
                 width: 6,
                 right_width: 2,
+                build_left: false,
                 cols: None,
             },
             &["a", "b", "c", "d", "e", "f"],
@@ -1859,13 +1821,16 @@ mod tests {
         // An output width, or an aggregate's input width, that disagrees
         // with the arity its inputs produce.
         let wide_join = PhysQueryPlan::of(
-            PhysNode::NestedLoopJoin {
+            PhysNode::HashJoin {
                 left: Box::new(scan_t()),
                 right: Box::new(scan_t()),
                 operator: JoinOperator::Cross,
-                on: None,
+                left_keys: vec![],
+                right_keys: vec![],
+                residual: None,
                 width: 5,
                 right_width: 3,
+                build_left: false,
                 cols: None,
             },
             &["a"],

@@ -5,8 +5,9 @@
 //! engine ([`crate::physical`]) must agree bit-for-bit on scalar semantics —
 //! the interpreter serves as the differential-testing oracle for the planner
 //! — so everything value-level lives here exactly once: literal conversion,
-//! casts, binary operators, aggregate finalization, case-insensitive name
-//! comparison, and the canonical hash keys used for grouping and joining.
+//! casts, binary operators, scalar functions, aggregate finalization,
+//! case-insensitive name comparison, and the canonical hash keys used for
+//! grouping and joining.
 
 use std::collections::{HashMap, HashSet};
 
@@ -79,7 +80,7 @@ pub(crate) fn is_aggregate_name(canonical: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Literals, casts, binary operators
+// Literals, casts, binary operators, scalar functions
 // ---------------------------------------------------------------------
 
 /// Convert an AST literal to a runtime value.
@@ -254,11 +255,106 @@ pub(crate) fn eval_unary_minus(v: &Value) -> StorageResult<Value> {
 
 /// Apply a text transformation, passing NULL through and stringifying
 /// non-text values.
-pub(crate) fn map_text(v: Value, f: impl Fn(&str) -> String) -> Value {
+fn map_text(v: Value, f: impl Fn(&str) -> String) -> Value {
     match v {
         Value::Null => Value::Null,
         Value::Text(s) => Value::Text(f(&s)),
         other => Value::Text(f(&other.to_string())),
+    }
+}
+
+/// Evaluate the scalar function `name` (canonical) over a call with `argc`
+/// arguments. Each engine passes its own evaluator as `eval_arg`, which
+/// evaluates argument `i` when the function first needs it, so `COALESCE`
+/// stops at its first non-NULL argument. Reading a missing argument is a
+/// [`StorageError::TypeError`].
+pub(crate) fn eval_scalar_fn(
+    name: &str,
+    argc: usize,
+    mut eval_arg: impl FnMut(usize) -> StorageResult<Value>,
+) -> StorageResult<Value> {
+    let mut arg = |i: usize| {
+        if i < argc {
+            eval_arg(i)
+        } else {
+            Err(missing_arg_error(name, i))
+        }
+    };
+    match name {
+        "UPPER" => Ok(map_text(arg(0)?, |s| s.to_ascii_uppercase())),
+        "LOWER" => Ok(map_text(arg(0)?, |s| s.to_ascii_lowercase())),
+        "LENGTH" | "LEN" => Ok(match arg(0)? {
+            Value::Null => Value::Null,
+            other => Value::Int(i64::try_from(other.to_string().len()).unwrap_or(i64::MAX)),
+        }),
+        // `ABS(i64::MIN)` has no i64 answer: an overflow error, as `-x` is.
+        "ABS" => match arg(0)? {
+            Value::Int(i) => i
+                .checked_abs()
+                .map(Value::Int)
+                .ok_or_else(|| StorageError::Arithmetic(format!("integer overflow in ABS({i})"))),
+            Value::Float(f) => Ok(Value::Float(f.abs())),
+            Value::Null => Ok(Value::Null),
+            other => Err(StorageError::TypeError(format!(
+                "ABS({other}) is not numeric"
+            ))),
+        },
+        "ROUND" => {
+            let v = arg(0)?;
+            let digits = if argc > 1 {
+                arg(1)?.as_i64().unwrap_or(0)
+            } else {
+                0
+            };
+            Ok(v.as_f64()
+                .map_or(Value::Null, |f| Value::Float(round_to(f, digits))))
+        }
+        "COALESCE" | "NVL" => {
+            for i in 0..argc {
+                let v = arg(i)?;
+                if !v.is_null() {
+                    return Ok(v);
+                }
+            }
+            Ok(Value::Null)
+        }
+        "SUBSTR" | "SUBSTRING" => {
+            let v = arg(0)?;
+            // Checked conversions: the max() guards make the i64
+            // non-negative, and values past usize::MAX clamp (off the end
+            // is off the end), so the engines agree on every platform.
+            let start = usize::try_from(arg(1)?.as_i64().unwrap_or(1).max(1)).unwrap_or(usize::MAX);
+            let len = if argc > 2 {
+                usize::try_from(arg(2)?.as_i64().unwrap_or(0).max(0)).unwrap_or(usize::MAX)
+            } else {
+                usize::MAX
+            };
+            Ok(map_text(v, |s| {
+                s.chars().skip(start - 1).take(len).collect()
+            }))
+        }
+        other => Err(StorageError::Unsupported(format!(
+            "function {other} is not supported"
+        ))),
+    }
+}
+
+/// `ROUND(f, digits)`: round half away from zero at `digits` decimal places
+/// (left of the point when negative). Finite input stays finite: `digits`
+/// saturates to the `i32` range, a scale that underflows to zero rounds to
+/// 0.0, and a result past f64's range (a scale too fine to represent, or a
+/// carry past the largest f64) returns `f` unchanged.
+fn round_to(f: f64, digits: i64) -> f64 {
+    let digits = i32::try_from(digits).unwrap_or(if digits < 0 { i32::MIN } else { i32::MAX });
+    let factor = 10f64.powi(digits);
+    if factor == 0.0 {
+        return 0.0;
+    }
+    let rounded = (f * factor).round() / factor;
+    if rounded.is_finite() {
+        rounded
+    } else {
+        f
     }
 }
 
@@ -849,6 +945,71 @@ mod tests {
             eval_binary(&Value::Int(0), And, &n).unwrap(),
             Value::Bool(false)
         );
+    }
+
+    /// Call `name` with constant arguments.
+    fn call(name: &str, args: &[Value]) -> StorageResult<Value> {
+        eval_scalar_fn(name, args.len(), |i| Ok(args[i].clone()))
+    }
+
+    #[test]
+    fn round_keeps_finite_input_finite() {
+        let round = |f: f64, digits: i64| call("ROUND", &[Value::Float(f), Value::Int(digits)]);
+        // A scale past f64's range leaves the value as it is; one that
+        // underflows rounds to zero. Neither is NaN or infinite.
+        assert_eq!(round(1.5, 400).unwrap(), Value::Float(1.5));
+        assert_eq!(round(1.5, -400).unwrap(), Value::Float(0.0));
+        assert_eq!(round(1e300, 10).unwrap(), Value::Float(1e300));
+        // 2^32 + 1 digits saturates; it does not wrap to 1 digit (1.3).
+        assert_eq!(round(1.25, 4_294_967_297).unwrap(), Value::Float(1.25));
+        // Rounding 1.7e308 to the nearest 1e308 would carry past f64::MAX.
+        assert_eq!(round(1.7e308, -308).unwrap(), Value::Float(1.7e308));
+        // Ordinary scales still round half away from zero.
+        assert_eq!(round(1.25, 1).unwrap(), Value::Float(1.3));
+        assert_eq!(round(-2.5, 0).unwrap(), Value::Float(-3.0));
+        assert_eq!(round(1234.0, -2).unwrap(), Value::Float(1200.0));
+        assert_eq!(
+            call("ROUND", &[Value::Float(2.5)]).unwrap(),
+            Value::Float(3.0)
+        );
+    }
+
+    #[test]
+    fn abs_of_i64_min_is_an_overflow_error() {
+        assert!(matches!(
+            call("ABS", &[Value::Int(i64::MIN)]),
+            Err(StorageError::Arithmetic(_))
+        ));
+        assert_eq!(
+            call("ABS", &[Value::Int(i64::MIN + 1)]).unwrap(),
+            Value::Int(i64::MAX)
+        );
+        assert!(matches!(
+            call("ABS", &[Value::Text("x".into())]),
+            Err(StorageError::TypeError(_))
+        ));
+    }
+
+    #[test]
+    fn scalar_functions_read_arguments_lazily() {
+        // COALESCE stops at its first non-NULL argument: the failing third
+        // argument is never evaluated.
+        let mut read = Vec::new();
+        let v = eval_scalar_fn("COALESCE", 3, |i| {
+            read.push(i);
+            match i {
+                0 => Ok(Value::Null),
+                1 => Ok(Value::Int(7)),
+                _ => Err(StorageError::Arithmetic("not reached".into())),
+            }
+        });
+        assert_eq!(v.unwrap(), Value::Int(7));
+        assert_eq!(read, [0, 1]);
+        // A missing argument the function reads is a type error.
+        assert!(matches!(
+            call("SUBSTR", &[Value::Text("abc".into())]),
+            Err(StorageError::TypeError(_))
+        ));
     }
 
     #[test]

@@ -426,6 +426,11 @@ proptest! {
             "SELECT ID, -BIG FROM EDGE_A ORDER BY ID".to_string(),
             "SELECT ID, BIG * 2 FROM EDGE_A ORDER BY ID".to_string(),
             "SELECT SUM(BIG) FROM EDGE_A WHERE BIG > 0".to_string(),
+            // ABS(i64::MIN) has no i64 answer: an overflow error too.
+            "SELECT ID, ABS(BIG) FROM EDGE_A ORDER BY ID".to_string(),
+            // DISTINCT over aggregate output.
+            "SELECT DISTINCT COUNT(*) FROM EDGE_A GROUP BY GRP".to_string(),
+            "SELECT DISTINCT GRP, COUNT(*) FROM EDGE_A GROUP BY GRP, TXT ORDER BY GRP".to_string(),
         ];
         for sql in &queries {
             assert_engines_agree(&db, sql, "exact-keys");
@@ -582,17 +587,17 @@ fn corner_corpus_agrees_on_larger_tables() {
         assert_engines_agree(&db, sql, "scaled-edge");
     }
     // Outer joins with hundreds of unmatched rows on each side: non-equi
-    // ON clauses run as nested loops, equi keys as hash joins.
+    // ON clauses run as hash joins without keys, equi keys as keyed ones.
     // `a.ID = b.BIG` matches only a handful of rows, so both sides keep
     // hundreds of unmatched rows while the output stays small.
     let outer_joins = [
         (
             "SELECT a.ID, b.ID FROM EDGE_A a RIGHT JOIN EDGE_B b ON a.ID < b.ID - 600 ORDER BY a.ID, b.ID",
-            "NestedLoopJoin",
+            "keys=[]",
         ),
         (
             "SELECT a.ID, b.ID FROM EDGE_A a FULL JOIN EDGE_B b ON a.ID < b.ID - 600 ORDER BY a.ID, b.ID",
-            "NestedLoopJoin",
+            "keys=[]",
         ),
         (
             "SELECT a.ID, b.ID FROM EDGE_A a RIGHT JOIN EDGE_B b ON a.ID = b.BIG ORDER BY a.ID, b.ID",
@@ -615,6 +620,56 @@ fn corner_corpus_agrees_on_larger_tables() {
         );
         assert_engines_agree(&db, sql, "scaled-edge-outer");
     }
+}
+
+/// A join without equi-keys evaluates its ON over chunks of 1,024
+/// candidate pairs. Left rows 0, 1 and 2 each have 1,500 candidates, so
+/// their candidates span chunk boundaries and each row's only match
+/// (`r.ID = l.ID + 1200`) sits in a later chunk than its first candidate;
+/// rows 700 and 5000 match nothing, and row -1200 matches its first
+/// candidate right after unmatched row 700's last one. Pair order, NULL
+/// padding of unmatched rows on either side and their order must be the
+/// interpreter's (no ORDER BY: the engines' own output order is compared).
+#[test]
+fn keyless_join_matches_across_residual_chunks() {
+    let mut db = Database::new("chunked-join");
+    for table in ["L", "R"] {
+        db.create_table(TableSchema::new(
+            table,
+            vec![Column::new("ID", DataType::Integer).primary_key()],
+        ))
+        .expect("schema");
+    }
+    db.insert_into(
+        "L",
+        [0, 1, 2, 700, -1200, 5000].map(|i| vec![Value::Int(i)]),
+    )
+    .expect("left rows");
+    db.insert_into("R", (0..1500).map(|i| vec![Value::Int(i)]))
+        .expect("right rows");
+    let snapshot = db.snapshot();
+    for join in ["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"] {
+        for on in ["r.ID - l.ID = 1200", "r.ID < 0"] {
+            let sql = format!("SELECT l.ID, r.ID FROM L l {join} R r ON {on}");
+            let query = benchpress_suite::sql::parse_query(&sql).expect("join parses");
+            let plan =
+                benchpress_suite::storage::compile_query(&snapshot, &query, Default::default())
+                    .expect("join compiles");
+            let rendered = plan.explain(&snapshot);
+            assert!(rendered.contains("keys=[]"), "{sql}:\n{rendered}");
+            assert_engines_agree(&db, &sql, "chunked-join");
+        }
+    }
+    let sql = "SELECT l.ID, r.ID FROM L l CROSS JOIN R r";
+    assert_engines_agree(&db, sql, "chunked-join");
+    let pairs = db
+        .execute_sql(
+            "SELECT COUNT(*) FROM L l LEFT JOIN R r ON r.ID - l.ID = 1200",
+            ExecOptions::default(),
+        )
+        .expect("count runs");
+    // Four matched rows plus two padded ones.
+    assert_eq!(pairs.rows, vec![vec![Value::Int(6)]]);
 }
 
 /// A query error raised mid-table must surface as the same clean `Err` in
@@ -1595,15 +1650,20 @@ fn column_pruning_is_invisible_across_shapes() {
     let residual = explain(
         "SELECT f.ID FROM FACT f JOIN DIM2 d2 ON f.D2 = d2.ID AND f.AMT > d2.W * 20 ORDER BY f.ID",
     );
-    for line in ["JOIN width=1", "FACT cols=[0,2,4]", "DIM2 cols=[0,2]"] {
+    for line in ["keys=[] width=1", "FACT cols=[0,2,4]", "DIM2 cols=[0,2]"] {
         assert!(residual.contains(line), "{line}:\n{residual}");
     }
-    // A correlated subquery over the join keeps the join's inputs whole.
+    // A correlated subquery over the join keeps the join's inputs whole;
+    // the subquery's own plan renders under its filter, pruned at its root.
     let correlated = explain(
         "SELECT f.ID FROM FACT f JOIN DIM1 d1 ON f.D1 = d1.ID WHERE EXISTS \
          (SELECT 1 FROM DIM2 d2 WHERE d2.ID = f.D2 AND d2.W > d1.CAT) ORDER BY f.ID",
     );
-    assert!(!correlated.contains("cols="), "{correlated}");
+    for whole in ["ScanTable FACT est=", "ScanTable DIM1 est="] {
+        assert!(correlated.contains(whole), "{whole}:\n{correlated}");
+    }
+    assert!(correlated.contains("Exists correlated"), "{correlated}");
+    assert!(correlated.contains("DIM2"), "{correlated}");
 }
 
 /// The gold SQL of a 200-item corpus and every Figure 1 model's prediction
