@@ -9,14 +9,16 @@
 //! and leave the columns untouched. Operators that materialize (Project,
 //! joins) produce dense batches with no selection.
 //!
-//! The module also provides the **column-slice keys** used by the columnar
-//! hash join and hash aggregate: [`KeyPart`] is the allocation-free
-//! canonical form of one cell — its equality and hash coincide exactly with
+//! The module also provides the **column-slice keys** and the one hash
+//! kernel built on them. [`KeyPart`] is the allocation-free canonical form
+//! of one cell — its equality and hash coincide exactly with
 //! [`Value::group_key`] string equality (integers, dates, timestamps and
 //! booleans fold to exact `i64`, integral floats fold with them, `-0.0`
 //! folds into `0`, NaNs are canonicalized) — so grouping and joining on
 //! column slices is byte-compatible with the interpreter's string keys
-//! without allocating a `String` per row.
+//! without allocating a `String` per row. [`Grouping`] groups the rows of
+//! one batch by such keys; GROUP BY, DISTINCT and both hash-join build
+//! sides all use it, and a group's members are a selection vector.
 
 use crate::sync::Arc;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -196,7 +198,7 @@ impl ColumnVec {
                 if m.get(i) {
                     KeyPart::Null
                 } else {
-                    KeyPart::Int(v[i] as i64)
+                    KeyPart::Int(i64::from(v[i]))
                 }
             }
             ColumnVec::Text(v, m) => {
@@ -242,7 +244,7 @@ impl ColumnVec {
             let mut out = Vec::with_capacity(idx.len());
             let mut mask = NullMask::new(idx.len());
             for (j, &i) in idx.iter().enumerate() {
-                let i = i as usize;
+                let i = ix(i);
                 if m.get(i) {
                     mask.set(j);
                     out.push(T::default());
@@ -277,9 +279,7 @@ impl ColumnVec {
                 let (o, mk) = pick(v, m, idx);
                 ColumnVec::Timestamp(o, mk)
             }
-            ColumnVec::Any(v) => {
-                ColumnVec::Any(idx.iter().map(|&i| v[i as usize].clone()).collect())
-            }
+            ColumnVec::Any(v) => ColumnVec::Any(idx.iter().map(|&i| v[ix(i)].clone()).collect()),
         }
     }
 
@@ -294,7 +294,7 @@ impl ColumnVec {
             if i == PAD_NULL {
                 b.push(Value::Null);
             } else {
-                b.push(self.value(i as usize));
+                b.push(self.value(ix(i)));
             }
         }
         b.finish()
@@ -305,85 +305,62 @@ impl ColumnVec {
 /// are bounded by [`BATCH_ROWS`] and table sizes stay far below 2^32 rows.
 pub(crate) const PAD_NULL: u32 = u32::MAX;
 
-/// Concatenate dense columns of one variant into one column, or `None`
-/// when the parts mix variants (the caller falls back to a value-level
-/// rebuild). Payload vectors extend directly — no per-cell boxing.
-pub(crate) fn concat_dense(parts: &[&ColumnVec]) -> Option<ColumnVec> {
-    fn stitch<T: Clone>(
-        parts: &[&ColumnVec],
-        pick: impl Fn(&ColumnVec) -> Option<(&[T], &NullMask)>,
-        build: impl FnOnce(Vec<T>, NullMask) -> ColumnVec,
-    ) -> Option<ColumnVec> {
-        let mut vals: Vec<T> = Vec::new();
-        let mut mask = NullMask::default();
-        for part in parts {
-            let (v, m) = pick(part)?;
-            vals.extend_from_slice(v);
-            for i in 0..v.len() {
-                mask.push(m.get(i));
-            }
-        }
-        Some(build(vals, mask))
+/// A `u32` row id as an index (lossless widening).
+#[inline]
+pub(crate) fn ix(id: u32) -> usize {
+    id as usize
+}
+
+/// An index as a `u32` row id. Row counts stay below [`PAD_NULL`]: a
+/// batch holds at most [`BATCH_ROWS`] rows, a flattened input the rows of
+/// one table or join, far below 2^32.
+#[inline]
+pub(crate) fn row_id(i: usize) -> u32 {
+    debug_assert!(i < ix(PAD_NULL), "row index {i} past the u32 row-id range");
+    i as u32
+}
+
+/// Concatenate columns into one. A lone part passes through; parts of one
+/// variant stitch their payload vectors, moving the payload of every part
+/// no one else holds; mixed parts rebuild per value.
+pub(crate) fn concat_columns(mut parts: Vec<Arc<ColumnVec>>) -> Arc<ColumnVec> {
+    if parts.len() == 1 {
+        return parts.swap_remove(0);
     }
-    let first = parts.first()?;
-    match first {
-        ColumnVec::Int64(..) => stitch(
-            parts,
-            |c| match c {
-                ColumnVec::Int64(v, m) => Some((v.as_slice(), m)),
-                _ => None,
-            },
-            ColumnVec::Int64,
-        ),
-        ColumnVec::Float64(..) => stitch(
-            parts,
-            |c| match c {
-                ColumnVec::Float64(v, m) => Some((v.as_slice(), m)),
-                _ => None,
-            },
-            ColumnVec::Float64,
-        ),
-        ColumnVec::Bool(..) => stitch(
-            parts,
-            |c| match c {
-                ColumnVec::Bool(v, m) => Some((v.as_slice(), m)),
-                _ => None,
-            },
-            ColumnVec::Bool,
-        ),
-        ColumnVec::Text(..) => stitch(
-            parts,
-            |c| match c {
-                ColumnVec::Text(v, m) => Some((v.as_slice(), m)),
-                _ => None,
-            },
-            ColumnVec::Text,
-        ),
-        ColumnVec::Date(..) => stitch(
-            parts,
-            |c| match c {
-                ColumnVec::Date(v, m) => Some((v.as_slice(), m)),
-                _ => None,
-            },
-            ColumnVec::Date,
-        ),
-        ColumnVec::Timestamp(..) => stitch(
-            parts,
-            |c| match c {
-                ColumnVec::Timestamp(v, m) => Some((v.as_slice(), m)),
-                _ => None,
-            },
-            ColumnVec::Timestamp,
-        ),
-        ColumnVec::Any(_) => {
-            let mut vals: Vec<Value> = Vec::new();
-            for part in parts {
-                match part {
-                    ColumnVec::Any(v) => vals.extend_from_slice(v),
-                    _ => return None,
-                }
-            }
-            Some(ColumnVec::Any(vals))
+    let one_variant = parts
+        .windows(2)
+        .all(|w| std::mem::discriminant(w[0].as_ref()) == std::mem::discriminant(w[1].as_ref()));
+    if !one_variant {
+        let mut builder = ColumnBuilder::with_capacity(parts.iter().map(|p| p.len()).sum());
+        for part in &parts {
+            (0..part.len()).for_each(|i| builder.push(part.value(i)));
+        }
+        return Arc::new(builder.finish());
+    }
+    let mut owned = parts.into_iter().map(Arc::unwrap_or_clone);
+    let Some(mut out) = owned.next() else {
+        return Arc::new(ColumnVec::Any(Vec::new()));
+    };
+    owned.for_each(|part| out.append(part));
+    Arc::new(out)
+}
+
+impl ColumnVec {
+    /// Append a column of the same variant, moving its payload.
+    fn append(&mut self, other: ColumnVec) {
+        fn stitch<T>(v: &mut Vec<T>, m: &mut NullMask, ov: Vec<T>, om: &NullMask) {
+            (0..ov.len()).for_each(|i| m.push(om.get(i)));
+            v.extend(ov);
+        }
+        match (self, other) {
+            (ColumnVec::Int64(v, m), ColumnVec::Int64(ov, om))
+            | (ColumnVec::Date(v, m), ColumnVec::Date(ov, om))
+            | (ColumnVec::Timestamp(v, m), ColumnVec::Timestamp(ov, om)) => stitch(v, m, ov, &om),
+            (ColumnVec::Float64(v, m), ColumnVec::Float64(ov, om)) => stitch(v, m, ov, &om),
+            (ColumnVec::Bool(v, m), ColumnVec::Bool(ov, om)) => stitch(v, m, ov, &om),
+            (ColumnVec::Text(v, m), ColumnVec::Text(ov, om)) => stitch(v, m, ov, &om),
+            (ColumnVec::Any(v), ColumnVec::Any(ov)) => v.extend(ov),
+            _ => unreachable!("concat_columns appends parts of one variant"),
         }
     }
 }
@@ -605,7 +582,7 @@ impl<'a> KeyPart<'a> {
 
 /// Deterministic composite hash of one row across `cols` (fixed-key
 /// `DefaultHasher`, not the per-process-randomized `RandomState`).
-pub(crate) fn composite_hash(cols: &[&ColumnVec], i: usize) -> u64 {
+fn composite_hash(cols: &[&ColumnVec], i: usize) -> u64 {
     let mut hasher = DefaultHasher::new();
     for col in cols {
         col.key_part(i).hash(&mut hasher);
@@ -614,7 +591,7 @@ pub(crate) fn composite_hash(cols: &[&ColumnVec], i: usize) -> u64 {
 }
 
 /// Whether two rows' composite keys are equal across two column sets.
-pub(crate) fn composite_eq(a: &[&ColumnVec], ia: usize, b: &[&ColumnVec], ib: usize) -> bool {
+fn composite_eq(a: &[&ColumnVec], ia: usize, b: &[&ColumnVec], ib: usize) -> bool {
     debug_assert_eq!(a.len(), b.len());
     a.iter()
         .zip(b)
@@ -624,6 +601,142 @@ pub(crate) fn composite_eq(a: &[&ColumnVec], ia: usize, b: &[&ColumnVec], ib: us
 /// Whether every key cell of the row is non-NULL (NULL never joins).
 pub(crate) fn keys_nonnull(cols: &[&ColumnVec], i: usize) -> bool {
     cols.iter().all(|c| !c.is_null(i))
+}
+
+// ---------------------------------------------------------------------
+// Hash grouping
+// ---------------------------------------------------------------------
+
+/// Chosen rows of one batch grouped by key columns: the one hash kernel
+/// behind GROUP BY, DISTINCT and both hash-join build sides. Keys compare
+/// as [`KeyPart`]s, so NULL keys group together (a join leaves those rows
+/// out of its build) and `1`, `1.0`, `-0.0` and `0` share a group. Groups
+/// are numbered in first-seen order, and each group's members keep the
+/// order the rows were given in (ascending, at every caller).
+///
+/// The build allocates nothing per group: groups hang off power-of-two
+/// bucket heads in collision chains, and the members of every group sit
+/// in one flat array.
+pub(crate) struct Grouping<'a> {
+    keys: Vec<&'a ColumnVec>,
+    /// Per bucket, its newest group or [`PAD_NULL`]; a power of two long.
+    heads: Vec<u32>,
+    /// Per group: its key hash, its first member, and the next group in
+    /// its bucket's chain.
+    hashes: Vec<u64>,
+    firsts: Vec<u32>,
+    next: Vec<u32>,
+    /// Group `g`'s members are `members[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl<'a> Grouping<'a> {
+    /// Group `rows` (row indices of the `keys` columns) by their key.
+    pub(crate) fn build(keys: Vec<&'a ColumnVec>, rows: impl IntoIterator<Item = usize>) -> Self {
+        let mut grouping = Grouping {
+            keys,
+            heads: vec![PAD_NULL; 16],
+            hashes: Vec::new(),
+            firsts: Vec::new(),
+            next: Vec::new(),
+            starts: Vec::new(),
+            members: Vec::new(),
+        };
+        // Each row's group: the one with an equal key, or a new one.
+        let mut assigned: Vec<(u32, u32)> = Vec::new();
+        for i in rows {
+            let hash = composite_hash(&grouping.keys, i);
+            let g = match grouping.lookup(hash, &grouping.keys, i) {
+                Some(g) => g,
+                None => grouping.insert(hash, i),
+            };
+            assigned.push((row_id(i), row_id(g)));
+        }
+        // Counting sort into the flat member array: each group's count
+        // becomes its end offset, and filling backwards moves every offset
+        // to its group's start while keeping the members in order.
+        let mut starts = vec![0u32; grouping.firsts.len() + 1];
+        for &(_, g) in &assigned {
+            starts[ix(g)] += 1;
+        }
+        let mut end = 0;
+        for start in &mut starts {
+            end += *start;
+            *start = end;
+        }
+        let mut members = vec![0; assigned.len()];
+        for &(i, g) in assigned.iter().rev() {
+            let start = &mut starts[ix(g)];
+            *start -= 1;
+            members[ix(*start)] = i;
+        }
+        grouping.starts = starts;
+        grouping.members = members;
+        grouping
+    }
+
+    /// The number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.firsts.len()
+    }
+
+    /// Group `g`'s members, ascending.
+    pub(crate) fn members(&self, g: usize) -> &[u32] {
+        &self.members[ix(self.starts[g])..ix(self.starts[g + 1])]
+    }
+
+    /// Each group's first member, in group order (so ascending).
+    pub(crate) fn firsts(&self) -> &[u32] {
+        &self.firsts
+    }
+
+    /// The group whose key equals row `i` of `other`, a column set laid
+    /// out like the grouped keys.
+    pub(crate) fn find(&self, other: &[&ColumnVec], i: usize) -> Option<usize> {
+        self.lookup(composite_hash(other, i), other, i)
+    }
+
+    fn lookup(&self, hash: u64, other: &[&ColumnVec], i: usize) -> Option<usize> {
+        let mut g = self.heads[bucket(hash, self.heads.len())];
+        while g != PAD_NULL {
+            let group = ix(g);
+            if self.hashes[group] == hash
+                && composite_eq(&self.keys, ix(self.firsts[group]), other, i)
+            {
+                return Some(group);
+            }
+            g = self.next[group];
+        }
+        None
+    }
+
+    /// Open a group whose first member is row `first`. Past one group per
+    /// bucket the heads double and every chain is relinked.
+    fn insert(&mut self, hash: u64, first: usize) -> usize {
+        let g = self.len();
+        if g == self.heads.len() {
+            self.heads = vec![PAD_NULL; 2 * g];
+            (0..g).for_each(|k| self.link(k));
+        }
+        self.hashes.push(hash);
+        self.firsts.push(row_id(first));
+        self.next.push(PAD_NULL);
+        self.link(g);
+        g
+    }
+
+    fn link(&mut self, g: usize) {
+        let b = bucket(self.hashes[g], self.heads.len());
+        self.next[g] = self.heads[b];
+        self.heads[b] = row_id(g);
+    }
+}
+
+/// The bucket of `hash` among `buckets` (a power of two); on 32-bit
+/// targets the cast keeps the low bits, which is all a bucket needs.
+fn bucket(hash: u64, buckets: usize) -> usize {
+    hash as usize & (buckets - 1)
 }
 
 // ---------------------------------------------------------------------
@@ -659,11 +772,11 @@ impl Batch {
 
     /// Iterate the physical indices of live rows, in ascending order.
     pub(crate) fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
-        let sel = self.selection.as_deref();
-        (0..self.len).filter_map(move |j| match sel {
-            Some(sel) => sel.get(j).map(|&i| i as usize),
-            None => Some(j),
-        })
+        let (sel, dense) = match &self.selection {
+            Some(sel) => (sel.as_slice(), 0),
+            None => (&[][..], self.len),
+        };
+        sel.iter().map(|&i| ix(i)).chain(0..dense)
     }
 
     /// Decode a row slice into one dense batch of `width` columns.
@@ -805,15 +918,99 @@ mod tests {
         }
     }
 
+    fn groups_of(grouping: &Grouping<'_>) -> Vec<Vec<u32>> {
+        (0..grouping.len())
+            .map(|g| grouping.members(g).to_vec())
+            .collect()
+    }
+
     #[test]
-    fn composite_hash_and_eq_follow_key_parts() {
-        let a = ColumnVec::from_values([Value::Int(1), Value::Int(2)].iter());
-        let b = ColumnVec::from_values([Value::Float(1.0), Value::Float(2.5)].iter());
-        let ca = [&a];
-        let cb = [&b];
-        assert!(composite_eq(&ca, 0, &cb, 0)); // 1 == 1.0
-        assert!(!composite_eq(&ca, 1, &cb, 1)); // 2 != 2.5
-        assert_eq!(composite_hash(&ca, 0), composite_hash(&cb, 0));
+    fn grouping_folds_keys_as_key_parts_do() {
+        let col = ColumnVec::from_values(
+            [
+                Value::Int(1),
+                Value::Float(1.0),
+                Value::Null,
+                Value::Float(-0.0),
+                Value::Int(0),
+                Value::Null,
+                Value::Int(2),
+                Value::Float(1.5),
+            ]
+            .iter(),
+        );
+        let grouping = Grouping::build(vec![&col], 0..col.len());
+        // NULLs group together; 1 and 1.0, -0.0 and 0 fold; first-seen order.
+        assert_eq!(
+            groups_of(&grouping),
+            vec![vec![0, 1], vec![2, 5], vec![3, 4], vec![6], vec![7]]
+        );
+        assert_eq!(grouping.firsts(), &[0, 2, 3, 6, 7]);
+    }
+
+    #[test]
+    fn grouping_takes_only_the_chosen_rows_on_composite_keys() {
+        let a = ColumnVec::from_values([1, 1, 2, 1, 2, 1].map(Value::Int).iter());
+        let b = ColumnVec::from_values(["x", "y", "x", "x", "x", "y"].map(Value::from).iter());
+        let grouping = Grouping::build(vec![&a, &b], [1, 2, 3, 4, 5]);
+        assert_eq!(groups_of(&grouping), vec![vec![1, 5], vec![2, 4], vec![3]]);
+        // Without key columns every chosen row shares one group.
+        let one = Grouping::build(Vec::new(), [0, 3, 4]);
+        assert_eq!(groups_of(&one), vec![vec![0, 3, 4]]);
+        assert!(Grouping::build(vec![&a], []).firsts().is_empty());
+    }
+
+    #[test]
+    fn grouping_finds_keys_of_another_column_set() {
+        let ints = ColumnVec::from_values([Value::Int(1), Value::Int(2), Value::Null].iter());
+        let grouping = Grouping::build(vec![&ints], 0..3);
+        let floats = ColumnVec::from_values(
+            [Value::Float(2.0), Value::Float(2.5), Value::Float(1.0)].iter(),
+        );
+        let other = [&floats];
+        assert_eq!(grouping.find(&other, 0), Some(1)); // 2.0 == 2
+        assert_eq!(grouping.find(&other, 1), None); // 2.5 != 2
+        assert_eq!(grouping.find(&other, 2), Some(0)); // 1.0 == 1
+        let nulls = ColumnVec::from_values([Value::Null].iter());
+        assert_eq!(grouping.find(&[&nulls], 0), Some(2));
+        // A build that leaves NULL keys out finds nothing for them.
+        let non_null = Grouping::build(vec![&ints], (0..3).filter(|&i| !ints.is_null(i)));
+        assert_eq!(non_null.find(&[&nulls], 0), None);
+    }
+
+    #[test]
+    fn grouping_keeps_order_across_bucket_growth() {
+        // 1,000 keys (the heads double six times), each seen three times,
+        // interleaved: key k sits at rows k, 1000 + k and 2000 + k.
+        let col = ColumnVec::from_values(
+            (0..3000)
+                .map(|i| Value::Int(i % 1000))
+                .collect::<Vec<_>>()
+                .iter(),
+        );
+        let grouping = Grouping::build(vec![&col], 0..3000);
+        assert_eq!(grouping.len(), 1000);
+        for k in 0..1000u32 {
+            assert_eq!(grouping.members(ix(k)), &[k, 1000 + k, 2000 + k]);
+            assert_eq!(grouping.find(&[&col], 2000 + ix(k)), Some(ix(k)));
+        }
+    }
+
+    #[test]
+    fn live_rows_walks_the_selection_not_the_length() {
+        let mut batch = Batch {
+            len: 100_000,
+            columns: Vec::new(),
+            selection: None,
+        };
+        assert_eq!(batch.live_rows().count(), 100_000);
+        batch.selection = Some(vec![5, 70_000, 99_999]);
+        assert_eq!(
+            batch.live_rows().collect::<Vec<_>>(),
+            vec![5, 70_000, 99_999]
+        );
+        batch.selection = Some(Vec::new());
+        assert_eq!(batch.live_rows().next(), None);
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //! expressions with subqueries/CASE/functions evaluate per row inside their
 //! batch (see [`PhysExpr::eval_batch`]), and blocking operators (sort, set
 //! operations, derived tables) convert batches to rows, reuse the row
-//! operators, and convert back. Every join is the hash join: one without
-//! equi-keys (a cross join or a non-equi ON) runs it with empty key lists.
+//! operators, and convert back. Aggregation does not: it flattens its input
+//! into one batch, groups it with the hash kernel
+//! ([`Grouping`](super::batch::Grouping)), and evaluates each aggregate's
+//! argument as a column over its group, a selection vector. DISTINCT and
+//! both join build sides group with the same kernel. Every join is the hash
+//! join: one without equi-keys (a cross join or a non-equi ON) runs it with
+//! empty key lists.
 //!
 //! Output order is the interpreter's: batches are visited in row order,
 //! join candidates are emitted left-row-major in right-row order, and
@@ -33,13 +38,14 @@
 //! interpreter evaluates row-major, so the two may surface different
 //! members of the same error set (e.g. the left operand's overflow on a
 //! later row vs the right operand's division-by-zero on an earlier row).
+//! The same holds for group keys, which evaluate over the whole input, and
+//! for aggregate arguments, which evaluate over the whole group.
 //! Matching row-major error selection would require error-deferring
 //! kernels. The differential suite nevertheless asserts identical errors:
 //! its generated workloads, corner corpora and Figure 1 predictions never
 //! reach such a statement, and one that did would show up there.
 
 use crate::sync::Arc;
-use std::collections::HashMap;
 
 use bp_sql::JoinOperator;
 
@@ -49,13 +55,12 @@ use crate::table::Row;
 use crate::value::Value;
 
 use super::batch::{
-    composite_eq, composite_hash, concat_dense, keys_nonnull, Batch, ColumnBuilder, ColumnVec,
-    BATCH_ROWS, PAD_NULL,
+    concat_columns, ix, keys_nonnull, row_id, Batch, ColumnVec, Grouping, BATCH_ROWS, PAD_NULL,
 };
-use super::expr::PhysExpr;
+use super::expr::{EvalEnv, PhysExpr};
 use super::{
-    compare_rows, eval_count, exec_index_agg, exec_query_plan, finalize_agg_groups, index_scan_ids,
-    top_k_rows, PhysNode, RunCtx,
+    compare_rows, eval_count, exec_index_agg, exec_query_plan, index_scan_ids, top_k_rows,
+    PhysNode, RunCtx,
 };
 
 /// Execute a node columnar-ly and materialize the live rows (the
@@ -76,37 +81,24 @@ fn rows_to_batches(rows: &[Row], width: usize) -> Vec<Batch> {
         .collect()
 }
 
-/// Flatten a batch list into one dense batch (the hash-join build side
-/// needs global row indices). All-dense same-variant columns stitch their
-/// payload vectors directly; anything else compacts per batch and rebuilds
-/// per value.
+/// Flatten a batch list into one dense batch of its live rows, for the
+/// hash kernel, which groups the rows of one batch. Each batch's live part
+/// of a column is gathered typed and the parts concatenated; the batches
+/// are dropped as they are read, so a part no one else holds moves into
+/// the result, and a lone unselected batch passes through.
 fn flatten_batches(batches: Vec<Batch>, width: usize) -> Batch {
-    if batches.len() == 1 && batches[0].selection.is_none() {
-        return batches.into_iter().next().expect("one batch");
-    }
-    let total: usize = batches.iter().map(|b| b.live()).sum();
-    let all_dense = batches.iter().all(|b| b.selection.is_none());
-    let columns = (0..width)
-        .map(|c| {
-            if all_dense {
-                let parts: Vec<&ColumnVec> =
-                    batches.iter().map(|b| b.columns[c].as_ref()).collect();
-                if let Some(col) = concat_dense(&parts) {
-                    return Arc::new(col);
-                }
-            }
-            let mut builder = ColumnBuilder::with_capacity(total);
-            for batch in &batches {
-                for i in batch.live_rows() {
-                    builder.push(batch.columns[c].value(i));
-                }
-            }
-            Arc::new(builder.finish())
-        })
+    let len = batches.iter().map(Batch::live).sum();
+    let mut parts: Vec<Vec<Arc<ColumnVec>>> = (0..width)
+        .map(|_| Vec::with_capacity(batches.len()))
         .collect();
+    for batch in batches {
+        for (c, column) in parts.iter_mut().enumerate() {
+            column.push(batch.column_live(c));
+        }
+    }
     Batch {
-        len: total,
-        columns,
+        len,
+        columns: parts.into_iter().map(concat_columns).collect(),
         selection: None,
     }
 }
@@ -136,7 +128,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             let mut batches = table.columnar_batches_for(cols.as_deref());
             let mut sels: Vec<Vec<u32>> = batches.iter().map(|_| Vec::new()).collect();
             for id in ids {
-                sels[id as usize / BATCH_ROWS].push((id as usize % BATCH_ROWS) as u32);
+                sels[ix(id) / BATCH_ROWS].push(row_id(ix(id) % BATCH_ROWS));
             }
             for (batch, sel) in batches.iter_mut().zip(sels) {
                 batch.selection = Some(sel);
@@ -177,7 +169,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
                     .live_rows()
                     .enumerate()
                     .filter(|&(j, _)| truth[j] && !nulls.get(j))
-                    .map(|(_, phys)| phys as u32)
+                    .map(|(_, phys)| row_id(phys))
                     .collect();
                 batch.selection = Some(sel);
             }
@@ -190,8 +182,9 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             distinct,
             ..
         } => {
-            let batches = exec_node_col(input, ctx)?;
-            let mut out = batches
+            // The input goes at the end of the statement, so DISTINCT's
+            // flatten can move the columns no one else holds.
+            let out = exec_node_col(input, ctx)?
                 .iter()
                 .map(|batch| {
                     Ok(Batch {
@@ -204,10 +197,11 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
                     })
                 })
                 .collect::<StorageResult<Vec<_>>>()?;
-            if *distinct {
-                dedup_batches(&mut out, *visible);
-            }
-            Ok(out)
+            Ok(if *distinct {
+                vec![distinct_rows(out, items.len(), *visible)]
+            } else {
+                out
+            })
         }
         PhysNode::HashJoin {
             left,
@@ -246,15 +240,14 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             distinct,
             input_width,
         } => {
-            let batches = exec_node_col(input, ctx)?;
-            let width = *input_width;
-            let rows =
-                columnar_hash_aggregate(&batches, group_by, having.as_ref(), items, width, ctx)?;
-            let mut out = rows_to_batches(&rows, items.len());
-            if *distinct {
-                dedup_batches(&mut out, *visible);
-            }
-            Ok(out)
+            let input = flatten_batches(exec_node_col(input, ctx)?, *input_width);
+            let rows = columnar_hash_aggregate(&input, group_by, having.as_ref(), items, ctx)?;
+            let out = rows_to_batches(&rows, items.len());
+            Ok(if *distinct {
+                vec![distinct_rows(out, items.len(), *visible)]
+            } else {
+                out
+            })
         }
         PhysNode::Sort { input, keys } => {
             let mut rows = exec_node_rows(input, ctx)?;
@@ -297,7 +290,7 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
                 if remaining == 0 {
                     break;
                 }
-                let live: Vec<u32> = batch.live_rows().map(|i| i as u32).collect();
+                let live: Vec<u32> = batch.live_rows().map(row_id).collect();
                 if skip >= live.len() {
                     skip -= live.len();
                     continue;
@@ -322,74 +315,45 @@ pub(crate) fn exec_node_col(node: &PhysNode, ctx: &RunCtx<'_>) -> StorageResult<
             let combined = combine_set_operation(*op, *all, l, r)?;
             Ok(rows_to_batches(&combined.rows, combined.columns.len()))
         }
-        PhysNode::Nested(sub) => {
-            let result = exec_query_plan(sub, ctx)?;
-            Ok(rows_to_batches(&result.rows, result.columns.len()))
-        }
     }
 }
 
-/// DISTINCT over the visible prefix of projected or aggregated batches:
-/// one sequential pass (batch order = row order) keying on column slices,
-/// no string materialization. Keeps first occurrences.
-fn dedup_batches(batches: &mut [Batch], visible: usize) {
-    // Per-batch key-column refs, computed once (not per row/comparison).
-    let key_cols: Vec<Vec<&ColumnVec>> = batches
-        .iter()
-        .map(|b| {
-            b.columns[..visible.min(b.columns.len())]
-                .iter()
-                .map(|c| c.as_ref())
-                .collect()
-        })
-        .collect();
-    // bucket hash → (batch, physical row) of each distinct representative.
-    let mut buckets: HashMap<u64, Vec<(usize, u32)>> = HashMap::new();
-    let mut selections: Vec<Vec<u32>> = Vec::with_capacity(batches.len());
-    for (bi, batch) in batches.iter().enumerate() {
-        let cols = &key_cols[bi];
-        let mut sel = Vec::new();
-        for i in batch.live_rows() {
-            let hash = composite_hash(cols, i);
-            let bucket = buckets.entry(hash).or_default();
-            let duplicate = bucket
-                .iter()
-                .any(|&(obi, oi)| composite_eq(&key_cols[obi], oi as usize, cols, i));
-            if !duplicate {
-                bucket.push((bi, i as u32));
-                sel.push(i as u32);
-            }
-        }
-        selections.push(sel);
-    }
-    for (batch, sel) in batches.iter_mut().zip(selections) {
-        batch.selection = Some(sel);
-    }
+/// DISTINCT over the visible prefix of projected or aggregated batches
+/// (`width` columns): group the flattened rows on that prefix and select
+/// each group's first member, so first occurrences survive in row order.
+fn distinct_rows(batches: Vec<Batch>, width: usize, visible: usize) -> Batch {
+    let mut rows = flatten_batches(batches, width);
+    let keys = rows.columns[..visible].iter().map(AsRef::as_ref).collect();
+    let firsts = Grouping::build(keys, 0..rows.len).firsts().to_vec();
+    rows.selection = Some(firsts);
+    rows
 }
 
-/// Columnar hash join: build a bucket table over the flattened right side
-/// keyed on column slices, probe it with each left batch in turn, and emit
-/// one output batch per left batch by gathering the `emit` columns of the
-/// joined row (`widths` = its width and its right part's) — no composite
-/// key strings, no per-pair row concatenation. Candidate pairs are
-/// enumerated left-row-major with right candidates in build order.
+/// Columnar hash join: group the flattened right side's rows on their key
+/// columns, probe with each left batch in turn, and emit one output batch
+/// per left batch by gathering the `emit` columns of the joined row
+/// (`widths` = its width and its right part's) — no composite key strings,
+/// no per-pair row concatenation. A left row finds its group once; the
+/// group's members are its candidates, already key-equal and in right-row
+/// order, so pairs are enumerated left-row-major with right candidates
+/// ascending. Rows with a NULL key cell are left out of the build, so they
+/// match nothing.
 ///
 /// A join without equi-keys (a cross join or a non-equi ON) is the same
 /// loop with empty key lists: every right row lands in the one empty-key
-/// bucket, so each left row's candidates are all right rows in right-row
+/// group, so each left row's candidates are all right rows in right-row
 /// order — the nested loop's pair order, padding included.
 ///
 /// Pairs stream. Without a residual each candidate goes straight into the
 /// output gather indices; with one, the residual runs over chunks of at
 /// most [`BATCH_ROWS`] candidate pairs, so a keyless join never holds its
-/// |L|×|R| candidates at once (the compiler never builds it left, whose
-/// candidate lists would hold them all).
+/// |L|×|R| candidates at once.
 ///
-/// With `build_left` the bucket table is built over the left batches instead
-/// and the right rows probe it in right-row order, appending each right index
-/// to its matched left rows' candidate lists; reading a left row's list then
-/// yields matches ascending by right index — the exact build-right candidate
-/// sequence — so the output is byte-identical either way.
+/// With `build_left` the left side is flattened and grouped instead, and
+/// the right rows, walked in order, are appended to their left group's
+/// list. A left row's candidates are its group's list: ascending by right
+/// index — the exact build-right candidate sequence — so the output is
+/// byte-identical either way, and each list is held once per key.
 #[allow(clippy::too_many_arguments)]
 fn columnar_hash_join(
     left_batches: Vec<Batch>,
@@ -405,58 +369,41 @@ fn columnar_hash_join(
 ) -> StorageResult<Vec<Batch>> {
     let left_width = width - right_width;
     let right = flatten_batches(right_batches, right_width);
-    let right_key_cols: Vec<&ColumnVec> = right_keys
-        .iter()
-        .map(|&k| right.columns[k].as_ref())
-        .collect();
-
-    // Physical-row offsets of each left batch in a global left-row id space
-    // (only used by the build-left path's candidate lists).
-    let mut left_offsets: Vec<usize> = Vec::with_capacity(left_batches.len());
-    let mut total_left = 0usize;
-    for batch in &left_batches {
-        left_offsets.push(total_left);
-        total_left += batch.len;
-    }
-
-    // Build-left: per-left-row candidate lists filled by probing with the
-    // right side; build-right (default): bucket table hash → right row
-    // indices in right-row order. Hash collisions are resolved by key
-    // equality, so candidate sequences are exact-key candidate lists either
-    // way.
-    let left_matches: Option<Vec<Vec<u32>>> = build_left.then(|| {
-        build_left_matches(
-            &left_batches,
-            &left_offsets,
-            total_left,
-            left_keys,
-            &right_key_cols,
-            right.len,
-        )
-    });
-    let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-    if !build_left {
-        table.reserve(right.len);
+    let right_key_cols = key_columns(&right, right_keys);
+    let left_batches = if build_left {
+        vec![flatten_batches(left_batches, left_width)]
+    } else {
+        left_batches
+    };
+    // Group the build side's rows whose keys are non-NULL (NULL never
+    // joins); building left, also list each left group's right rows.
+    let (build, build_keys) = if build_left {
+        (&left_batches[0], left_keys)
+    } else {
+        (&right, right_keys)
+    };
+    let build_keys = key_columns(build, build_keys);
+    let groups = Grouping::build(
+        build_keys.clone(),
+        (0..build.len).filter(|&i| keys_nonnull(&build_keys, i)),
+    );
+    let left_lists: Option<Vec<Vec<u32>>> = build_left.then(|| {
+        let mut lists = vec![Vec::new(); groups.len()];
         for ri in 0..right.len {
-            if keys_nonnull(&right_key_cols, ri) {
-                table
-                    .entry(composite_hash(&right_key_cols, ri))
-                    .or_default()
-                    .push(ri as u32);
+            if let Some(g) = groups.find(&right_key_cols, ri) {
+                lists[g].push(row_id(ri));
             }
         }
-    }
+        lists
+    });
 
     let track_right = matches!(operator, JoinOperator::RightOuter | JoinOperator::FullOuter);
     let left_outer = matches!(operator, JoinOperator::LeftOuter | JoinOperator::FullOuter);
     let mut right_matched = vec![false; if track_right { right.len } else { 0 }];
 
     let mut out = Vec::with_capacity(left_batches.len() + 1);
-    for (bi, batch) in left_batches.iter().enumerate() {
-        let left_key_cols: Vec<&ColumnVec> = left_keys
-            .iter()
-            .map(|&k| batch.columns[k].as_ref())
-            .collect();
+    for batch in &left_batches {
+        let left_key_cols = key_columns(batch, left_keys);
         let mut sink = JoinSink {
             lidx: Vec::new(),
             ridx: Vec::new(),
@@ -466,23 +413,13 @@ fn columnar_hash_join(
         };
         let mut pending = PendingPairs::default();
         for lphys in batch.live_rows() {
-            // Build-left reads precomputed per-left-row lists (already in
-            // right-row order and key-equal); build-right hashes into the
-            // right-side bucket table and checks key equality.
-            let candidates: &[u32] = match &left_matches {
-                Some(matches) => &matches[left_offsets[bi] + lphys],
-                None if keys_nonnull(&left_key_cols, lphys) => table
-                    .get(&composite_hash(&left_key_cols, lphys))
-                    .map_or(&[], Vec::as_slice),
-                None => &[],
+            let candidates: &[u32] = match (groups.find(&left_key_cols, lphys), &left_lists) {
+                (None, _) => &[],
+                (Some(g), Some(lists)) => &lists[g],
+                (Some(g), None) => groups.members(g),
             };
-            let lp = lphys as u32;
+            let lp = row_id(lphys);
             for &ri in candidates {
-                if left_matches.is_none()
-                    && !composite_eq(&left_key_cols, lphys, &right_key_cols, ri as usize)
-                {
-                    continue;
-                }
                 match residual {
                     None => sink.pair(lp, ri),
                     Some(predicate) => {
@@ -519,8 +456,9 @@ fn columnar_hash_join(
     }
 
     if track_right {
-        let unmatched: Vec<u32> = (0..right.len as u32)
-            .filter(|&ri| !right_matched[ri as usize])
+        let unmatched: Vec<u32> = (0..right.len)
+            .filter(|&ri| !right_matched[ri])
+            .map(row_id)
             .collect();
         if !unmatched.is_empty() {
             let columns = emit
@@ -538,6 +476,11 @@ fn columnar_hash_join(
         }
     }
     Ok(out)
+}
+
+/// The key columns `keys` of `batch`.
+fn key_columns<'b>(batch: &'b Batch, keys: &[usize]) -> Vec<&'b ColumnVec> {
+    keys.iter().map(|&k| batch.columns[k].as_ref()).collect()
 }
 
 /// One left batch's join output as gather indices (left physical row,
@@ -558,8 +501,8 @@ impl JoinSink<'_> {
     fn pair(&mut self, l: u32, r: u32) {
         self.lidx.push(l);
         self.ridx.push(r);
-        self.left_matched[l as usize] = true;
-        if let Some(matched) = self.right_matched.get_mut(r as usize) {
+        self.left_matched[ix(l)] = true;
+        if let Some(matched) = self.right_matched.get_mut(ix(r)) {
             *matched = true;
         }
     }
@@ -568,7 +511,7 @@ impl JoinSink<'_> {
     /// join pads an unmatched row with NULLs right after where its pairs
     /// would be.
     fn finish_row(&mut self, l: u32) {
-        if self.left_outer && !self.left_matched[l as usize] {
+        if self.left_outer && !self.left_matched[ix(l)] {
             self.lidx.push(l);
             self.ridx.push(PAD_NULL);
         }
@@ -638,114 +581,54 @@ impl PendingPairs {
     }
 }
 
-/// Build-side-flipped candidate enumeration: bucket every live left row by
-/// key hash (in batch-major left-row order), then probe with the flattened
-/// right side in right-row order, appending each right index to the candidate
-/// lists of the left rows it key-matches. Every per-left-row list therefore
-/// comes out ascending by right index — exactly the sequence the build-right
-/// path would have enumerated.
-fn build_left_matches(
-    left_batches: &[Batch],
-    left_offsets: &[usize],
-    total_left: usize,
-    left_keys: &[usize],
-    right_key_cols: &[&ColumnVec],
-    right_len: usize,
-) -> Vec<Vec<u32>> {
-    let left_key_cols: Vec<Vec<&ColumnVec>> = left_batches
-        .iter()
-        .map(|batch| {
-            left_keys
-                .iter()
-                .map(|&k| batch.columns[k].as_ref())
-                .collect()
-        })
-        .collect();
-    let mut table: HashMap<u64, Vec<(u32, u32)>> = HashMap::with_capacity(total_left);
-    for (bi, batch) in left_batches.iter().enumerate() {
-        let cols = &left_key_cols[bi];
-        for lphys in batch.live_rows() {
-            if keys_nonnull(cols, lphys) {
-                table
-                    .entry(composite_hash(cols, lphys))
-                    .or_default()
-                    .push((bi as u32, lphys as u32));
-            }
-        }
-    }
-    let mut matches: Vec<Vec<u32>> = vec![Vec::new(); total_left];
-    for ri in 0..right_len {
-        if !keys_nonnull(right_key_cols, ri) {
-            continue;
-        }
-        let Some(candidates) = table.get(&composite_hash(right_key_cols, ri)) else {
-            continue;
-        };
-        for &(bi, lphys) in candidates {
-            let (bi, lphys) = (bi as usize, lphys as usize);
-            if composite_eq(&left_key_cols[bi], lphys, right_key_cols, ri) {
-                matches[left_offsets[bi] + lphys].push(ri as u32);
-            }
-        }
-    }
-    matches
-}
-
-/// Columnar hash aggregation: group keys are evaluated as whole columns per
-/// batch and grouped on column-slice hashes (no composite key strings) in
-/// one pass over the batches in row order, so group order is first-seen
-/// over the input and each group's rows stay in row order. The groups are
-/// then finalized with the shared HAVING/projection phase.
+/// Columnar hash aggregation over the flattened input: group keys are
+/// evaluated as whole columns and grouped by the hash kernel, so groups
+/// come out first-seen and each group's members ascending. A group is the
+/// input batch with its members as the selection; HAVING and the output
+/// items evaluate per group against its first row, and each aggregate's
+/// argument evaluates as a column over the group (see
+/// [`EvalEnv::group`]).
 fn columnar_hash_aggregate(
-    batches: &[Batch],
+    input: &Batch,
     group_by: &[PhysExpr],
     having: Option<&PhysExpr>,
     items: &[PhysExpr],
-    width: usize,
     ctx: &RunCtx<'_>,
 ) -> StorageResult<Vec<Row>> {
-    // Evaluated key columns per batch, dense over the batch's live rows.
-    let keys = batches
+    let keys = group_by
         .iter()
-        .map(|batch| {
-            group_by
-                .iter()
-                .map(|e| e.eval_batch(batch, ctx))
-                .collect::<StorageResult<Vec<_>>>()
-        })
+        .map(|e| e.eval_batch(input, ctx))
         .collect::<StorageResult<Vec<_>>>()?;
-    let key_refs: Vec<Vec<&ColumnVec>> = keys
-        .iter()
-        .map(|cols| cols.iter().map(|c| c.as_ref()).collect())
-        .collect();
-
-    // Group rows in first-seen order; `reps` is each group's first member
-    // as (batch, dense index) for key comparison.
-    let mut groups: Vec<Vec<Row>> = Vec::new();
-    let mut reps: Vec<(usize, usize)> = Vec::new();
-    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-    for (bi, batch) in batches.iter().enumerate() {
-        let cols = &key_refs[bi];
-        for (j, phys) in batch.live_rows().enumerate() {
-            let bucket = buckets.entry(composite_hash(cols, j)).or_default();
-            let existing = bucket.iter().find(|&&g| {
-                let (obi, oj) = reps[g as usize];
-                composite_eq(&key_refs[obi], oj, cols, j)
-            });
-            let row = batch.gather_row(phys);
-            match existing {
-                Some(&g) => groups[g as usize].push(row),
-                None => {
-                    bucket.push(groups.len() as u32);
-                    reps.push((bi, j));
-                    groups.push(vec![row]);
-                }
+    let groups = Grouping::build(keys.iter().map(AsRef::as_ref).collect(), 0..input.len);
+    // Aggregates over an empty input still produce one (empty) group.
+    let global = (groups.len() == 0 && group_by.is_empty()).then_some(&[][..]);
+    let mut out = Vec::with_capacity(groups.len());
+    for members in (0..groups.len()).map(|g| groups.members(g)).chain(global) {
+        let group = Batch {
+            len: input.len,
+            columns: input.columns.clone(),
+            selection: Some(members.to_vec()),
+        };
+        let representative = match members.first() {
+            Some(&first) => input.gather_row(ix(first)),
+            None => vec![Value::Null; input.columns.len()],
+        };
+        let env = EvalEnv {
+            ctx,
+            row: &representative,
+            group: Some(&group),
+        };
+        if let Some(having) = having {
+            if !having.eval_truthy(&env)? {
+                continue;
             }
         }
+        out.push(
+            items
+                .iter()
+                .map(|item| item.eval(&env))
+                .collect::<StorageResult<Row>>()?,
+        );
     }
-    if groups.is_empty() && group_by.is_empty() {
-        // Aggregates over an empty input still produce one row.
-        groups.push(Vec::new());
-    }
-    finalize_agg_groups(&groups, having, items, width, ctx)
+    Ok(out)
 }

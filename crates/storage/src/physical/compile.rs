@@ -201,12 +201,13 @@ impl<'a> Compiler<'a> {
                     .map(|e| self.compile_expr(e, bindings))
                     .transpose()?;
                 let (left_keys, right_keys) = equi_keys.iter().copied().unzip();
-                // Cost-based build-side selection: build the hash table on
-                // the smaller estimated input. Inner joins with keys only
-                // (the outer-join padding logic is side-specific, and a
-                // keyless build-left lists every right row per left row),
-                // and output is byte-identical either way — a wrong
-                // estimate can only change speed, never answers.
+                // Cost-based build-side selection: group the smaller
+                // estimated input. Inner joins with keys only: the
+                // outer-join padding logic is side-specific, and without
+                // keys every left row shares one group, so flattening the
+                // left side to group it buys nothing. Output is
+                // byte-identical either way — a wrong estimate can only
+                // change speed, never answers.
                 let build_left = self.cost_based
                     && !equi_keys.is_empty()
                     && matches!(operator, bp_sql::JoinOperator::Inner)
@@ -362,9 +363,9 @@ impl<'a> Compiler<'a> {
                 left: Box::new(self.compile_query_plan(left)?),
                 right: Box::new(self.compile_query_plan(right)?),
             }),
-            LogicalPlan::Nested(sub) => {
-                Ok(PhysNode::Nested(Box::new(self.compile_query_plan(sub)?)))
-            }
+            LogicalPlan::Nested(sub) => Ok(PhysNode::ScanDerived {
+                plan: Box::new(self.compile_query_plan(sub)?),
+            }),
         }
     }
 
@@ -947,8 +948,7 @@ fn prune(node: &mut PhysNode, need: Option<BTreeSet<usize>>) -> Layout {
         | PhysNode::ScanCte { .. }
         | PhysNode::ScanDerived { .. }
         | PhysNode::ScanEmpty
-        | PhysNode::SetOp { .. }
-        | PhysNode::Nested(_) => None,
+        | PhysNode::SetOp { .. } => None,
     }
 }
 

@@ -238,10 +238,6 @@ fn render_node<'p>(node: &'p PhysNode, db: &Snapshot, depth: usize, out: &mut Ou
             render_plan(left, db, depth + 1, out);
             render_plan(right, db, depth + 1, out);
         }
-        PhysNode::Nested(plan) => {
-            line(out, depth, "Nested");
-            render_plan(plan, db, depth + 1, out);
-        }
     }
 }
 
@@ -368,7 +364,7 @@ fn node_est(node: &PhysNode, db: &Snapshot) -> Option<f64> {
         | PhysNode::Sort { input, .. }
         | PhysNode::TopK { input, .. }
         | PhysNode::Limit { input, .. } => node_est(input, db),
-        PhysNode::ScanDerived { plan } | PhysNode::Nested(plan) => node_est(&plan.root, db),
+        PhysNode::ScanDerived { plan } => node_est(&plan.root, db),
         PhysNode::SetOp { left, right, .. } => {
             Some(node_est(&left.root, db)? + node_est(&right.root, db)?)
         }

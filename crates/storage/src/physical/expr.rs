@@ -25,7 +25,6 @@ use crate::scalar::{
     cast_value, eval_binary, eval_binary_cols, eval_neg_col, eval_scalar_fn, eval_unary_minus,
     finish_aggregate, truth3_col,
 };
-use crate::table::Row;
 use crate::value::{like_match, Value};
 
 use super::batch::{Batch, ColumnBuilder, ColumnVec, NullMask};
@@ -171,11 +170,14 @@ pub(crate) enum PhysExpr {
 }
 
 /// Evaluation environment: the runtime context plus the current row (and,
-/// in grouped evaluation, the rows of the current group).
+/// in grouped evaluation, the current group).
 pub(crate) struct EvalEnv<'a> {
     pub ctx: &'a RunCtx<'a>,
     pub row: &'a [Value],
-    pub group: Option<&'a [Row]>,
+    /// The current group: the aggregate's input batch with the group's
+    /// members as its selection. An aggregate evaluates its argument as a
+    /// column over it.
+    pub group: Option<&'a Batch>,
 }
 
 impl PhysExpr {
@@ -213,13 +215,12 @@ impl PhysExpr {
                 arg,
                 distinct,
             } => match env.group {
-                Some(group) => eval_aggregate(name, arg.as_deref(), *distinct, group, env),
+                Some(group) => eval_aggregate(name, arg.as_deref(), *distinct, group, env.ctx),
                 // Outside a grouped context the current row forms a one-row
                 // group (same robustness rule as the interpreter).
                 None => {
-                    let row = env.row.to_vec();
-                    let single = [row];
-                    eval_aggregate(name, arg.as_deref(), *distinct, &single, env)
+                    let single = Batch::from_rows(&[env.row.to_vec()], env.row.len());
+                    eval_aggregate(name, arg.as_deref(), *distinct, &single, env.ctx)
                 }
             },
             PhysExpr::Case {
@@ -637,29 +638,24 @@ impl PhysExpr {
     }
 }
 
+/// One aggregate over a group: its argument as a column over the group's
+/// rows, whose non-NULL values [`finish_aggregate`] folds.
 fn eval_aggregate(
     name: &str,
     arg: Option<&PhysExpr>,
     distinct: bool,
-    group: &[Row],
-    env: &EvalEnv<'_>,
+    group: &Batch,
+    ctx: &RunCtx<'_>,
 ) -> StorageResult<Value> {
     let Some(arg) = arg else {
         // COUNT(*) counts rows directly.
-        return Ok(Value::Int(group.len() as i64));
+        return Ok(Value::Int(group.live() as i64));
     };
-    let mut values: Vec<Value> = Vec::with_capacity(group.len());
-    for row in group {
-        let row_env = EvalEnv {
-            ctx: env.ctx,
-            row,
-            group: None,
-        };
-        let v = arg.eval(&row_env)?;
-        if !v.is_null() {
-            values.push(v);
-        }
-    }
+    let col = arg.eval_batch(group, ctx)?;
+    let values = (0..col.len())
+        .filter(|&i| !col.is_null(i))
+        .map(|i| col.value(i))
+        .collect();
     finish_aggregate(name, values, distinct)
 }
 

@@ -24,9 +24,11 @@
 //!
 //! The compiled plan executes over **columnar batches** (see the `batch`
 //! and `columnar` submodules): typed column vectors with null bitmaps,
-//! selection-vector filters, vectorized expression kernels, and
-//! column-slice join/group keys. Blocking operators (sort, set operations,
-//! derived tables) reuse the row helpers in this module. The legacy
+//! selection-vector filters, vectorized expression kernels, and one hash
+//! kernel on column-slice keys for joins, DISTINCT and aggregation, whose
+//! groups are selection vectors. Only the blocking operators (sort, Top-K,
+//! set operations, derived tables) reuse the row helpers in this module.
+//! The legacy
 //! interpreter behind [`ExecStrategy::Legacy`] is the independent oracle:
 //! both engines must produce identical [`QueryResult`]s (see the workspace
 //! `differential` proptest suite).
@@ -354,6 +356,8 @@ pub(crate) enum PhysNode {
         depth: usize,
         idx: usize,
     },
+    /// A nested plan's materialized result: a derived table, or a
+    /// parenthesized query (the logical `Nested`).
     ScanDerived {
         plan: Box<PhysQueryPlan>,
     },
@@ -375,12 +379,12 @@ pub(crate) enum PhysNode {
         /// `right_width`.
         width: usize,
         right_width: usize,
-        /// Build the hash table on the *left* input instead of the right —
-        /// chosen by the compiler when the cost model estimates the left
-        /// input smaller. Output is byte-identical either way (left-major,
-        /// matches in right-row order); only the build/probe roles swap.
-        /// Never set without keys: every left row would list every right
-        /// row.
+        /// Group the *left* input instead of the right — chosen by the
+        /// compiler when the cost model estimates the left input smaller.
+        /// Output is byte-identical either way (left-major, matches in
+        /// right-row order); only the build/probe roles swap. Never set
+        /// without keys: every left row would share one group, so
+        /// flattening the left to group it buys nothing.
         build_left: bool,
         /// The joined-row ordinals the join emits, ascending, set by the
         /// compiler's column pruning (`None` = all `width`).
@@ -427,7 +431,6 @@ pub(crate) enum PhysNode {
         left: Box<PhysQueryPlan>,
         right: Box<PhysQueryPlan>,
     },
-    Nested(Box<PhysQueryPlan>),
 }
 
 // ---------------------------------------------------------------------
@@ -672,42 +675,6 @@ pub(crate) fn top_k_rows(rows: Vec<Row>, keys: &[SortKey], skip: usize, take: us
     kept.sort_unstable_by(|a, b| a.order(b));
     kept.drain(..skip.min(kept.len()));
     kept.into_iter().map(|e| e.row).collect()
-}
-
-/// The last phase of hash aggregation: evaluate HAVING and the output
-/// expressions per group, in (first-seen) group order. `width` is the input
-/// arity (an empty global group's representative row is that many NULLs).
-pub(crate) fn finalize_agg_groups(
-    groups: &[Vec<Row>],
-    having: Option<&PhysExpr>,
-    items: &[PhysExpr],
-    width: usize,
-    ctx: &RunCtx<'_>,
-) -> StorageResult<Vec<Row>> {
-    let mut out = Vec::with_capacity(groups.len());
-    for group_rows in groups {
-        let representative = group_rows
-            .first()
-            .cloned()
-            .unwrap_or_else(|| vec![Value::Null; width]);
-        let env = EvalEnv {
-            ctx,
-            row: &representative,
-            group: Some(group_rows),
-        };
-        if let Some(having) = having {
-            if !having.eval_truthy(&env)? {
-                continue;
-            }
-        }
-        out.push(
-            items
-                .iter()
-                .map(|item| item.eval(&env))
-                .collect::<StorageResult<Row>>()?,
-        );
-    }
-    Ok(out)
 }
 
 /// Evaluate a LIMIT/OFFSET expression (empty row scope) to a count.

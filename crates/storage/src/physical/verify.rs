@@ -763,12 +763,6 @@ impl<'a> Verifier<'a> {
                 self.path.pop();
                 arity
             }
-            PhysNode::Nested(plan) => {
-                self.path.push(PathSeg::Op("Nested"));
-                let arity = self.check_plan(plan);
-                self.path.pop();
-                arity
-            }
         }
     }
 

@@ -1088,15 +1088,8 @@ impl LogicalPlan {
                 residual,
                 ..
             } => {
-                let kind = if equi_keys.is_empty() {
-                    "NestedLoopJoin"
-                } else {
-                    "HashJoin"
-                };
-                write!(f, "{pad}{kind} {}", operator.as_sql())?;
-                if !equi_keys.is_empty() {
-                    write!(f, " keys={equi_keys:?}")?;
-                }
+                // A join without equi-keys is a hash join with no keys.
+                write!(f, "{pad}HashJoin {} keys={equi_keys:?}", operator.as_sql())?;
                 if let Some(residual) = residual {
                     write!(f, " residual={residual}")?;
                 }
@@ -1239,13 +1232,13 @@ mod tests {
     }
 
     #[test]
-    fn non_equi_join_falls_back_to_nested_loop() {
+    fn non_equi_join_is_a_keyless_hash_join() {
         let db = two_table_db();
         let plan = plan_sql(
             &db,
             "SELECT c.tag FROM child c JOIN parent p ON c.parent_id > p.id",
         );
-        assert!(plan.to_string().contains("NestedLoopJoin"));
+        assert!(plan.to_string().contains("HashJoin JOIN keys=[]"), "{plan}");
     }
 
     #[test]
@@ -1258,14 +1251,14 @@ mod tests {
             "SELECT c.tag FROM child c JOIN parent p \
              ON c.parent_id = p.id AND c.amount / p.id > 0",
         );
-        assert!(plan.to_string().contains("NestedLoopJoin"), "{plan}");
+        assert!(plan.to_string().contains("keys=[] residual="), "{plan}");
         // An error-free residual keeps the hash path.
         let plan2 = plan_sql(
             &db,
             "SELECT c.tag FROM child c JOIN parent p \
              ON c.parent_id = p.id AND c.tag <> p.name",
         );
-        assert!(plan2.to_string().contains("HashJoin"), "{plan2}");
+        assert!(plan2.to_string().contains("keys=[(1, 0)]"), "{plan2}");
     }
 
     #[test]

@@ -672,6 +672,113 @@ fn keyless_join_matches_across_residual_chunks() {
     assert_eq!(pairs.rows, vec![vec![Value::Int(6)]]);
 }
 
+/// The paths that group rows with the engine's one hash kernel — GROUP BY,
+/// DISTINCT over a projection and over an aggregate, and both build sides of
+/// an equi-join — on a table that spans three 1,024-row batches, read
+/// through filter selections, with duplicate and NULL keys on both sides and
+/// float keys that fold (`-0.0` with `0`, `1.0` with `1`). The joins pair it
+/// with a 240-row table, which keeps the interpreter's nested loop short. Aggregate
+/// arguments wrap errors in CASE or raise them (division by zero, SUM
+/// overflow); each failing query has one kind of error, so both engines
+/// must report the same one.
+#[test]
+fn hash_kernel_paths_agree_across_batches() {
+    let mut db = Database::new("hash-kernel");
+    for (table, rows, k_null, k_mod) in [("BIG", 2_100i64, 23, 50), ("SMALL", 240, 19, 40)] {
+        db.create_table(TableSchema::new(
+            table,
+            vec![
+                Column::new("ID", DataType::Integer).primary_key(),
+                Column::new("K", DataType::Integer),
+                Column::new("G", DataType::Text),
+                Column::new("V", DataType::Integer),
+                Column::new("F", DataType::Float),
+                Column::new("Z", DataType::Integer),
+            ],
+        ))
+        .expect("schema");
+        let rows = (0..rows).map(|i| {
+            let k = match i % k_null {
+                0 => Value::Null,
+                _ => Value::Int((i * 7) % k_mod),
+            };
+            let g = match i % 31 {
+                0 => Value::Null,
+                _ => Value::Text(format!("g{}", i % 7)),
+            };
+            let f = match i % 6 {
+                0 => Value::Float(-0.0),
+                1 => Value::Float(0.0),
+                2 => Value::Float(1.0),
+                3 => Value::Float(1.5),
+                4 => Value::Null,
+                _ => Value::Float((i % 5) as f64),
+            };
+            let v = Value::Int((i * 37) % 1_000);
+            vec![Value::Int(i), k, g, v, f, Value::Int(i % 97)]
+        });
+        db.insert_into(table, rows).expect("rows");
+    }
+    let queries = [
+        // GROUP BY, with CASE-wrapped and error-raising arguments.
+        "SELECT G, COUNT(*), SUM(CASE WHEN V > 100 THEN V ELSE 0 END), AVG(F) \
+         FROM BIG WHERE ID % 3 <> 0 GROUP BY G",
+        "SELECT K, MIN(V), MAX(G), COUNT(DISTINCT F), COUNT(G) FROM BIG WHERE V > 50 \
+         GROUP BY K HAVING COUNT(*) > 2",
+        "SELECT F, COUNT(*), SUM(V) FROM BIG GROUP BY F",
+        "SELECT G, K % 3, SUM(CASE WHEN Z = 0 THEN 0 ELSE V / Z END) FROM BIG \
+         WHERE ID % 5 <> 1 GROUP BY G, K % 3",
+        "SELECT G, SUM(V / Z) FROM BIG WHERE ID > 10 GROUP BY G",
+        "SELECT G, SUM(V / Z) FROM BIG WHERE Z <> 0 GROUP BY G",
+        "SELECT K, SUM(V * 9223372036854775) FROM BIG WHERE ID > 1500 GROUP BY K",
+        "SELECT COUNT(*), SUM(V), MAX(G) FROM BIG WHERE V < 0",
+        "SELECT K, COUNT(*) FROM BIG WHERE V < 0 GROUP BY K",
+        // DISTINCT over a projection and over an aggregate.
+        "SELECT DISTINCT G, K FROM BIG WHERE ID % 2 = 0",
+        "SELECT DISTINCT F FROM BIG WHERE ID > 100",
+        "SELECT DISTINCT COUNT(*) FROM BIG GROUP BY K",
+        "SELECT DISTINCT G, MAX(K) FROM BIG WHERE V > 10 GROUP BY G, K",
+        // Equi-joins with duplicate and NULL keys on both sides.
+        "SELECT s.ID, b.ID, b.V FROM SMALL s JOIN BIG b ON s.K = b.K \
+         WHERE s.ID % 4 = 0 AND b.ID % 3 = 0",
+        "SELECT b.ID, s.ID, s.V FROM BIG b JOIN SMALL s ON b.K = s.K \
+         WHERE s.ID % 4 = 0 AND b.ID % 3 = 0",
+        "SELECT b.ID, s.ID FROM BIG b LEFT JOIN SMALL s ON b.K = s.K AND s.ID % 9 = 0 \
+         WHERE b.ID % 5 = 0",
+        "SELECT b.ID, s.ID FROM BIG b RIGHT JOIN SMALL s ON b.K = s.K \
+         WHERE s.ID % 3 = 0",
+        "SELECT b.ID, s.ID FROM SMALL s FULL JOIN BIG b ON b.K = s.K AND b.ID % 11 = 0",
+        "SELECT b.ID, s.ID FROM BIG b JOIN SMALL s ON b.K = s.K AND b.V < s.V \
+         WHERE b.ID % 7 = 0",
+    ];
+    for sql in queries {
+        assert_engines_agree(&db, sql, "hash-kernel");
+    }
+    let snapshot = db.snapshot();
+    let explain = |sql: &str| {
+        let query = benchpress_suite::sql::parse_query(sql).expect("query parses");
+        benchpress_suite::storage::compile_query(&snapshot, &query, Default::default())
+            .expect("query compiles")
+            .explain(&snapshot)
+    };
+    // The two INNER joins take both build sides: the smaller input builds.
+    assert!(
+        explain(queries[13]).contains("build=left"),
+        "{}",
+        explain(queries[13])
+    );
+    assert!(
+        explain(queries[14]).contains("build=right"),
+        "{}",
+        explain(queries[14])
+    );
+    // The error-raising queries do fail, and the CASE-guarded one does not.
+    let planned = |sql: &str| db.execute_sql(sql, ExecOptions::default());
+    assert!(planned(queries[3]).is_ok());
+    assert!(planned(queries[4]).is_err());
+    assert!(planned(queries[6]).is_err());
+}
+
 /// A query error raised mid-table must surface as the same clean `Err` in
 /// both engines — never a panic — and, run as many items of a `batch_map`
 /// pool, as the same first error a serial loop reports. Repeated rounds
